@@ -57,7 +57,7 @@ CONTEND_BENCHES = BenchmarkContendedCounterGlobal|BenchmarkContendedCounterShare
 # and the timing-wheel engine step stay allocation-free too.
 ZERO_ALLOC   = BenchmarkEngineStep,BenchmarkEngineStepWheel,BenchmarkDRAMAccess,BenchmarkStreamPump,BenchmarkGateAdmitBatched,BenchmarkGateAdmitPerJob,BenchmarkPolicyObserve
 
-.PHONY: check lint fmt vet layout build test race bench bench-host bench-baseline bench-check
+.PHONY: check lint fmt vet layout build test race bench bench-host bench-baseline bench-check ab
 
 check: lint build test race
 
@@ -102,11 +102,12 @@ test:
 # suites run here too: the window-group barrier protocol (TestGroup*),
 # the sharded-domain harness identity (TestDomainSim*) and the SimPar
 # serial-equality properties all drive per-domain engines on concurrent
-# goroutines with cross-engine posts.
+# goroutines with cross-engine posts. TestRunConcurrentRecycling draws
+# simsched's recycled runners from their shared pool on four goroutines.
 race:
 	$(GO) test -race ./host/... ./internal/parallel/...
 	$(GO) test -race -run 'DiskCache|Cached|RobustnessR2' ./internal/experiments
-	$(GO) test -race -run 'TestGroup|TestWheel|TestDomainSim|TestSimPar' ./internal/sim ./internal/mem ./internal/simsched
+	$(GO) test -race -run 'TestGroup|TestWheel|TestDomainSim|TestSimPar|TestRunConcurrentRecycling' ./internal/sim ./internal/mem ./internal/simsched
 
 # bench runs the simulator hot-path benchmarks and reports deltas
 # against the committed baseline. bench-baseline rewrites the baseline
@@ -151,3 +152,16 @@ bench-check:
 # bench-all is the original full benchmark sweep (every paper artifact).
 bench-all:
 	$(GO) test -bench=. -benchmem
+
+# ab is the procedure bench/README.md asks for before any performance
+# claim, as one command: BASE and a copy of the working tree go into a
+# temporary directory and the repository benchmark (bench/run.sh) runs
+# on the two in PAIRS interleaved pairs, alternating which side goes
+# first; prints each side's median and quartiles per end-to-end metric,
+# the pairs the change won, and `bench/run.sh -compare` on the last
+# pair. ~3.5 min per pair for sim_sweep. See cmd/benchab.
+BASE     ?= HEAD
+WORKLOAD ?= sim_sweep
+PAIRS    ?= 10
+ab:
+	$(GO) run ./cmd/benchab -base $(BASE) -workload $(WORKLOAD) -pairs $(PAIRS)

@@ -24,6 +24,7 @@ import (
 	"memthrottle/internal/parallel"
 	"memthrottle/internal/sim"
 	"memthrottle/internal/simsched"
+	"memthrottle/internal/stream"
 	"memthrottle/internal/workload"
 )
 
@@ -320,18 +321,51 @@ func BenchmarkStreamPump(b *testing.B) {
 	eng.Run()
 }
 
-func BenchmarkSchedulerPairs(b *testing.B) {
-	env := benchEnvironment(b)
-	lib := env.Lib()
-	prog := lib.Synthetic(0.5, workload.Footprint, 64)
-	cfg := env.Cfg()
+// benchSchedulerPairs times one closed-loop simsched.Run under the
+// dynamic controller: the per-run cost the experiment sweeps multiply
+// by tens of thousands.
+func benchSchedulerPairs(b *testing.B, prog *stream.Program, cfg simsched.Config) {
+	pairs := prog.TotalPairs()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res := simsched.Run(prog, cfg, core.NewDynamic(core.NewModel(4), 8))
-		if res.PairsCompleted != 64 {
+		if res.PairsCompleted != pairs {
 			b.Fatal("pairs lost")
 		}
 	}
+}
+
+func BenchmarkSchedulerPairs(b *testing.B) {
+	env := benchEnvironment(b)
+	benchSchedulerPairs(b, env.Lib().Synthetic(0.5, workload.Footprint, 64), env.Cfg())
+}
+
+// BenchmarkSchedulerPairs1024 is the same kernel on a phase sixteen
+// times as long: per pair it must cost what 64 pairs cost (admission
+// is O(domains), not O(ready tasks)) and allocate no more per run.
+func BenchmarkSchedulerPairs1024(b *testing.B) {
+	env := benchEnvironment(b)
+	benchSchedulerPairs(b, env.Lib().Synthetic(0.5, workload.Footprint, 1024), env.Cfg())
+}
+
+// BenchmarkSchedulerPairsDomains4Scatter exercises the rest of the
+// admission path: four memory domains, each with its own gather cursor
+// and ready-scatter queue, and a write-back per pair.
+func BenchmarkSchedulerPairsDomains4Scatter(b *testing.B) {
+	env := benchEnvironment(b)
+	lib := env.Lib()
+	compute := lib.Synthetic(0.5, workload.Footprint, 1).Phases[0].Pairs[0].Compute.Work
+	prog := stream.Build("synthetic+scatter", stream.PhaseSpec{
+		Name: "kernel", Pairs: 256, MemBytes: workload.Footprint,
+		ComputeTime: compute, ScatterBytes: workload.Footprint / 2,
+	})
+	cfg := env.Cfg()
+	cfg.Machine.MemDomains = 4
+	for d := 0; d < 4; d++ {
+		cfg.DomainMem[d] = env.Mem1
+	}
+	benchSchedulerPairs(b, prog, cfg)
 }
 
 func BenchmarkAnalyticalModel(b *testing.B) {

@@ -53,10 +53,14 @@ type Actor struct {
 	pool      *Pool
 	seq       uint64 // start order; fixes callback ordering
 	weight    float64
-	remaining float64 // bytes left to transfer
-	done      func()
-	active    bool
-	idx       int // position in pool.actors; -1 once removed
+	remaining float64   // bytes left to transfer
+	fn        func(any) // completion callback, called as fn(arg); or
+	arg       any       // nil fn and a func() in arg: the closure form
+	// The three below share one word, which keeps an Actor in the
+	// 64-byte size class it had when its callback was a bare func().
+	idx    int32 // position in pool.actors; -1 once removed
+	active bool
+	pooled bool // started without a handle: the shell returns to pool.free
 }
 
 // Active reports whether the actor is still in flight.
@@ -74,7 +78,10 @@ func (a *Actor) Remaining() float64 {
 // index-tracked slice (not a map): iteration is deterministic and
 // allocation-free, and removal is an O(1) swap via Actor.idx. The due
 // and firing scratch slices plus the pre-bound fire callback keep the
-// settle/reschedule/fire cycle free of steady-state allocations.
+// settle/reschedule/fire cycle free of steady-state allocations, and
+// transfers started through StartFunc — which hands out no *Actor —
+// reuse completed actor shells, so a steady stream of them allocates
+// nothing at all.
 type Pool struct {
 	eng        *sim.Engine
 	params     Params
@@ -85,6 +92,7 @@ type Pool struct {
 	due        []*Actor  // actors the pending event will complete
 	firing     []*Actor  // scratch swapped with due while callbacks run
 	fireFn     func(any) // pre-bound fire, so reschedule never allocates
+	free       []*Actor  // completed StartFunc shells awaiting reuse
 
 	started   uint64
 	completed uint64
@@ -99,6 +107,26 @@ func NewPool(eng *sim.Engine, params Params) *Pool {
 	p := &Pool{eng: eng, params: params}
 	p.fireFn = p.fire
 	return p
+}
+
+// Reset returns the pool to the state NewPool(eng, params) builds,
+// keeping its scratch slices and recycled actor shells, so one pool can
+// serve run after run. The engine must have been reset first: actors
+// still in flight are dropped without their callbacks and the pending
+// completion event is forgotten, not cancelled. Invalid params panic.
+func (p *Pool) Reset(params Params) {
+	if err := params.Validate(); err != nil {
+		panic(err)
+	}
+	p.params = params
+	for i, a := range p.actors {
+		a.active, a.idx = false, -1
+		p.actors[i] = nil
+	}
+	p.actors = p.actors[:0]
+	p.weight, p.lastSettle, p.next = 0, 0, nil
+	p.due = p.due[:0]
+	p.started, p.completed = 0, 0
 }
 
 // remove unlinks an actor from the active slice by swapping the last
@@ -217,8 +245,18 @@ func (p *Pool) fire(any) {
 	// Callbacks run after internal state is consistent: they may
 	// start new actors.
 	for _, a := range p.firing {
-		if a.done != nil {
-			a.done()
+		fn, arg := a.fn, a.arg
+		if a.pooled {
+			// Nobody holds this actor, so its shell is free the moment
+			// the callback has been read out — the callback itself may
+			// already reuse it for the transfer it starts.
+			a.fn, a.arg = nil, nil
+			p.free = append(p.free, a)
+		}
+		if fn != nil {
+			fn(arg)
+		} else if done, ok := arg.(func()); ok {
+			done()
 		}
 	}
 }
@@ -227,8 +265,30 @@ func (p *Pool) fire(any) {
 // weight; done (may be nil) fires at completion. Weight is 1 for a
 // memory task; compute tasks with LLC-overflow miss traffic join with
 // their miss fraction as weight. Panics on non-positive footprint or
-// weight out of (0, 1].
+// weight out of (0, 1]. The returned handle stays valid after
+// completion (Active, Remaining) and may be passed to Cancel.
 func (p *Pool) Start(footprintBytes, weight float64, done func()) *Actor {
+	if done == nil {
+		return p.start(footprintBytes, weight, nil, nil, false)
+	}
+	// The closure form of a callback: no fn, the func() itself as arg
+	// (a func value is pointer-shaped, so the any allocates nothing).
+	// fire calls it directly, which costs Start nothing over the
+	// dedicated func() field it replaces.
+	return p.start(footprintBytes, weight, nil, done, false)
+}
+
+// StartFunc is Start for hot loops: at completion it calls fn(arg) —
+// fn typically a method value created once, arg the per-transfer state
+// — and it returns no handle, which is what lets the pool recycle the
+// actor shell. The transfer cannot be cancelled or inspected. A nil fn
+// means no callback and wants a nil arg.
+func (p *Pool) StartFunc(footprintBytes, weight float64, fn func(any), arg any) {
+	p.start(footprintBytes, weight, fn, arg, true)
+}
+
+// start is the one start path behind Start and StartFunc.
+func (p *Pool) start(footprintBytes, weight float64, fn func(any), arg any, pooled bool) *Actor {
 	if footprintBytes <= 0 {
 		panic(fmt.Sprintf("contend: Start with footprint %g", footprintBytes))
 	}
@@ -236,7 +296,17 @@ func (p *Pool) Start(footprintBytes, weight float64, done func()) *Actor {
 		panic(fmt.Sprintf("contend: Start with weight %g, want (0, 1]", weight))
 	}
 	p.settle()
-	a := &Actor{pool: p, seq: p.started, weight: weight, remaining: footprintBytes, done: done, active: true, idx: len(p.actors)}
+	var a *Actor
+	if n := len(p.free); pooled && n > 0 {
+		a = p.free[n-1]
+		p.free[n-1] = nil
+		p.free = p.free[:n-1]
+	} else {
+		a = &Actor{pool: p}
+	}
+	a.seq, a.weight, a.remaining = p.started, weight, footprintBytes
+	a.fn, a.arg = fn, arg
+	a.active, a.pooled, a.idx = true, pooled, int32(len(p.actors))
 	p.actors = append(p.actors, a)
 	p.weight += weight
 	p.started++

@@ -135,7 +135,7 @@ func fig13PointSelect(e Env, prog *stream.Program, cfg simsched.Config, model co
 		if done {
 			break
 		}
-		t, rep := e.runTrimmed(prog, cfg, func() core.Throttler { return core.Fixed{K: k} })
+		t, rep := e.Static(prog, cfg, k)
 		times[k] = t
 		tm[k] = float64(rep.MeanTm[k])
 		tcObs = float64(rep.MeanTc)

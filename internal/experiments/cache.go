@@ -21,22 +21,23 @@ type calDiskKey struct {
 	Footprint      int
 }
 
-// baselineDiskKey identifies one conventional-schedule (MTL = n)
-// trimmed measurement; it is the persistent shape of baselineKey.
-type baselineDiskKey struct {
+// staticDiskKey identifies one static-MTL trimmed measurement; it is
+// the persistent shape of staticKey.
+type staticDiskKey struct {
 	Version string
-	Kind    string // "baseline"
+	Kind    string // "static"
 	Prog    string // structural program fingerprint
 	Cfg     simsched.Config
 	Reps    int
 	Keep    int
+	K       int
 }
 
-// baselineDiskValue is the cached baseline payload. simsched.Result
+// staticDiskValue is the cached static-MTL payload. simsched.Result
 // round-trips exactly through JSON (all fields exported, float64
 // numerics, Timeline nil on untraced runs), so a cached representative
 // result renders identically to a freshly computed one.
-type baselineDiskValue struct {
+type staticDiskValue struct {
 	T   float64
 	Rep simsched.Result
 }

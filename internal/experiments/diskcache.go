@@ -16,7 +16,7 @@ import (
 // stale entries then miss by construction (the version is part of the
 // hashed key) and are recomputed, so a cache directory can never leak
 // results from an older code generation into a newer binary's output.
-const cacheVersion = "mtl-cache-v2" // v2: sharded memory domains in simsched.Config
+const cacheVersion = "mtl-cache-v3" // v3: baseline entries became static-MTL entries keyed by K
 
 // DiskCache is a content-addressed persistent result store. Each entry
 // is one JSON file named by the SHA-256 of its canonical key encoding;

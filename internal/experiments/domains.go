@@ -117,8 +117,7 @@ func DomainSweep(e Env, counts []int, ratios []float64, pairs int) ([]DomainPoin
 		tm := make([]float64, n+1)
 		var tcObs float64
 		for k := 1; k <= n; k++ {
-			k := k
-			t, rep := e.runTrimmed(prog, cfg, func() core.Throttler { return core.Fixed{K: k} })
+			t, rep := e.Static(prog, cfg, k)
 			times[k] = t
 			tm[k] = float64(rep.MeanTm[k])
 			tcObs = float64(rep.MeanTc)

@@ -49,9 +49,9 @@ type Env struct {
 	// points drains.
 	Workers int
 
-	// memo caches conventional-schedule baselines per (program,
-	// config); shared by all copies of this Env.
-	memo *baselineMemo
+	// memo caches static-MTL measurements per (program, config, K);
+	// shared by all copies of this Env.
+	memo *staticMemo
 
 	// disk is the optional persistent result cache; nil keeps the
 	// environment memory-only. warmCal selects the warm-start
@@ -80,7 +80,7 @@ type Options struct {
 }
 
 // WithWorkers returns a copy of the environment with the given
-// parallel worker budget (0 = process default). The baseline memo is
+// parallel worker budget (0 = process default). The static-MTL memo is
 // shared with the receiver, which is safe: memoised values are
 // deterministic and independent of the worker count.
 func (e Env) WithWorkers(n int) Env {
@@ -121,7 +121,7 @@ func NewEnv(quick bool, opt Options) (Env, error) {
 	if quick {
 		e.Reps, e.Keep = 3, 3
 	}
-	e.memo = newBaselineMemo()
+	e.memo = newStaticMemo()
 	e.disk = opt.Cache
 	e.warmCal = opt.WarmCal
 	e.simPar = opt.SimPar
@@ -197,18 +197,15 @@ func (e Env) Speedup(prog *stream.Program, cfg simsched.Config, mk func() core.T
 
 // OfflineBest exhaustively searches fixed MTLs (the Offline Exhaustive
 // Search baseline) and returns the winning MTL and its speedup. The
-// per-MTL probes run as one parallel batch; MTL = n is the
-// conventional baseline itself and is served from the memo. Ties keep
-// the lowest MTL, exactly as the serial sweep did.
+// per-MTL probes run as one parallel batch through the static-MTL
+// memo, so MTL = n is the conventional baseline itself and a repeated
+// search costs nothing. Ties keep the lowest MTL, exactly as the
+// serial sweep did.
 func (e Env) OfflineBest(prog *stream.Program, cfg simsched.Config) (bestK int, bestSpeedup float64) {
 	n := cfg.Machine.HardwareThreads()
 	base, _ := e.Baseline(prog, cfg)
 	times := parallel.Map(e.jobs(), n, func(i int) float64 {
-		k := i + 1
-		if k == n {
-			return base
-		}
-		t, _ := e.runTrimmed(prog, cfg, func() core.Throttler { return core.Fixed{K: k} })
+		t, _ := e.Static(prog, cfg, i+1)
 		return t
 	})
 	for k := 1; k <= n; k++ {

@@ -57,8 +57,7 @@ func Fig13Sweep(e Env, footprint float64, lo, hi, step float64, pairs int) ([]Fi
 		var tcObs float64
 		missByK := make([]float64, n+1)
 		for k := 1; k <= n; k++ {
-			k := k
-			t, rep := e.runTrimmed(prog, cfg, func() core.Throttler { return core.Fixed{K: k} })
+			t, rep := e.Static(prog, cfg, k)
 			times[k] = t
 			tm[k] = float64(rep.MeanTm[k])
 			tcObs = float64(rep.MeanTc)

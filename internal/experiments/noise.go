@@ -35,10 +35,10 @@ func NoiseSensitivity(e Env) Table {
 		dynS, _ := e.Speedup(prog, cfg, func() core.Throttler { return core.NewDynamic(model, e.W) })
 
 		// Observed contention of the unthrottled baseline: how much
-		// the convoys actually inflate memory-task time. The MTL=4
-		// run is the conventional baseline, served from the memo.
+		// the convoys actually inflate memory-task time. Both runs
+		// are points OfflineBest already measured: memo hits.
 		_, rep := e.Baseline(prog, cfg)
-		_, rep1 := e.runTrimmed(prog, cfg, func() core.Throttler { return core.Fixed{K: 1} })
+		_, rep1 := e.Static(prog, cfg, 1)
 		ratio := float64(rep.MeanTm[4]) / float64(rep1.MeanTm[1])
 
 		return []string{fmt.Sprintf("%.3f", sigma), f3(offS), fmt.Sprintf("%d", offK),

@@ -7,7 +7,7 @@ import (
 	"memthrottle/internal/simsched"
 )
 
-// freshEnv builds an environment with a private baseline memo so run
+// freshEnv builds an environment with a private static-MTL memo so run
 // counting and determinism checks cannot be polluted by the shared
 // test env. Calibration is served from the process-wide cache, so
 // this is cheap after the first environment of the process.
@@ -63,8 +63,9 @@ func TestParallelTablesByteIdentical(t *testing.T) {
 
 // TestBaselineMemoizedAcrossCalls counts simsched.Run invocations to
 // pin the memo's contract: Speedup and OfflineBest on the same
-// (program, config) share one baseline, and OfflineBest's MTL=n probe
-// is the baseline itself.
+// (program, config) share one baseline, OfflineBest's MTL=n probe is
+// the baseline itself, and every static MTL is measured once however
+// often it is asked for.
 func TestBaselineMemoizedAcrossCalls(t *testing.T) {
 	e := freshEnv(t, 2)
 	prog := e.Lib().DFT()
@@ -99,18 +100,29 @@ func TestBaselineMemoizedAcrossCalls(t *testing.T) {
 		t.Errorf("implausible results: k=%d s1=%g s2=%g off=%g", k, s1, s2, off)
 	}
 
-	hits, misses := e.BaselineStats()
-	if misses != 1 {
-		t.Errorf("baseline misses = %d, want 1", misses)
+	hits, misses := e.MemoStats()
+	if want := uint64(n); misses != want {
+		t.Errorf("memo misses = %d, want %d (one per static MTL)", misses, want)
 	}
-	if hits != 2 {
-		t.Errorf("baseline hits = %d, want 2 (second Speedup + OfflineBest)", hits)
+	if hits != 3 {
+		t.Errorf("memo hits = %d, want 3 (second Speedup, OfflineBest's baseline and its MTL=n probe)", hits)
+	}
+
+	// A repeated search, or any static point of it asked for directly,
+	// is served entirely from the memo.
+	k2, off2 := e.OfflineBest(prog, cfg)
+	t1, _ := e.Static(prog, cfg, 1)
+	if again := simsched.RunCount() - before; again != afterOffline {
+		t.Errorf("repeated OfflineBest + Static ran %d more simulations, want 0", again-afterOffline)
+	}
+	if k2 != k || off2 != off || t1 <= 0 {
+		t.Errorf("repeated OfflineBest = (%d, %g), first (%d, %g); Static(1) = %g", k2, off2, k, off, t1)
 	}
 
 	// A different config (2-DIMM) must be a fresh baseline.
 	e.Baseline(prog, e.Cfg2(false))
-	if _, misses = e.BaselineStats(); misses != 2 {
-		t.Errorf("distinct config baseline misses = %d, want 2", misses)
+	if _, misses = e.MemoStats(); misses != uint64(n)+1 {
+		t.Errorf("distinct config memo misses = %d, want %d", misses, n+1)
 	}
 }
 
@@ -134,7 +146,7 @@ func TestBaselineMemoDistinguishesPrograms(t *testing.T) {
 	if c1 == c2 {
 		t.Error("baselines for nearly-equal ratios with identical names collided")
 	}
-	_, misses := e.BaselineStats()
+	_, misses := e.MemoStats()
 	if misses != 4 {
 		t.Errorf("expected 4 distinct baseline keys, got %d misses", misses)
 	}

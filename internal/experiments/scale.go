@@ -37,14 +37,10 @@ func Power7Scale(e Env) Table {
 		prog := progs[i]
 		w := bestW(prog, e.W)
 		base, _ := e.Baseline(prog, cfg)
-		// The sampled static probes are one parallel batch; k = n is
-		// the conventional baseline and comes from the memo.
+		// The sampled static probes are one parallel batch through the
+		// memo; k = n is the conventional baseline.
 		probes := parallel.Map(e.jobs(), len(candidates), func(j int) float64 {
-			k := candidates[j]
-			if k == n {
-				return base
-			}
-			tt, _ := e.runTrimmed(prog, cfg, func() core.Throttler { return core.Fixed{K: k} })
+			tt, _ := e.Static(prog, cfg, candidates[j])
 			return tt
 		})
 		bestK, bestT := 0, 0.0

@@ -92,14 +92,34 @@ func (m *Machine) Core(i int) *Core { return m.cores[i] }
 // Cores returns all cores.
 func (m *Machine) Cores() []*Core { return m.cores }
 
+// Reset returns every core to the state New builds, keeping scratch
+// slices and recycled execution shells, so one machine can serve run
+// after run. The engine must have been reset first: executions still in
+// flight are dropped without their callbacks and pending completion
+// events are forgotten, not cancelled.
+func (m *Machine) Reset() {
+	for _, c := range m.cores {
+		for i, e := range c.active {
+			e.active, e.idx = false, -1
+			c.active[i] = nil
+		}
+		c.active = c.active[:0]
+		c.lastSettle, c.next, c.seq, c.busyTime = 0, nil, 0, 0
+		c.due = c.due[:0]
+	}
+}
+
 // Exec is one compute execution in flight on a core.
 type Exec struct {
-	core      *Core
-	seq       uint64  // start order; fixes callback ordering
-	remaining float64 // solo-seconds of work left
-	done      func()
-	active    bool
-	idx       int // position in core.active; -1 once removed
+	seq       uint64    // start order; fixes callback ordering
+	remaining float64   // solo-seconds of work left
+	fn        func(any) // completion callback, called as fn(arg); or
+	arg       any       // nil fn and a func() in arg: the closure form
+	// The three below share one word, which keeps an Exec in the
+	// 48-byte size class it had when its callback was a bare func().
+	idx    int32 // position in core.active; -1 once removed
+	active bool
+	pooled bool // started without a handle: the shell returns to core.free
 }
 
 // Active reports whether the execution is still running.
@@ -110,7 +130,8 @@ func (e *Exec) Active() bool { return e.active }
 // rate 1/n. Like contend.Pool, active executions live in an
 // index-tracked slice with scratch due/firing sets and a pre-bound
 // fire callback, so the settle/reschedule/fire cycle stays free of
-// steady-state allocations.
+// steady-state allocations, and executions started through
+// StartComputeFunc — which hands out no *Exec — reuse completed shells.
 type Core struct {
 	eng        *sim.Engine
 	id         int
@@ -120,6 +141,7 @@ type Core struct {
 	due        []*Exec   // execs the pending event will complete
 	firing     []*Exec   // scratch swapped with due while callbacks run
 	fireFn     func(any) // pre-bound fire
+	free       []*Exec   // completed StartComputeFunc shells awaiting reuse
 	seq        uint64
 
 	busyTime sim.Time // integrated time with >= 1 active exec
@@ -228,21 +250,60 @@ func (c *Core) fire(any) {
 	}
 	c.reschedule()
 	for _, e := range c.firing {
-		if e.done != nil {
-			e.done()
+		fn, arg := e.fn, e.arg
+		if e.pooled {
+			// No handle exists, so the shell is free once the callback
+			// has been read out; the callback may itself reuse it.
+			e.fn, e.arg = nil, nil
+			c.free = append(c.free, e)
+		}
+		if fn != nil {
+			fn(arg)
+		} else if done, ok := arg.(func()); ok {
+			done()
 		}
 	}
 }
 
 // StartCompute begins a compute execution of the given solo duration
-// on this core; done fires at completion. Panics on non-positive
-// duration.
+// on this core; done (may be nil) fires at completion. Panics on
+// non-positive duration. The returned handle stays valid after
+// completion.
 func (c *Core) StartCompute(solo sim.Time, done func()) *Exec {
+	if done == nil {
+		return c.start(solo, nil, nil, false)
+	}
+	// The closure form of a callback: no fn, the func() itself as arg
+	// (pointer-shaped, so the any allocates nothing); fire calls it
+	// directly.
+	return c.start(solo, nil, done, false)
+}
+
+// StartComputeFunc is StartCompute for hot loops: at completion it
+// calls fn(arg), and it returns no handle, which is what lets the core
+// recycle the execution shell. A nil fn means no callback and wants a
+// nil arg.
+func (c *Core) StartComputeFunc(solo sim.Time, fn func(any), arg any) {
+	c.start(solo, fn, arg, true)
+}
+
+// start is the one start path behind StartCompute and StartComputeFunc.
+func (c *Core) start(solo sim.Time, fn func(any), arg any, pooled bool) *Exec {
 	if solo <= 0 {
 		panic(fmt.Sprintf("machine: StartCompute(%v)", solo))
 	}
 	c.settle()
-	e := &Exec{core: c, seq: c.seq, remaining: float64(solo), done: done, active: true, idx: len(c.active)}
+	var e *Exec
+	if n := len(c.free); pooled && n > 0 {
+		e = c.free[n-1]
+		c.free[n-1] = nil
+		c.free = c.free[:n-1]
+	} else {
+		e = &Exec{}
+	}
+	e.seq, e.remaining = c.seq, float64(solo)
+	e.fn, e.arg = fn, arg
+	e.active, e.pooled, e.idx = true, pooled, int32(len(c.active))
 	c.seq++
 	c.active = append(c.active, e)
 	c.reschedule()

@@ -129,6 +129,76 @@ func TestExecActiveFlag(t *testing.T) {
 	}
 }
 
+// TestStartComputeFuncRecyclesShells pins the handle-free start path:
+// a chain of executions, each started from its predecessor's
+// completion callback, allocates nothing once the shell exists, and a
+// StartCompute handle is never recycled.
+func TestStartComputeFuncRecyclesShells(t *testing.T) {
+	eng := sim.New()
+	c := New(eng, I7860().WithSMT(2)).Core(0)
+	left := 0
+	var next func(any)
+	next = func(arg any) {
+		if left > 0 {
+			left--
+			c.StartComputeFunc(sim.Microsecond, next, arg)
+		}
+	}
+	cycle := func() {
+		left = 64
+		next(c)
+		next(c)
+		eng.Run()
+	}
+	cycle()
+	if avg := testing.AllocsPerRun(50, cycle); avg != 0 {
+		t.Fatalf("chain of StartComputeFunc executions allocates %.2f allocs/op, want 0", avg)
+	}
+	approx(t, eng.Now(), 52*64*sim.Microsecond, "52 cycles of two co-scheduled chains of 32")
+
+	e := c.StartCompute(sim.Microsecond, nil)
+	eng.Run()
+	c.StartComputeFunc(sim.Microsecond, nil, nil)
+	if e.Active() {
+		t.Error("completed handle reads active after a later StartComputeFunc")
+	}
+	eng.Run()
+}
+
+// TestMachineResetMatchesNew pins that a reset machine on a reset
+// engine behaves as a new one: same completion instants, busy time from
+// zero — even when the reset interrupts an execution in flight.
+func TestMachineResetMatchesNew(t *testing.T) {
+	scenario := func(eng *sim.Engine, m *Machine) (ends []sim.Time) {
+		done := func(any) { ends = append(ends, eng.Now()) }
+		m.Core(0).StartComputeFunc(3*sim.Microsecond, done, nil)
+		m.Core(0).StartComputeFunc(sim.Microsecond, done, nil)
+		m.Core(1).StartComputeFunc(2*sim.Microsecond, done, nil)
+		eng.Run()
+		return ends
+	}
+	eng := sim.NewWheel()
+	m := New(eng, I7860().WithSMT(2))
+	scenario(eng, m)
+	e := m.Core(0).StartCompute(sim.Millisecond, nil) // still running at the reset
+	eng.RunUntil(eng.Now() + sim.Microsecond)
+	eng.Reset()
+	m.Reset()
+	if e.Active() || m.Core(0).ActiveCompute() != 0 || m.Core(0).BusyTime() != 0 {
+		t.Fatalf("after Reset: handle active=%v, %d active, busy %v", e.Active(), m.Core(0).ActiveCompute(), m.Core(0).BusyTime())
+	}
+	got := scenario(eng, m)
+
+	fresh := sim.NewWheel()
+	want := scenario(fresh, New(fresh, I7860().WithSMT(2)))
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("reset machine completes at %v, new machine at %v", got, want)
+		}
+	}
+	approx(t, m.Core(0).BusyTime(), 4*sim.Microsecond, "busy time after reset")
+}
+
 func TestCompletionCanChainWork(t *testing.T) {
 	eng := sim.New()
 	m := New(eng, I7860())

@@ -111,6 +111,8 @@ type mixTask struct {
 	arrived sim.Time
 	admit   sim.Time
 	gatherT sim.Time
+	w       *worker // hardware thread carrying the job
+	pending int     // compute parts (core work, miss traffic) still running
 }
 
 // mixer is the live state of one MixRun.
@@ -134,6 +136,10 @@ type mixer struct {
 	generated   []int // per stream
 	inflight    int
 	seq         int
+
+	// Completion callbacks bound once per run; the job (or, for
+	// freeFn, the worker) travels as the argument.
+	gatherDoneFn, computePartFn, freeFn func(any)
 
 	res MixResult
 }
@@ -161,6 +167,7 @@ func MixRun(cfg Config, spec MixSpec, th core.Throttler) MixResult {
 		llc:   cache.NewLLC(cfg.LLCBytes),
 		noise: stats.NewNoise(cfg.NoiseSigma, cfg.Seed),
 	}
+	m.gatherDoneFn, m.computePartFn, m.freeFn = m.finishGather, m.computePart, m.free
 	m.lim, _ = th.(core.ClassLimiter)
 	m.obs, _ = th.(core.Observer)
 	maxClass := 0
@@ -173,11 +180,7 @@ func MixRun(cfg Config, spec MixSpec, th core.Throttler) MixResult {
 	nd := cfg.Machine.Domains()
 	m.activeMem = make([]int, nd)
 	for d := 0; d < nd; d++ {
-		params := cfg.Mem
-		if nd > 1 {
-			params = cfg.DomainMem[d]
-		}
-		m.pools = append(m.pools, contend.NewPool(poolEng[d], params))
+		m.pools = append(m.pools, contend.NewPool(poolEng[d], cfg.memParams(d)))
 	}
 	threads := cfg.Machine.HardwareThreads()
 	for i := 0; i < threads; i++ {
@@ -300,6 +303,7 @@ func (m *mixer) dispatch(w *worker) {
 		m.queue = append(m.queue[:idx], m.queue[idx+1:]...)
 	}
 	w.idle = false
+	t.w = w
 	m.inflight++
 	now := m.eng.Now()
 	t.admit = now
@@ -310,12 +314,13 @@ func (m *mixer) dispatch(w *worker) {
 		m.obs.OnSignal(t.class, core.SignalIssue)
 	}
 	m.llc.Reserve(t.bytes)
-	m.pools[t.dom].Start(t.bytes, 1, func() { m.finishGather(w, t) })
+	m.pools[t.dom].StartFunc(t.bytes, 1, m.gatherDoneFn, t)
 }
 
 // finishGather releases the admission slots and starts the compute
 // half on the worker's core.
-func (m *mixer) finishGather(w *worker, t *mixTask) {
+func (m *mixer) finishGather(arg any) {
+	t := arg.(*mixTask)
 	now := m.eng.Now()
 	t.gatherT = now - t.admit
 	m.activeMem[t.dom]--
@@ -323,24 +328,28 @@ func (m *mixer) finishGather(w *worker, t *mixTask) {
 	m.dispatchAll()
 
 	missFrac := m.llc.MissFraction()
-	pending := 1
-	part := func() {
-		pending--
-		if pending == 0 {
-			m.finishCompute(w, t)
-		}
-	}
+	t.pending = 1
 	if missFrac > 0 {
-		pending++
-		m.pools[t.dom].Start(missFrac*t.bytes, missFrac, part)
+		t.pending++
+		m.pools[t.dom].StartFunc(missFrac*t.bytes, missFrac, m.computePartFn, t)
 	}
-	w.core.StartCompute(t.work, part)
+	t.w.core.StartComputeFunc(t.work, m.computePartFn, t)
+}
+
+// computePart is the completion callback of one part of a job's
+// compute half; the last part to finish completes the job.
+func (m *mixer) computePart(arg any) {
+	t := arg.(*mixTask)
+	t.pending--
+	if t.pending == 0 {
+		m.finishCompute(t)
+	}
 }
 
 // finishCompute completes the job: record latencies, feed the
 // throttler its class-tagged sample, track containment, free the
 // worker.
-func (m *mixer) finishCompute(w *worker, t *mixTask) {
+func (m *mixer) finishCompute(t *mixTask) {
 	now := m.eng.Now()
 	m.llc.Release(t.bytes)
 	oc := &m.res.ByClass[t.class]
@@ -360,13 +369,16 @@ func (m *mixer) finishCompute(w *worker, t *mixTask) {
 		}
 	}
 
-	free := func() {
-		w.idle = true
-		m.dispatch(w)
-	}
 	if m.th.Monitoring() && m.cfg.MonitorOverhead > 0 {
-		m.eng.After(m.cfg.MonitorOverhead, free)
+		m.eng.AfterFunc(m.cfg.MonitorOverhead, m.freeFn, t.w)
 		return
 	}
-	free()
+	m.free(t.w)
+}
+
+// free returns the worker (arg) to the idle set and offers it work.
+func (m *mixer) free(arg any) {
+	w := arg.(*worker)
+	w.idle = true
+	m.dispatch(w)
 }

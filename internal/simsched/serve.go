@@ -103,6 +103,8 @@ type servTask struct {
 	arrived sim.Time
 	admit   sim.Time
 	gatherT sim.Time // measured gather duration
+	w       *worker  // hardware thread carrying the job
+	pending int      // compute parts (core work, miss traffic) still running
 }
 
 // server is the live state of one ServeRun.
@@ -122,6 +124,10 @@ type server struct {
 	workers   []*worker
 	generated int
 	inflight  int // admitted jobs not yet completed
+
+	// Completion callbacks bound once per run; the job (or, for
+	// freeFn, the worker) travels as the argument.
+	gatherDoneFn, computePartFn, freeFn func(any)
 
 	res ServeResult
 }
@@ -150,14 +156,11 @@ func ServeRun(cfg Config, spec ServeSpec, th core.Throttler) ServeResult {
 		llc:   cache.NewLLC(cfg.LLCBytes),
 		noise: stats.NewNoise(cfg.NoiseSigma, cfg.Seed),
 	}
+	s.gatherDoneFn, s.computePartFn, s.freeFn = s.finishGather, s.computePart, s.free
 	nd := cfg.Machine.Domains()
 	s.activeMem = make([]int, nd)
 	for d := 0; d < nd; d++ {
-		params := cfg.Mem
-		if nd > 1 {
-			params = cfg.DomainMem[d]
-		}
-		s.pools = append(s.pools, contend.NewPool(poolEng[d], params))
+		s.pools = append(s.pools, contend.NewPool(poolEng[d], cfg.memParams(d)))
 	}
 	threads := cfg.Machine.HardwareThreads()
 	for i := 0; i < threads; i++ {
@@ -258,6 +261,7 @@ func (s *server) dispatch(w *worker) {
 		s.queue = append(s.queue[:idx], s.queue[idx+1:]...)
 	}
 	w.idle = false
+	t.w = w
 	s.inflight++
 	now := s.eng.Now()
 	t.admit = now
@@ -267,7 +271,7 @@ func (s *server) dispatch(w *worker) {
 		s.res.PeakActiveMem = a
 	}
 	s.llc.Reserve(t.bytes)
-	s.pools[t.dom].Start(t.bytes, 1, func() { s.finishGather(w, t) })
+	s.pools[t.dom].StartFunc(t.bytes, 1, s.gatherDoneFn, t)
 }
 
 func (s *server) totalActiveMem() int {
@@ -281,7 +285,8 @@ func (s *server) totalActiveMem() int {
 // finishGather releases the admission slot and starts the compute
 // half on the worker's core, with LLC-overflow miss traffic charged to
 // the job's home domain as in the closed-loop scheduler.
-func (s *server) finishGather(w *worker, t *servTask) {
+func (s *server) finishGather(arg any) {
+	t := arg.(*servTask)
 	now := s.eng.Now()
 	t.gatherT = now - t.admit
 	s.activeMem[t.dom]--
@@ -290,23 +295,27 @@ func (s *server) finishGather(w *worker, t *servTask) {
 	s.dispatchAll()
 
 	missFrac := s.llc.MissFraction()
-	pending := 1
-	part := func() {
-		pending--
-		if pending == 0 {
-			s.finishCompute(w, t)
-		}
-	}
+	t.pending = 1
 	if missFrac > 0 {
-		pending++
-		s.pools[t.dom].Start(missFrac*t.bytes, missFrac, part)
+		t.pending++
+		s.pools[t.dom].StartFunc(missFrac*t.bytes, missFrac, s.computePartFn, t)
 	}
-	w.core.StartCompute(t.work, part)
+	t.w.core.StartComputeFunc(t.work, s.computePartFn, t)
+}
+
+// computePart is the completion callback of one part of a job's
+// compute half; the last part to finish completes the job.
+func (s *server) computePart(arg any) {
+	t := arg.(*servTask)
+	t.pending--
+	if t.pending == 0 {
+		s.finishCompute(t)
+	}
 }
 
 // finishCompute completes the job: record latencies, feed the
 // throttler, free the worker.
-func (s *server) finishCompute(w *worker, t *servTask) {
+func (s *server) finishCompute(t *servTask) {
 	now := s.eng.Now()
 	s.llc.Release(t.bytes)
 	s.res.Completed++
@@ -318,14 +327,17 @@ func (s *server) finishCompute(w *worker, t *servTask) {
 	}
 	s.th.OnPair(core.PairSample{Tm: t.gatherT, Tc: now - t.admit - t.gatherT, Now: now})
 
-	free := func() {
-		w.idle = true
-		s.dispatch(w)
-	}
 	if s.th.Monitoring() && s.cfg.MonitorOverhead > 0 {
 		s.res.BusyOverhead += s.cfg.MonitorOverhead
-		s.eng.After(s.cfg.MonitorOverhead, free)
+		s.eng.AfterFunc(s.cfg.MonitorOverhead, s.freeFn, t.w)
 		return
 	}
-	free()
+	s.free(t.w)
+}
+
+// free returns the worker (arg) to the idle set and offers it work.
+func (s *server) free(arg any) {
+	w := arg.(*worker)
+	w.idle = true
+	s.dispatch(w)
 }

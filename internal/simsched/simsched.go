@@ -9,6 +9,7 @@ package simsched
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"memthrottle/internal/cache"
@@ -151,6 +152,7 @@ type runner struct {
 	prog  *stream.Program
 	th    core.Throttler
 	eng   *sim.Engine
+	group *sim.Group // non-nil when SimPar shards the run
 	mach  *machine.Machine
 	pools []*contend.Pool // one fluid memory model per domain
 	llc   *cache.LLC
@@ -159,11 +161,20 @@ type runner struct {
 	phase          int
 	phaseRemaining int
 	phaseStart     sim.Time
-	readyMem       []*taskRun
-	readyCompute   []*taskRun
-	activeMem      []int // in-flight memory tasks per domain
+	pairs          []pairRun // the current phase's slab, indexed by pair
+	doms           []domainReady
+	readyCompute   idQueue
 
-	workers []*worker
+	workers []worker
+
+	// Completion callbacks bound once per run; the finishing *taskRun
+	// travels as the argument, so starting a task allocates nothing.
+	memDoneFn, computePartFn, taskDoneFn func(any)
+
+	// onPick, when set, sees every dispatch decision (ts nil: w stays
+	// idle) before it takes effect. Only the differential test against
+	// the reference admission scan sets it.
+	onPick func(w *worker, ts *taskRun, mtl int)
 
 	res      Result
 	tmByK    map[int]*stats.Welford
@@ -174,20 +185,83 @@ type runner struct {
 
 // taskRun is the runtime state of one task.
 type taskRun struct {
-	task  *stream.Task
-	pair  *pairRun
-	dom   int // home memory domain of the task's pair
-	start sim.Time
-	mtlAt int // MTL in force when the task started (memory tasks)
+	task    *stream.Task
+	pair    *pairRun
+	w       *worker // hardware thread running the task
+	start   sim.Time
+	bytes   float64 // memory tasks: noised bytes in flight
+	mtlAt   int     // memory tasks: MTL in force when the task started
+	pending int     // compute tasks: parts (core work, miss traffic) still running
 }
 
-// pairRun carries the measured durations shared by a pair's tasks.
+// pairRun is one pair's slot in the phase slab: the measured durations
+// its tasks share plus the three tasks' own state at fixed positions,
+// so a whole phase is a single allocation and a task reaches its
+// successor through ts.pair without a lookup.
 type pairRun struct {
+	dom          int     // home memory domain
 	gatherBytes  float64 // noised effective bytes
 	scatterBytes float64
 	computeWork  sim.Time // noised solo duration
 	gatherDur    sim.Time
-	computeDur   sim.Time
+
+	gather, compute, scatter taskRun
+}
+
+// domainReady is one memory domain's ready memory tasks. Pairs are
+// homed round-robin, so the domain's gathers are the pairs d, d+D,
+// d+2D, ... of the phase slab, already in task-ID order: a cursor
+// suffices. Scatters become ready as computes finish, in any order,
+// and wait in an ID-sorted queue no longer than the pairs in flight.
+type domainReady struct {
+	nextGather int // slab index of the next unstarted gather
+	scatters   idQueue
+	active     int // in-flight memory tasks
+}
+
+// idQueue is a ready queue kept sorted by task ID and consumed only at
+// its head. Popping advances a cursor instead of reslicing, so the
+// backing array keeps its capacity for the whole run.
+type idQueue struct {
+	q    []*taskRun
+	head int
+}
+
+// front returns the lowest-ID task, or nil when the queue is empty.
+func (q *idQueue) front() *taskRun {
+	if q.head == len(q.q) {
+		return nil
+	}
+	return q.q[q.head]
+}
+
+func (q *idQueue) reset() {
+	clear(q.q)
+	q.q, q.head = q.q[:0], 0
+}
+
+func (q *idQueue) pop() {
+	q.q[q.head] = nil
+	q.head++
+	if q.head == len(q.q) {
+		q.q, q.head = q.q[:0], 0
+	}
+}
+
+// insert places ts at its task-ID position.
+func (q *idQueue) insert(ts *taskRun) {
+	if q.head > 0 && len(q.q) == cap(q.q) {
+		n := copy(q.q, q.q[q.head:])
+		clear(q.q[n:])
+		q.q, q.head = q.q[:n], 0
+	}
+	i := len(q.q)
+	q.q = append(q.q, nil)
+	for i > q.head && q.q[i-1].task.ID > ts.task.ID {
+		q.q[i] = q.q[i-1]
+		i--
+	}
+	q.q[i] = ts
 }
 
 // worker is one hardware thread executing tasks.
@@ -239,11 +313,22 @@ var runCount atomic.Uint64
 // process.
 func RunCount() uint64 { return runCount.Load() }
 
+// runners recycles the fixed state of finished runs — engine, cores,
+// pools, ready queues, the phase slab, the noise source — so the next
+// Run on the same machine shape resets it instead of rebuilding it. A
+// sweep is tens of thousands of short runs over a handful of shapes,
+// and fresh memory for each of them cost more in page faults, cache
+// misses and collection than the construction itself. Every run, the
+// first on a runner included, starts through the same begin, and only a
+// runner whose run completed goes back.
+var runners sync.Pool
+
 // Run executes prog under the given throttler and returns the result.
 // The throttler must be freshly constructed per run (it accumulates
-// state). Each call builds a private engine, machine, memory pool and
-// RNG, so independent runs may execute concurrently. Panics on
-// invalid configuration or program: both are programmer-supplied.
+// state). Each call has a private engine, machine, memory pool and RNG
+// for its duration, so independent runs may execute concurrently.
+// Panics on invalid configuration or program: both are
+// programmer-supplied.
 func Run(prog *stream.Program, cfg Config, th core.Throttler) Result {
 	runCount.Add(1)
 	if err := cfg.Validate(); err != nil {
@@ -252,68 +337,117 @@ func Run(prog *stream.Program, cfg Config, th core.Throttler) Result {
 	if err := prog.Validate(); err != nil {
 		panic(err)
 	}
+	if cfg.SimPar && cfg.Machine.Domains() > 1 {
+		// A merge group takes fresh engines only: build, run, drop.
+		return newRunner(cfg).run(prog, cfg, th)
+	}
+	r, _ := runners.Get().(*runner)
+	if r == nil || r.cfg.Machine != cfg.Machine {
+		r = newRunner(cfg)
+	}
+	res := r.run(prog, cfg, th)
+	runners.Put(r)
+	return res
+}
+
+// memParams returns the fluid parameters of domain d: with a unified
+// memory system Mem parameterises the single pool, otherwise each
+// domain's DIMM has its own independently calibrated model.
+func (c Config) memParams(d int) contend.Params {
+	if c.Machine.Domains() > 1 {
+		return c.DomainMem[d]
+	}
+	return c.Mem
+}
+
+// newRunner builds what depends only on the machine's shape (cores,
+// SMT ways, memory domains) and on SimPar: the engines, the cores, one
+// fluid pool per domain (on its own engine when SimPar shards the run)
+// and the workers. Everything else is set by begin.
+func newRunner(cfg Config) *runner {
 	eng, poolEng, group := simEngines(cfg)
 	r := &runner{
 		cfg:   cfg,
-		prog:  prog,
-		th:    th,
 		eng:   eng,
+		group: group,
 		mach:  machine.New(eng, cfg.Machine),
-		llc:   cache.NewLLC(cfg.LLCBytes),
-		noise: stats.NewNoise(cfg.NoiseSigma, cfg.Seed),
+		noise: stats.NewNoise(0, 0),
 		tmByK: make(map[int]*stats.Welford),
 	}
-	// One fluid pool per memory domain: with a unified memory system
-	// Mem parameterises the single pool, otherwise each domain's DIMM
-	// gets its own independently calibrated model (on its own engine
-	// when SimPar shards the run).
+	r.memDoneFn, r.computePartFn, r.taskDoneFn = r.finishMemory, r.computePart, r.taskDone
 	nd := cfg.Machine.Domains()
-	r.activeMem = make([]int, nd)
-	for d := 0; d < nd; d++ {
-		params := cfg.Mem
-		if nd > 1 {
-			params = cfg.DomainMem[d]
-		}
-		r.pools = append(r.pools, contend.NewPool(poolEng[d], params))
+	r.doms = make([]domainReady, nd)
+	r.pools = make([]*contend.Pool, nd)
+	for d := range r.pools {
+		r.pools[d] = contend.NewPool(poolEng[d], cfg.memParams(d))
 	}
-	threads := cfg.Machine.HardwareThreads()
-	for i := 0; i < threads; i++ {
-		r.workers = append(r.workers, &worker{
-			id:   i,
-			core: r.mach.Core(i % cfg.Machine.Cores),
-			idle: true,
-		})
+	r.workers = make([]worker, cfg.Machine.HardwareThreads())
+	for i := range r.workers {
+		r.workers[i] = worker{id: i, core: r.mach.Core(i % cfg.Machine.Cores)}
 	}
-	if cfg.RecordTrace {
-		r.timeline = trace.New(threads)
+	return r
+}
+
+// begin puts the runner in the state a run starts from. It is the only
+// way into a run, so a recycled runner and a new one cannot differ:
+// whatever a run reads, begin has set. cfg must have the machine shape
+// the runner was built for.
+func (r *runner) begin(prog *stream.Program, cfg Config, th core.Throttler) {
+	r.cfg, r.prog, r.th = cfg, prog, th
+	r.eng.Reset()
+	r.mach.Reset()
+	for d := range r.pools {
+		r.pools[d].Reset(cfg.memParams(d))
+		r.doms[d].active = 0
+		r.doms[d].scatters.reset()
 	}
+	r.readyCompute.reset()
+	for i := range r.workers {
+		r.workers[i].idle = true
+	}
+	r.llc = cache.NewLLC(cfg.LLCBytes)
 	if cfg.ResidentOverheadBytes > 0 {
 		r.llc.Reserve(cfg.ResidentOverheadBytes)
 	}
+	r.noise.Reset(cfg.NoiseSigma, cfg.Seed)
+	r.res = Result{}
+	clear(r.tmByK)
+	r.tcAgg, r.missAgg = stats.Welford{}, stats.Welford{}
+	r.timeline = nil
+	if cfg.RecordTrace {
+		r.timeline = trace.New(len(r.workers))
+	}
+}
 
+// run executes prog to completion and assembles the result.
+func (r *runner) run(prog *stream.Program, cfg Config, th core.Throttler) Result {
+	r.begin(prog, cfg, th)
 	r.enterPhase(0)
-	drainEngines(eng, group)
+	drainEngines(r.eng, r.group)
 
 	if r.phase < len(prog.Phases) {
 		panic(fmt.Sprintf("simsched: deadlock — run ended in phase %d/%d with %d tasks left",
 			r.phase, len(prog.Phases), r.phaseRemaining))
 	}
 
-	r.res.Policy = th.Name()
-	r.res.TotalTime = eng.Now()
-	r.res.IdleTime = r.res.TotalTime*sim.Time(threads) - r.res.BusyTime
-	r.res.FinalMTL = th.MTL()
-	r.res.MTLDecisions = decisions(th)
-	r.res.TotalProbes = probes(th)
-	r.res.MeanTm = make(map[int]sim.Time, len(r.tmByK))
+	res := r.res
+	res.Policy = th.Name()
+	res.TotalTime = r.eng.Now()
+	res.IdleTime = res.TotalTime*sim.Time(len(r.workers)) - res.BusyTime
+	res.FinalMTL = th.MTL()
+	res.MTLDecisions = decisions(th)
+	res.TotalProbes = probes(th)
+	res.MeanTm = make(map[int]sim.Time, len(r.tmByK))
 	for k, w := range r.tmByK {
-		r.res.MeanTm[k] = sim.Time(w.Mean())
+		res.MeanTm[k] = sim.Time(w.Mean())
 	}
-	r.res.MeanTc = sim.Time(r.tcAgg.Mean())
-	r.res.CacheMissFraction = r.missAgg.Mean()
-	r.res.LLCPeak = r.llc.Peak()
-	r.res.Timeline = r.timeline
-	return r.res
+	res.MeanTc = sim.Time(r.tcAgg.Mean())
+	res.CacheMissFraction = r.missAgg.Mean()
+	res.LLCPeak = r.llc.Peak()
+	res.Timeline = r.timeline
+	// A runner waiting for reuse keeps nothing of its last caller's.
+	r.prog, r.th, r.res, r.timeline = nil, nil, Result{}, nil
+	return res
 }
 
 // unwrapper lets decorating throttlers (fault injectors, corrupting
@@ -364,6 +498,8 @@ func probes(th core.Throttler) int {
 }
 
 // enterPhase queues every task pair of phase p and dispatches workers.
+// The phase's run state is one slab: pair i's measurements and its
+// gather, compute and scatter tasks live in r.pairs[i].
 func (r *runner) enterPhase(p int) {
 	r.phase = p
 	if p >= len(r.prog.Phases) {
@@ -372,102 +508,134 @@ func (r *runner) enterPhase(p int) {
 	ph := &r.prog.Phases[p]
 	r.phaseStart = r.eng.Now()
 	r.phaseRemaining = 0
+	// The slab is reused from phase to phase and from run to run: every
+	// task of the phase before has completed, so nothing points into
+	// it, and each slot is overwritten whole.
+	if n := len(ph.Pairs); n <= cap(r.pairs) {
+		r.pairs = r.pairs[:n]
+	} else {
+		r.pairs = make([]pairRun, n)
+	}
+	nd := len(r.doms)
 	for i := range ph.Pairs {
 		pr := &ph.Pairs[i]
-		pairState := &pairRun{
-			gatherBytes: pr.Gather.Bytes * r.noise.Factor(),
-			computeWork: pr.Compute.Work * sim.Time(r.noise.Factor()),
+		ps := &r.pairs[i]
+		// One noise draw per task, in task-ID order.
+		gatherBytes := pr.Gather.Bytes * r.noise.Factor()
+		computeWork := pr.Compute.Work * sim.Time(r.noise.Factor())
+		*ps = pairRun{
+			// Home domain: pair index modulo the domain count, the same
+			// round-robin placement the host runtime defaults to.
+			dom:         i % nd,
+			gatherBytes: gatherBytes,
+			computeWork: computeWork,
+			gather:      taskRun{task: pr.Gather, pair: ps},
+			compute:     taskRun{task: pr.Compute, pair: ps},
 		}
 		r.phaseRemaining += 2
 		if pr.Scatter != nil {
-			pairState.scatterBytes = pr.Scatter.Bytes * r.noise.Factor()
+			ps.scatterBytes = pr.Scatter.Bytes * r.noise.Factor()
+			ps.scatter = taskRun{task: pr.Scatter, pair: ps}
 			r.phaseRemaining++
 		}
-		// Home domain: pair index modulo the domain count, the same
-		// round-robin placement the host runtime defaults to.
-		r.readyMem = insertByID(r.readyMem, &taskRun{
-			task: pr.Gather, pair: pairState, dom: i % len(r.pools),
-		})
+	}
+	for d := range r.doms {
+		r.doms[d].nextGather = d
 	}
 	r.dispatchAll()
 }
 
 // dispatchAll gives every idle worker a chance to pick up work.
 func (r *runner) dispatchAll() {
-	for _, w := range r.workers {
-		if w.idle {
+	for i := range r.workers {
+		if w := &r.workers[i]; w.idle {
 			r.dispatch(w)
 		}
 	}
 }
 
-// dispatch assigns the next runnable task to w, or leaves it idle.
-// Ready queues are ordered by task ID (program order); the worker
-// takes the oldest runnable task, where a memory task is runnable only
-// while its home domain holds MTL tokens (the limit applies per
-// domain, as each DIMM of the paper's 2-DIMM platform carries its own
-// MTL). This yields the per-thread gather-compute alternation of
-// Fig. 4 and keeps the number of in-flight pairs — and hence the live
-// LLC footprint — bounded. With one domain the admissibility scan
-// degenerates to the old head-of-queue check.
-func (r *runner) dispatch(w *worker) {
-	mtl := r.th.MTL()
-	memIdx := -1
-	for i, ts := range r.readyMem {
-		if r.activeMem[ts.dom] < mtl {
-			memIdx = i
-			break
+// frontMem returns domain d's lowest-ID ready memory task — its next
+// gather or its oldest ready scatter — or nil when it has none.
+func (r *runner) frontMem(d int) *taskRun {
+	dr := &r.doms[d]
+	ts := dr.scatters.front()
+	if dr.nextGather < len(r.pairs) {
+		if g := &r.pairs[dr.nextGather].gather; ts == nil || g.task.ID < ts.task.ID {
+			return g
 		}
 	}
-	compOK := len(r.readyCompute) > 0
+	return ts
+}
+
+// dispatch assigns the next runnable task to w, or leaves it idle.
+// The worker takes the oldest runnable task in task-ID (program)
+// order, where a memory task is runnable only while its home domain
+// holds MTL tokens (the limit applies per domain, as each DIMM of the
+// paper's 2-DIMM platform carries its own MTL). This yields the
+// per-thread gather-compute alternation of Fig. 4 and keeps the number
+// of in-flight pairs — and hence the live LLC footprint — bounded.
+// Each domain keeps its ready memory tasks in ID order, so the oldest
+// admissible one overall is the lowest-ID front among the domains with
+// tokens: a dispatch costs O(domains), however long the phase.
+func (r *runner) dispatch(w *worker) {
+	mtl := r.th.MTL()
+	var pick *taskRun
+	for d := range r.doms {
+		if r.doms[d].active >= mtl {
+			continue
+		}
+		if ts := r.frontMem(d); ts != nil && (pick == nil || ts.task.ID < pick.task.ID) {
+			pick = ts
+		}
+	}
+	comp := r.readyCompute.front()
+	if comp != nil && (pick == nil || comp.task.ID < pick.task.ID) {
+		pick = comp
+	}
+	if r.onPick != nil {
+		r.onPick(w, pick, mtl)
+	}
 	switch {
-	case memIdx >= 0 && (!compOK || r.readyMem[memIdx].task.ID < r.readyCompute[0].task.ID):
-		ts := r.readyMem[memIdx]
-		r.readyMem = append(r.readyMem[:memIdx], r.readyMem[memIdx+1:]...)
-		r.startMemory(w, ts)
-	case compOK:
-		ts := r.readyCompute[0]
-		r.readyCompute = r.readyCompute[1:]
-		r.startCompute(w, ts)
-	default:
+	case pick == nil:
 		w.idle = true
 		return
+	case pick == comp:
+		r.readyCompute.pop()
+		r.startCompute(w, pick)
+	default:
+		dr := &r.doms[pick.pair.dom]
+		if pick.task.Kind == stream.Gather {
+			dr.nextGather += len(r.doms)
+		} else {
+			dr.scatters.pop()
+		}
+		r.startMemory(w, pick, mtl)
 	}
 	w.idle = false
 }
 
-// insertByID inserts ts keeping the queue sorted by task ID.
-func insertByID(q []*taskRun, ts *taskRun) []*taskRun {
-	i := len(q)
-	for i > 0 && q[i-1].task.ID > ts.task.ID {
-		i--
-	}
-	q = append(q, nil)
-	copy(q[i+1:], q[i:])
-	q[i] = ts
-	return q
-}
-
-// startMemory runs a gather or scatter task on w.
-func (r *runner) startMemory(w *worker, ts *taskRun) {
+// startMemory runs a gather or scatter task on w under the MTL in
+// force.
+func (r *runner) startMemory(w *worker, ts *taskRun, mtl int) {
+	ts.w = w
 	ts.start = r.eng.Now()
-	ts.mtlAt = r.th.MTL()
-	r.activeMem[ts.dom]++
-	bytes := ts.pair.gatherBytes
+	ts.mtlAt = mtl
+	dom := ts.pair.dom
+	r.doms[dom].active++
+	ts.bytes = ts.pair.gatherBytes
 	if ts.task.Kind == stream.Scatter {
-		bytes = ts.pair.scatterBytes
+		ts.bytes = ts.pair.scatterBytes
 	}
-	r.llc.Reserve(bytes)
-	r.pools[ts.dom].Start(bytes, 1, func() {
-		r.finishMemory(w, ts, bytes)
-	})
+	r.llc.Reserve(ts.bytes)
+	r.pools[dom].StartFunc(ts.bytes, 1, r.memDoneFn, ts)
 }
 
-func (r *runner) finishMemory(w *worker, ts *taskRun, bytes float64) {
-	now := r.eng.Now()
-	dur := now - ts.start
-	r.account(w, ts, dur)
-	r.activeMem[ts.dom]--
+// finishMemory is the completion callback of a memory task.
+func (r *runner) finishMemory(arg any) {
+	ts := arg.(*taskRun)
+	dur := r.eng.Now() - ts.start
+	r.account(ts, dur)
+	r.doms[ts.pair.dom].active--
 
 	switch ts.task.Kind {
 	case stream.Gather:
@@ -475,60 +643,52 @@ func (r *runner) finishMemory(w *worker, ts *taskRun, bytes float64) {
 		// task has consumed it; record Tm for the pair.
 		ts.pair.gatherDur = dur
 		r.welfordTm(ts.mtlAt).Add(float64(dur))
-		r.readyCompute = insertByID(r.readyCompute, &taskRun{
-			task: computeOf(r.prog, ts.task), pair: ts.pair, dom: ts.dom,
-		})
+		r.readyCompute.insert(&ts.pair.compute)
 	case stream.Scatter:
-		r.llc.Release(bytes)
+		r.llc.Release(ts.bytes)
 	}
-	r.taskDone(w)
-}
-
-// computeOf finds the compute task of the same pair.
-func computeOf(p *stream.Program, gather *stream.Task) *stream.Task {
-	return p.Phases[gather.Phase].Pairs[gather.Pair].Compute
-}
-
-// scatterOf finds the scatter task of the same pair, or nil.
-func scatterOf(p *stream.Program, t *stream.Task) *stream.Task {
-	return p.Phases[t.Phase].Pairs[t.Pair].Scatter
+	r.taskDone(ts)
 }
 
 // startCompute runs a compute task on w's core; if live footprints
 // overflow the LLC the task also drives miss traffic into the memory
 // pool and completes only when both parts finish.
 func (r *runner) startCompute(w *worker, ts *taskRun) {
+	ts.w = w
 	ts.start = r.eng.Now()
 	missFrac := r.llc.MissFraction()
 	r.missAgg.Add(missFrac)
 
-	pending := 1
-	part := func() {
-		pending--
-		if pending == 0 {
-			r.finishCompute(w, ts)
-		}
-	}
+	ts.pending = 1
 	if missFrac > 0 {
 		// Miss traffic hits the pair's home domain, where its
 		// footprint lives.
-		pending++
-		r.pools[ts.dom].Start(missFrac*ts.pair.gatherBytes, missFrac, part)
+		ts.pending++
+		r.pools[ts.pair.dom].StartFunc(missFrac*ts.pair.gatherBytes, missFrac, r.computePartFn, ts)
 	}
-	w.core.StartCompute(ts.pair.computeWork, part)
+	w.core.StartComputeFunc(ts.pair.computeWork, r.computePartFn, ts)
 }
 
-func (r *runner) finishCompute(w *worker, ts *taskRun) {
+// computePart is the completion callback of one part of a compute
+// task; the last part to finish completes the task.
+func (r *runner) computePart(arg any) {
+	ts := arg.(*taskRun)
+	ts.pending--
+	if ts.pending == 0 {
+		r.finishCompute(ts)
+	}
+}
+
+func (r *runner) finishCompute(ts *taskRun) {
 	now := r.eng.Now()
 	dur := now - ts.start
-	r.account(w, ts, dur)
-	ts.pair.computeDur = dur
+	r.account(ts, dur)
 	r.tcAgg.Add(float64(dur))
 	r.llc.Release(ts.pair.gatherBytes)
 	r.res.PairsCompleted++
 
-	if sc := scatterOf(r.prog, ts.task); sc != nil {
-		r.readyMem = insertByID(r.readyMem, &taskRun{task: sc, pair: ts.pair, dom: ts.dom})
+	if sc := &ts.pair.scatter; sc.task != nil {
+		r.doms[ts.pair.dom].scatters.insert(sc)
 	}
 
 	monitored := r.th.Monitoring()
@@ -540,25 +700,25 @@ func (r *runner) finishCompute(w *worker, ts *taskRun) {
 		r.res.BusyTime += r.cfg.MonitorOverhead
 		if r.timeline != nil {
 			r.timeline.Add(trace.Segment{
-				Thread: w.id, Start: now, End: now + r.cfg.MonitorOverhead,
+				Thread: ts.w.id, Start: now, End: now + r.cfg.MonitorOverhead,
 				Label: "mon", Memory: false,
 			})
 		}
-		r.eng.After(r.cfg.MonitorOverhead, func() { r.taskDone(w) })
+		r.eng.AfterFunc(r.cfg.MonitorOverhead, r.taskDoneFn, ts)
 		return
 	}
 	if monitored {
 		r.res.MonitoredPairs++
 	}
-	r.taskDone(w)
+	r.taskDone(ts)
 }
 
 // account records busy time and the trace segment for a finished task.
-func (r *runner) account(w *worker, ts *taskRun, dur sim.Time) {
+func (r *runner) account(ts *taskRun, dur sim.Time) {
 	r.res.BusyTime += dur
 	if r.timeline != nil {
 		r.timeline.Add(trace.Segment{
-			Thread: w.id,
+			Thread: ts.w.id,
 			Start:  ts.start,
 			End:    ts.start + dur,
 			Label:  fmt.Sprintf("%s%d.%d", ts.task.Kind, ts.task.Phase, ts.task.Pair),
@@ -567,11 +727,16 @@ func (r *runner) account(w *worker, ts *taskRun, dur sim.Time) {
 	}
 }
 
-// taskDone advances the phase bookkeeping and re-dispatches workers.
-func (r *runner) taskDone(w *worker) {
+// taskDone frees the worker that ran the finished task (arg is its
+// *taskRun; the monitoring-overhead continuation arrives here through
+// the engine), advances the phase bookkeeping and re-dispatches. It
+// must be the last thing its caller does with the task: when the phase
+// ends here, enterPhase reuses the slab the task lives in.
+func (r *runner) taskDone(arg any) {
+	arg.(*taskRun).w.idle = true
 	r.phaseRemaining--
-	w.idle = true
-	if r.phaseRemaining == 0 && len(r.readyMem) == 0 && len(r.readyCompute) == 0 {
+	if r.phaseRemaining == 0 {
+		// Every task of the phase has completed, so nothing is queued.
 		r.res.PhaseTimes = append(r.res.PhaseTimes, r.eng.Now()-r.phaseStart)
 		r.res.PhaseMTL = append(r.res.PhaseMTL, r.th.MTL())
 		r.enterPhase(r.phase + 1)

@@ -20,6 +20,13 @@ func NewNoise(sigma float64, seed int64) *Noise {
 	return &Noise{rng: rand.New(rand.NewSource(seed)), sigma: sigma}
 }
 
+// Reset restarts the source exactly as NewNoise(sigma, seed) builds
+// it, in place: the generator's state is a pure function of the seed.
+func (n *Noise) Reset(sigma float64, seed int64) {
+	n.rng.Seed(seed)
+	n.sigma = sigma
+}
+
 // Factor draws one multiplicative jitter factor, always positive and
 // with median 1. The log-scale draw is clamped to +-1 so pathological
 // tails cannot destabilise a simulation run.

@@ -233,3 +233,19 @@ func TestWelfordMatchesNaiveProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestNoiseResetMatchesNew pins that a reset source replays exactly the
+// stream a new one with the same seed draws, whatever it drew before.
+func TestNoiseResetMatchesNew(t *testing.T) {
+	used := NewNoise(0.5, 7)
+	for i := 0; i < 1000; i++ {
+		used.Factor()
+	}
+	used.Reset(0.01, 42)
+	fresh := NewNoise(0.01, 42)
+	for i := 0; i < 1000; i++ {
+		if a, b := used.Factor(), fresh.Factor(); a != b {
+			t.Fatalf("draw %d: reset source %v, new source %v", i, a, b)
+		}
+	}
+}

@@ -165,15 +165,19 @@ func (p *Program) Validate() error {
 	if len(p.Phases) == 0 {
 		return fmt.Errorf("stream: program %q has no phases", p.Name)
 	}
-	seen := make(map[int]bool, p.nTasks)
+	// IDs must rise strictly in creation order (phase, pair, then
+	// gather < compute < scatter), as Build numbers them: that makes
+	// them unique, and the scheduler's ready queues rely on a phase's
+	// pairs being listed in ID order.
+	last := -1
 	check := func(t *Task, phase, pair int, kind Kind) error {
 		if t.Phase != phase || t.Pair != pair || t.Kind != kind {
 			return fmt.Errorf("stream: task %d mislabelled: %+v", t.ID, t)
 		}
-		if seen[t.ID] {
-			return fmt.Errorf("stream: duplicate task ID %d", t.ID)
+		if t.ID <= last {
+			return fmt.Errorf("stream: task ID %d out of creation order (follows %d)", t.ID, last)
 		}
-		seen[t.ID] = true
+		last = t.ID
 		return nil
 	}
 	for pi, ph := range p.Phases {

@@ -127,4 +127,20 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	if err := p4.Validate(); err == nil {
 		t.Error("aliased task passed validation")
 	}
+
+	// IDs must rise in creation order: a repeated ID and two pairs
+	// listed against their ID order are both corruption.
+	p5 := Build("sample", sampleSpec()...)
+	p5.Phases[0].Pairs[1].Gather.ID = p5.Phases[0].Pairs[0].Compute.ID
+	if err := p5.Validate(); err == nil {
+		t.Error("duplicate task ID passed validation")
+	}
+	p6 := Build("sample", sampleSpec()...)
+	pairs := p6.Phases[0].Pairs
+	pairs[0], pairs[1] = pairs[1], pairs[0]
+	pairs[0].Gather.Pair, pairs[0].Compute.Pair = 0, 0
+	pairs[1].Gather.Pair, pairs[1].Compute.Pair = 1, 1
+	if err := p6.Validate(); err == nil {
+		t.Error("pairs listed out of ID order passed validation")
+	}
 }
