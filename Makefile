@@ -28,14 +28,10 @@ HOST_BENCHES = BenchmarkHostRuntimeThroughput|BenchmarkHostRuntimeThroughput8|Be
 # amortisation win stays measured and neither path regresses.
 SERVE_BENCHES = BenchmarkHostServe64|BenchmarkHostServe128|BenchmarkHostServe256|BenchmarkHostServePerJob64|BenchmarkHostServePerJob128|BenchmarkHostServePerJob256|BenchmarkGateAdmitBatched|BenchmarkGateAdmitPerJob
 
-# Parallel-simulation benchmarks: the timing-wheel event queue against
-# the binary-heap engine at matched depths (EngineStep* in
-# internal/sim) and the window-parallel sharded-domain harness against
-# its serial twin (DomainSim* in internal/mem). Pinned in
-# BENCH_SIM.json so the wheel's O(1) step and the lookahead-window
-# speedup stay measured.
+# Event-queue benchmarks: the timing-wheel event queue against the
+# binary-heap engine at matched depths (EngineStep* in internal/sim).
+# Pinned in BENCH_SIM.json so the wheel's O(1) step stays measured.
 SIM_BENCHES  = BenchmarkEngineStep|BenchmarkEngineStepWheel|BenchmarkEngineStepDeep256|BenchmarkEngineStepWheelDeep256
-SIM_PAR_BENCHES = BenchmarkDomainSimSerial2|BenchmarkDomainSimSerial4|BenchmarkDomainSimParallel2|BenchmarkDomainSimParallel4
 
 # Policy-plugin benchmarks: the PolicyThrottler window boundary —
 # per-class aggregation, signal harvest, Observe, decision publish —
@@ -57,7 +53,7 @@ CONTEND_BENCHES = BenchmarkContendedCounterGlobal|BenchmarkContendedCounterShare
 # and the timing-wheel engine step stay allocation-free too.
 ZERO_ALLOC   = BenchmarkEngineStep,BenchmarkEngineStepWheel,BenchmarkDRAMAccess,BenchmarkStreamPump,BenchmarkGateAdmitBatched,BenchmarkGateAdmitPerJob,BenchmarkPolicyObserve
 
-.PHONY: check lint fmt vet layout build test race bench bench-host bench-baseline bench-check ab
+.PHONY: check lint fmt vet layout build test race bench bench-host bench-baseline bench-check ab loc
 
 check: lint build test race
 
@@ -98,23 +94,20 @@ test:
 # RobustnessR2 joins the race pass as the adversarial stress: it fans
 # the 15-cell attack grid across 4 workers through parallel.Map while
 # each cell drives the class-aware PolicyThrottler (atomic limit and
-# blacklist publication against concurrent readers). The parallel-sim
-# suites run here too: the window-group barrier protocol (TestGroup*),
-# the sharded-domain harness identity (TestDomainSim*) and the SimPar
-# serial-equality properties all drive per-domain engines on concurrent
-# goroutines with cross-engine posts. TestRunConcurrentRecycling draws
-# simsched's recycled runners from their shared pool on four goroutines.
+# blacklist publication against concurrent readers). The sharded-sim
+# suites (TestGroup*, TestWheel*, the SimPar serial-equality properties)
+# ride along, and TestRunConcurrentRecycling draws simsched's recycled
+# runners from their shared pool on four goroutines.
 race:
 	$(GO) test -race ./host/... ./internal/parallel/...
 	$(GO) test -race -run 'DiskCache|Cached|RobustnessR2' ./internal/experiments
-	$(GO) test -race -run 'TestGroup|TestWheel|TestDomainSim|TestSimPar|TestRunConcurrentRecycling' ./internal/sim ./internal/mem ./internal/simsched
+	$(GO) test -race -run 'TestGroup|TestWheel|TestSimPar|TestRunConcurrentRecycling' ./internal/sim ./internal/simsched
 
 # bench runs the simulator hot-path benchmarks and reports deltas
 # against the committed baseline. bench-baseline rewrites the baseline
 # from a fresh run (do this only when intentionally re-pinning).
 bench:
 	@{ $(GO) test -run '^$$' -bench '^($(SIM_BENCHES))$$' -benchmem -count $(BENCH_COUNT) ./internal/sim; \
-	   $(GO) test -run '^$$' -bench '^($(SIM_PAR_BENCHES))$$' -benchmem -count $(BENCH_COUNT) ./internal/mem; \
 	   $(GO) test -run '^$$' -bench '^($(CORE_BENCHES))$$' -benchmem -count $(BENCH_COUNT) ./internal/core; \
 	   $(GO) test -run '^$$' -bench '^($(CONTEND_BENCHES))$$' -benchmem -count $(BENCH_COUNT) ./internal/stats; \
 	   $(GO) test -run '^$$' -bench '^($(HOT_BENCHES))$$' -benchmem -count $(BENCH_COUNT) .; \
@@ -129,7 +122,6 @@ bench-host:
 
 bench-baseline:
 	@{ $(GO) test -run '^$$' -bench '^($(SIM_BENCHES))$$' -benchmem -count $(BENCH_COUNT) ./internal/sim; \
-	   $(GO) test -run '^$$' -bench '^($(SIM_PAR_BENCHES))$$' -benchmem -count $(BENCH_COUNT) ./internal/mem; \
 	   $(GO) test -run '^$$' -bench '^($(CORE_BENCHES))$$' -benchmem -count $(BENCH_COUNT) ./internal/core; \
 	   $(GO) test -run '^$$' -bench '^($(CONTEND_BENCHES))$$' -benchmem -count $(BENCH_COUNT) ./internal/stats; \
 	   $(GO) test -run '^$$' -bench '^($(HOT_BENCHES))$$' -benchmem -count $(BENCH_COUNT) .; \
@@ -142,7 +134,6 @@ bench-baseline:
 # benchmarks.
 bench-check:
 	@{ $(GO) test -run '^$$' -bench '^($(SIM_BENCHES))$$' -benchmem -count $(BENCH_COUNT) ./internal/sim; \
-	   $(GO) test -run '^$$' -bench '^($(SIM_PAR_BENCHES))$$' -benchmem -count $(BENCH_COUNT) ./internal/mem; \
 	   $(GO) test -run '^$$' -bench '^($(CORE_BENCHES))$$' -benchmem -count $(BENCH_COUNT) ./internal/core; \
 	   $(GO) test -run '^$$' -bench '^($(CONTEND_BENCHES))$$' -benchmem -count $(BENCH_COUNT) ./internal/stats; \
 	   $(GO) test -run '^$$' -bench '^($(HOT_BENCHES))$$' -benchmem -count $(BENCH_COUNT) .; \
@@ -165,3 +156,16 @@ WORKLOAD ?= sim_sweep
 PAIRS    ?= 10
 ab:
 	$(GO) run ./cmd/benchab -base $(BASE) -workload $(WORKLOAD) -pairs $(PAIRS)
+
+# loc is the size a simplicity PR states: lines of non-test Go per
+# package outside bench/ (comments and blanks included) at BASE and in
+# the working tree, and the difference.
+loc:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	git archive $(BASE) | tar -x -C "$$tmp" && \
+	count() { ( cd "$$1" && find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' -exec wc -l {} + ) | \
+		awk -v side="$$2" '$$2 != "total" { sub(/\/[^\/]*$$/, "", $$2); n[$$2] += $$1 } END { for (p in n) print side, p, n[p] }'; } && \
+	{ count "$$tmp" base; count . head; } | \
+	awk '{ v[$$1, $$2] = $$3; pkg[$$2] } END { for (p in pkg) printf "%-26s %7d %7d %+7d\n", p, v["base", p], v["head", p], v["head", p] - v["base", p] }' | \
+	sort | awk 'BEGIN { printf "%-26s %7s %7s %7s\n", "package", "$(BASE)", "tree", "delta" } \
+		{ print; b += $$2; h += $$3 } END { printf "%-26s %7d %7d %+7d\n", "total", b, h, h - b }'

@@ -13,7 +13,6 @@
 //	mtlbench -fig F14 -quick -cpuprofile cpu.out -memprofile mem.out
 //	mtlbench -all -cache-dir .mtlcache  # repeat runs replay from disk
 //	mtlbench -fig F13a -adaptive        # coarse-to-fine preview sweep
-//	mtlbench -all -warmcal              # warm-start calibration
 //	mtlbench -list
 package main
 
@@ -65,7 +64,6 @@ func run() error {
 		jobs       = flag.Int("j", 0, "worker goroutines for independent runs (default: GOMAXPROCS)")
 		cacheDir   = flag.String("cache-dir", "", "persist results (calibrations, baselines, finished experiments) in this directory")
 		noCache    = flag.Bool("no-cache", false, "ignore -cache-dir: compute everything, write nothing")
-		warmCal    = flag.Bool("warmcal", false, "calibrate through the warm-start calibrator (bit-identical, one reused engine per DRAM config)")
 		simPar     = flag.Bool("simpar", false, "shard multi-domain simulations across per-domain engines (bit-identical; composes with -j)")
 		adaptive   = flag.Bool("adaptive", false, "run Fig. 13 sweeps in coarse-to-fine D-MTL mode (fast preview; not golden output)")
 		timings    = flag.String("timings", "", "write a per-experiment wall-clock snapshot to this JSON file")
@@ -124,7 +122,7 @@ func run() error {
 	// The cache directory is validated before any simulation so an
 	// unusable path (exists but is a file, not writable, ...) fails in
 	// milliseconds with a clear message, not after calibration.
-	opt := experiments.Options{WarmCal: *warmCal, SimPar: *simPar}
+	opt := experiments.Options{SimPar: *simPar}
 	if *cacheDir != "" && !*noCache {
 		cache, err := experiments.OpenDiskCache(*cacheDir)
 		if err != nil {

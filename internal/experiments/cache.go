@@ -81,14 +81,10 @@ func (e Env) fingerprint() envFingerprint {
 
 // calibrate resolves one DRAM calibration through the configured
 // acceleration layers: disk cache first, then the process-wide memo,
-// computing on a full miss via the warm-start or fanned-out sweep.
+// computing on a full miss.
 func (e Env) calibrate(cfg mem.Config, maxK, tasksPerStream, footprint int) (mem.Calibration, error) {
-	sweep := mem.CalibrateCached
-	if e.warmCal {
-		sweep = mem.CalibrateWarmCached
-	}
 	if e.disk == nil {
-		return sweep(cfg, maxK, tasksPerStream, footprint)
+		return mem.CalibrateCached(cfg, maxK, tasksPerStream, footprint)
 	}
 	key := calDiskKey{
 		Version:        cacheVersion,
@@ -102,7 +98,7 @@ func (e Env) calibrate(cfg mem.Config, maxK, tasksPerStream, footprint int) (mem
 	if e.disk.Get(key, &cal) {
 		return cal, nil
 	}
-	cal, err := sweep(cfg, maxK, tasksPerStream, footprint)
+	cal, err := mem.CalibrateCached(cfg, maxK, tasksPerStream, footprint)
 	if err != nil {
 		return mem.Calibration{}, err
 	}

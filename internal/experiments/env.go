@@ -54,21 +54,15 @@ type Env struct {
 	memo *staticMemo
 
 	// disk is the optional persistent result cache; nil keeps the
-	// environment memory-only. warmCal selects the warm-start
-	// calibrator for DRAM calibration. simPar turns on the sharded
-	// parallel simulation in every config the environment hands out.
-	disk    *DiskCache
-	warmCal bool
-	simPar  bool
+	// environment memory-only. simPar turns on the sharded parallel
+	// simulation in every config the environment hands out.
+	disk   *DiskCache
+	simPar bool
 }
 
 // Options selects optional acceleration layers for an environment.
 // The zero value reproduces DefaultEnv exactly.
 type Options struct {
-	// WarmCal calibrates through the warm-start mem.Calibrator (one
-	// reused engine per DRAM config) instead of the fanned-out
-	// one-shot sweep. Results are bit-identical either way.
-	WarmCal bool
 	// Cache persists calibrations, baselines and whole experiment
 	// tables across processes. nil disables persistence.
 	Cache *DiskCache
@@ -102,9 +96,9 @@ func DefaultEnv(quick bool) (Env, error) {
 }
 
 // NewEnv is DefaultEnv with the sweep-acceleration layers selectable.
-// Every option is output-neutral: warm-start calibration is
-// bit-identical to the cold sweep, and the cache stores deterministic
-// results keyed by everything they depend on.
+// Every option is output-neutral: the sharded simulation is
+// byte-identical to the single-engine one, and the cache stores
+// deterministic results keyed by everything they depend on.
 func NewEnv(quick bool, opt Options) (Env, error) {
 	// NoiseSigma: the paper measures on a noise-controlled machine
 	// (services disabled, 20-run trimming); per-task jitter there is
@@ -123,7 +117,6 @@ func NewEnv(quick bool, opt Options) (Env, error) {
 	}
 	e.memo = newStaticMemo()
 	e.disk = opt.Cache
-	e.warmCal = opt.WarmCal
 	e.simPar = opt.SimPar
 	// Calibration is deterministic per DRAM config, so it is cached
 	// process-wide: every test, benchmark and CLI entry point pays

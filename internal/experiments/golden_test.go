@@ -26,8 +26,8 @@ func TestFigureOutputsMatchGolden(t *testing.T) {
 }
 
 // TestFigureOutputsMatchGoldenAccelerated re-renders the golden
-// figures through every sweep-acceleration layer: warm-start
-// calibration, a cold disk cache (computing and storing), and the warm
+// figures through every sweep-acceleration layer: the sharded
+// simulation, a cold disk cache (computing and storing), and the warm
 // cache (serving stored tables). Each variant must match the committed
 // goldens byte for byte — acceleration is never allowed to move a
 // number.
@@ -43,7 +43,6 @@ func TestFigureOutputsMatchGoldenAccelerated(t *testing.T) {
 		name string
 		opt  Options
 	}{
-		{"warmcal", Options{WarmCal: true}},
 		{"simpar", Options{SimPar: true}},
 		{"disk-cold", Options{Cache: cache}},
 		{"disk-warm", Options{Cache: cache}}, // second pass: pure hits

@@ -203,22 +203,6 @@ var (
 // matter how many environments, tests, or CLI entry points request
 // it. Concurrent requests for the same key share one measurement.
 func CalibrateCached(cfg Config, maxK, tasksPerStream, footprint int) (Calibration, error) {
-	return calibrateCachedWith(cfg, maxK, tasksPerStream, footprint, Calibrate)
-}
-
-// CalibrateWarmCached is CalibrateCached computing through the
-// warm-start Calibrator instead of the fanned-out one-shot Calibrate.
-// Both fill the same cache: their results are bit-identical, so
-// whichever path measures a configuration first serves every later
-// request for it.
-func CalibrateWarmCached(cfg Config, maxK, tasksPerStream, footprint int) (Calibration, error) {
-	return calibrateCachedWith(cfg, maxK, tasksPerStream, footprint, CalibrateWarm)
-}
-
-// calibrateCachedWith resolves one calibration request through the
-// process-wide cache, computing on miss via the supplied sweep.
-func calibrateCachedWith(cfg Config, maxK, tasksPerStream, footprint int,
-	sweep func(Config, int, int, int) (Calibration, error)) (Calibration, error) {
 	key := calKey{cfg, maxK, tasksPerStream, footprint}
 	calCacheMu.Lock()
 	e := calCache[key]
@@ -228,7 +212,7 @@ func calibrateCachedWith(cfg Config, maxK, tasksPerStream, footprint int,
 	}
 	calCacheMu.Unlock()
 	e.once.Do(func() {
-		e.cal, e.err = sweep(cfg, maxK, tasksPerStream, footprint)
+		e.cal, e.err = Calibrate(cfg, maxK, tasksPerStream, footprint)
 	})
 	if e.err != nil {
 		return Calibration{}, e.err

@@ -26,7 +26,7 @@ import (
 //
 // A Calibrator is not safe for concurrent use: it owns exactly one
 // simulation. Independent goroutines should each build their own, or
-// use the process-wide CalibrateCached/CalibrateWarmCached front ends.
+// use the process-wide CalibrateCached front end.
 type Calibrator struct {
 	cfg            Config
 	tasksPerStream int
@@ -110,17 +110,4 @@ func (c *Calibrator) Calibrate(maxK int) (Calibration, error) {
 		return Calibration{}, err
 	}
 	return cal, nil
-}
-
-// CalibrateWarm is the warm-start counterpart of Calibrate: the same
-// k = 1..maxK sweep measured serially on one reused engine and DRAM
-// system. Its result is bit-identical to Calibrate's — reuse changes
-// where the simulation's memory comes from, never what it computes —
-// so the two are interchangeable wherever a Calibration is consumed.
-func CalibrateWarm(cfg Config, maxK, tasksPerStream, footprint int) (Calibration, error) {
-	c, err := NewCalibrator(cfg, tasksPerStream, footprint)
-	if err != nil {
-		return Calibration{}, err
-	}
-	return c.Calibrate(maxK)
 }

@@ -15,7 +15,11 @@ func TestCalibratorMatchesColdCalibrate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := CalibrateWarm(cfg, 4, 6, footprint512K)
+	c, err := NewCalibrator(cfg, 6, footprint512K)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm, err := c.Calibrate(4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,29 +102,6 @@ func TestCalibratorExtendsIncrementally(t *testing.T) {
 	}
 	if got := CalibrateRuns() - before; got != 0 {
 		t.Errorf("memoised refit ran %d sweeps, want 0", got)
-	}
-}
-
-// TestCalibrateWarmCachedSharesCache asserts the warm front end fills
-// the same process-wide cache as CalibrateCached: a warm request after
-// a cold one (or vice versa) must not re-measure.
-func TestCalibrateWarmCachedSharesCache(t *testing.T) {
-	cfg := DDR3_1066()
-	cfg.Seed = 616161 // private key: other tests must not pre-warm it
-	before := CalibrateRuns()
-	cold, err := CalibrateCached(cfg, 3, 6, footprint512K)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm, err := CalibrateWarmCached(cfg, 3, 6, footprint512K)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := CalibrateRuns() - before; got != 1 {
-		t.Errorf("cold+warm cached requests ran %d sweeps, want 1", got)
-	}
-	if warm.Tml != cold.Tml || warm.Tql != cold.Tql || warm.R2 != cold.R2 {
-		t.Errorf("cached warm result %+v differs from cold %+v", warm, cold)
 	}
 }
 

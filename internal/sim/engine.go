@@ -447,23 +447,6 @@ func (e *Engine) RunUntil(deadline Time) Time {
 	return e.now
 }
 
-// RunBefore fires events with due time strictly before deadline,
-// leaving the clock at the last fired event — it never jumps forward
-// to the deadline itself. This is the lookahead-window primitive used
-// by Group.RunWindows: events at or past the window edge stay queued
-// because a cross-engine message may still land before them.
-func (e *Engine) RunBefore(deadline Time) Time {
-	e.stopped = false
-	for !e.stopped {
-		ev := e.peekNext()
-		if ev == nil || ev.due >= deadline {
-			break
-		}
-		e.Step()
-	}
-	return e.now
-}
-
 // NextDue reports the due time and sequence number of the next pending
 // event. ok is false when the engine is idle.
 func (e *Engine) NextDue() (due Time, seq uint64, ok bool) {

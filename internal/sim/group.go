@@ -1,84 +1,42 @@
 package sim
 
-import (
-	"fmt"
-	"sync"
-)
-
 // Group coordinates several engines as one simulation. It exists for
-// the domain-sharded models: each memory domain gets its own engine so
-// the domains can advance independently, while the group keeps the
+// the domain-sharded models: each memory domain gets its own engine,
+// with its own wheel and a shorter queue, while the group keeps the
 // combined event history deterministic.
 //
-// Two coordination modes, chosen by constructor:
-//
-//   - NewGroup (merge mode): the engines share one sequence counter and
-//     Run fires events in global (due, seq) order, synchronizing every
-//     engine's clock to each fire instant. The result is byte-identical
-//     to running the whole model on a single engine — same sequence
-//     numbers, same tie-breaks, same callback interleaving — which is
-//     what lets `-simpar` output match serial exactly. Merge mode is
-//     single-threaded; its win is structural (per-domain engines with
-//     their own wheels, shorter queues) rather than concurrency.
-//
-//   - NewWindowGroup (window mode): conservative parallel DES. The
-//     engines keep private sequence counters and RunWindows advances
-//     all of them concurrently in barrier-synchronized lookahead
-//     windows; cross-engine work must be sent with Post and lands at
-//     the window edge. Deterministic for any goroutine schedule, but
-//     only equivalent to a single engine up to the declared lookahead —
-//     the model must guarantee no cross-engine effect within it.
+// The engines share one sequence counter and Run fires events in global
+// (due, seq) order, synchronizing every engine's clock to each fire
+// instant. The result is byte-identical to running the whole model on a
+// single engine — same sequence numbers, same tie-breaks, same callback
+// interleaving — which is what lets `-simpar` output match serial
+// exactly. A group is single-threaded; its win is structural rather
+// than concurrency.
 type Group struct {
 	engines []*Engine
-	shared  bool   // merge mode: engines share seq
-	seq     uint64 // the shared counter (merge mode)
+	seq     uint64 // the engines' shared sequence counter
 	stopped bool
-
-	// Window-mode state: per-source-engine post buffers and the horizon
-	// of the window currently executing (for lookahead validation).
-	posts   [][]posting
-	horizon Time
 }
 
-// posting is one buffered cross-engine message in window mode.
-type posting struct {
-	dst *Engine
-	at  Time
-	fn  func(any)
-	arg any
-}
-
-func newGroup(shared bool, engines []*Engine) *Group {
+// NewGroup builds a group over fresh engines. See Group.
+func NewGroup(engines ...*Engine) *Group {
 	if len(engines) == 0 {
 		panic("sim: group needs at least one engine")
 	}
-	g := &Group{engines: engines, shared: shared}
+	g := &Group{engines: engines}
 	for _, e := range engines {
 		if e.now != 0 || e.seq != 0 || e.gseq != nil || e.Pending() != 0 {
 			panic("sim: group engines must be fresh (clock 0, no events, ungrouped)")
 		}
-		if shared {
-			e.gseq = &g.seq
-		}
-	}
-	if !shared {
-		g.posts = make([][]posting, len(engines))
+		e.gseq = &g.seq
 	}
 	return g
 }
 
-// NewGroup builds a merge-mode group over fresh engines. See Group.
-func NewGroup(engines ...*Engine) *Group { return newGroup(true, engines) }
-
-// NewWindowGroup builds a window-mode group over fresh engines. See
-// Group.
-func NewWindowGroup(engines ...*Engine) *Group { return newGroup(false, engines) }
-
 // Engines returns the member engines in construction order.
 func (g *Group) Engines() []*Engine { return g.engines }
 
-// Stop aborts a Run or RunWindows in progress after the current event
-// (merge) or window (windows) completes.
+// Stop aborts a Run in progress after the current event completes.
 func (g *Group) Stop() { g.stopped = true }
 
 // Now reports the latest clock across the member engines.
@@ -106,11 +64,7 @@ func (g *Group) Pending() int {
 // engine's Stop is called. Because the engines share one sequence
 // counter and every clock is synchronized to each fire instant, the
 // trace is byte-identical to the same model living on a single engine.
-// Requires merge mode.
 func (g *Group) Run() Time {
-	if !g.shared {
-		panic("sim: Run requires a merge-mode group (NewGroup)")
-	}
 	g.stopped = false
 	for _, e := range g.engines {
 		e.stopped = false
@@ -138,92 +92,6 @@ func (g *Group) Run() Time {
 		owner.Step()
 		if owner.stopped {
 			break
-		}
-	}
-	return g.Now()
-}
-
-// Post schedules fn(arg) at absolute time at on the engine at index
-// dst, buffered until the current window's barrier. src is the index of
-// the posting engine; buffers are per-source so concurrent windows need
-// no locks, and the barrier applies them in (src, post order) — a
-// deterministic order independent of goroutine scheduling. Posting
-// inside the current window (at < horizon) panics: it would violate the
-// lookahead contract RunWindows parallelism rests on. Requires window
-// mode.
-func (g *Group) Post(src, dst int, at Time, fn func(any), arg any) {
-	if g.shared {
-		panic("sim: Post requires a window-mode group (NewWindowGroup)")
-	}
-	if at < g.horizon {
-		panic(fmt.Sprintf("sim: Post at %v violates lookahead window ending %v", at, g.horizon))
-	}
-	g.posts[src] = append(g.posts[src], posting{dst: g.engines[dst], at: at, fn: fn, arg: arg})
-}
-
-// RunWindows advances all member engines concurrently in conservative
-// lookahead windows until every queue is empty and no posts remain, or
-// Stop is called. Each window spans [W, W+lookahead) where W is the
-// earliest pending due time across engines: within it the engines run
-// in parallel (cross-engine effects cannot land there, by the model's
-// lookahead guarantee), then buffered Posts are applied at the barrier.
-// Requires window mode and a positive lookahead.
-func (g *Group) RunWindows(lookahead Time) Time {
-	if g.shared {
-		panic("sim: RunWindows requires a window-mode group (NewWindowGroup)")
-	}
-	if lookahead <= 0 {
-		panic("sim: RunWindows needs positive lookahead")
-	}
-	g.stopped = false
-	var wg sync.WaitGroup
-	panics := make([]any, len(g.engines))
-	for !g.stopped {
-		w := Never
-		idle := true
-		for _, e := range g.engines {
-			if d, _, ok := e.NextDue(); ok {
-				idle = false
-				if d < w {
-					w = d
-				}
-			}
-		}
-		if idle {
-			break
-		}
-		horizon := w + lookahead
-		if horizon < w { // overflow past Never
-			horizon = Never
-		}
-		g.horizon = horizon
-		wg.Add(len(g.engines))
-		for i, e := range g.engines {
-			i, e := i, e
-			go func() {
-				defer wg.Done()
-				// A model panic (lookahead violation, past scheduling)
-				// must surface on the caller, not kill the process from
-				// a worker goroutine. Re-raised below in engine order,
-				// so which panic wins is deterministic.
-				defer func() { panics[i] = recover() }()
-				e.RunBefore(horizon)
-			}()
-		}
-		wg.Wait()
-		for _, p := range panics {
-			if p != nil {
-				panic(p)
-			}
-		}
-		g.horizon = 0
-		for si := range g.posts {
-			for i := range g.posts[si] {
-				p := &g.posts[si][i]
-				p.dst.AtFunc(p.at, p.fn, p.arg)
-				p.fn, p.arg, p.dst = nil, nil, nil
-			}
-			g.posts[si] = g.posts[si][:0]
 		}
 	}
 	return g.Now()

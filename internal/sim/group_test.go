@@ -33,7 +33,7 @@ func chainModel(engines []*Engine, chains, hops int, trace *[]hop) {
 	}
 }
 
-// TestGroupMergeMatchesSingle pins merge mode's whole reason to exist:
+// TestGroupMergeMatchesSingle pins the group's whole reason to exist:
 // the same model sharded across group engines produces a trace
 // byte-identical to one engine running everything, including
 // same-instant cross-engine tie-breaks.
@@ -99,85 +99,7 @@ func TestGroupMergeSyncsClocks(t *testing.T) {
 	}
 }
 
-// TestGroupWindows pins window mode: engines advance in lookahead
-// windows, Posts land deterministically at window edges, and the trace
-// matches the single-engine schedule of the same events.
-func TestGroupWindows(t *testing.T) {
-	const (
-		domains   = 3
-		lookahead = Microsecond
-		rounds    = 25
-	)
-	// Each domain runs a local event chain with distinct sub-lookahead
-	// spacing; every round it posts the next round to the next domain at
-	// exactly now+lookahead (the minimum legal coupling). Window mode
-	// defines no global interleaving across domains — the deterministic
-	// observable is each domain's own trace, so that is what the model
-	// records (which also keeps the callbacks race-free, as a real
-	// sharded model's per-domain state is).
-	runWindows := func() [][]hop {
-		traces := make([][]hop, domains)
-		engines := make([]*Engine, domains)
-		for i := range engines {
-			engines[i] = NewWheel()
-		}
-		g := NewWindowGroup(engines...)
-		var round func(any)
-		round = func(arg any) {
-			st := arg.([2]int)
-			d, r := st[0], st[1]
-			e := engines[d]
-			traces[d] = append(traces[d], hop{d, r, e.Now()})
-			e.AfterFunc(Time(d+1)*Nanosecond, func(any) {
-				traces[d] = append(traces[d], hop{d, 1000 + r, e.Now()})
-			}, nil)
-			if r+1 < rounds {
-				g.Post(d, (d+1)%domains, e.Now()+lookahead, round, [2]int{(d + 1) % domains, r + 1})
-			}
-		}
-		for d := 0; d < domains; d++ {
-			engines[d].AtFunc(Time(d)*Nanosecond, round, [2]int{d, 0})
-		}
-		g.RunWindows(lookahead)
-		return traces
-	}
-	first := runWindows()
-	total := 0
-	for _, tr := range first {
-		total += len(tr)
-	}
-	if want := domains * rounds * 2; total != want {
-		t.Fatalf("windows run fired %d hops, want %d", total, want)
-	}
-	// Deterministic across runs despite goroutine parallelism.
-	for rep := 0; rep < 3; rep++ {
-		again := runWindows()
-		for d := range first {
-			if len(again[d]) != len(first[d]) {
-				t.Fatalf("rep %d domain %d fired %d hops, want %d", rep, d, len(again[d]), len(first[d]))
-			}
-			for i := range first[d] {
-				if again[d][i] != first[d][i] {
-					t.Fatalf("rep %d domain %d diverged at hop %d: %+v vs %+v",
-						rep, d, i, again[d][i], first[d][i])
-				}
-			}
-		}
-	}
-	// Per-domain causality: rounds and their local work advance in time
-	// order within each domain.
-	for d, tr := range first {
-		var last Time
-		for _, h := range tr {
-			if h.at < last {
-				t.Fatalf("domain %d time went backwards: %+v after %v", d, h, last)
-			}
-			last = h.at
-		}
-	}
-}
-
-// TestGroupContracts pins the constructor and mode panics.
+// TestGroupContracts pins the constructor panics.
 func TestGroupContracts(t *testing.T) {
 	expectPanic := func(name string, fn func()) {
 		defer func() {
@@ -192,29 +114,9 @@ func TestGroupContracts(t *testing.T) {
 		e.After(Nanosecond, func() {})
 		NewGroup(e, New())
 	})
-	expectPanic("Run on window group", func() {
-		NewWindowGroup(New(), New()).Run()
-	})
-	expectPanic("RunWindows on merge group", func() {
-		NewGroup(New(), New()).RunWindows(Microsecond)
-	})
-	expectPanic("Post on merge group", func() {
-		NewGroup(New(), New()).Post(0, 1, Microsecond, func(any) {}, nil)
-	})
-	expectPanic("zero lookahead", func() {
-		NewWindowGroup(New(), New()).RunWindows(0)
-	})
-	expectPanic("Post inside window", func() {
-		a, b := NewWheel(), NewWheel()
-		g := NewWindowGroup(a, b)
-		a.At(Microsecond, func() {
-			g.Post(0, 1, a.Now(), func(any) {}, nil) // violates lookahead
-		})
-		g.RunWindows(Microsecond)
-	})
 }
 
-// TestGroupStop verifies Stop halts a merge run with events remaining.
+// TestGroupStop verifies Stop halts a run with events remaining.
 func TestGroupStop(t *testing.T) {
 	a, b := NewWheel(), NewWheel()
 	g := NewGroup(a, b)

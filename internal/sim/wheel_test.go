@@ -231,11 +231,10 @@ func TestWheelWindowBoundaryDrain(t *testing.T) {
 	})
 }
 
-// TestWheelRunBeforeAndSyncTo pins the Group primitives: RunBefore
-// fires strictly-before events without jumping the clock, SyncTo
-// advances the clock without firing, and SyncTo past a pending event
-// panics.
-func TestWheelRunBeforeAndSyncTo(t *testing.T) {
+// TestWheelSyncTo pins the Group primitives: NextDue reports the next
+// pending event, SyncTo advances the clock without firing, and SyncTo
+// past a pending event panics.
+func TestWheelSyncTo(t *testing.T) {
 	for name, mk := range map[string]func() *Engine{"heap": New, "wheel": NewWheel} {
 		t.Run(name, func(t *testing.T) {
 			e := mk()
@@ -243,12 +242,10 @@ func TestWheelRunBeforeAndSyncTo(t *testing.T) {
 			for i := 1; i <= 5; i++ {
 				e.At(Time(i)*Microsecond, func() { fired++ })
 			}
-			e.RunBefore(3 * Microsecond)
-			if fired != 2 {
-				t.Fatalf("RunBefore fired %d, want 2 (strictly before)", fired)
-			}
-			if e.Now() != 2*Microsecond {
-				t.Fatalf("Now = %v after RunBefore, want 2us (no jump)", e.Now())
+			e.Step()
+			e.Step()
+			if fired != 2 || e.Now() != 2*Microsecond {
+				t.Fatalf("after two steps fired = %d, Now = %v, want 2 and 2us", fired, e.Now())
 			}
 			due, _, ok := e.NextDue()
 			if !ok || due != 3*Microsecond {

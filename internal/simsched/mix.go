@@ -3,10 +3,7 @@ package simsched
 import (
 	"fmt"
 
-	"memthrottle/internal/cache"
-	"memthrottle/internal/contend"
 	"memthrottle/internal/core"
-	"memthrottle/internal/machine"
 	"memthrottle/internal/sim"
 	"memthrottle/internal/stats"
 )
@@ -19,8 +16,6 @@ type StreamShapes interface {
 	// NextShape returns the next job's gather footprint (bytes) and
 	// solo compute duration (seconds).
 	NextShape() (gather, compute float64)
-	// Name identifies the generator in reports.
-	Name() string
 }
 
 // Stream is one traffic class of a mixed open-loop run: its own
@@ -75,10 +70,12 @@ type ClassOutcome struct {
 	Completed int
 	Dropped   int
 
-	// Queue is admission-wait latency, Sojourn end-to-end
+	// Queue is admission-wait latency (arrival to MTL-gate admission),
+	// Service admission-to-completion latency, Sojourn end-to-end
 	// arrival-to-completion latency — the victim's Sojourn p99 is the
 	// robustness experiment's headline number.
 	Queue   stats.LatencyHist
+	Service stats.LatencyHist
 	Sojourn stats.LatencyHist
 }
 
@@ -86,69 +83,77 @@ type ClassOutcome struct {
 type MixResult struct {
 	Policy string
 
+	// Makespan ends at the last completion; Goodput is total
+	// completions per second of makespan.
 	Makespan sim.Time
-	// Goodput is total completions per second of makespan.
-	Goodput float64
+	Goodput  float64
 
 	// ByClass is indexed by class id, length max class + 1.
 	ByClass []ClassOutcome
 
-	PeakQueue    int
-	FinalMTL     int
-	MTLDecisions []int
+	PeakQueue     int // peak pending-queue depth
+	PeakActiveMem int // peak concurrent memory tasks, all domains
+	FinalMTL      int
+	MTLDecisions  []int
 	// ContainedAt is the virtual-time instant the throttler first
 	// demoted (blacklisted) any class, 0 if it never did — the
 	// time-to-contain metric.
 	ContainedAt sim.Time
 }
 
-// mixTask is one in-flight job of the mixed simulation.
+// mixTask is one in-flight job of the open-loop simulation.
 type mixTask struct {
 	class   int
 	dom     int
-	bytes   float64
-	work    sim.Time
+	bytes   float64  // noised gather footprint
+	work    sim.Time // noised solo compute duration
 	arrived sim.Time
 	admit   sim.Time
-	gatherT sim.Time
-	w       *worker // hardware thread carrying the job
-	pending int     // compute parts (core work, miss traffic) still running
+	gatherT sim.Time // measured gather duration
+	w       *worker  // hardware thread carrying the job
+	pending int      // compute parts (core work, miss traffic) still running
 }
 
-// mixer is the live state of one MixRun.
-type mixer struct {
-	cfg   Config
-	spec  MixSpec
-	th    core.Throttler
-	lim   core.ClassLimiter // th's class-limit view, nil if class-blind
-	obs   core.Observer     // th's signal sink, nil if none
-	eng   *sim.Engine
-	mach  *machine.Machine
-	pools []*contend.Pool
-	llc   *cache.LLC
-	noise *stats.Noise
+// mixStream is one stream's arrival state.
+type mixStream struct {
+	Stream
+	generated int
+}
 
-	queue       []*mixTask
+// mixer is the live state of one open-loop run: the rig it borrows plus
+// the bounded queue and the admission gates.
+type mixer struct {
+	*rig
+	queueCap int
+	th       core.Throttler
+	lim      core.ClassLimiter // th's class-limit view, nil if class-blind
+	obs      core.Observer     // th's signal sink, nil if none
+
+	queue       []*mixTask // pending, arrival order (head at index head)
 	head        int
 	activeMem   []int // per domain
+	activeAll   int   // all domains
 	activeClass [core.MaxClasses]int
-	workers     []*worker
-	generated   []int // per stream
-	inflight    int
-	seq         int
+	inflight    int // admitted jobs not yet completed
+	seq         int // arrivals past the blacklist, shed or not
 
-	// Completion callbacks bound once per run; the job (or, for
-	// freeFn, the worker) travels as the argument.
-	gatherDoneFn, computePartFn, freeFn func(any)
+	// Completion callbacks bound once per run; the stream, the job or,
+	// for freeFn, the worker travels as the argument.
+	arriveFn, gatherDoneFn, computePartFn, freeFn func(any)
 
 	res MixResult
 }
 
-// MixRun executes one mixed-stream open-loop serving simulation. Like
-// ServeRun it is fully seeded and bit-reproducible; unlike ServeRun it
-// tags every job with its stream's class, feeds class-aware throttlers
-// their per-class signals, and honors per-class limits and blacklists
-// at admission. Panics on invalid configuration or spec.
+// MixRun executes one open-loop serving simulation, the only driver of
+// its kind (ServeRun is the one-stream case): jobs (gather-compute
+// pairs) arrive on class-tagged streams, wait in one bounded queue, are
+// admitted under the throttler's MTL — the gate doubling as the
+// admission controller — and execute on the hardware threads. A
+// class-aware throttler is fed per-class samples and issue signals and
+// has its class limits and blacklist honoured at admission. Virtual
+// time plus seeded arrivals and noise make every run bit-reproducible.
+// The throttler must be freshly constructed per run; independent runs
+// may execute concurrently. Panics on invalid configuration or spec.
 func MixRun(cfg Config, spec MixSpec, th core.Throttler) MixResult {
 	runCount.Add(1)
 	if err := cfg.Validate(); err != nil {
@@ -157,52 +162,37 @@ func MixRun(cfg Config, spec MixSpec, th core.Throttler) MixResult {
 	if err := spec.Validate(); err != nil {
 		panic(err)
 	}
-	eng, poolEng, group := simEngines(cfg)
-	m := &mixer{
-		cfg:   cfg,
-		spec:  spec,
-		th:    th,
-		eng:   eng,
-		mach:  machine.New(eng, cfg.Machine),
-		llc:   cache.NewLLC(cfg.LLCBytes),
-		noise: stats.NewNoise(cfg.NoiseSigma, cfg.Seed),
-	}
-	m.gatherDoneFn, m.computePartFn, m.freeFn = m.finishGather, m.computePart, m.free
+	r := acquire(cfg)
+	res := runMix(&r.rig, cfg, spec, th)
+	release(r)
+	return res
+}
+
+// runMix resets g and runs spec on it to completion.
+func runMix(g *rig, cfg Config, spec MixSpec, th core.Throttler) MixResult {
+	g.reset(cfg)
+	m := &mixer{rig: g, queueCap: spec.Queue, th: th, activeMem: make([]int, len(g.pools))}
+	m.arriveFn, m.gatherDoneFn, m.computePartFn, m.freeFn = m.arrive, m.finishGather, m.computePart, m.free
 	m.lim, _ = th.(core.ClassLimiter)
 	m.obs, _ = th.(core.Observer)
 	maxClass := 0
 	for _, st := range spec.Streams {
-		if st.Class > maxClass {
-			maxClass = st.Class
-		}
+		maxClass = max(maxClass, st.Class)
 	}
 	m.res.ByClass = make([]ClassOutcome, maxClass+1)
-	nd := cfg.Machine.Domains()
-	m.activeMem = make([]int, nd)
-	for d := 0; d < nd; d++ {
-		m.pools = append(m.pools, contend.NewPool(poolEng[d], cfg.memParams(d)))
-	}
-	threads := cfg.Machine.HardwareThreads()
-	for i := 0; i < threads; i++ {
-		m.workers = append(m.workers, &worker{
-			id:   i,
-			core: m.mach.Core(i % cfg.Machine.Cores),
-			idle: true,
-		})
-	}
-	if cfg.ResidentOverheadBytes > 0 {
-		m.llc.Reserve(cfg.ResidentOverheadBytes)
-	}
 
-	m.generated = make([]int, len(spec.Streams))
-	for i := range spec.Streams {
-		i := i
-		eng.After(sim.Time(spec.Streams[i].Arrivals.Next()), func() { m.arrive(i) })
+	// Each stream's first arrival primes the event loop; every later one
+	// is scheduled by its predecessor, so the engine drains exactly when
+	// the last job has completed.
+	streams := make([]mixStream, len(spec.Streams))
+	for i, st := range spec.Streams {
+		streams[i].Stream = st
+		m.eng.AfterFunc(sim.Time(st.Arrivals.Next()), m.arriveFn, &streams[i])
 	}
-	drainEngines(eng, group)
+	m.drain()
 
 	if m.inflight != 0 || m.pending() != 0 {
-		panic(fmt.Sprintf("simsched: mix deadlock — %d in flight, %d queued at drain",
+		panic(fmt.Sprintf("simsched: open-loop deadlock — %d in flight, %d queued at drain",
 			m.inflight, m.pending()))
 	}
 	m.res.Policy = th.Name()
@@ -218,89 +208,96 @@ func MixRun(cfg Config, spec MixSpec, th core.Throttler) MixResult {
 	return m.res
 }
 
+// pending reports the current queue depth.
 func (m *mixer) pending() int { return len(m.queue) - m.head }
 
-// arrive admits or sheds one arrival of stream i and schedules the
+// arrive admits or sheds one arrival of a stream and schedules the
 // stream's next. Blacklisted classes are refused at ingress — the
 // serve-admission half of demotion; anything already queued or in
-// flight still drains under the class limit.
-func (m *mixer) arrive(i int) {
-	st := m.spec.Streams[i]
+// flight still drains under the class limit. A job's home domain is
+// its sequence number among the arrivals not so refused, modulo the
+// domain count, taken before the queue-full check: host.Server.Submit's
+// placement rule, where a shed job uses up its turn and a blacklisted
+// one does not.
+func (m *mixer) arrive(arg any) {
+	st := arg.(*mixStream)
 	now := m.eng.Now()
-	m.res.ByClass[st.Class].Arrived++
+	oc := &m.res.ByClass[st.Class]
+	oc.Arrived++
 	blacklisted := m.lim != nil && m.lim.Blacklisted(st.Class)
-	if blacklisted || (m.spec.Queue > 0 && m.pending() >= m.spec.Queue) {
-		m.res.ByClass[st.Class].Dropped++
+	dom := m.seq % len(m.pools)
+	if !blacklisted {
+		m.seq++
+	}
+	if blacklisted || (m.queueCap > 0 && m.pending() >= m.queueCap) {
+		oc.Dropped++
 	} else {
 		g, c := st.Shapes.NextShape()
-		t := &mixTask{
+		// One noise draw per task, as the closed-loop scheduler noises
+		// pairs.
+		m.queue = append(m.queue, &mixTask{
 			class:   st.Class,
-			dom:     m.seq % len(m.pools),
+			dom:     dom,
 			bytes:   g * m.noise.Factor(),
 			work:    sim.Time(c * m.noise.Factor()),
 			arrived: now,
-		}
-		m.seq++
-		m.queue = append(m.queue, t)
+		})
 		if d := m.pending(); d > m.res.PeakQueue {
 			m.res.PeakQueue = d
 		}
 		m.dispatchAll()
 	}
-	m.generated[i]++
-	if m.generated[i] < st.Jobs {
-		m.eng.After(sim.Time(st.Arrivals.Next()), func() { m.arrive(i) })
+	st.generated++
+	if st.generated < st.Jobs {
+		m.eng.AfterFunc(sim.Time(st.Arrivals.Next()), m.arriveFn, st)
 	}
 }
 
+// dispatchAll offers work to every idle worker.
 func (m *mixer) dispatchAll() {
-	for _, w := range m.workers {
-		if w.idle {
+	for i := range m.workers {
+		if w := &m.workers[i]; w.idle {
 			m.dispatch(w)
 		}
 	}
 }
 
-// admissible reports whether t clears both the aggregate MTL gate and
-// its class's limit. A blacklisted class reports an effective limit of
-// 1 through ClassLimit — demotion to fully serialized execution.
-func (m *mixer) admissible(t *mixTask, mtl int) bool {
-	if m.activeMem[t.dom] >= mtl {
+// classFull reports whether class c is at its class limit. A
+// blacklisted class reports an effective limit of 1 through ClassLimit
+// — demotion to fully serialized execution.
+func (m *mixer) classFull(c int) bool {
+	if m.lim == nil {
 		return false
 	}
-	if m.lim != nil {
-		if cl := m.lim.ClassLimit(t.class); cl > 0 && m.activeClass[t.class] >= cl {
-			return false
-		}
-	}
-	return true
+	cl := m.lim.ClassLimit(c)
+	return cl > 0 && m.activeClass[c] >= cl
 }
 
-// dispatch admits the oldest admissible pending job to w, exactly as
-// the single-stream server does, with the class gate layered on.
+// dispatch admits the oldest pending job that clears both its home
+// domain's MTL gate — checked at dequeue, exactly as the host serving
+// path admits against its per-domain gates — and its class's limit.
+// The worker carries the job end to end — gather under the admission
+// slot, then compute — so a busy worker maps one-to-one onto an
+// in-flight request.
 func (m *mixer) dispatch(w *worker) {
 	mtl := m.th.MTL()
-	idx := -1
-	for i := m.head; i < len(m.queue); i++ {
-		if m.admissible(m.queue[i], mtl) {
-			idx = i
+	idx := m.head
+	for ; idx < len(m.queue); idx++ {
+		if t := m.queue[idx]; m.activeMem[t.dom] < mtl && !m.classFull(t.class) {
 			break
 		}
 	}
-	if idx < 0 {
+	if idx == len(m.queue) {
 		w.idle = true
 		return
 	}
 	t := m.queue[idx]
-	if idx == m.head {
-		m.queue[m.head] = nil
-		m.head++
-		if m.head == len(m.queue) {
-			m.queue = m.queue[:0]
-			m.head = 0
-		}
-	} else {
-		m.queue = append(m.queue[:idx], m.queue[idx+1:]...)
+	// The jobs t overtakes move up one slot; the head slot is consumed.
+	copy(m.queue[m.head+1:idx+1], m.queue[m.head:idx])
+	m.queue[m.head] = nil
+	m.head++
+	if m.head == len(m.queue) {
+		m.queue, m.head = m.queue[:0], 0
 	}
 	w.idle = false
 	t.w = w
@@ -310,6 +307,10 @@ func (m *mixer) dispatch(w *worker) {
 	m.res.ByClass[t.class].Queue.RecordSeconds(float64(now - t.arrived))
 	m.activeMem[t.dom]++
 	m.activeClass[t.class]++
+	m.activeAll++
+	if m.activeAll > m.res.PeakActiveMem {
+		m.res.PeakActiveMem = m.activeAll
+	}
 	if m.obs != nil {
 		m.obs.OnSignal(t.class, core.SignalIssue)
 	}
@@ -321,19 +322,14 @@ func (m *mixer) dispatch(w *worker) {
 // half on the worker's core.
 func (m *mixer) finishGather(arg any) {
 	t := arg.(*mixTask)
-	now := m.eng.Now()
-	t.gatherT = now - t.admit
+	t.gatherT = m.eng.Now() - t.admit
 	m.activeMem[t.dom]--
 	m.activeClass[t.class]--
+	m.activeAll--
+	// A freed slot may admit a queued job on any currently idle worker
+	// — but this worker is still busy with t's compute.
 	m.dispatchAll()
-
-	missFrac := m.llc.MissFraction()
-	t.pending = 1
-	if missFrac > 0 {
-		t.pending++
-		m.pools[t.dom].StartFunc(missFrac*t.bytes, missFrac, m.computePartFn, t)
-	}
-	t.w.core.StartComputeFunc(t.work, m.computePartFn, t)
+	t.pending, _ = m.startCompute(t.w, t.dom, t.bytes, t.work, m.computePartFn, t)
 }
 
 // computePart is the completion callback of one part of a job's
@@ -355,6 +351,7 @@ func (m *mixer) finishCompute(t *mixTask) {
 	oc := &m.res.ByClass[t.class]
 	oc.Completed++
 	m.inflight--
+	oc.Service.RecordSeconds(float64(now - t.admit))
 	oc.Sojourn.RecordSeconds(float64(now - t.arrived))
 	if now > m.res.Makespan {
 		m.res.Makespan = now

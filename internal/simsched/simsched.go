@@ -9,10 +9,8 @@ package simsched
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
-	"memthrottle/internal/cache"
 	"memthrottle/internal/contend"
 	"memthrottle/internal/core"
 	"memthrottle/internal/machine"
@@ -146,17 +144,12 @@ type Result struct {
 	Timeline *trace.Timeline // nil unless Config.RecordTrace
 }
 
-// runner holds the live state of one simulation.
+// runner holds the live state of one closed-loop simulation: the rig
+// plus the admission kernel's own queues, slab and accounting.
 type runner struct {
-	cfg   Config
-	prog  *stream.Program
-	th    core.Throttler
-	eng   *sim.Engine
-	group *sim.Group // non-nil when SimPar shards the run
-	mach  *machine.Machine
-	pools []*contend.Pool // one fluid memory model per domain
-	llc   *cache.LLC
-	noise *stats.Noise
+	rig
+	prog *stream.Program
+	th   core.Throttler
 
 	phase          int
 	phaseRemaining int
@@ -164,8 +157,6 @@ type runner struct {
 	pairs          []pairRun // the current phase's slab, indexed by pair
 	doms           []domainReady
 	readyCompute   idQueue
-
-	workers []worker
 
 	// Completion callbacks bound once per run; the finishing *taskRun
 	// travels as the argument, so starting a task allocates nothing.
@@ -264,46 +255,6 @@ func (q *idQueue) insert(ts *taskRun) {
 	q.q[i] = ts
 }
 
-// worker is one hardware thread executing tasks.
-type worker struct {
-	id   int
-	core *machine.Core
-	idle bool
-}
-
-// simEngines builds the event engines for one run: the main engine
-// (machine cores, scheduler bookkeeping, arrivals) plus one engine per
-// memory domain for the fluid pools. With SimPar and multiple domains
-// each domain gets a private timing-wheel engine under a merge-mode
-// sim.Group; otherwise every domain entry aliases the single main
-// engine and the group is nil.
-func simEngines(cfg Config) (eng *sim.Engine, poolEng []*sim.Engine, group *sim.Group) {
-	nd := cfg.Machine.Domains()
-	if cfg.SimPar && nd > 1 {
-		engines := make([]*sim.Engine, nd+1)
-		for i := range engines {
-			engines[i] = sim.NewWheel()
-		}
-		return engines[0], engines[1:], sim.NewGroup(engines...)
-	}
-	eng = sim.NewWheel()
-	poolEng = make([]*sim.Engine, nd)
-	for d := range poolEng {
-		poolEng[d] = eng
-	}
-	return eng, poolEng, nil
-}
-
-// drainEngines runs the event loop to completion in whichever shape
-// simEngines produced.
-func drainEngines(eng *sim.Engine, group *sim.Group) {
-	if group != nil {
-		group.Run()
-	} else {
-		eng.Run()
-	}
-}
-
 // runCount counts Run invocations process-wide. The experiment
 // layer's caches are judged by how many simulations they avoid, so
 // the count is exported for regression tests and CLI reporting.
@@ -312,16 +263,6 @@ var runCount atomic.Uint64
 // RunCount reports the number of Run invocations so far in this
 // process.
 func RunCount() uint64 { return runCount.Load() }
-
-// runners recycles the fixed state of finished runs — engine, cores,
-// pools, ready queues, the phase slab, the noise source — so the next
-// Run on the same machine shape resets it instead of rebuilding it. A
-// sweep is tens of thousands of short runs over a handful of shapes,
-// and fresh memory for each of them cost more in page faults, cache
-// misses and collection than the construction itself. Every run, the
-// first on a runner included, starts through the same begin, and only a
-// runner whose run completed goes back.
-var runners sync.Pool
 
 // Run executes prog under the given throttler and returns the result.
 // The throttler must be freshly constructed per run (it accumulates
@@ -337,79 +278,32 @@ func Run(prog *stream.Program, cfg Config, th core.Throttler) Result {
 	if err := prog.Validate(); err != nil {
 		panic(err)
 	}
-	if cfg.SimPar && cfg.Machine.Domains() > 1 {
-		// A merge group takes fresh engines only: build, run, drop.
-		return newRunner(cfg).run(prog, cfg, th)
-	}
-	r, _ := runners.Get().(*runner)
-	if r == nil || r.cfg.Machine != cfg.Machine {
-		r = newRunner(cfg)
-	}
+	r := acquire(cfg)
 	res := r.run(prog, cfg, th)
-	runners.Put(r)
+	release(r)
 	return res
 }
 
-// memParams returns the fluid parameters of domain d: with a unified
-// memory system Mem parameterises the single pool, otherwise each
-// domain's DIMM has its own independently calibrated model.
-func (c Config) memParams(d int) contend.Params {
-	if c.Machine.Domains() > 1 {
-		return c.DomainMem[d]
-	}
-	return c.Mem
-}
-
-// newRunner builds what depends only on the machine's shape (cores,
-// SMT ways, memory domains) and on SimPar: the engines, the cores, one
-// fluid pool per domain (on its own engine when SimPar shards the run)
-// and the workers. Everything else is set by begin.
+// newRunner builds a runner and its rig for cfg's machine. What a run
+// reads of either, run sets first.
 func newRunner(cfg Config) *runner {
-	eng, poolEng, group := simEngines(cfg)
-	r := &runner{
-		cfg:   cfg,
-		eng:   eng,
-		group: group,
-		mach:  machine.New(eng, cfg.Machine),
-		noise: stats.NewNoise(0, 0),
-		tmByK: make(map[int]*stats.Welford),
-	}
+	r := &runner{rig: newRig(cfg), tmByK: make(map[int]*stats.Welford)}
 	r.memDoneFn, r.computePartFn, r.taskDoneFn = r.finishMemory, r.computePart, r.taskDone
-	nd := cfg.Machine.Domains()
-	r.doms = make([]domainReady, nd)
-	r.pools = make([]*contend.Pool, nd)
-	for d := range r.pools {
-		r.pools[d] = contend.NewPool(poolEng[d], cfg.memParams(d))
-	}
-	r.workers = make([]worker, cfg.Machine.HardwareThreads())
-	for i := range r.workers {
-		r.workers[i] = worker{id: i, core: r.mach.Core(i % cfg.Machine.Cores)}
-	}
+	r.doms = make([]domainReady, len(r.pools))
 	return r
 }
 
-// begin puts the runner in the state a run starts from. It is the only
-// way into a run, so a recycled runner and a new one cannot differ:
-// whatever a run reads, begin has set. cfg must have the machine shape
-// the runner was built for.
-func (r *runner) begin(prog *stream.Program, cfg Config, th core.Throttler) {
-	r.cfg, r.prog, r.th = cfg, prog, th
-	r.eng.Reset()
-	r.mach.Reset()
-	for d := range r.pools {
-		r.pools[d].Reset(cfg.memParams(d))
+// run resets the rig and the kernel's own state — like rig.reset, the
+// only way into a run, for new and recycled runners alike — executes
+// prog to completion and assembles the result.
+func (r *runner) run(prog *stream.Program, cfg Config, th core.Throttler) Result {
+	r.reset(cfg)
+	r.prog, r.th = prog, th
+	for d := range r.doms {
 		r.doms[d].active = 0
 		r.doms[d].scatters.reset()
 	}
 	r.readyCompute.reset()
-	for i := range r.workers {
-		r.workers[i].idle = true
-	}
-	r.llc = cache.NewLLC(cfg.LLCBytes)
-	if cfg.ResidentOverheadBytes > 0 {
-		r.llc.Reserve(cfg.ResidentOverheadBytes)
-	}
-	r.noise.Reset(cfg.NoiseSigma, cfg.Seed)
 	r.res = Result{}
 	clear(r.tmByK)
 	r.tcAgg, r.missAgg = stats.Welford{}, stats.Welford{}
@@ -417,13 +311,9 @@ func (r *runner) begin(prog *stream.Program, cfg Config, th core.Throttler) {
 	if cfg.RecordTrace {
 		r.timeline = trace.New(len(r.workers))
 	}
-}
 
-// run executes prog to completion and assembles the result.
-func (r *runner) run(prog *stream.Program, cfg Config, th core.Throttler) Result {
-	r.begin(prog, cfg, th)
 	r.enterPhase(0)
-	drainEngines(r.eng, r.group)
+	r.drain()
 
 	if r.phase < len(prog.Phases) {
 		panic(fmt.Sprintf("simsched: deadlock — run ended in phase %d/%d with %d tasks left",
@@ -633,8 +523,7 @@ func (r *runner) startMemory(w *worker, ts *taskRun, mtl int) {
 // finishMemory is the completion callback of a memory task.
 func (r *runner) finishMemory(arg any) {
 	ts := arg.(*taskRun)
-	dur := r.eng.Now() - ts.start
-	r.account(ts, dur)
+	dur := r.account(ts, r.eng.Now())
 	r.doms[ts.pair.dom].active--
 
 	switch ts.task.Kind {
@@ -650,23 +539,14 @@ func (r *runner) finishMemory(arg any) {
 	r.taskDone(ts)
 }
 
-// startCompute runs a compute task on w's core; if live footprints
-// overflow the LLC the task also drives miss traffic into the memory
-// pool and completes only when both parts finish.
+// startCompute runs a compute task on w; it completes when every part
+// of it has.
 func (r *runner) startCompute(w *worker, ts *taskRun) {
 	ts.w = w
 	ts.start = r.eng.Now()
-	missFrac := r.llc.MissFraction()
+	var missFrac float64
+	ts.pending, missFrac = r.rig.startCompute(w, ts.pair.dom, ts.pair.gatherBytes, ts.pair.computeWork, r.computePartFn, ts)
 	r.missAgg.Add(missFrac)
-
-	ts.pending = 1
-	if missFrac > 0 {
-		// Miss traffic hits the pair's home domain, where its
-		// footprint lives.
-		ts.pending++
-		r.pools[ts.pair.dom].StartFunc(missFrac*ts.pair.gatherBytes, missFrac, r.computePartFn, ts)
-	}
-	w.core.StartComputeFunc(ts.pair.computeWork, r.computePartFn, ts)
 }
 
 // computePart is the completion callback of one part of a compute
@@ -681,8 +561,7 @@ func (r *runner) computePart(arg any) {
 
 func (r *runner) finishCompute(ts *taskRun) {
 	now := r.eng.Now()
-	dur := now - ts.start
-	r.account(ts, dur)
+	dur := r.account(ts, now)
 	r.tcAgg.Add(float64(dur))
 	r.llc.Release(ts.pair.gatherBytes)
 	r.res.PairsCompleted++
@@ -713,18 +592,23 @@ func (r *runner) finishCompute(ts *taskRun) {
 	r.taskDone(ts)
 }
 
-// account records busy time and the trace segment for a finished task.
-func (r *runner) account(ts *taskRun, dur sim.Time) {
+// account records busy time and the trace segment for a task that
+// finished at now, and returns its duration. The segment ends at now
+// itself: start+(now-start) can round one ulp past it, into a task
+// admitted at the same instant.
+func (r *runner) account(ts *taskRun, now sim.Time) sim.Time {
+	dur := now - ts.start
 	r.res.BusyTime += dur
 	if r.timeline != nil {
 		r.timeline.Add(trace.Segment{
 			Thread: ts.w.id,
 			Start:  ts.start,
-			End:    ts.start + dur,
+			End:    now,
 			Label:  fmt.Sprintf("%s%d.%d", ts.task.Kind, ts.task.Phase, ts.task.Pair),
 			Memory: ts.task.Kind.IsMemory(),
 		})
 	}
+	return dur
 }
 
 // taskDone frees the worker that ran the finished task (arg is its
