@@ -28,10 +28,11 @@ HOST_BENCHES = BenchmarkHostRuntimeThroughput|BenchmarkHostRuntimeThroughput8|Be
 # amortisation win stays measured and neither path regresses.
 SERVE_BENCHES = BenchmarkHostServe64|BenchmarkHostServe128|BenchmarkHostServe256|BenchmarkHostServePerJob64|BenchmarkHostServePerJob128|BenchmarkHostServePerJob256|BenchmarkGateAdmitBatched|BenchmarkGateAdmitPerJob
 
-# Event-queue benchmarks: the timing-wheel event queue against the
-# binary-heap engine at matched depths (EngineStep* in internal/sim).
-# Pinned in BENCH_SIM.json so the wheel's O(1) step stays measured.
-SIM_BENCHES  = BenchmarkEngineStep|BenchmarkEngineStepWheel|BenchmarkEngineStepDeep256|BenchmarkEngineStepWheelDeep256
+# Event-queue benchmarks (EngineStep* in internal/sim), one per regime
+# of the merged queue: a single pending event, 256 events a tick apart
+# (a DRAM calibration: all wheel slots) and 8 events 50 us apart (a
+# simsched run: all far heap). Pinned in BENCH_SIM.json.
+SIM_BENCHES  = BenchmarkEngineStepWheel|BenchmarkEngineStepWheelDeep256|BenchmarkEngineStepSparse
 
 # Policy-plugin benchmarks: the PolicyThrottler window boundary —
 # per-class aggregation, signal harvest, Observe, decision publish —
@@ -50,12 +51,12 @@ CONTEND_BENCHES = BenchmarkContendedCounterGlobal|BenchmarkContendedCounterShare
 # zero-allocation hot paths from the PR 2 work must never regrow an
 # alloc, the warm Calibrator's adjacent re-measure joins them, and the
 # serving-path admission primitives, the policy-plugin window boundary
-# and the timing-wheel engine step stay allocation-free too.
-ZERO_ALLOC   = BenchmarkEngineStep,BenchmarkEngineStepWheel,BenchmarkDRAMAccess,BenchmarkStreamPump,BenchmarkGateAdmitBatched,BenchmarkGateAdmitPerJob,BenchmarkPolicyObserve
+# and the event-queue step, in each regime, stay allocation-free too.
+ZERO_ALLOC   = BenchmarkEngineStepWheel,BenchmarkEngineStepWheelDeep256,BenchmarkEngineStepSparse,BenchmarkDRAMAccess,BenchmarkStreamPump,BenchmarkGateAdmitBatched,BenchmarkGateAdmitPerJob,BenchmarkPolicyObserve
 
-.PHONY: check lint fmt vet layout build test race bench bench-host bench-baseline bench-check ab loc
+.PHONY: check lint fmt vet layout build test race fuzz-smoke bench bench-host bench-baseline bench-check ab loc
 
-check: lint build test race
+check: lint build test race fuzz-smoke
 
 # lint is the static gate on its own: formatting, go vet, and the
 # cache-line layout assertions over the dispatch hot structs.
@@ -102,6 +103,12 @@ race:
 	$(GO) test -race ./host/... ./internal/parallel/...
 	$(GO) test -race -run 'DiskCache|Cached|RobustnessR2' ./internal/experiments
 	$(GO) test -race -run 'TestGroup|TestWheel|TestSimPar|TestRunConcurrentRecycling' ./internal/sim ./internal/simsched
+
+# fuzz-smoke gives the event queue's differential fuzzer (the engine
+# against a plain heap, see internal/sim/wheel_test.go) fifteen seconds
+# on every check; `go test` alone only replays its seed corpus.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzEventQueue -fuzztime 15s ./internal/sim
 
 # bench runs the simulator hot-path benchmarks and reports deltas
 # against the committed baseline. bench-baseline rewrites the baseline

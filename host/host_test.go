@@ -174,7 +174,36 @@ func TestPanicDrainsSiblings(t *testing.T) {
 	}
 	defer rt.Close()
 	pairs, mem, comp, _, _, _ := makePairs(40, false)
-	pairs[0].Compute = func() { panic("early boom") }
+	// Left alone, the second worker can run all 39 sibling gathers
+	// before the first reaches pair 0's compute, and the assertion below
+	// would blame the drain for it. So the siblings wait until that
+	// compute is about to panic: the seeded FIFO hands pair 0's gather
+	// out first, its worker takes its own compute next, and every other
+	// worker is parked in a sibling until then. Once released a sibling
+	// dwells a millisecond, far longer than the panic takes to become
+	// the abort, so only siblings already started can still finish. If
+	// pair 0's compute never runs, the deadline lets the run end and
+	// fails the test instead of hanging it.
+	released := make(chan struct{})
+	deadline := time.AfterFunc(10*time.Second, func() {
+		t.Error("pair 0's compute never ran: sibling memory tasks starved it")
+		close(released)
+	})
+	defer deadline.Stop()
+	for i := 1; i < len(pairs); i++ {
+		body := pairs[i].Memory
+		pairs[i].Memory = func() {
+			<-released
+			time.Sleep(time.Millisecond)
+			body()
+		}
+	}
+	pairs[0].Compute = func() {
+		if deadline.Stop() {
+			close(released)
+		}
+		panic("early boom")
+	}
 	st, runErr := rt.Run(pairs)
 	if runErr == nil {
 		t.Fatal("panic did not surface")

@@ -21,10 +21,6 @@ func MeasureTaskTime(cfg Config, k, tasksPerStream int, footprint int) (sim.Time
 	if err := validateMeasure(cfg, k, tasksPerStream, footprint); err != nil {
 		return 0, err
 	}
-	// The wheel engine: calibration keeps hundreds of DRAM requests in
-	// flight at short fixed latencies, the timing wheel's best regime.
-	// Ordering is identical to the reference heap engine, so measured
-	// durations are bit-identical either way.
 	eng := sim.NewWheel()
 	sys := NewSystem(eng, cfg)
 	durations := measureStreams(eng, sys, k, tasksPerStream, footprint, nil)

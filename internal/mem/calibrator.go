@@ -9,7 +9,7 @@ import (
 
 // Calibrator sweeps MTL points on one reusable simulation: a single
 // engine and DRAM system are built once, and every measurement resets
-// them instead of reallocating — the event heap backing array, the
+// them instead of reallocating — the event queue's backing arrays, the
 // event and request free lists, the bank array and the per-bank
 // request rings all stay warm across points. Because a Reset engine
 // and system are bit-identical to freshly built ones, each measurement

@@ -11,6 +11,7 @@ package mem
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 
 	"memthrottle/internal/sim"
@@ -260,6 +261,16 @@ type System struct {
 	rng      *rand.Rand
 	arrivals uint64
 
+	// Address mapping (see locate). When line size, channel count,
+	// lines per row and banks per channel are all powers of two — every
+	// shipped configuration — pow2 is set and locate runs on the shifts
+	// and masks; any other geometry takes the division path.
+	pow2      bool
+	lineShift uint   // log2(LineBytes)
+	rowShift  uint   // log2(Channels * lines per row), applied to a line number
+	chMask    uint64 // Channels - 1
+	bankMask  uint64 // banks per channel - 1
+
 	// freeReqs recycles request shells (see request).
 	freeReqs []*request
 
@@ -286,8 +297,16 @@ func NewSystem(eng *sim.Engine, cfg Config) *System {
 		panic(err)
 	}
 	s := &System{cfg: cfg, eng: eng, rng: rand.New(rand.NewSource(cfg.Seed))}
+	linesPerRow, nBanks := cfg.RowBytes/cfg.LineBytes, cfg.RanksPerChannel*cfg.BanksPerRank
+	if isPow2(cfg.LineBytes) && isPow2(cfg.Channels) && isPow2(linesPerRow) && isPow2(nBanks) {
+		s.pow2 = true
+		s.lineShift = uint(bits.TrailingZeros(uint(cfg.LineBytes)))
+		s.rowShift = uint(bits.TrailingZeros(uint(cfg.Channels * linesPerRow)))
+		s.chMask = uint64(cfg.Channels - 1)
+		s.bankMask = uint64(nBanks - 1)
+	}
 	for i := 0; i < cfg.Channels; i++ {
-		ch := &channel{banks: make([]bank, cfg.RanksPerChannel*cfg.BanksPerRank)}
+		ch := &channel{banks: make([]bank, nBanks)}
 		for b := range ch.banks {
 			ch.banks[b].openRow = -1
 			ch.banks[b].ch = ch
@@ -300,6 +319,8 @@ func NewSystem(eng *sim.Engine, cfg Config) *System {
 	s.streamLineFn = s.streamLineDone
 	return s
 }
+
+func isPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
 
 // Reset returns the system to its just-built state — banks closed and
 // idle, buses free, counters zeroed, RNG reseeded from the config —
@@ -426,13 +447,18 @@ func (s *System) BusUtilization() float64 {
 // other streams at random — the conflict component of the interference
 // the paper throttles.
 func (s *System) locate(addr uint64) (chIdx, bankIdx int, row int64) {
+	const goldenGamma = 0x9E3779B97F4A7C15
+	if s.pow2 {
+		line := addr >> s.lineShift
+		rowGlobal := line >> s.rowShift
+		return int(line & s.chMask), int((rowGlobal * goldenGamma >> 32) & s.bankMask), int64(rowGlobal)
+	}
 	line := addr / uint64(s.cfg.LineBytes)
 	chIdx = int(line % uint64(s.cfg.Channels))
 	linePerCh := line / uint64(s.cfg.Channels)
 	linesPerRow := uint64(s.cfg.RowBytes / s.cfg.LineBytes)
 	rowGlobal := linePerCh / linesPerRow
 	nBanks := uint64(s.cfg.RanksPerChannel * s.cfg.BanksPerRank)
-	const goldenGamma = 0x9E3779B97F4A7C15
 	bankIdx = int((rowGlobal * goldenGamma >> 32) % nBanks)
 	row = int64(rowGlobal)
 	return
@@ -500,6 +526,14 @@ func (s *System) bankFree(x any) {
 // swap-remove cannot change which request wins.
 func (s *System) pick(bk *bank) *request {
 	q := &bk.queue
+	if q.n == 1 {
+		// A lone request is both the oldest and the only possible hit:
+		// the scan below would pick it and clear the streak.
+		bk.streak = 0
+		r := q.at(0)
+		q.removeAt(0)
+		return r
+	}
 	oldest, hit := 0, -1
 	oldestSeq := q.at(0).seq
 	var hitSeq uint64

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"memthrottle/internal/sim"
@@ -85,6 +86,54 @@ func TestLocateDisjointAndStable(t *testing.T) {
 	}
 	if len(banks) < 8 {
 		t.Errorf("64 consecutive rows hit only %d banks", len(banks))
+	}
+}
+
+// TestLocateShiftMatchesDivision holds the shift-and-mask path to the
+// division formula it replaces, on random addresses, and checks that a
+// geometry with any non-power-of-two dimension is routed to the
+// division path instead.
+func TestLocateShiftMatchesDivision(t *testing.T) {
+	byDivision := func(cfg Config, addr uint64) (int, int, int64) {
+		line := addr / uint64(cfg.LineBytes)
+		rowGlobal := line / uint64(cfg.Channels) / uint64(cfg.RowBytes/cfg.LineBytes)
+		nBanks := uint64(cfg.RanksPerChannel * cfg.BanksPerRank)
+		return int(line % uint64(cfg.Channels)), int((rowGlobal * 0x9E3779B97F4A7C15 >> 32) % nBanks), int64(rowGlobal)
+	}
+	geometry := func(channels, ranks, banks, lineBytes, linesPerRow int) Config {
+		cfg := DDR3_1066()
+		cfg.Channels, cfg.RanksPerChannel, cfg.BanksPerRank = channels, ranks, banks
+		cfg.LineBytes, cfg.RowBytes = lineBytes, lineBytes*linesPerRow
+		return cfg
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		pow2 bool
+	}{
+		{"ddr3_1066", DDR3_1066(), true},
+		{"2 channels", DDR3_1066().WithChannels(2), true},
+		{"4ch 32 banks 128B lines", geometry(4, 4, 8, 128, 256), true},
+		{"1 bank 1 line per row", geometry(1, 1, 1, 64, 1), true},
+		{"3ch 12 banks 96 lines per row", geometry(3, 2, 6, 64, 96), false},
+		{"3 channels only", geometry(3, 2, 8, 64, 128), false},
+		{"12 banks only", geometry(1, 2, 6, 64, 128), false},
+		{"96 lines per row only", geometry(1, 2, 8, 64, 96), false},
+		{"48B lines only", geometry(1, 2, 8, 48, 128), false},
+	} {
+		s := NewSystem(sim.New(), tc.cfg)
+		if s.pow2 != tc.pow2 {
+			t.Errorf("%s: shift path chosen = %v, want %v", tc.name, s.pow2, tc.pow2)
+		}
+		rng := rand.New(rand.NewSource(1))
+		for i := 0; i < 100_000; i++ {
+			addr := rng.Uint64() >> uint(rng.Intn(40)) // all magnitudes, unaligned
+			ch, bk, row := s.locate(addr)
+			wch, wbk, wrow := byDivision(tc.cfg, addr)
+			if ch != wch || bk != wbk || row != wrow {
+				t.Fatalf("%s: locate(%#x) = (%d, %d, %d), division gives (%d, %d, %d)", tc.name, addr, ch, bk, row, wch, wbk, wrow)
+			}
+		}
 	}
 }
 
@@ -280,6 +329,57 @@ func TestFRFCFSStreakCapPreventsStarvation(t *testing.T) {
 	}
 	if hitsBefore > cfg.HitStreakCap {
 		t.Errorf("%d hits bypassed the conflict, cap is %d", hitsBefore, cfg.HitStreakCap)
+	}
+}
+
+// TestPickMatchesScan compares pick with the FR-FCFS rule written out
+// as a plain scan, over random bank states: the request chosen and the
+// hit streak left behind. Queues of one request — which pick answers
+// without scanning — come up as hits and as non-hits, with the streak
+// at, below and above the cap.
+func TestPickMatchesScan(t *testing.T) {
+	cfg := detCfg()
+	s := NewSystem(sim.New(), cfg)
+	scan := func(bk *bank) (seq uint64, streak int) {
+		oldest, hit := -1, -1
+		for i := 0; i < bk.queue.Len(); i++ {
+			r := bk.queue.at(i)
+			if oldest < 0 || r.seq < bk.queue.at(oldest).seq {
+				oldest = i
+			}
+			if r.row == bk.openRow && (hit < 0 || r.seq < bk.queue.at(hit).seq) {
+				hit = i
+			}
+		}
+		switch {
+		case hit < 0 || hit == oldest:
+			return bk.queue.at(oldest).seq, 0
+		case bk.streak < cfg.HitStreakCap:
+			return bk.queue.at(hit).seq, bk.streak + 1
+		default:
+			return bk.queue.at(oldest).seq, 0
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	lone := map[bool]int{}
+	for trial := 0; trial < 20_000; trial++ {
+		bk := &bank{openRow: int64(rng.Intn(3)) - 1, streak: rng.Intn(cfg.HitStreakCap + 2)}
+		n := 1 + rng.Intn(5)
+		for _, seq := range rng.Perm(n) {
+			bk.queue.push(&request{seq: uint64(seq), row: int64(rng.Intn(2))})
+		}
+		if n == 1 {
+			lone[bk.queue.at(0).row == bk.openRow]++
+		}
+		wantSeq, wantStreak := scan(bk)
+		got := s.pick(bk)
+		if got.seq != wantSeq || bk.streak != wantStreak || bk.queue.Len() != n-1 {
+			t.Fatalf("trial %d (n=%d): picked seq %d, streak %d, %d left; scan says seq %d, streak %d, %d left",
+				trial, n, got.seq, bk.streak, bk.queue.Len(), wantSeq, wantStreak, n-1)
+		}
+	}
+	if lone[true] == 0 || lone[false] == 0 {
+		t.Fatalf("one-request queues: %d hits, %d non-hits; want both", lone[true], lone[false])
 	}
 }
 

@@ -7,11 +7,12 @@
 // scheduled for the same instant fire in insertion order, so repeated
 // runs with the same inputs produce identical traces.
 //
-// The queue is a specialized indexed 4-ary min-heap over *Event — no
+// The queue (wheel.go) is a near-horizon timing wheel merged with an
+// indexed 4-ary min-heap over *Event for everything further out — no
 // container/heap, no interface boxing on push/pop. Combined with the
 // event free list and the pre-bound AtFunc/AfterFunc callback path,
 // the steady-state schedule/fire cycle runs allocation-free (see
-// BenchmarkEngineStep and TestEngineSteadyStateZeroAlloc).
+// BenchmarkEngineStepWheel and TestEngineSteadyStateZeroAlloc).
 package sim
 
 import (
@@ -67,14 +68,13 @@ type Event struct {
 	afn func(any)
 	arg any
 
-	index int // heap index, or position in a wheel's current bucket; -1 once removed
+	index int // position in the far heap; -1 when not there
 
-	// next/prev chain the event into a timing-wheel slot list; loc says
-	// which structure currently holds the event (a wheel slot code, or
-	// one of the loc* constants). Heap-backed engines only ever use
-	// locHeap/locNone.
-	next, prev *Event
-	loc        int32
+	// next chains the event into a timing-wheel slot list; loc says
+	// which structure currently holds the event (a wheel slot index, or
+	// one of the loc* constants).
+	next *Event
+	loc  int32
 
 	dead   bool
 	engine *Engine
@@ -92,11 +92,7 @@ func (e *Event) Cancel() {
 	eng := e.engine
 	switch e.loc {
 	case locHeap:
-		if eng.wheel != nil {
-			eng.wheel.over.remove(e.index)
-		} else {
-			eng.queue.remove(e.index)
-		}
+		eng.wheel.far.remove(e.index)
 	case locCur:
 		eng.wheel.removeCur(e)
 	default:
@@ -106,10 +102,12 @@ func (e *Event) Cancel() {
 	eng.recycle(e)
 }
 
-// eventQueue is an indexed 4-ary min-heap ordered by (due, seq). The
-// wide fan-out halves the tree depth of the binary heap it replaces,
-// and operating on *Event directly (instead of through heap.Interface)
-// removes the any-boxing and virtual calls from every push and pop.
+// eventQueue is an indexed 4-ary min-heap ordered by (due, seq): the
+// engine's store for events beyond the wheel's window, and on its own
+// the reference the merged queue is tested against. The wide fan-out
+// halves the tree depth of a binary heap, and operating on *Event
+// directly (instead of through heap.Interface) removes the any-boxing
+// and virtual calls from every push and pop.
 type eventQueue struct {
 	ev []*Event
 }
@@ -211,21 +209,14 @@ func (q *eventQueue) siftDown(i int) {
 	e.index = i
 }
 
-// Engine is a discrete-event simulator. The zero value is ready to use
-// and is heap-backed; NewWheel builds a timing-wheel-backed engine with
-// identical semantics.
+// Engine is a discrete-event simulator. The zero value is ready to use.
 type Engine struct {
 	now     Time
 	seq     uint64
-	queue   eventQueue
 	stopped bool
 
-	// wheel, when non-nil, replaces queue as the event store. Both
-	// orderings are identical — (due, seq) — so the two backends are
-	// observationally equivalent; the wheel trades the heap's O(log n)
-	// sifts for O(1) bucket operations on the short-latency traffic
-	// that dominates DRAM simulation.
-	wheel *timingWheel
+	// wheel is the event queue: see wheel.go.
+	wheel timingWheel
 
 	// gseq, when set by a Group, replaces the engine-local sequence
 	// counter so events allocated across the group's engines are
@@ -234,22 +225,16 @@ type Engine struct {
 
 	// free recycles fired/cancelled events: the simulation hot path
 	// schedules and retires millions of events per run, and reusing
-	// them keeps Step allocation-free (see BenchmarkEngineStep).
+	// them keeps Step allocation-free (see BenchmarkEngineStepWheel).
 	free []*Event
 }
 
 // New returns a fresh engine with the clock at zero.
 func New() *Engine { return &Engine{} }
 
-// NewWheel returns a fresh engine whose event queue is the hierarchical
-// timing wheel (see wheel.go) with the default 64 ns tick. Ordering and
-// determinism are identical to New; only the complexity profile differs.
-func NewWheel() *Engine { return NewWheelTick(DefaultWheelTick) }
-
-// NewWheelTick is NewWheel with an explicit level-0 bucket width.
-func NewWheelTick(tick Time) *Engine {
-	return &Engine{wheel: newTimingWheel(tick)}
-}
+// NewWheel is New: every engine runs on the wheel-and-heap queue of
+// wheel.go, and callers use either name.
+func NewWheel() *Engine { return New() }
 
 // Now reports the current virtual time.
 func (e *Engine) Now() Time { return e.now }
@@ -291,46 +276,12 @@ func (e *Engine) alloc(t Time) *Event {
 	return ev
 }
 
-// schedule routes a freshly allocated event into whichever queue
-// backend this engine uses.
-func (e *Engine) schedule(ev *Event) {
-	if e.wheel != nil {
-		e.wheel.insert(ev)
-	} else {
-		e.queue.push(ev)
-	}
-}
-
-// peekNext returns the next event to fire without consuming it, or nil
-// when the engine is idle. On a wheel engine this may rotate buckets
-// forward, but never changes what fires or in what order.
-func (e *Engine) peekNext() *Event {
-	if e.wheel != nil {
-		return e.wheel.peek()
-	}
-	if len(e.queue.ev) == 0 {
-		return nil
-	}
-	return e.queue.ev[0]
-}
-
-// popNext consumes and returns the next event, or nil when idle.
-func (e *Engine) popNext() *Event {
-	if e.wheel != nil {
-		return e.wheel.pop()
-	}
-	if len(e.queue.ev) == 0 {
-		return nil
-	}
-	return e.queue.pop()
-}
-
 // At schedules fn to run at absolute time t. Scheduling in the past
 // panics: it would silently corrupt causality.
 func (e *Engine) At(t Time, fn func()) *Event {
 	ev := e.alloc(t)
 	ev.fn = fn
-	e.schedule(ev)
+	e.wheel.insert(ev)
 	return ev
 }
 
@@ -351,7 +302,7 @@ func (e *Engine) AtFunc(t Time, fn func(any), arg any) *Event {
 	ev := e.alloc(t)
 	ev.afn = fn
 	ev.arg = arg
-	e.schedule(ev)
+	e.wheel.insert(ev)
 	return ev
 }
 
@@ -369,40 +320,31 @@ func (e *Engine) Stop() { e.stopped = true }
 
 // Reset returns the engine to its initial state — clock at zero,
 // sequence counter at zero, queue empty — while keeping the grown
-// event free list and heap backing array. Any still-queued events are
-// cancelled and recycled. A reset engine behaves bit-identically to a
-// fresh one (event ordering depends only on (due, seq), both of which
-// restart from zero), which is what lets warm-start calibration reuse
-// one engine across measurements without perturbing a single result.
+// event free list and the queue's backing arrays. Any still-queued
+// events are cancelled and recycled. A reset engine behaves
+// bit-identically to a fresh one (event ordering depends only on
+// (due, seq), both of which restart from zero), which is what lets
+// warm-start calibration reuse one engine across measurements without
+// perturbing a single result.
 func (e *Engine) Reset() {
-	if e.wheel != nil {
-		e.wheel.reset(e.recycle)
-	} else {
-		for _, ev := range e.queue.ev {
-			ev.index = -1
-			ev.loc = locNone
-			ev.dead = true
-			e.recycle(ev)
-		}
-		e.queue.ev = e.queue.ev[:0]
-	}
+	e.wheel.reset(func(ev *Event) {
+		ev.index = -1
+		ev.loc = locNone
+		ev.dead = true
+		e.recycle(ev)
+	})
 	e.now = 0
 	e.seq = 0
 	e.stopped = false
 }
 
 // Pending reports the number of events still queued.
-func (e *Engine) Pending() int {
-	if e.wheel != nil {
-		return e.wheel.pending()
-	}
-	return e.queue.len()
-}
+func (e *Engine) Pending() int { return e.wheel.pending() }
 
 // Step fires the next event, advancing the clock to its due time.
 // It reports false if the queue is empty.
 func (e *Engine) Step() bool {
-	ev := e.popNext()
+	ev := e.wheel.pop()
 	if ev == nil {
 		return false
 	}
@@ -435,7 +377,7 @@ func (e *Engine) Run() Time {
 func (e *Engine) RunUntil(deadline Time) Time {
 	e.stopped = false
 	for !e.stopped {
-		ev := e.peekNext()
+		ev := e.wheel.peek()
 		if ev == nil || ev.due > deadline {
 			break
 		}
@@ -450,7 +392,7 @@ func (e *Engine) RunUntil(deadline Time) Time {
 // NextDue reports the due time and sequence number of the next pending
 // event. ok is false when the engine is idle.
 func (e *Engine) NextDue() (due Time, seq uint64, ok bool) {
-	ev := e.peekNext()
+	ev := e.wheel.peek()
 	if ev == nil {
 		return 0, 0, false
 	}
@@ -465,7 +407,7 @@ func (e *Engine) SyncTo(t Time) {
 	if t <= e.now {
 		return
 	}
-	if ev := e.peekNext(); ev != nil && ev.due < t {
+	if ev := e.wheel.peek(); ev != nil && ev.due < t {
 		panic(fmt.Sprintf("sim: SyncTo %v past pending event at %v", t, ev.due))
 	}
 	e.now = t

@@ -13,7 +13,7 @@ type hop struct {
 // the next engine with a small (sometimes zero) delay, so the trace is
 // full of same-instant ties that cross engine boundaries. Passing the
 // same engine D times yields the single-engine reference.
-func chainModel(engines []*Engine, chains, hops int, trace *[]hop) {
+func chainModel(engines []*Engine, unit Time, chains, hops int, trace *[]hop) {
 	for c := 0; c < chains; c++ {
 		c := c
 		var step func(int, Time)
@@ -24,12 +24,12 @@ func chainModel(engines []*Engine, chains, hops int, trace *[]hop) {
 				if n+1 < hops {
 					// Delay pattern includes 0 — a same-instant hop onto
 					// a different engine, the hardest tie to preserve.
-					d := Time((c+n)%3) * Nanosecond
+					d := Time((c+n)%3) * unit
 					step(n+1, e.Now()+d)
 				}
 			})
 		}
-		step(0, Time(c)*Nanosecond)
+		step(0, Time(c)*unit)
 	}
 }
 
@@ -38,32 +38,34 @@ func chainModel(engines []*Engine, chains, hops int, trace *[]hop) {
 // byte-identical to one engine running everything, including
 // same-instant cross-engine tie-breaks.
 func TestGroupMergeMatchesSingle(t *testing.T) {
-	single := func(mk func() *Engine) []hop {
-		e := mk()
+	single := func(unit Time) []hop {
+		e := New()
 		var trace []hop
-		chainModel([]*Engine{e, e, e}, 7, 40, &trace)
+		chainModel([]*Engine{e, e, e}, unit, 7, 40, &trace)
 		e.Run()
 		return trace
 	}
-	grouped := func(mk func() *Engine, domains int) []hop {
+	grouped := func(unit Time, domains int) []hop {
 		engines := make([]*Engine, domains)
 		for i := range engines {
-			engines[i] = mk()
+			engines[i] = New()
 		}
 		g := NewGroup(engines...)
 		var trace []hop
-		chainModel(engines, 7, 40, &trace)
+		chainModel(engines, unit, 7, 40, &trace)
 		g.Run()
 		return trace
 	}
-	for name, mk := range map[string]func() *Engine{"heap": New, "wheel": NewWheel} {
+	// The same hops at two scales: nanoseconds apart they wait in wheel
+	// slots, tens of microseconds apart in the far heaps.
+	for name, unit := range map[string]Time{"heap": 10 * Microsecond, "wheel": Nanosecond} {
 		t.Run(name, func(t *testing.T) {
-			ref := single(mk)
+			ref := single(unit)
 			if len(ref) != 7*40 {
 				t.Fatalf("reference fired %d hops, want %d", len(ref), 7*40)
 			}
 			for _, domains := range []int{1, 2, 3} {
-				got := grouped(mk, domains)
+				got := grouped(unit, domains)
 				if len(got) != len(ref) {
 					t.Fatalf("domains=%d: fired %d hops, want %d", domains, len(got), len(ref))
 				}
@@ -96,6 +98,32 @@ func TestGroupMergeSyncsClocks(t *testing.T) {
 	}
 	if a.Now() != want || b.Now() != want {
 		t.Fatalf("final clocks a=%v b=%v, want both %v", a.Now(), b.Now(), want)
+	}
+}
+
+// TestGroupInsertBehindDrainedBucket: Run asks every engine for its
+// next due time, which drains b's next slot into its firing bucket and
+// moves b's cursor past it, long before b's turn. When a's callback
+// then schedules onto b at an earlier time, the event is behind b's
+// cursor; it must be sorted in ahead of the drained one.
+func TestGroupInsertBehindDrainedBucket(t *testing.T) {
+	a, b := New(), New()
+	g := NewGroup(a, b)
+	var got []int
+	drained := b.At(Microsecond, func() { got = append(got, 2) })
+	a.At(100*Nanosecond, func() {
+		got = append(got, 0)
+		if drained.loc != locCur {
+			t.Errorf("b's pending event loc = %d, want the firing bucket", drained.loc)
+		}
+		ev := b.AfterFunc(50*Nanosecond, func(any) { got = append(got, 1) }, nil)
+		if ev.loc != locCur {
+			t.Errorf("cross-engine event loc = %d, want the firing bucket", ev.loc)
+		}
+	})
+	g.Run()
+	if len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 2 {
+		t.Fatalf("fired %v, want [0 1 2]", got)
 	}
 }
 

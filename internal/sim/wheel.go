@@ -5,169 +5,152 @@ import (
 	"slices"
 )
 
-// This file implements the hierarchical timing-wheel event queue — the
-// O(1) alternative to the indexed 4-ary heap for the simulation hot
-// path. DRAM traffic schedules almost exclusively at short fixed
-// latencies (bank busy, channel transfer, stream-pump quanta, the
-// fluid pool's next-completion horizon), so nearly every event lands
-// within a few microseconds of the clock: a wheel turns those
-// schedule/cancel/fire operations into array indexing where the heap
-// pays a sift per operation.
+// This file implements the engine's event queue: one near-horizon
+// timing wheel merged, at every pop, with a far 4-ary heap.
 //
-// Layout: two wheel levels of 256 slots each over a 64 ns tick —
-// level 0 resolves single ticks across a 16.4 µs window, level 1
-// resolves 256-tick spans across a 4.2 ms window — plus an overflow
-// min-heap (the existing eventQueue) for the sparse far future.
-// Per-level occupancy bitmaps make "next non-empty slot" a handful of
-// trailing-zero scans.
+// The two kinds of traffic the engine carries want opposite things.
+// DRAM simulation schedules at short fixed latencies (bank busy, burst,
+// front end, think time: 2-58 ns), hundreds of events in flight, and
+// is best served by array indexing; the fluid scheduler model keeps a
+// handful of events tens of microseconds apart, where a small heap
+// beats any wheel that has to carry them down through coarser levels.
+// So each event is routed by its own distance from the cursor:
 //
-// Determinism contract (see DESIGN.md): the wheel fires events in
-// exactly the heap's (due, seq) order. Bucketing is order-preserving
-// because the tick index floor(due/tick) is monotone in due, every
-// level-0 slot of the live window holds exactly one tick index, and a
-// drained bucket is sorted by (due, seq) before any of it fires. Events
-// scheduled for the bucket currently firing (due == now is the common
-// case: callbacks chaining work at the same instant) are inserted into
-// the sorted residue of that bucket, where their fresh sequence numbers
-// place them after every already-queued event at the same due time —
-// precisely the heap's insertion-order tie-break.
+//   - inside the window — wheelSlots ticks of DefaultWheelTick from the
+//     cursor, a ring indexed by tick&wheelMask — it is linked into its
+//     tick's slot, and an occupancy bitmap makes "next non-empty slot"
+//     a few trailing-zero scans;
+//   - beyond the window it goes to the far heap and fires *from* the
+//     heap: nothing is ever moved from one store to the other.
+//
+// pop and peek take the (due, seq) minimum of the wheel's head and the
+// heap's root.
+//
+// Determinism contract (see DESIGN.md §7): events fire in exactly the
+// (due, seq) order of a single heap. The tick index floor(due/tick) is
+// monotone in due and every slot of the sliding window holds exactly
+// one tick index, so a smaller tick means a strictly earlier due time;
+// a drained slot is sorted by (due, seq) before any of it fires; an
+// event whose tick is already behind the cursor (due == now is the
+// common case: callbacks chaining work at the same instant) is inserted
+// into the sorted residue of the firing bucket, where its fresh
+// sequence number places it after every queued event at the same due
+// time; and the heap root is compared with the wheel head by the same
+// before() at every pop. Where the cursor stands therefore only decides
+// which store an event waits in, never when it fires.
 const (
-	wheelBits   = 8
-	wheelSlots  = 1 << wheelBits // slots per level
-	wheelMask   = wheelSlots - 1
-	wheelLevels = 2
-	wheelWords  = wheelSlots / 64 // occupancy bitmap words per level
-
-	// wheelSpan1 is the tick span of one full level-1 rotation: events
-	// beyond it from the current window go to the overflow heap.
-	wheelSpan1 = wheelSlots * wheelSlots
+	wheelSlots = 512 // ticks in the near window; a power of two
+	wheelMask  = wheelSlots - 1
+	wheelWords = wheelSlots / 64 // occupancy bitmap words
 )
 
-// DefaultWheelTick is the level-0 bucket width. 64 ns comfortably
-// separates DRAM command timings (tens of ns) while level 1 still
-// covers millisecond-scale task completions and arrival gaps.
-const DefaultWheelTick = 64 * Nanosecond
+// DefaultWheelTick is the slot width, the queue's one constant. At
+// 4 ns a DRAM calibration's buckets hold one or two events (DESIGN.md
+// §7 has the table behind the number) and the 512-slot window spans
+// 2 µs, past every DRAM latency including a refresh stall.
+const DefaultWheelTick = 4 * Nanosecond
 
-// Event location codes stored in Event.loc. Non-negative values encode
-// a wheel slot as level<<wheelBits | slot.
+// wheelInvTick is ticks per second: tickOf(t) = floor(t*wheelInvTick).
+const wheelInvTick = 1 / float64(DefaultWheelTick)
+
+// Event location codes stored in Event.loc. Non-negative values are
+// wheel slot indices.
 const (
 	locNone int32 = -1 // not queued (fired, cancelled, or fresh)
-	locHeap int32 = -2 // in the heap (main queue, or wheel overflow)
-	locCur  int32 = -3 // in the wheel's sorted current bucket
+	locHeap int32 = -2 // in the far heap
+	locCur  int32 = -3 // in the wheel's sorted firing bucket
 )
 
-// timingWheel is the wheel state hung off an Engine built by NewWheel.
+// timingWheel is the Engine's event queue. The zero value is empty and
+// ready to use.
 type timingWheel struct {
-	invTick float64 // ticks per second: tickOf(t) = floor(t*invTick)
+	// cursor is the first tick of the window: slots hold ticks in
+	// [cursor, cursor+wheelSlots), every event of an earlier tick has
+	// fired or sits in cur.
+	cursor uint64
 
-	// cursor is the next tick index to drain: every event with a
-	// smaller tick index has fired or sits in cur.
-	cursor  uint64
-	curTick uint64
-
-	slots [wheelLevels][wheelSlots]*Event
-	occ   [wheelLevels][wheelWords]uint64
+	slots [wheelSlots]*Event
+	occ   [wheelWords]uint64
 
 	// cur is the bucket being fired, sorted by (due, seq); curPos is
-	// the next position to pop. Event.index tracks positions so cancel
-	// stays O(bucket).
+	// the next position to pop.
 	cur    []*Event
 	curPos int
 
-	// count is the number of events in slots plus the live tail of cur.
-	count int
+	// near is the number of events in slots plus the live tail of cur.
+	near int
 
-	// over holds events beyond the level-1 window; it drains into the
-	// wheels as the windows rotate over it.
-	over eventQueue
+	// far holds events scheduled beyond the window.
+	far eventQueue
 }
 
-func newTimingWheel(tick Time) *timingWheel {
-	if tick <= 0 {
-		panic("sim: wheel tick must be positive")
-	}
-	return &timingWheel{invTick: 1 / float64(tick)}
-}
+// maxWheelTick guards the float-to-uint conversion: anything past it
+// (including Never) saturates to maxWheelTickIdx, which no window
+// reaches, and waits in the far heap.
+const (
+	maxWheelTick    = float64(1 << 62)
+	maxWheelTickIdx = ^uint64(0)
+)
 
 // tickOf maps an absolute time to its tick index. The conversion is
 // monotone (IEEE multiply and floor both are), which is all bucketing
 // needs; boundary rounding merely moves an event between adjacent
 // buckets whose drain order still respects (due, seq).
-func (w *timingWheel) tickOf(t Time) uint64 {
-	f := float64(t) * w.invTick
+func tickOf(t Time) uint64 {
+	f := float64(t) * wheelInvTick
 	if f >= maxWheelTick {
 		return maxWheelTickIdx
 	}
 	return uint64(f)
 }
 
-// maxWheelTick guards the float-to-uint conversion: anything past it
-// (including Never) saturates to maxWheelTickIdx and lives in the
-// overflow heap forever.
-const (
-	maxWheelTick    = float64(1 << 62)
-	maxWheelTickIdx = ^uint64(0)
-)
-
-// insert routes an event to the current bucket, a wheel slot, or the
-// overflow heap.
+// insert routes an event to the firing bucket, a wheel slot, or the
+// far heap.
 func (w *timingWheel) insert(e *Event) {
-	ti := w.tickOf(e.due)
-	if ti < w.cursor {
-		// The bucket for this tick is the one currently firing (the
-		// engine clock is inside it). Join its sorted residue.
-		w.insertCur(e)
-		return
-	}
-	base0End := (w.cursor &^ wheelMask) + wheelSlots
+	ti := tickOf(e.due)
 	switch {
-	case ti < base0End:
-		w.link(0, int(ti&wheelMask), e)
-	case ti < (w.cursor&^(wheelSpan1-1))+wheelSpan1:
-		w.link(1, int((ti>>wheelBits)&wheelMask), e)
+	case ti < w.cursor:
+		w.insertCur(e)
+	case ti-w.cursor < wheelSlots:
+		slot := int(ti & wheelMask)
+		e.loc = int32(slot)
+		e.next = w.slots[slot]
+		w.slots[slot] = e
+		w.occ[slot>>6] |= 1 << uint(slot&63)
+		w.near++
 	default:
-		w.over.push(e)
+		w.far.push(e)
 	}
 }
 
-// link prepends e to the slot list and marks occupancy.
-func (w *timingWheel) link(level, slot int, e *Event) {
-	e.loc = int32(level<<wheelBits | slot)
-	e.prev = nil
-	e.next = w.slots[level][slot]
-	if e.next != nil {
-		e.next.prev = e
-	}
-	w.slots[level][slot] = e
-	w.occ[level][slot>>6] |= 1 << uint(slot&63)
-	w.count++
-}
-
-// unlink removes e from its slot list, clearing occupancy if the slot
-// empties.
+// unlink removes a cancelled event from its slot list, clearing
+// occupancy if the slot empties. The lists are singly linked — a slot
+// holds an event or two, and insert and drain run far more often than
+// Cancel finds its event still in a slot — so it walks from the head.
 func (w *timingWheel) unlink(e *Event) {
-	level := int(e.loc) >> wheelBits
-	slot := int(e.loc) & wheelMask
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		w.slots[level][slot] = e.next
+	slot := int(e.loc)
+	p := &w.slots[slot]
+	for *p != e {
+		p = &(*p).next
 	}
-	if e.next != nil {
-		e.next.prev = e.prev
+	*p = e.next
+	if w.slots[slot] == nil {
+		w.occ[slot>>6] &^= 1 << uint(slot&63)
 	}
-	if w.slots[level][slot] == nil {
-		w.occ[level][slot>>6] &^= 1 << uint(slot&63)
-	}
-	e.next, e.prev = nil, nil
+	e.next = nil
 	e.loc = locNone
-	w.count--
+	w.near--
 }
 
-// insertCur places e into the sorted live tail of the current bucket.
+// insertCur places e into the sorted live tail of the firing bucket.
 // Positions before curPos have fired; e belongs after them because its
 // due is >= now and its seq is newer than everything already there.
 func (w *timingWheel) insertCur(e *Event) {
+	if w.curPos == len(w.cur) {
+		// Nothing live: start over, so a chain of such inserts (far
+		// events re-arming at their own instant) cannot grow cur.
+		w.cur, w.curPos = w.cur[:0], 0
+	}
 	i := len(w.cur)
 	for i > w.curPos && before(e, w.cur[i-1]) {
 		i--
@@ -175,119 +158,61 @@ func (w *timingWheel) insertCur(e *Event) {
 	w.cur = append(w.cur, nil)
 	copy(w.cur[i+1:], w.cur[i:])
 	w.cur[i] = e
-	for j := i; j < len(w.cur); j++ {
-		w.cur[j].index = j
-	}
 	e.loc = locCur
-	w.count++
+	w.near++
 }
 
 // removeCur deletes a cancelled event from the live tail of cur.
 func (w *timingWheel) removeCur(e *Event) {
-	i := e.index
+	i := w.curPos
+	for w.cur[i] != e {
+		i++
+	}
 	copy(w.cur[i:], w.cur[i+1:])
 	w.cur[len(w.cur)-1] = nil
 	w.cur = w.cur[:len(w.cur)-1]
-	for j := i; j < len(w.cur); j++ {
-		w.cur[j].index = j
-	}
-	e.index = -1
 	e.loc = locNone
-	w.count--
+	w.near--
 }
 
-// scanOcc returns the first occupied slot >= from at the given level,
-// or -1.
-func (w *timingWheel) scanOcc(level, from int) int {
-	word := from >> 6
-	bits64 := w.occ[level][word] &^ ((1 << uint(from&63)) - 1)
-	for {
-		if bits64 != 0 {
-			return word<<6 + bits.TrailingZeros64(bits64)
-		}
-		word++
-		if word >= wheelWords {
-			return -1
-		}
-		bits64 = w.occ[level][word]
+// nextTick returns the tick of the first occupied slot at or after the
+// cursor, scanning the ring once around. At least one slot must be
+// occupied.
+func (w *timingWheel) nextTick() uint64 {
+	start := int(w.cursor & wheelMask)
+	word := start >> 6
+	b := w.occ[word] &^ (1<<uint(start&63) - 1)
+	for b == 0 {
+		word = (word + 1) & (wheelWords - 1)
+		b = w.occ[word]
 	}
+	slot := word<<6 + bits.TrailingZeros64(b)
+	return w.cursor + uint64((slot-start)&wheelMask)
 }
 
-// advance drains the next non-empty bucket into cur, cascading level-1
-// slots and overflow-heap spans down as the windows rotate. It reports
-// false when no events remain anywhere.
-func (w *timingWheel) advance() bool {
-	w.cur = w.cur[:0]
-	w.curPos = 0
-	for {
-		if w.count == 0 {
-			if w.over.len() == 0 {
-				return false
-			}
-			// Wheels empty: rotate both windows straight to the
-			// overflow's earliest span instead of stepping 256 ticks at
-			// a time through dead air.
-			ti := w.tickOf(w.over.ev[0].due)
-			if ti >= maxWheelTickIdx-wheelSpan1 {
-				// Beyond the representable wheel horizon (Never and
-				// friends): the window arithmetic would wrap, and the
-				// overflow heap is the only store holding events — pop
-				// its minimum straight into the firing position.
-				e := w.over.pop()
-				e.loc = locCur
-				e.index = 0
-				w.cur = append(w.cur, e)
-				w.count++
-				return true
-			}
-			if c := ti &^ wheelMask; c > w.cursor {
-				w.cursor = c
-			}
-			w.refillFromHeap()
-			continue
-		}
-		// Pull the cursor's surroundings down before scanning: the
-		// overflow span of the current level-1 rotation, then the
-		// level-1 slot covering the current level-0 window. Both pulls
-		// are cheap no-ops when already done, and doing them here — not
-		// only on the incremental step below — matters because
-		// drainSlot0 can land the cursor exactly on a window or
-		// rotation boundary (the drained tick was the window's last),
-		// which the incremental step would otherwise walk straight
-		// past, stranding that window's events for a full rotation.
-		w.refillFromHeap()
-		if s1 := int((w.cursor >> wheelBits) & wheelMask); w.slots[1][s1] != nil {
-			w.spillLevel1(s1)
-		}
-		// Nearest level-0 slot in the live window.
-		if s := w.scanOcc(0, int(w.cursor&wheelMask)); s >= 0 {
-			ti := (w.cursor &^ wheelMask) | uint64(s)
-			w.drainSlot0(s, ti)
-			return true
-		}
-		// Level-0 window exhausted: move to the next one.
-		w.cursor = (w.cursor &^ wheelMask) + wheelSlots
-	}
-}
-
-// drainSlot0 moves the level-0 slot's list — all events of one tick —
-// into cur, sorted by (due, seq). Buckets are usually small (DRAM
-// latencies collide on a handful of events per tick), so an in-place
-// insertion sort wins; past a threshold it falls back to pdqsort. Both
-// are allocation-free, and stability is irrelevant because (due, seq)
-// is a total order.
-func (w *timingWheel) drainSlot0(slot int, ti uint64) {
-	e := w.slots[0][slot]
-	w.slots[0][slot] = nil
-	w.occ[0][slot>>6] &^= 1 << uint(slot&63)
+// drain moves the next occupied slot's list — all events of one tick —
+// into cur, sorted by (due, seq), and steps the cursor past it. A
+// lone event, the usual case at this tick width, needs no sort; small
+// buckets get an in-place insertion sort, and past a threshold (ties
+// by the hundred when a model runs without jitter) pdqsort. Both are
+// allocation-free, and stability is irrelevant because (due, seq) is a
+// total order.
+func (w *timingWheel) drain() {
+	ti := w.nextTick()
+	slot := int(ti & wheelMask)
+	e := w.slots[slot]
+	w.slots[slot] = nil
+	w.occ[slot>>6] &^= 1 << uint(slot&63)
+	w.cursor = ti + 1
+	cur := w.cur[:0]
 	for e != nil {
 		next := e.next
-		e.next, e.prev = nil, nil
+		e.next = nil
 		e.loc = locCur
-		w.cur = append(w.cur, e)
+		cur = append(cur, e)
 		e = next
 	}
-	cur := w.cur
+	w.cur, w.curPos = cur, 0
 	if len(cur) <= 16 {
 		for i := 1; i < len(cur); i++ {
 			ev := cur[i]
@@ -301,11 +226,6 @@ func (w *timingWheel) drainSlot0(slot int, ti uint64) {
 	} else {
 		slices.SortFunc(cur, cmpEvent)
 	}
-	for j := range cur {
-		cur[j].index = j
-	}
-	w.curTick = ti
-	w.cursor = ti + 1
 }
 
 // cmpEvent orders events by (due, seq) for slices.SortFunc.
@@ -320,93 +240,69 @@ func cmpEvent(a, b *Event) int {
 	}
 }
 
-// spillLevel1 redistributes one level-1 slot — exactly one level-0
-// window's worth of ticks — into level-0 slots.
-func (w *timingWheel) spillLevel1(slot int) {
-	e := w.slots[1][slot]
-	w.slots[1][slot] = nil
-	w.occ[1][slot>>6] &^= 1 << uint(slot&63)
-	for e != nil {
-		next := e.next
-		e.next, e.prev = nil, nil
-		w.count-- // link re-counts it
-		w.link(0, int(w.tickOf(e.due)&wheelMask), e)
-		e = next
-	}
-}
-
-// refillFromHeap drains overflow events that now fall inside the
-// level-1 window into the wheels.
-func (w *timingWheel) refillFromHeap() {
-	end := (w.cursor &^ (wheelSpan1 - 1)) + wheelSpan1
-	for w.over.len() > 0 && w.tickOf(w.over.ev[0].due) < end {
-		e := w.over.pop()
-		w.insert(e)
-	}
-}
-
 // peek returns the next event to fire without consuming it, or nil.
+// It may drain a slot into cur, which moves the cursor but not what
+// fires next or in what order.
 func (w *timingWheel) peek() *Event {
-	for w.curPos >= len(w.cur) {
-		if !w.advance() {
-			return nil
+	if w.curPos == len(w.cur) {
+		if w.near == 0 {
+			if len(w.far.ev) == 0 {
+				return nil
+			}
+			return w.far.ev[0]
 		}
+		w.drain()
 	}
-	return w.cur[w.curPos]
+	e := w.cur[w.curPos]
+	if len(w.far.ev) > 0 && before(w.far.ev[0], e) {
+		return w.far.ev[0]
+	}
+	return e
 }
 
 // pop consumes and returns the next event, or nil when empty.
 func (w *timingWheel) pop() *Event {
 	e := w.peek()
-	if e == nil {
-		return nil
+	switch {
+	case e == nil:
+	case e.loc == locHeap:
+		w.far.pop()
+		if w.near == 0 {
+			// The wheel is idle, so the window is free to follow the
+			// clock: whatever this event's callback schedules nearby
+			// lands in slots again instead of behind a stale cursor.
+			if ti := tickOf(e.due); ti > w.cursor && ti != maxWheelTickIdx {
+				w.cursor = ti
+			}
+		}
+	default:
+		w.curPos++
+		w.near--
+		e.loc = locNone
 	}
-	w.cur[w.curPos] = nil
-	w.curPos++
-	w.count--
-	e.index = -1
-	e.loc = locNone
 	return e
 }
 
-// pending reports the number of queued events, overflow included.
-func (w *timingWheel) pending() int { return w.count + w.over.len() }
+// pending reports the number of queued events in both stores.
+func (w *timingWheel) pending() int { return w.near + w.far.len() }
 
-// reset empties every slot, the current bucket and the overflow heap,
-// recycling the events through the engine's free list.
-func (w *timingWheel) reset(recycle func(*Event)) {
-	for level := 0; level < wheelLevels; level++ {
-		for slot := 0; slot < wheelSlots; slot++ {
-			for e := w.slots[level][slot]; e != nil; {
-				next := e.next
-				e.next, e.prev = nil, nil
-				e.loc = locNone
-				e.dead = true
-				recycle(e)
-				e = next
-			}
-			w.slots[level][slot] = nil
+// reset hands every queued event to retire — the firing bucket, then
+// the slots in tick order, then the far heap — and rewinds the cursor.
+// (Positions of cur already popped keep their pointers: they point at
+// shells the engine's free list owns anyway.)
+func (w *timingWheel) reset(retire func(*Event)) {
+	for w.near > 0 {
+		if w.curPos == len(w.cur) {
+			w.drain()
 		}
-		for i := range w.occ[level] {
-			w.occ[level][i] = 0
-		}
+		retire(w.cur[w.curPos])
+		w.curPos++
+		w.near--
 	}
-	for _, e := range w.cur[w.curPos:] {
-		e.loc = locNone
-		e.index = -1
-		e.dead = true
-		recycle(e)
+	w.cur, w.curPos = w.cur[:0], 0
+	for _, e := range w.far.ev {
+		retire(e)
 	}
-	w.cur = w.cur[:0]
-	w.curPos = 0
-	for _, e := range w.over.ev {
-		e.index = -1
-		e.loc = locNone
-		e.dead = true
-		recycle(e)
-	}
-	w.over.ev = w.over.ev[:0]
+	w.far.ev = w.far.ev[:0]
 	w.cursor = 0
-	w.curTick = 0
-	w.count = 0
 }

@@ -5,34 +5,46 @@ import (
 	"testing/quick"
 )
 
-// TestWheelOrdering spans all three stores — current-window level-0
-// slots, level-1 slots, and the overflow heap — and checks global
-// (due, seq) fire order plus the final clock.
+// window is the near window's span in time: a delay shorter than it
+// lands in a slot, a longer one in the far heap.
+const window = wheelSlots * DefaultWheelTick
+
+// mid(k) is a due time safely inside tick k: k*tick itself can round
+// down a bucket (4 ns is not a power-of-two float), and the boundary
+// tests below are about landing on exact ticks.
+func mid(k float64) Time { return Time(k+0.5) * DefaultWheelTick }
+
+func wantOrder(t *testing.T, got, want []int) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("fired %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("fired %v, want %v", got, want)
+		}
+	}
+}
+
+// TestWheelOrdering spans both stores — slots and the far heap — and
+// checks global (due, seq) fire order plus the final clock.
 func TestWheelOrdering(t *testing.T) {
 	e := NewWheel()
 	var got []int
 	dues := []Time{
-		5 * Millisecond,              // overflow heap (past the level-1 window)
-		3 * Microsecond,              // level-0 window
-		100 * Microsecond,            // level-1 window
-		10 * Nanosecond,              // first level-0 slot
-		12 * Nanosecond,              // same slot, later due
-		100*Microsecond + Nanosecond, // same level-1 slot, later due
+		5 * Millisecond,              // far heap
+		Microsecond,                  // slot
+		100 * Microsecond,            // far heap
+		10 * Nanosecond,              // slot
+		12 * Nanosecond,              // next slot
+		100*Microsecond + Nanosecond, // far heap, later due
 	}
-	order := []int{3, 4, 1, 2, 5, 0}
 	for i, d := range dues {
 		i := i
 		e.At(d, func() { got = append(got, i) })
 	}
 	e.Run()
-	if len(got) != len(order) {
-		t.Fatalf("fired %d events, want %d", len(got), len(order))
-	}
-	for i := range order {
-		if got[i] != order[i] {
-			t.Fatalf("order = %v, want %v", got, order)
-		}
-	}
+	wantOrder(t, got, []int{3, 4, 1, 2, 5, 0})
 	if e.Now() != 5*Millisecond {
 		t.Errorf("Now() = %v, want 5ms", e.Now())
 	}
@@ -57,78 +69,174 @@ func TestWheelTieBreakInsertionOrder(t *testing.T) {
 		})
 	}
 	e.Run()
-	want := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 100}
-	if len(got) != len(want) {
-		t.Fatalf("got %v, want %v", got, want)
+	wantOrder(t, got, []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 100})
+}
+
+// TestWheelSameTickOrdering schedules distinct due times that share one
+// bucket: the drained bucket must still fire by (due, seq).
+func TestWheelSameTickOrdering(t *testing.T) {
+	e := NewWheel()
+	var got []Time
+	base := 40 * Nanosecond // tick 10: 40.0 .. 43.9 ns
+	for _, d := range []Time{3, 1, 2, 1} {
+		e.At(base+d*Nanosecond, func() { got = append(got, e.Now()) })
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("same-time events fired out of insertion order: %v", got)
+	e.Run()
+	for i, d := range []Time{1, 1, 2, 3} {
+		if got[i] != base+d*Nanosecond {
+			t.Fatalf("within-tick order = %v", got)
 		}
 	}
 }
 
-// TestWheelSameTickOrdering schedules distinct due times that share one
-// 64 ns bucket: the drained bucket must still fire by (due, seq).
-func TestWheelSameTickOrdering(t *testing.T) {
+// TestWheelMerge covers the seam the two stores meet at: what pop does
+// when the far heap's root and the wheel's head compete.
+func TestWheelMerge(t *testing.T) {
+	// A far event comes due between two near ones: it was beyond the
+	// window when scheduled, and by the time the window reaches it the
+	// wheel holds events on both sides. It fires from the heap.
+	t.Run("far between near", func(t *testing.T) {
+		e := NewWheel()
+		var got []int
+		far := e.At(3*Microsecond, func() { got = append(got, 1) })
+		e.At(2*Microsecond, func() {
+			got = append(got, 0)
+			near := e.At(3500*Nanosecond, func() { got = append(got, 2) })
+			if far.loc != locHeap || near.loc < 0 {
+				t.Errorf("loc: far %d, near %d; want the heap and a slot", far.loc, near.loc)
+			}
+		})
+		e.Run()
+		wantOrder(t, got, []int{0, 1, 2})
+	})
+	// Root and head tie on due: the sequence number decides. Through
+	// the API the far event is always the older one (an event scheduled
+	// later for the same instant finds that instant at least as close
+	// to the cursor), but the merge is a plain before() and must not
+	// lean on that, so the second case forces the younger one into the
+	// heap by rewinding the sequence counter.
+	for name, farSeq := range map[string]uint64{"tie far older": 0, "tie far younger": 9} {
+		t.Run(name, func(t *testing.T) {
+			e := NewWheel()
+			var got []int
+			due := 3 * Microsecond
+			e.seq = farSeq
+			far := e.At(due, func() { got = append(got, int(farSeq)) })
+			e.seq = 1
+			e.At(2*Microsecond, func() {
+				e.seq = 5
+				near := e.At(due, func() { got = append(got, 5) })
+				if far.loc != locHeap || near.loc < 0 {
+					t.Errorf("loc: far %d, near %d; want the heap and a slot", far.loc, near.loc)
+				}
+			})
+			e.Run()
+			if farSeq < 5 {
+				wantOrder(t, got, []int{int(farSeq), 5})
+			} else {
+				wantOrder(t, got, []int{5, int(farSeq)})
+			}
+		})
+	}
+}
+
+// TestWheelCursorFollowsClock: when the wheel is idle and a far event
+// fires, the window moves to that instant, so what its callback
+// schedules nearby — the same instant included — is slotted rather
+// than sorted into the firing bucket behind a stale cursor.
+func TestWheelCursorFollowsClock(t *testing.T) {
+	e := NewWheel()
+	var got []int
+	e.At(Millisecond, func() {
+		got = append(got, 0)
+		now := e.At(e.Now(), func() { got = append(got, 1) })
+		near := e.After(100*Nanosecond, func() { got = append(got, 2) })
+		far := e.After(2*window, func() { got = append(got, 3) })
+		if now.loc < 0 || near.loc < 0 || far.loc != locHeap {
+			t.Errorf("loc: now %d, near %d, far %d; want two slots and the heap", now.loc, near.loc, far.loc)
+		}
+	})
+	e.Run()
+	wantOrder(t, got, []int{0, 1, 2, 3})
+}
+
+// TestWheelRingReuse walks two chains several times around the ring —
+// one stepping a coprime stride, one re-arming into the slot just
+// behind the one it fired from — so every slot index is reused on a
+// later lap for a different tick.
+func TestWheelRingReuse(t *testing.T) {
 	e := NewWheel()
 	var got []Time
-	for _, d := range []Time{30 * Nanosecond, 10 * Nanosecond, 20 * Nanosecond, 10 * Nanosecond} {
-		e.At(d, func() { got = append(got, e.Now()) })
+	chain := func(stride Time, hops int) {
+		n := 0
+		var fn func()
+		fn = func() {
+			got = append(got, e.Now())
+			if n++; n < hops {
+				if ev := e.After(stride, fn); ev.loc < 0 {
+					t.Errorf("hop %d of stride %v left the wheel (loc %d)", n, stride, ev.loc)
+				}
+			}
+		}
+		e.After(stride, fn)
 	}
+	chain(101*DefaultWheelTick, 30)            // ~6 laps
+	chain((wheelSlots-1)*DefaultWheelTick, 12) // ~12 laps, slot index falling by one
 	e.Run()
-	want := []Time{10 * Nanosecond, 10 * Nanosecond, 20 * Nanosecond, 30 * Nanosecond}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("within-tick order = %v, want %v", got, want)
+	if len(got) != 42 {
+		t.Fatalf("fired %d events, want 42", len(got))
+	}
+	for i := 1; i < len(got); i++ {
+		if got[i] < got[i-1] {
+			t.Fatalf("clock went backwards at event %d: %v after %v", i, got[i], got[i-1])
 		}
 	}
 }
 
 // TestWheelCancelEverywhere cancels events while they sit in each of
-// the wheel's stores: a level-0 slot, a level-1 slot, the overflow
-// heap, and the sorted current bucket mid-drain.
+// the queue's stores: a slot, the far heap, and the sorted firing
+// bucket mid-drain.
 func TestWheelCancelEverywhere(t *testing.T) {
 	e := NewWheel()
 	var got []int
 	keep := func(i int) func() { return func() { got = append(got, i) } }
 
-	l0 := e.At(3*Microsecond, func() { t.Error("cancelled L0 event ran") })
-	e.At(3*Microsecond, keep(0))
-	l1 := e.At(200*Microsecond, func() { t.Error("cancelled L1 event ran") })
-	e.At(200*Microsecond, keep(1))
-	far := e.At(20*Millisecond, func() { t.Error("cancelled overflow event ran") })
+	slot := e.At(Microsecond, func() { t.Error("cancelled slot event ran") })
+	e.At(Microsecond, keep(1))
+	far := e.At(20*Millisecond, func() { t.Error("cancelled far event ran") })
 	e.At(20*Millisecond, keep(2))
 
 	// curVictim shares an instant with its canceller, which is queued
-	// first, so both land in the current bucket before either fires.
+	// first, so both are in the firing bucket when the canceller runs;
+	// keep(0) is queued behind the victim and must close the gap.
 	var curVictim *Event
-	e.At(Microsecond, func() { curVictim.Cancel() })
-	curVictim = e.At(Microsecond, func() { t.Error("cancelled current-bucket event ran") })
+	e.At(100*Nanosecond, func() {
+		if curVictim.loc != locCur {
+			t.Errorf("victim loc = %d, want the firing bucket", curVictim.loc)
+		}
+		curVictim.Cancel()
+	})
+	curVictim = e.At(100*Nanosecond, func() { t.Error("cancelled firing-bucket event ran") })
+	e.At(100*Nanosecond, keep(0))
 
-	l0.Cancel()
-	l1.Cancel()
+	if slot.loc < 0 || far.loc != locHeap {
+		t.Fatalf("loc: slot %d, far %d; want a slot and the heap", slot.loc, far.loc)
+	}
+	slot.Cancel()
 	far.Cancel()
-	l0.Cancel() // double-cancel stays a no-op
+	slot.Cancel() // double-cancel stays a no-op
 	e.Run()
 
-	want := []int{0, 1, 2}
-	if len(got) != len(want) {
-		t.Fatalf("got %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v, want %v", got, want)
-		}
-	}
+	wantOrder(t, got, []int{0, 1, 2})
 	if e.Pending() != 0 {
 		t.Fatalf("pending = %d, want 0", e.Pending())
 	}
 }
 
-// TestWheelFarFuture exercises the empty-wheel fast-forward: a lone
-// event far past the level-1 window must fire without the cursor
-// stepping through every intermediate bucket.
+// TestWheelFarFuture: a lone event far past the window fires from the
+// heap without the cursor stepping through the dead air before it, and
+// an event at Never — past what the tick conversion can represent —
+// waits in the heap until everything nearer has fired.
 func TestWheelFarFuture(t *testing.T) {
 	e := NewWheel()
 	fired := false
@@ -137,21 +245,20 @@ func TestWheelFarFuture(t *testing.T) {
 	if !fired || e.Now() != 30*Second {
 		t.Fatalf("fired=%v Now=%v, want true and 30s", fired, e.Now())
 	}
-	// An event at Never saturates the tick conversion and stays in the
-	// overflow heap until everything nearer has fired.
 	e2 := NewWheel()
 	var got []int
-	e2.At(Never, func() { got = append(got, 1) })
+	e2.At(Never, func() {
+		got = append(got, 1)
+		e2.At(Never, func() { got = append(got, 2) })
+	})
 	e2.At(Microsecond, func() { got = append(got, 0) })
 	e2.Run()
-	if len(got) != 2 || got[0] != 0 || got[1] != 1 {
-		t.Fatalf("got %v, want [0 1]", got)
-	}
+	wantOrder(t, got, []int{0, 1, 2})
 }
 
-// TestWheelReset mirrors TestEngineReset on the wheel backend: a reset
-// wheel engine behaves bit-identically to a fresh one and recycles the
-// shells of everything still queued, in every store.
+// TestWheelReset mirrors TestEngineReset with events in every store: a
+// reset engine behaves bit-identically to a fresh one and recycles the
+// shells of everything still queued.
 func TestWheelReset(t *testing.T) {
 	run := func(e *Engine) []int {
 		var got []int
@@ -166,97 +273,93 @@ func TestWheelReset(t *testing.T) {
 
 	e := NewWheel()
 	run(e)
-	e.At(e.Now()+Microsecond, func() { t.Error("L0 event survived Reset") })
-	e.At(e.Now()+Millisecond, func() { t.Error("L1 event survived Reset") })
-	queued := e.At(e.Now()+Second, func() { t.Error("overflow event survived Reset") })
+	e.At(e.Now()+Microsecond, func() {})
+	cur := e.At(e.Now()+Microsecond, func() { t.Error("firing-bucket event survived Reset") })
+	slot := e.At(e.Now()+1500*Nanosecond, func() { t.Error("slot event survived Reset") })
+	queued := e.At(e.Now()+Second, func() { t.Error("far event survived Reset") })
+	e.Step() // drains the first two into the firing bucket and fires one
+	if cur.loc != locCur || slot.loc < 0 || queued.loc != locHeap {
+		t.Fatalf("loc: %d %d %d; want the firing bucket, a slot and the heap", cur.loc, slot.loc, queued.loc)
+	}
 	e.Reset()
 	if e.Now() != 0 || e.Pending() != 0 {
 		t.Fatalf("after Reset: now = %v pending = %d, want 0 and 0", e.Now(), e.Pending())
 	}
 	queued.Cancel() // stale handle after Reset: must be a no-op
 
-	warm := run(e)
-	if len(warm) != len(fresh) {
-		t.Fatalf("reset engine fired %d events, fresh fired %d", len(warm), len(fresh))
-	}
-	for i := range fresh {
-		if warm[i] != fresh[i] {
-			t.Fatalf("reset engine order %v, fresh order %v", warm, fresh)
-		}
-	}
+	wantOrder(t, run(e), fresh)
 }
 
-// TestWheelWindowBoundaryDrain pins the regression where draining the
-// last tick of a level-0 window left the cursor exactly on the next
-// window's boundary, and the scan loop stepped past that window without
-// spilling its level-1 slot (or, at a rotation boundary, without
-// refilling from the overflow heap) — stranding its events for a full
-// rotation and firing them out of order.
+// TestWheelWindowBoundaryDrain pins the one boundary the queue has, the
+// far edge of the window, against the mistake a drain landing exactly
+// on a boundary once made (stepping past events waiting just beyond
+// it): the last slot of the window drains, and what waits on the other
+// side — in the heap, because it was beyond the edge when scheduled —
+// must still fire before anything later that the moved window now lets
+// into slots.
 func TestWheelWindowBoundaryDrain(t *testing.T) {
-	// mid(k) is a due time safely inside tick k: k*tick itself can
-	// round down a bucket (64 ns is not a power-of-two float), and the
-	// point of this test is landing drains on exact window-final ticks.
-	mid := func(k float64) Time { return Time(k+0.5) * DefaultWheelTick }
-	t.Run("level1-spill", func(t *testing.T) {
+	t.Run("edge-slot", func(t *testing.T) {
 		e := NewWheel()
 		var got []int
-		// A drains the last tick of window 0; B sits in the level-1
-		// slot of window 1, C in the slot of window 2. The buggy scan
-		// skipped window 1, firing C before B.
-		e.At(mid(255), func() { got = append(got, 0) }) // A
-		e.At(mid(300), func() { got = append(got, 1) }) // B
-		e.At(mid(600), func() { got = append(got, 2) }) // C
-		e.Run()
-		if len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 2 {
-			t.Fatalf("fire order = %v, want [0 1 2]", got)
+		// A is in the window's last slot; B and C are past the edge.
+		a := e.At(mid(wheelSlots-1), func() { got = append(got, 0) })
+		b := e.At(mid(wheelSlots), func() { got = append(got, 1) })
+		e.At(mid(wheelSlots+300), func() { got = append(got, 2) })
+		if a.loc != wheelSlots-1 || b.loc != locHeap {
+			t.Fatalf("loc: A %d, B %d; want slot %d and the heap", a.loc, b.loc, wheelSlots-1)
 		}
+		e.Run()
+		wantOrder(t, got, []int{0, 1, 2})
 	})
-	t.Run("rotation-refill", func(t *testing.T) {
+	t.Run("far-and-near-share-tick", func(t *testing.T) {
 		e := NewWheel()
 		var got []int
-		// A drains the last tick of rotation 0. B waits in the
-		// overflow heap for the rotation-entry refill; E, scheduled
-		// from A's callback into the same tick as B but with a later
-		// sequence number, lands directly in the new rotation's level-0
-		// window. The buggy scan skipped the refill, firing E before B.
-		e.At(mid(wheelSpan1+64), func() { got = append(got, 1) }) // B
-		e.At(mid(wheelSpan1-1), func() {                          // A
+		// A drains the window's last slot. B waits in the heap; E,
+		// scheduled from A's callback into B's tick with a later due,
+		// goes to a slot. Only the merge at pop puts B first.
+		b := e.At(mid(wheelSlots+64), func() { got = append(got, 1) })
+		e.At(mid(wheelSlots-1), func() {
 			got = append(got, 0)
-			e.At(mid(wheelSpan1+64)+Nanosecond, func() { got = append(got, 2) }) // E
+			ev := e.At(mid(wheelSlots+64)+Nanosecond, func() { got = append(got, 2) })
+			if b.loc != locHeap || ev.loc < 0 {
+				t.Errorf("loc: B %d, E %d; want the heap and a slot", b.loc, ev.loc)
+			}
 		})
 		e.Run()
-		if len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 2 {
-			t.Fatalf("fire order = %v, want [0 1 2]", got)
-		}
+		wantOrder(t, got, []int{0, 1, 2})
 	})
 }
 
 // TestWheelSyncTo pins the Group primitives: NextDue reports the next
 // pending event, SyncTo advances the clock without firing, and SyncTo
-// past a pending event panics.
+// past a pending event panics — with the pending events all in slots
+// ("wheel") and all in the far heap ("heap").
 func TestWheelSyncTo(t *testing.T) {
-	for name, mk := range map[string]func() *Engine{"heap": New, "wheel": NewWheel} {
+	for name, unit := range map[string]Time{"heap": Millisecond, "wheel": 100 * Nanosecond} {
 		t.Run(name, func(t *testing.T) {
-			e := mk()
+			e := NewWheel()
 			var fired int
 			for i := 1; i <= 5; i++ {
-				e.At(Time(i)*Microsecond, func() { fired++ })
+				ev := e.At(Time(i)*unit, func() { fired++ })
+				if (ev.loc == locHeap) != (name == "heap") {
+					t.Fatalf("event %d: loc %d is the wrong store for this case", i, ev.loc)
+				}
 			}
 			e.Step()
 			e.Step()
-			if fired != 2 || e.Now() != 2*Microsecond {
-				t.Fatalf("after two steps fired = %d, Now = %v, want 2 and 2us", fired, e.Now())
+			if fired != 2 || e.Now() != 2*unit {
+				t.Fatalf("after two steps fired = %d, Now = %v, want 2 and %v", fired, e.Now(), 2*unit)
 			}
 			due, _, ok := e.NextDue()
-			if !ok || due != 3*Microsecond {
-				t.Fatalf("NextDue = %v %v, want 3us true", due, ok)
+			if !ok || due != 3*unit {
+				t.Fatalf("NextDue = %v %v, want %v true", due, ok, 3*unit)
 			}
-			e.SyncTo(3 * Microsecond) // exactly at the pending event: allowed
-			if e.Now() != 3*Microsecond {
-				t.Fatalf("Now = %v after SyncTo, want 3us", e.Now())
+			e.SyncTo(3 * unit) // exactly at the pending event: allowed
+			if e.Now() != 3*unit {
+				t.Fatalf("Now = %v after SyncTo, want %v", e.Now(), 3*unit)
 			}
-			e.SyncTo(Microsecond) // backwards: no-op
-			if e.Now() != 3*Microsecond {
+			e.SyncTo(unit) // backwards: no-op
+			if e.Now() != 3*unit {
 				t.Fatalf("backwards SyncTo moved the clock to %v", e.Now())
 			}
 			func() {
@@ -265,7 +368,7 @@ func TestWheelSyncTo(t *testing.T) {
 						t.Error("SyncTo past a pending event did not panic")
 					}
 				}()
-				e.SyncTo(4 * Microsecond)
+				e.SyncTo(4 * unit)
 			}()
 			e.Run()
 			if fired != 5 {
@@ -290,7 +393,48 @@ func TestWheelSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-// --- differential driver: wheel vs reference heap -------------------
+// --- differential driver: the merged queue vs a plain heap ----------
+
+// refEngine is the oracle: the Engine's clock and numbering rules over
+// the bare eventQueue heap, and nothing else.
+type refEngine struct {
+	now Time
+	seq uint64
+	q   eventQueue
+}
+
+// scriptEngine is what runScript needs of either engine.
+type scriptEngine interface {
+	after(d Time, fn func()) *Event
+	cancel(ev *Event)
+	step() bool
+	clock() Time
+}
+
+func (r *refEngine) after(d Time, fn func()) *Event {
+	ev := &Event{due: r.now + d, seq: r.seq, fn: fn}
+	r.seq++
+	r.q.push(ev)
+	return ev
+}
+func (r *refEngine) cancel(ev *Event) { r.q.remove(ev.index) }
+func (r *refEngine) clock() Time      { return r.now }
+func (r *refEngine) step() bool {
+	if r.q.len() == 0 {
+		return false
+	}
+	ev := r.q.pop()
+	r.now = ev.due
+	ev.fn()
+	return true
+}
+
+type realEngine struct{ *Engine }
+
+func (e realEngine) after(d Time, fn func()) *Event { return e.After(d, fn) }
+func (e realEngine) cancel(ev *Event)               { ev.Cancel() }
+func (e realEngine) step() bool                     { return e.Step() }
+func (e realEngine) clock() Time                    { return e.Now() }
 
 // firedAt is one trace entry of the differential driver.
 type firedAt struct {
@@ -298,11 +442,10 @@ type firedAt struct {
 	at    Time
 }
 
-// scriptDelay decodes two bytes into a delay chosen to hit every wheel
-// store: the current instant, sub-tick offsets, the level-0 window, the
-// level-1 window, the overflow heap, and — the regime that found the
-// window-boundary drain bug — delays landing exactly on (or one tick
-// shy of) level-0 window and level-1 rotation boundaries.
+// scriptDelay decodes two bytes into a delay chosen to hit every store
+// and seam: the current instant, sub-tick offsets, whole ticks inside
+// the window, the far heap, and delays one tick shy of, exactly on and
+// one tick past the window's edge, alone and in multiples.
 func scriptDelay(a, b byte) Time {
 	m := Time(b)
 	switch a % 7 {
@@ -311,16 +454,13 @@ func scriptDelay(a, b byte) Time {
 	case 1:
 		return m * Nanosecond
 	case 2:
-		return m * 64 * Nanosecond
+		return m * 2 * DefaultWheelTick
 	case 3:
 		return 20*Microsecond + m*Microsecond
 	case 4:
-		return m * wheelSlots * DefaultWheelTick // window-aligned
+		return m * window // edge-aligned
 	case 5:
-		if b == 0 {
-			return (wheelSpan1 - 1) * DefaultWheelTick // last tick of a rotation
-		}
-		return (m*wheelSlots - 1) * DefaultWheelTick // last tick of a window
+		return window + (Time(b%3)-1)*DefaultWheelTick // edge -1, edge, edge +1
 	default:
 		return 5*Millisecond + m*Millisecond
 	}
@@ -328,9 +468,9 @@ func scriptDelay(a, b byte) Time {
 
 // runScript interprets ops as a deterministic schedule/cancel/step
 // program against one engine and returns the fire trace. The same
-// script run on a heap engine and a wheel engine must produce the same
-// trace — that is the wheel's whole correctness contract.
-func runScript(e *Engine, ops []byte) []firedAt {
+// script run on the reference heap and on the Engine must produce the
+// same trace — that is the queue's whole correctness contract.
+func runScript(e scriptEngine, ops []byte) []firedAt {
 	var got []firedAt
 	var live []*Event
 	label := 0
@@ -341,43 +481,44 @@ func runScript(e *Engine, ops []byte) []firedAt {
 			l, slot := label, len(live)
 			label++
 			live = append(live, nil)
-			live[slot] = e.After(scriptDelay(a, b), func() {
+			live[slot] = e.after(scriptDelay(a, b), func() {
 				live[slot] = nil // handle is dead: stop cancelling it
-				got = append(got, firedAt{l, e.Now()})
+				got = append(got, firedAt{l, e.clock()})
 			})
 		case 1: // schedule an event that chains a same-instant follow-up
 			l := label
 			label++
 			live = append(live, nil)
 			slot := len(live) - 1
-			live[slot] = e.After(scriptDelay(a, b), func() {
+			live[slot] = e.after(scriptDelay(a, b), func() {
 				live[slot] = nil
-				got = append(got, firedAt{l, e.Now()})
-				e.At(e.Now(), func() { got = append(got, firedAt{l + 1<<20, e.Now()}) })
+				got = append(got, firedAt{l, e.clock()})
+				e.after(0, func() { got = append(got, firedAt{l + 1<<20, e.clock()}) })
 			})
 		case 2: // fire a few events
 			for k := 0; k <= int(a%8); k++ {
-				if !e.Step() {
+				if !e.step() {
 					break
 				}
 			}
 		case 3: // cancel a still-live handle
 			if len(live) > 0 {
 				if ev := live[int(a)%len(live)]; ev != nil {
-					ev.Cancel()
+					e.cancel(ev)
 					live[int(a)%len(live)] = nil
 				}
 			}
 		}
 	}
-	e.Run()
+	for e.step() {
+	}
 	return got
 }
 
 func diffScript(t *testing.T, ops []byte) {
 	t.Helper()
-	heap := runScript(New(), ops)
-	wheel := runScript(NewWheel(), ops)
+	heap := runScript(&refEngine{}, ops)
+	wheel := runScript(realEngine{NewWheel()}, ops)
 	if len(heap) != len(wheel) {
 		t.Fatalf("heap fired %d events, wheel fired %d (ops %v)", len(heap), len(wheel), ops)
 	}
@@ -389,7 +530,7 @@ func diffScript(t *testing.T, ops []byte) {
 }
 
 // TestWheelMatchesHeap runs the differential driver over generated op
-// scripts via testing/quick: the wheel must agree with the reference
+// scripts via testing/quick: the engine must agree with the reference
 // heap on the exact fire order, including cancels, interleaved steps,
 // and same-instant chained events.
 func TestWheelMatchesHeap(t *testing.T) {
@@ -404,7 +545,7 @@ func TestWheelMatchesHeap(t *testing.T) {
 
 // FuzzEventQueue is the open-ended form of TestWheelMatchesHeap: the
 // fuzzer explores op scripts looking for any divergence between the
-// timing wheel and the reference heap.
+// engine and the reference heap.
 func FuzzEventQueue(f *testing.F) {
 	f.Add([]byte{0, 0, 0})
 	f.Add([]byte{0, 1, 10, 1, 0, 0, 2, 3, 0, 3, 0, 0})
@@ -418,30 +559,14 @@ func FuzzEventQueue(f *testing.F) {
 	})
 }
 
-// BenchmarkEngineStepWheel is BenchmarkEngineStep on the wheel backend:
-// the single-pending-event ping-pong, the heap's best case.
-func BenchmarkEngineStepWheel(b *testing.B) {
+// benchRing measures the schedule/fire cycle with depth pending events
+// spaced gap apart, each re-arming itself one full round ahead.
+func benchRing(b *testing.B, depth int, gap Time) {
 	e := NewWheel()
 	var fn func()
-	fn = func() { e.After(Nanosecond, fn) }
-	e.After(Nanosecond, fn)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Step()
-	}
-}
-
-// benchDeep measures the schedule/fire cycle with depth pending events
-// — the regime the experiments actually run in (hundreds of in-flight
-// DRAM requests and pool completions), where the heap pays O(log n)
-// sifts per operation and the wheel pays O(1). Events are spaced one
-// wheel tick apart, the spacing short DRAM latencies produce.
-func benchDeep(b *testing.B, e *Engine, depth int) {
-	var fn func()
-	fn = func() { e.After(Time(depth)*DefaultWheelTick, fn) }
+	fn = func() { e.After(Time(depth)*gap, fn) }
 	for i := 0; i < depth; i++ {
-		e.After(Time(i)*DefaultWheelTick, fn)
+		e.After(Time(i)*gap, fn)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -450,5 +575,12 @@ func benchDeep(b *testing.B, e *Engine, depth int) {
 	}
 }
 
-func BenchmarkEngineStepDeep256(b *testing.B)      { benchDeep(b, New(), 256) }
-func BenchmarkEngineStepWheelDeep256(b *testing.B) { benchDeep(b, NewWheel(), 256) }
+// The steady-state schedule/fire cycle at its smallest — one pending
+// event re-arming itself 1 ns out, its shell ping-ponging between the
+// queue and the free list — and one micro-pin for each regime of the
+// merged queue: hundreds of events a tick apart (a DRAM calibration:
+// all slots), and a handful tens of microseconds apart (a simsched
+// run: all far heap, the cursor following the clock).
+func BenchmarkEngineStepWheel(b *testing.B)        { benchRing(b, 1, Nanosecond) }
+func BenchmarkEngineStepWheelDeep256(b *testing.B) { benchRing(b, 256, DefaultWheelTick) }
+func BenchmarkEngineStepSparse(b *testing.B)       { benchRing(b, 8, 50*Microsecond) }

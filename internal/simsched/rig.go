@@ -48,7 +48,7 @@ func (c Config) memParams(d int) contend.Params {
 
 // newRig builds the rig for cfg's machine. Every pool lives on the main
 // engine unless the run is sharded: then each domain gets a private
-// timing-wheel engine and a merge-mode sim.Group coordinates them.
+// engine and a merge-mode sim.Group coordinates them.
 func newRig(cfg Config) rig {
 	nd := cfg.Machine.Domains()
 	g := rig{cfg: cfg, eng: sim.NewWheel(), noise: stats.NewNoise(0, 0)}
