@@ -54,9 +54,9 @@ CONTEND_BENCHES = BenchmarkContendedCounterGlobal|BenchmarkContendedCounterShare
 # and the event-queue step, in each regime, stay allocation-free too.
 ZERO_ALLOC   = BenchmarkEngineStepWheel,BenchmarkEngineStepWheelDeep256,BenchmarkEngineStepSparse,BenchmarkDRAMAccess,BenchmarkStreamPump,BenchmarkGateAdmitBatched,BenchmarkGateAdmitPerJob,BenchmarkPolicyObserve
 
-.PHONY: check lint fmt vet layout build test race fuzz-smoke bench bench-host bench-baseline bench-check ab loc
+.PHONY: check lint fmt vet layout build test race fuzz-smoke flake bench bench-host bench-baseline bench-check ab loc
 
-check: lint build test race fuzz-smoke
+check: lint build test race fuzz-smoke flake
 
 # lint is the static gate on its own: formatting, go vet, and the
 # cache-line layout assertions over the dispatch hot structs.
@@ -82,16 +82,20 @@ build:
 test:
 	$(GO) test ./...
 
-# The race pass re-runs the concurrency-heavy packages — the host
-# runtime (worker pool, stealing deques, gate, watchdog, cancellation,
-# chaos suite, and the host stress suite: TestStress* oversubscribes
-# the gate with hundreds of workers and hunts lost wakeups across
-# back-to-back 1-pair phases, and TestStressServe* races concurrent
-# Submit against Drain and live MTL moves through the serving rings at
-# 128-160 workers) and the parallel run engine — under the race
-# detector, plus the persistent result cache's concurrent-writer
-# suite (shared by mtlbench -j fan-outs). The rest of the tree is
-# single-goroutine simulation already covered by `test`.
+# The race pass re-runs the concurrency-heavy packages under the race
+# detector. In host that is one worker runtime (host/runtime.go: pool,
+# lazily spawned workers, the park/spin loop over the waiter lot, the
+# stage runner with retry, the controller feed, the stall watchdog)
+# under two queue disciplines — Run's stealing deques and overflow
+# FIFOs (batch.go), Serve's MPMC rings and batched pump (serve.go) — so
+# every suite races the same park, release and wake code: the chaos and
+# cancellation suites, TestStress* (hundreds of workers oversubscribing
+# the gate, lost-wakeup hunts across back-to-back 1-pair phases) and
+# TestStressServe* (concurrent Submit against Drain and live MTL moves
+# at 128-160 workers). The parallel run engine joins it, plus the
+# persistent result cache's concurrent-writer suite (shared by mtlbench
+# -j fan-outs). The rest of the tree is single-goroutine simulation
+# already covered by `test`.
 # RobustnessR2 joins the race pass as the adversarial stress: it fans
 # the 15-cell attack grid across 4 workers through parallel.Map while
 # each cell drives the class-aware PolicyThrottler (atomic limit and
@@ -106,9 +110,19 @@ race:
 
 # fuzz-smoke gives the event queue's differential fuzzer (the engine
 # against a plain heap, see internal/sim/wheel_test.go) fifteen seconds
-# on every check; `go test` alone only replays its seed corpus.
+# and the waiter lot's protocol fuzzer (park/cancel/unpark/spin calls
+# against a sequential model, host/lot_fuzz_test.go) ten on every
+# check; `go test` alone only replays their seed corpora.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzEventQueue -fuzztime 15s ./internal/sim
+	$(GO) test -run '^$$' -fuzz FuzzLotProtocol -fuzztime 10s ./host
+
+# flake repeats the host suite where a lost wakeup or a timing
+# assumption would show: fifty times at one, two and four Ps, then ten
+# times under the race detector (~3 min).
+flake:
+	$(GO) test -count=50 -cpu 1,2,4 ./host
+	$(GO) test -race -count=10 ./host
 
 # bench runs the simulator hot-path benchmarks and reports deltas
 # against the committed baseline. bench-baseline rewrites the baseline

@@ -1,0 +1,634 @@
+package host
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"memthrottle/internal/core"
+)
+
+// This file is the closed-loop queue discipline behind Run: the phase's
+// gathers seed per-domain FIFOs in submission order, each successor
+// stage stays on the worker that produced it (a bounded Chase–Lev deque
+// per worker, class and domain) unless stolen, and admission is one
+// gate claim by the worker about to run the task. The worker loop, the
+// park/spin protocol, the stage runner and the controller feed are the
+// shared runtime's (runtime.go).
+
+// Run executes one phase of pairs to completion and returns its
+// statistics. Within the phase, compute tasks run after their memory
+// tasks, scatters after computes, and at most MTL memory tasks per
+// domain are in flight. Run blocks until the phase completes (the
+// paper's phases are barrier-separated).
+func (r *Runtime) Run(pairs []Pair) (Stats, error) {
+	return r.RunContext(context.Background(), pairs)
+}
+
+// RunContext is Run with cancellation: when ctx is cancelled (or the
+// configured RunTimeout expires) workers stop picking up tasks and the
+// call returns the partial Stats of the completed prefix together with
+// ctx's error. Tasks already executing are not interrupted — a worker
+// wedged inside user code keeps its goroutine (and its gate slot)
+// until the task returns — but the call itself returns promptly and
+// the runtime stays usable.
+func (r *Runtime) RunContext(ctx context.Context, pairs []Pair) (Stats, error) {
+	if len(pairs) == 0 {
+		return Stats{}, errors.New("host: Run with no pairs")
+	}
+	// Every pair of the phase lives in one index-ordered slab, so
+	// dispatching a successor stage is a field store, not an allocation.
+	nd := r.cfg.Domains
+	recs := make([]pairRec, len(pairs))
+	seeds := make([][]*pairRec, nd)
+	total := 0
+	for i, p := range pairs {
+		j := &recs[i]
+		switch fault, slot := j.fill(p); fault {
+		case slotBoth:
+			return Stats{}, fmt.Errorf("host: pair %d sets both %s and %sErr", i, slot, slot)
+		case slotMissing:
+			return Stats{}, fmt.Errorf("host: pair %d missing memory or compute task", i)
+		case classRange:
+			return Stats{}, fmt.Errorf("host: pair %d class = %d, want within [0, %d)", i, p.Class, core.MaxClasses)
+		}
+		d, err := r.homeOf(int64(i))
+		if err != nil {
+			return Stats{}, err
+		}
+		j.seq, j.dom = int64(i), int32(d)
+		seeds[d] = append(seeds[d], j)
+		total += 2
+		if j.has(stageScat) {
+			total++
+		}
+	}
+	if r.cfg.RunTimeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, r.cfg.RunTimeout)
+		defer cancel()
+	}
+	if err := ctx.Err(); err != nil {
+		return Stats{Pairs: len(pairs), Cancelled: true}, err
+	}
+	if r.closed.Load() {
+		return Stats{}, errors.New("host: runtime closed")
+	}
+	if r.serving.Load() {
+		return Stats{}, errors.New("host: runtime is serving (drain the server first)")
+	}
+
+	ph := &phase{recs: recs, nd: nd, doms: make([]domainState, nd)}
+	ph.setup(r, ph, &r.lot, "pair", ctx.Done())
+	ph.remain.Store(int64(total))
+
+	// The initial memory stages seed each domain's shared FIFO in
+	// submission order, so gathers are admitted lowest pair first
+	// within their domain exactly as a sorted global queue would; each
+	// successor stage then stays on the worker that produced it
+	// (dispatch) unless stolen.
+	for d := range seeds {
+		ds := &ph.doms[d]
+		ds.pairs = len(seeds[d])
+		ds.over.mem.seed(seeds[d])
+		ds.readyMem.Store(int64(len(seeds[d])))
+	}
+
+	// The canceller propagates ctx into the phase: workers stop
+	// dequeueing and every parked worker is woken, then the run
+	// returns promptly with partial stats.
+	go func() {
+		select {
+		case <-ctx.Done():
+			ph.cancelRun(ctx.Err())
+		case <-ph.done:
+		}
+	}()
+	// A phase ends at its barrier, so a degraded controller is never
+	// re-armed within one: recover-after 0.
+	ph.armWatchdog(0)
+	// The pool starts at what the admission limit can run — with
+	// sharded domains, the per-domain limit times the domain count —
+	// and grows on demand (pool.spawnWorker).
+	n0 := min(int(r.gates[0].limit.Load())*nd+1, r.cfg.Workers, len(pairs))
+	for w := 0; w < max(n0, 1); w++ {
+		ph.spawnWorker()
+	}
+
+	// Completion or abort, whichever comes first; workers wedged in
+	// user code do not block the return.
+	<-ph.done
+
+	st := Stats{
+		Elapsed:        time.Since(ph.start),
+		Pairs:          len(pairs),
+		CompletedPairs: int(ph.completed.Load()),
+		MaxConcurrentM: r.peakConcurrentM(),
+		Retries:        int(ph.retries.Load()),
+		Recovered:      int(ph.recovered.Load()),
+	}
+	// Merge the striped per-worker shards into the per-domain view:
+	// parks/idle are attributed to the worker's home domain, the steal
+	// family to the domain of the counted records. This is the only
+	// place the shards are summed — the per-task fast path touched
+	// nothing shared.
+	st.Domains = make([]DomainStats, nd)
+	var sumTm, nTm, sumTc, nTc int64
+	for i := range ph.workers {
+		w := ph.workers[i].Load()
+		if w == nil {
+			continue
+		}
+		sumTm += w.sumTm.Load()
+		nTm += w.nTm.Load()
+		sumTc += w.sumTc.Load()
+		nTc += w.nTc.Load()
+		hd := &st.Domains[w.home]
+		hd.Parks += int(w.parks.Load())
+		hd.Idle += time.Duration(w.idleNs.Load())
+		for d := range w.doms {
+			ds := &st.Domains[d]
+			ds.Steals += int(w.doms[d].steals.Load())
+			ds.RemoteSteals += int(w.doms[d].remoteSteals.Load())
+			ds.StolenJobs += int(w.doms[d].stolenJobs.Load())
+			ds.Spills += int(w.doms[d].spills.Load())
+		}
+	}
+	for d := range st.Domains {
+		st.Domains[d].Pairs = ph.doms[d].pairs
+		st.Domains[d].PeakActive = int(r.gates[d].peak.Load())
+		st.Spills += st.Domains[d].Spills
+	}
+	ph.wdMu.Lock()
+	st.Stalls = int(ph.stalls)
+	for _, seq := range ph.stalled {
+		st.Stalled = append(st.Stalled, int(seq))
+	}
+	st.Degraded = ph.degraded
+	ph.wdMu.Unlock()
+
+	r.ctrlMu.Lock()
+	st.FinalMTL = r.th.MTL()
+	if d, ok := r.th.(*core.Dynamic); ok {
+		st.MTLDecisions = append([]int(nil), d.History...)
+		st.Degraded = d.Degraded()
+	}
+	if o, ok := r.th.(*core.OnlineExhaustive); ok {
+		st.MTLDecisions = append([]int(nil), o.History...)
+	}
+	if p, ok := r.th.(*core.PolicyThrottler); ok {
+		st.MTLDecisions = append([]int(nil), p.History...)
+	}
+	r.ctrlMu.Unlock()
+	if nTm > 0 {
+		st.MeanTm = time.Duration(sumTm / nTm)
+	}
+	if nTc > 0 {
+		st.MeanTc = time.Duration(sumTc / nTc)
+	}
+
+	ph.stateMu.Lock()
+	cancelErr, taskErr := ph.cancelErr, ph.err
+	ph.stateMu.Unlock()
+	st.Cancelled = cancelErr != nil
+	switch {
+	case cancelErr != nil:
+		return st, cancelErr
+	case taskErr != nil:
+		return st, taskErr
+	}
+	return st, nil
+}
+
+// RunPhases executes phases back to back, returning per-phase stats.
+func (r *Runtime) RunPhases(phases [][]Pair) ([]Stats, error) {
+	var out []Stats
+	for i, ph := range phases {
+		st, err := r.Run(ph)
+		if err != nil {
+			return out, fmt.Errorf("host: phase %d: %w", i, err)
+		}
+		out = append(out, st)
+	}
+	return out, nil
+}
+
+// overflow is one domain's pair of shared FIFO lists, one per class so
+// a compute probe never blocks a memory admission (or vice versa)
+// while the phase tail drains. They hold the seeded gathers and absorb
+// successor stages that did not fit a worker's bounded deque.
+type overflow struct {
+	mem  recList
+	comp recList
+}
+
+// domainState is one memory domain's share of the phase: its overflow
+// shard and the advisory ready count for its memory class. The
+// observability counters that used to live here (steals, spills,
+// parks, idle) are striped into the per-worker shards and merged into
+// DomainStats only at end of run — every worker RMW-ing six shared
+// counters per dispatch event was the very line ping-pong this domain
+// sharding exists to cut. readyMem keeps its own line: it is the one
+// remaining all-workers RMW word, and packing it beside the overflow
+// lists' mutexes made every publish invalidate the take fast path.
+type domainState struct {
+	// readyMem is an advisory upper bound on the runnable memory-class
+	// records homed in this domain: publishers increment *before*
+	// pushing, so a zero read proves there is nothing to find and an
+	// idle worker skips the domain's whole admission-and-steal scan
+	// (and, crucially, the wake-another-worker path) with two loads.
+	// Consumers decrement after a successful take, so the count may
+	// transiently overshoot — costing a spurious scan, never a lost
+	// record.
+	readyMem atomic.Int64
+	_        [56]byte
+	over     overflow
+	pairs    int      // pairs homed here, set at seed time
+	_        [24]byte // stride to a line multiple: no cross-domain sharing
+}
+
+// phase is one Run: the shared pool plus the batch discipline's queues.
+type phase struct {
+	pool
+	nd   int       // memory domain count
+	recs []pairRec // the phase's pairs, index-ordered
+	doms []domainState
+
+	remain    atomic.Int64 // tasks not yet finished
+	completed atomic.Int64 // pairs whose compute finished
+
+	// readyComp is the compute-class analogue of the per-domain
+	// readyMem counts (compute tasks are not admission-gated, so one
+	// global advisory count suffices).
+	readyComp atomic.Int64
+
+	stateMu   sync.Mutex
+	err       error // first terminal task failure
+	cancelErr error // ctx cancellation, set by the canceller
+	aborted   atomic.Bool
+}
+
+// equip gives a worker its deques and per-domain counters. Memory
+// deques are allocated on first push — the seeded overflow feeds most
+// gathers, so a worker that never produces a memory-class successor
+// never pays for them.
+func (ph *phase) equip(w *worker) {
+	w.mem = make([]atomic.Pointer[deque], ph.nd)
+	w.comp = newDeque(64)
+	w.doms = make([]domShard, ph.nd)
+}
+
+// memQ returns w's deque for domain d, installing it on first use.
+// Only w itself installs (it is the sole pusher into its own deques),
+// so a plain store behind the atomic pointer is race-free; thieves
+// that load nil simply skip the not-yet-existing deque.
+func (w *worker) memQ(d int) *deque {
+	if q := w.mem[d].Load(); q != nil {
+		return q
+	}
+	// The home deque carries the worker's own successor stream; remote
+	// deques only hold steal-half loot and remote-homed scatters, so
+	// they stay small.
+	capQ := 16
+	if d == w.home {
+		capQ = 64
+	}
+	q := newDeque(capQ)
+	w.mem[d].Store(q)
+	return q
+}
+
+// hasLocalWork reports whether any of the worker's own deques holds a
+// record (racy — used only for the dispatch wake heuristic).
+func (w *worker) hasLocalWork() bool {
+	if w.comp.size() > 0 {
+		return true
+	}
+	for d := range w.mem {
+		if q := w.mem[d].Load(); q != nil && q.size() > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// stopped reports whether workers must drain: the phase aborted or
+// every task finished.
+func (ph *phase) stopped() bool {
+	return ph.aborted.Load() || ph.remain.Load() <= 0
+}
+
+// abort marks the phase dead, releases RunContext and wakes every
+// parked worker so it can observe the stop.
+func (ph *phase) abort() {
+	if ph.aborted.CompareAndSwap(false, true) {
+		ph.shutdown()
+	}
+}
+
+// fail records the first terminal task failure and aborts.
+func (ph *phase) fail(err error) {
+	ph.stateMu.Lock()
+	if ph.err == nil && ph.cancelErr == nil {
+		ph.err = err
+	}
+	ph.stateMu.Unlock()
+	ph.abort()
+}
+
+// cancelRun records ctx expiry and aborts (no-op if a task failure
+// already took the phase down).
+func (ph *phase) cancelRun(err error) {
+	ph.stateMu.Lock()
+	if !ph.aborted.Load() && ph.err == nil {
+		ph.cancelErr = err
+	}
+	ph.stateMu.Unlock()
+	ph.abort()
+}
+
+// ready reports whether any class shows runnable work.
+func (ph *phase) ready() bool {
+	if ph.readyComp.Load() > 0 {
+		return true
+	}
+	for d := range ph.doms {
+		if ph.doms[d].readyMem.Load() > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// take finds the next runnable record, or nil when the worker should
+// park. Memory-class records are only returned with their domain's gate
+// slot already held (admission precedes dequeue, so the slot is never
+// claimed for work that does not exist). Search order: own compute
+// (LIFO, cache-warm), spilled compute (home shard first), then the
+// memory domains in home-first order — one admission attempt each —
+// and finally stolen compute. Each class is searched only when its
+// ready count is non-zero, so an idle probe is a handful of loads with
+// no CAS traffic and no wakes.
+func (ph *phase) take(w *worker) *pairRec {
+	if ph.stopped() {
+		return nil
+	}
+	if ph.readyComp.Load() > 0 {
+		if j := w.comp.popBottom(); j != nil {
+			ph.readyComp.Add(-1)
+			return j
+		}
+		for i := 0; i < ph.nd; i++ {
+			if j := ph.doms[(w.home+i)%ph.nd].over.comp.take(); j != nil {
+				ph.readyComp.Add(-1)
+				return j
+			}
+		}
+	}
+	for i := 0; i < ph.nd; i++ {
+		if j := ph.takeMem(w, (w.home+i)%ph.nd); j != nil {
+			return j
+		}
+	}
+	if ph.readyComp.Load() > 0 {
+		if j := ph.stealComp(w); j != nil {
+			ph.readyComp.Add(-1)
+			return j
+		}
+	}
+	return nil
+}
+
+// takeMem makes one admission attempt against domain d's gate and,
+// with the slot held, searches the domain's work: the worker's own
+// deque for d, the domain's overflow shard, then the other workers'
+// deques for d. A raced-away slot is handed back with a nudge so a
+// sleeper (or a fresh worker) retries while admissible work remains.
+func (ph *phase) takeMem(w *worker, d int) *pairRec {
+	ds := &ph.doms[d]
+	if ds.readyMem.Load() == 0 {
+		return nil
+	}
+	r := ph.rt
+	if r.claimSlots(d, 1) == 0 {
+		return nil
+	}
+	var j *pairRec
+	if q := w.mem[d].Load(); q != nil {
+		j = q.popBottom()
+	}
+	if j == nil {
+		j = ds.over.mem.take()
+	}
+	if j == nil {
+		j = ph.stealMem(w, d)
+	}
+	if j != nil {
+		if !r.admitClass(int(j.class)) {
+			// Class-capped (limited or demoted): hand the record and the
+			// speculative gate slot back. The worker releasing the
+			// class's in-flight slot re-scans right after and finds the
+			// requeued record, so a capped class drains serialized
+			// instead of deadlocking.
+			ds.over.mem.put(j)
+			r.releaseSlots(d, 1)
+			return nil
+		}
+		ds.readyMem.Add(-1)
+		return j
+	}
+	// Raced away: hand the speculative slot back, and nudge one
+	// sleeper only if there is still admissible work it could run
+	// (spawning a fresh worker if nobody is parked).
+	r.releaseSlots(d, 1)
+	if ds.readyMem.Load() > 0 && !ph.lot.unparkOne() {
+		ph.spawnWorker()
+	}
+	return nil
+}
+
+// stealMem scans the other workers' domain-d memory deques from a
+// random start, retrying a victim on CAS contention (the deque may
+// still hold work). A same-domain steal (the thief is homed at d)
+// takes a single record, exactly as the unsharded runtime stole. A
+// remote steal applies steal-half semantics: the visit also transfers
+// up to half of the victim's remaining queue into the thief's own
+// deque for d, amortising the cross-domain trip, and is counted per
+// domain so the remote-steal penalty is observable. Unspawned slots
+// read as nil and are skipped.
+func (ph *phase) stealMem(w *worker, d int) *pairRec {
+	n := len(ph.workers)
+	if n == 1 {
+		return nil
+	}
+	ds := &ph.doms[d]
+	remote := d != w.home
+	off := int(w.nextRand() % uint64(n))
+	for i := 0; i < n; i++ {
+		v := ph.workers[(off+i)%n].Load()
+		if v == nil || v == w {
+			continue
+		}
+		q := v.mem[d].Load()
+		if q == nil {
+			continue
+		}
+		j := stealOne(q)
+		if j == nil {
+			continue
+		}
+		if !remote {
+			w.doms[d].steals.Add(1)
+			return j
+		}
+		// Steal-half: the target is computed once from the victim's
+		// size at visit time; concurrent thieves simply shrink what is
+		// left to move. Loot that does not fit the thief's bounded
+		// deque spills to the domain's shared list — never lost.
+		moved := 0
+		for target := q.size() / 2; moved < target; {
+			jj := stealOne(q)
+			if jj == nil {
+				break
+			}
+			if !w.memQ(d).push(jj) {
+				ds.over.mem.put(jj)
+				w.doms[d].spills.Add(1)
+			}
+			moved++
+		}
+		w.doms[d].remoteSteals.Add(1)
+		w.doms[d].stolenJobs.Add(int64(1 + moved))
+		return j
+	}
+	return nil
+}
+
+// stealOne drains one record from a deque, retrying CAS races.
+func stealOne(q *deque) *pairRec {
+	for {
+		j, retry := q.steal()
+		if j != nil {
+			return j
+		}
+		if !retry {
+			return nil
+		}
+	}
+}
+
+// stealComp scans the other workers' compute deques from a random
+// start.
+func (ph *phase) stealComp(w *worker) *pairRec {
+	n := len(ph.workers)
+	if n == 1 {
+		return nil
+	}
+	off := int(w.nextRand() % uint64(n))
+	for i := 0; i < n; i++ {
+		v := ph.workers[(off+i)%n].Load()
+		if v == nil || v == w {
+			continue
+		}
+		if j := stealOne(v.comp); j != nil {
+			return j
+		}
+	}
+	return nil
+}
+
+// released follows a returned memory slot. There is no wake for the
+// gate slot itself: while admissible work remains, either this worker's
+// next take or the worker that races it into the freed slot stays
+// active and keeps draining — waking a sleeper would only displace a
+// running worker. Two exceptions. In class-aware mode the freed class
+// slot may be exactly what a parked worker's capped record is waiting
+// for, and this worker may move on to other work — wake one sleeper.
+// And a task outliving an aborted phase: its worker exits right after
+// the release, and the freed slot may be the one a *newer* phase's
+// gate-blocked sleepers are waiting for.
+func (ph *phase) released(*pairRec) {
+	if ph.rt.lim != nil {
+		ph.lot.unparkOne()
+	}
+	if ph.aborted.Load() {
+		ph.lot.unparkOne()
+	}
+}
+
+// limitRose wakes everyone (many sleepers may be gate-blocked) and
+// grows the pool by one; dispatch pressure grows it further if that is
+// still not enough.
+func (ph *phase) limitRose() {
+	ph.lot.unparkAll()
+	ph.spawnWorker()
+}
+
+// dispatch publishes j's next stage to the finishing worker's own deque
+// for the stage's class and j's home domain (or, if that is full, to
+// the domain's shared overflow shard). The ready count rises before
+// the push so no scanner can prove absence while the record is in
+// flight. No wake is issued when the record is the publisher's only
+// local work: the publisher's very next take pops it (own deques are
+// scanned first), so waking a thief would buy nothing; a thief is woken
+// only when the publisher demonstrably cannot drain alone.
+func (ph *phase) dispatch(w *worker, j *pairRec, stage int32) {
+	j.stage = stage
+	d := int(j.dom)
+	ds := &ph.doms[d]
+	mem := stage != stageComp
+	q, n := w.comp, &ph.readyComp
+	if mem {
+		q, n = w.memQ(d), &ds.readyMem
+	}
+	busy := w.hasLocalWork()
+	n.Add(1)
+	if !q.push(j) {
+		if mem {
+			ds.over.mem.put(j)
+		} else {
+			ds.over.comp.put(j)
+		}
+		w.doms[d].spills.Add(1)
+		busy = true
+	}
+	if busy && !ph.lot.unparkOne() {
+		ph.spawnWorker()
+	}
+}
+
+// finish feeds a finished stage back into the dispatch state: surface a
+// terminal failure, publish the successor stage, feed the controller
+// after a compute, and end the phase with its last task. The result of
+// a task that outlived an abort is dropped (its gate slot is already
+// back).
+func (ph *phase) finish(w *worker, j *pairRec, dur time.Duration, end time.Time, err error) *pairRec {
+	if err != nil {
+		ph.fail(err)
+		return nil
+	}
+	if ph.aborted.Load() {
+		return nil
+	}
+	switch j.stage {
+	case stageMem:
+		ph.dispatch(w, j, stageComp)
+	case stageComp:
+		ph.completed.Add(1)
+		if j.has(stageScat) {
+			ph.dispatch(w, j, stageScat)
+		}
+		// The scatter may already be running elsewhere; what the
+		// controller reads of j (tmNs, class) no later stage writes.
+		if ph.adaptive {
+			ph.feedController(j, dur, end)
+		}
+	}
+	if ph.remain.Add(-1) == 0 {
+		ph.shutdown()
+	}
+	return nil
+}

@@ -231,17 +231,26 @@ func (f *FaultInjector) wrapTask(pair int, name string, fn func() error) func() 
 func (f *FaultInjector) Wrap(pairs []Pair) []Pair {
 	out := make([]Pair, len(pairs))
 	for i := range pairs {
-		mem, comp, scat, err := pairs[i].taskFns(i)
-		if err != nil {
+		var rec pairRec
+		if fault, _ := rec.fill(pairs[i]); fault != pairOK {
 			out[i] = pairs[i]
 			continue
 		}
-		out[i] = Pair{
-			MemoryErr:  f.wrapTask(i, "memory", mem),
-			ComputeErr: f.wrapTask(i, "compute", comp),
+		// task is the stage's function in the error-returning form.
+		task := func(stage int32) func() error {
+			if fnE := rec.fnE[stage]; fnE != nil {
+				return fnE
+			}
+			fn := rec.fn[stage]
+			return func() error { fn(); return nil }
 		}
-		if scat != nil {
-			out[i].ScatterErr = f.wrapTask(i, "scatter", scat)
+		out[i] = Pair{
+			MemoryErr:  f.wrapTask(i, "memory", task(stageMem)),
+			ComputeErr: f.wrapTask(i, "compute", task(stageComp)),
+			Class:      pairs[i].Class,
+		}
+		if rec.has(stageScat) {
+			out[i].ScatterErr = f.wrapTask(i, "scatter", task(stageScat))
 		}
 	}
 	return out

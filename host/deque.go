@@ -30,7 +30,7 @@ type deque struct {
 	bottom atomic.Int64 // next push slot (owner store-hot)
 	_      [56]byte
 	mask   int64 // immutable
-	ring   []atomic.Pointer[job]
+	ring   []atomic.Pointer[pairRec]
 }
 
 // newDeque builds a deque holding at least capacity jobs, rounded up
@@ -40,12 +40,12 @@ func newDeque(capacity int) *deque {
 	for n < capacity && n < 4096 {
 		n <<= 1
 	}
-	return &deque{mask: int64(n - 1), ring: make([]atomic.Pointer[job], n)}
+	return &deque{mask: int64(n - 1), ring: make([]atomic.Pointer[pairRec], n)}
 }
 
 // push appends at the bottom. Owner-only. Returns false when the ring
 // is full; the caller spills to the overflow list.
-func (d *deque) push(j *job) bool {
+func (d *deque) push(j *pairRec) bool {
 	b := d.bottom.Load()
 	t := d.top.Load()
 	if b-t > d.mask {
@@ -57,7 +57,7 @@ func (d *deque) push(j *job) bool {
 }
 
 // popBottom takes the most recently pushed job. Owner-only.
-func (d *deque) popBottom() *job {
+func (d *deque) popBottom() *pairRec {
 	b := d.bottom.Load()
 	if d.top.Load() >= b {
 		// Empty: stay read-only so idle polling does not bounce the
@@ -86,7 +86,7 @@ func (d *deque) popBottom() *job {
 // steal takes the oldest job. Any goroutine. retry reports a CAS race
 // with another thief or the owner: the deque may still hold work, so
 // the caller should try again before moving to the next victim.
-func (d *deque) steal() (j *job, retry bool) {
+func (d *deque) steal() (j *pairRec, retry bool) {
 	t := d.top.Load()
 	b := d.bottom.Load()
 	if t >= b {

@@ -8,16 +8,16 @@ import (
 
 func TestDequeOwnerLIFO(t *testing.T) {
 	d := newDeque(8)
-	jobs := make([]job, 3)
+	jobs := make([]pairRec, 3)
 	for i := range jobs {
-		jobs[i].id = int32(i)
+		jobs[i].seq = int64(i)
 		if !d.push(&jobs[i]) {
 			t.Fatalf("push %d failed on empty deque", i)
 		}
 	}
 	for want := 2; want >= 0; want-- {
 		j := d.popBottom()
-		if j == nil || int(j.id) != want {
+		if j == nil || int(j.seq) != want {
 			t.Fatalf("popBottom = %v, want id %d", j, want)
 		}
 	}
@@ -28,7 +28,7 @@ func TestDequeOwnerLIFO(t *testing.T) {
 
 func TestDequeBoundedPushSpills(t *testing.T) {
 	d := newDeque(8)
-	jobs := make([]job, 9)
+	jobs := make([]pairRec, 9)
 	for i := 0; i < 8; i++ {
 		if !d.push(&jobs[i]) {
 			t.Fatalf("push %d failed below capacity", i)
@@ -52,14 +52,14 @@ func TestDequeConcurrentStealNoLossNoDup(t *testing.T) {
 		thieves = 8
 	)
 	d := newDeque(64)
-	jobs := make([]job, total)
+	jobs := make([]pairRec, total)
 	taken := make([]atomic.Int32, total)
-	count := func(j *job) {
+	count := func(j *pairRec) {
 		if j == nil {
 			return
 		}
-		if taken[j.id].Add(1) != 1 {
-			t.Errorf("job %d taken twice", j.id)
+		if taken[j.seq].Add(1) != 1 {
+			t.Errorf("job %d taken twice", j.seq)
 		}
 	}
 
@@ -93,7 +93,7 @@ func TestDequeConcurrentStealNoLossNoDup(t *testing.T) {
 	// Owner: push everything, popping locally whenever the ring fills
 	// and sometimes voluntarily, mixing bottom and top traffic.
 	for i := range jobs {
-		jobs[i].id = int32(i)
+		jobs[i].seq = int64(i)
 		for !d.push(&jobs[i]) {
 			count(d.popBottom())
 		}
@@ -139,7 +139,7 @@ func TestGateNeverExceedsLimit(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
-				if !g.tryAcquire() {
+				if g.tryAcquireN(1) == 0 {
 					continue
 				}
 				if n := inside.Add(1); n > limit {
@@ -147,7 +147,7 @@ func TestGateNeverExceedsLimit(t *testing.T) {
 				}
 				admitted.Add(1)
 				inside.Add(-1)
-				g.release()
+				g.releaseN(1)
 			}
 		}()
 	}
@@ -166,16 +166,16 @@ func TestGateNeverExceedsLimit(t *testing.T) {
 func TestGateLimitRaiseAdmitsMore(t *testing.T) {
 	var g gate
 	g.limit.Store(1)
-	if !g.tryAcquire() {
+	if g.tryAcquireN(1) == 0 {
 		t.Fatal("first acquire failed")
 	}
-	if g.tryAcquire() {
+	if g.tryAcquireN(1) == 1 {
 		t.Fatal("second acquire passed a limit of 1")
 	}
 	g.limit.Store(2)
-	if !g.tryAcquire() {
+	if g.tryAcquireN(1) == 0 {
 		t.Fatal("acquire failed after the limit was raised")
 	}
-	g.release()
-	g.release()
+	g.releaseN(1)
+	g.releaseN(1)
 }

@@ -279,16 +279,16 @@ func TestStressDynamicWithDomains(t *testing.T) {
 func TestJobListCrossClassIndependence(t *testing.T) {
 	var o overflow
 	const n = 2000
-	jobs := make([]job, 2*n)
+	jobs := make([]pairRec, 2*n)
 	for i := range jobs {
-		jobs[i].id = int32(i)
+		jobs[i].seq = int64(i)
 	}
-	done := make(chan map[int32]int, 2)
-	drain := func(l *jobList) {
-		seen := map[int32]int{}
+	done := make(chan map[int64]int, 2)
+	drain := func(l *recList) {
+		seen := map[int64]int{}
 		for len(seen) < n {
 			if j := l.take(); j != nil {
-				seen[j.id]++
+				seen[j.seq]++
 			}
 		}
 		done <- seen

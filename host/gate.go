@@ -1,6 +1,7 @@
 package host
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 )
@@ -34,32 +35,13 @@ type gate struct {
 	_      [48]byte
 }
 
-// tryAcquire claims one memory-task slot if the gate is open. The
-// admission check and the increment are a single CAS, so two racing
-// workers can never both slip through the last slot.
-func (g *gate) tryAcquire() bool {
-	for {
-		a := g.active.Load()
-		if a >= g.limit.Load() {
-			return false
-		}
-		if g.active.CompareAndSwap(a, a+1) {
-			n := a + 1
-			for {
-				p := g.peak.Load()
-				if n <= p || g.peak.CompareAndSwap(p, n) {
-					return true
-				}
-			}
-		}
-	}
-}
-
-// tryAcquireN claims up to max slots in one CAS and reports how many it
-// got (0 when the gate is full or max <= 0). Batched admission on the
-// serving path uses this to admit a whole run of queued jobs per gate
-// transition: one CAS where per-job admission would retry max times
-// under contention.
+// tryAcquireN claims up to max slots and reports how many it got (0
+// when the gate is full or max <= 0). The admission check and the
+// increment are a single CAS, so racing workers can never slip through
+// the last slot together. Run admits one task at a time (max 1);
+// batched admission on the serving path admits a whole run of queued
+// jobs per gate transition: one CAS where per-job admission would retry
+// max times under contention.
 func (g *gate) tryAcquireN(max int64) int64 {
 	if max <= 0 {
 		return 0
@@ -70,37 +52,31 @@ func (g *gate) tryAcquireN(max int64) int64 {
 		if free <= 0 {
 			return 0
 		}
-		n := free
-		if n > max {
-			n = max
-		}
+		n := min(free, max)
 		if g.active.CompareAndSwap(a, a+n) {
-			top := a + n
-			for {
-				p := g.peak.Load()
-				if top <= p || g.peak.CompareAndSwap(p, top) {
-					return n
-				}
-			}
+			raise(&g.peak, a+n)
+			return n
 		}
 	}
 }
 
-// releaseN returns n slots at once (the batched counterpart of
-// release).
+// raise lifts a high-water mark to v if it is below v.
+func raise(peak *atomic.Int64, v int64) {
+	for {
+		p := peak.Load()
+		if v <= p || peak.CompareAndSwap(p, v) {
+			return
+		}
+	}
+}
+
+// releaseN returns n slots. No wakeup rides on it: what a freed slot
+// is worth is the queue discipline's call (discipline.released).
 func (g *gate) releaseN(n int64) {
 	if n <= 0 {
 		return
 	}
 	if g.active.Add(-n) < 0 {
-		panic("host: gate released below zero")
-	}
-}
-
-// release returns a slot. The caller follows up with a targeted wakeup
-// (lot.unparkOne) so exactly one gate-blocked worker re-scans.
-func (g *gate) release() {
-	if g.active.Add(-1) < 0 {
 		panic("host: gate released below zero")
 	}
 }
@@ -225,12 +201,15 @@ func (l *lot) unparkN(n int) int {
 		return 0
 	}
 	l.mu.Lock()
-	if n > len(l.parked) {
-		n = len(l.parked)
+	var woken []*parker
+	if n >= len(l.parked) {
+		// Everyone: hand the whole list over instead of copying it.
+		woken, l.parked = l.parked, nil
+	} else {
+		woken = make([]*parker, n)
+		copy(woken, l.parked[len(l.parked)-n:])
+		l.parked = l.parked[:len(l.parked)-n]
 	}
-	woken := make([]*parker, n)
-	copy(woken, l.parked[len(l.parked)-n:])
-	l.parked = l.parked[:len(l.parked)-n]
 	for _, p := range woken {
 		p.queued = false
 	}
@@ -238,21 +217,10 @@ func (l *lot) unparkN(n int) int {
 	for _, p := range woken {
 		p.token <- struct{}{}
 	}
-	return n
+	return len(woken)
 }
 
 // unparkAll wakes every parked worker — reserved for the rare events
 // that can satisfy many at once (MTL raise, degradation to the
 // conventional schedule) or that end the phase (completion, abort).
-func (l *lot) unparkAll() {
-	l.mu.Lock()
-	woken := l.parked
-	l.parked = nil
-	for _, p := range woken {
-		p.queued = false
-	}
-	l.mu.Unlock()
-	for _, p := range woken {
-		p.token <- struct{}{}
-	}
-}
+func (l *lot) unparkAll() { l.unparkN(math.MaxInt) }

@@ -52,10 +52,7 @@
 package host
 
 import (
-	"context"
-	"errors"
 	"fmt"
-	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -91,36 +88,6 @@ type Pair struct {
 	// class's concurrent memory tasks or demote it outright; class-blind
 	// controllers ignore it entirely.
 	Class int
-}
-
-// taskFns resolves the pair's slots into uniform error-returning
-// functions, validating that each slot is singly set.
-func (p Pair) taskFns(i int) (mem, comp, scat func() error, err error) {
-	pick := func(name string, plain func(), withErr func() error, required bool) (func() error, error) {
-		switch {
-		case plain != nil && withErr != nil:
-			return nil, fmt.Errorf("host: pair %d sets both %s and %sErr", i, name, name)
-		case withErr != nil:
-			return withErr, nil
-		case plain != nil:
-			f := plain
-			return func() error { f(); return nil }, nil
-		case required:
-			return nil, fmt.Errorf("host: pair %d missing memory or compute task", i)
-		default:
-			return nil, nil
-		}
-	}
-	if mem, err = pick("Memory", p.Memory, p.MemoryErr, true); err != nil {
-		return nil, nil, nil, err
-	}
-	if comp, err = pick("Compute", p.Compute, p.ComputeErr, true); err != nil {
-		return nil, nil, nil, err
-	}
-	if scat, err = pick("Scatter", p.Scatter, p.ScatterErr, false); err != nil {
-		return nil, nil, nil, err
-	}
-	return mem, comp, scat, nil
 }
 
 // Policy selects the throttling controller.
@@ -180,9 +147,11 @@ type Config struct {
 	// per-domain MTL gates, per-domain overflow lists and
 	// locality-aware stealing. Default: 1 (the unsharded runtime).
 	Domains int
-	// Domain maps a pair index to its home domain in [0, Domains).
-	// nil homes pair i at i % Domains. Use it to mirror the real
-	// placement of each pair's footprint (NUMA node, DIMM).
+	// Domain maps a pair index — its position in the slice given to
+	// Run, its Submit order within a Serve session — to its home domain
+	// in [0, Domains). nil homes pair i at i % Domains. Use it to
+	// mirror the real placement of each pair's footprint (NUMA node,
+	// DIMM).
 	Domain func(pair int) int
 	// Retry re-executes tasks that return an error or panic. The zero
 	// value disables retry.
@@ -415,10 +384,7 @@ func New(cfg Config) (*Runtime, error) {
 		sb.SetSignalSource(r)
 	}
 	r.gates = make([]gate, cfg.Domains)
-	limit := int64(r.th.MTL())
-	for d := range r.gates {
-		r.gates[d].limit.Store(limit)
-	}
+	r.mirrorLimit()
 	return r, nil
 }
 
@@ -429,33 +395,40 @@ func (r *Runtime) MTL() int {
 	return int(r.gates[0].limit.Load())
 }
 
-// admit claims a memory-task slot in domain d and maintains the
-// cross-domain peak. The domain gate's CAS is the real admission; the
-// global counters only feed Stats.MaxConcurrentM, and with a single
-// domain the gate's own peak already is the global one, so the
-// unsharded hot path pays no extra atomics.
-func (r *Runtime) admit(d int) bool {
-	if !r.gates[d].tryAcquire() {
-		return false
+// claimSlots acquires up to max memory-task slots in domain d in one
+// CAS and reports how many it got; claimSlots(d, 1) is the per-task
+// admission. The domain gate's CAS is the real admission; the global
+// counters only feed Stats.MaxConcurrentM, and with a single domain the
+// gate's own peak already is the global one, so the unsharded hot path
+// pays no extra atomics.
+func (r *Runtime) claimSlots(d int, max int64) int64 {
+	n := r.gates[d].tryAcquireN(max)
+	if n > 0 && len(r.gates) > 1 {
+		raise(&r.memPeak, r.memActive.Add(n))
 	}
-	if len(r.gates) > 1 {
-		n := r.memActive.Add(1)
-		for {
-			p := r.memPeak.Load()
-			if n <= p || r.memPeak.CompareAndSwap(p, n) {
-				break
-			}
-		}
-	}
-	return true
+	return n
 }
 
-// releaseMem returns domain d's slot.
-func (r *Runtime) releaseMem(d int) {
-	r.gates[d].release()
+// releaseSlots returns n of domain d's slots. The cross-domain count
+// drops before the gate reopens: the other order let a racing claim be
+// counted on top of slots already given back, so MaxConcurrentM could
+// read past MTL x Domains with the gates never over their limit.
+func (r *Runtime) releaseSlots(d int, n int64) {
 	if len(r.gates) > 1 {
-		r.memActive.Add(-1)
+		r.memActive.Add(-n)
 	}
+	r.gates[d].releaseN(n)
+}
+
+// mirrorLimit copies the controller's MTL into every domain gate and
+// reports whether it rose. Caller holds ctrlMu.
+func (r *Runtime) mirrorLimit() bool {
+	old := r.gates[0].limit.Load()
+	limit := int64(r.th.MTL())
+	for d := range r.gates {
+		r.gates[d].limit.Store(limit)
+	}
+	return limit > old
 }
 
 // admitClass claims an in-flight slot for class c against the
@@ -517,1063 +490,4 @@ func (r *Runtime) Health() core.Health {
 // Close marks the runtime closed; subsequent Run calls fail.
 func (r *Runtime) Close() {
 	r.closed.Store(true)
-}
-
-// job is one schedulable task. ids follow the old global-queue scheme
-// — 3·pair for memory, +1 compute, +2 scatter — so the pair index and
-// the task class are derived, not stored, and exactly one of the two
-// function forms is set (storing the user's function directly avoids
-// one wrapper closure per task).
-type job struct {
-	id  int32
-	fn  func()       // plain form
-	fnE func() error // error-returning form
-}
-
-func (j *job) pair() int    { return int(j.id) / 3 }
-func (j *job) memory() bool { return j.id%3 != 1 }
-
-// Run executes one phase of pairs to completion and returns its
-// statistics. Within the phase, compute tasks run after their memory
-// tasks, scatters after computes, and at most MTL memory tasks per
-// domain are in flight. Run blocks until the phase completes (the
-// paper's phases are barrier-separated).
-func (r *Runtime) Run(pairs []Pair) (Stats, error) {
-	return r.RunContext(context.Background(), pairs)
-}
-
-// RunContext is Run with cancellation: when ctx is cancelled (or the
-// configured RunTimeout expires) workers stop picking up tasks and the
-// call returns the partial Stats of the completed prefix together with
-// ctx's error. Tasks already executing are not interrupted — a worker
-// wedged inside user code keeps its goroutine (and its gate slot)
-// until the task returns — but the call itself returns promptly and
-// the runtime stays usable.
-func (r *Runtime) RunContext(ctx context.Context, pairs []Pair) (Stats, error) {
-	if len(pairs) == 0 {
-		return Stats{}, errors.New("host: Run with no pairs")
-	}
-	jobs := make([]job, 3*len(pairs))
-	total := 0
-	for i, p := range pairs {
-		slots := [3]struct {
-			name     string
-			plain    func()
-			withErr  func() error
-			required bool
-		}{
-			{"Memory", p.Memory, p.MemoryErr, true},
-			{"Compute", p.Compute, p.ComputeErr, true},
-			{"Scatter", p.Scatter, p.ScatterErr, false},
-		}
-		for k, s := range slots {
-			switch {
-			case s.plain != nil && s.withErr != nil:
-				return Stats{}, fmt.Errorf("host: pair %d sets both %s and %sErr", i, s.name, s.name)
-			case s.plain == nil && s.withErr == nil:
-				if s.required {
-					return Stats{}, fmt.Errorf("host: pair %d missing memory or compute task", i)
-				}
-				continue
-			}
-			jobs[3*i+k] = job{id: int32(3*i + k), fn: s.plain, fnE: s.withErr}
-			total++
-		}
-	}
-	nd := r.cfg.Domains
-	pairDom := make([]int32, len(pairs))
-	pairClass := make([]int32, len(pairs))
-	for i := range pairs {
-		d := i % nd
-		if r.cfg.Domain != nil {
-			d = r.cfg.Domain(i)
-			if d < 0 || d >= nd {
-				return Stats{}, fmt.Errorf("host: pair %d homed at domain %d, want within [0, %d)", i, d, nd)
-			}
-		}
-		pairDom[i] = int32(d)
-		if c := pairs[i].Class; c < 0 || c >= core.MaxClasses {
-			return Stats{}, fmt.Errorf("host: pair %d class = %d, want within [0, %d)", i, c, core.MaxClasses)
-		}
-		pairClass[i] = int32(pairs[i].Class)
-	}
-	if r.cfg.RunTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, r.cfg.RunTimeout)
-		defer cancel()
-	}
-	if err := ctx.Err(); err != nil {
-		return Stats{Pairs: len(pairs), Cancelled: true}, err
-	}
-	if r.closed.Load() {
-		return Stats{}, errors.New("host: runtime closed")
-	}
-	if r.serving.Load() {
-		return Stats{}, errors.New("host: runtime is serving (drain the server first)")
-	}
-	r.memPeak.Store(r.memActive.Load())
-	for d := range r.gates {
-		r.gates[d].resetPeak()
-	}
-
-	nw := r.cfg.Workers
-	// Every task of the phase lives in one id-indexed block (3·pair
-	// for memory, +1 compute, +2 scatter), so dispatching a successor
-	// is pointer arithmetic, not an allocation.
-	ph := &phase{
-		rt:        r,
-		ctx:       ctx,
-		jobs:      jobs,
-		nd:        nd,
-		pairDom:   pairDom,
-		pairClass: pairClass,
-		doms:      make([]domainState, nd),
-		tmDur:     make([]time.Duration, len(pairs)),
-		workers:   make([]atomic.Pointer[worker], nw),
-		start:     time.Now(),
-		pairs:     len(pairs),
-		done:      make(chan struct{}),
-	}
-	ph.watch = r.cfg.StallTimeout > 0
-	if ph.watch {
-		ph.flight = make([]flightRec, nw)
-	}
-	_, fixed := r.th.(core.Fixed)
-	ph.adaptive = !fixed
-	ph.spinMax = spinnerCap()
-	ph.remain.Store(int64(total))
-
-	// The initial memory jobs seed each domain's shared FIFO in
-	// submission order, so gathers are admitted lowest pair first
-	// within their domain exactly as the old sorted global queue did;
-	// each successor job then stays on the worker that produced it
-	// (dispatch) unless stolen.
-	seeds := make([][]*job, nd)
-	for i := range pairs {
-		d := pairDom[i]
-		seeds[d] = append(seeds[d], &ph.jobs[3*i])
-	}
-	for d := range seeds {
-		ds := &ph.doms[d]
-		ds.pairs = len(seeds[d])
-		ds.over.mem.seed(seeds[d])
-		ds.readyMem.Store(int64(len(seeds[d])))
-	}
-
-	// The canceller propagates ctx into the phase: workers stop
-	// dequeueing and every parked worker is woken, then the run
-	// returns promptly with partial stats.
-	go func() {
-		select {
-		case <-ctx.Done():
-			ph.cancelRun(ctx.Err())
-		case <-ph.done:
-		}
-	}()
-	if ph.watch {
-		go ph.watchdog()
-	}
-	// Workers spawn on demand, Go-scheduler style: starting more than
-	// the admission limit can run would only park them. The pool grows
-	// toward Config.Workers whenever a publisher cannot drain its own
-	// backlog (dispatch), admissible work outlives a scan (acquire),
-	// the MTL rises, or the watchdog flags a wedged task. With sharded
-	// domains the admission capacity is the per-domain limit times the
-	// domain count.
-	n0 := int(r.gates[0].limit.Load())*nd + 1
-	if n0 > nw {
-		n0 = nw
-	}
-	if n0 > len(pairs) {
-		n0 = len(pairs)
-	}
-	if n0 < 1 {
-		n0 = 1
-	}
-	for w := 0; w < n0; w++ {
-		ph.spawnWorker()
-	}
-
-	// Completion or abort, whichever comes first; workers wedged in
-	// user code do not block the return.
-	<-ph.done
-
-	st := Stats{
-		Elapsed:        time.Since(ph.start),
-		Pairs:          ph.pairs,
-		CompletedPairs: int(ph.completed.Load()),
-		MaxConcurrentM: r.peakConcurrentM(),
-		Retries:        int(ph.retries.Load()),
-		Recovered:      int(ph.recovered.Load()),
-	}
-	// Merge the striped per-worker shards into the per-domain view:
-	// parks/idle are attributed to the worker's home domain, the steal
-	// family to the domain of the counted jobs. This is the only place
-	// the shards are summed — the per-task fast path touched nothing
-	// shared.
-	st.Domains = make([]DomainStats, nd)
-	var sumTm, nTm, sumTc, nTc int64
-	for i := range ph.workers {
-		w := ph.workers[i].Load()
-		if w == nil {
-			continue
-		}
-		sumTm += w.sumTm.Load()
-		nTm += w.nTm.Load()
-		sumTc += w.sumTc.Load()
-		nTc += w.nTc.Load()
-		hd := &st.Domains[w.home]
-		hd.Parks += int(w.parks.Load())
-		hd.Idle += time.Duration(w.idleNs.Load())
-		for d := range w.doms {
-			ds := &st.Domains[d]
-			ds.Steals += int(w.doms[d].steals.Load())
-			ds.RemoteSteals += int(w.doms[d].remoteSteals.Load())
-			ds.StolenJobs += int(w.doms[d].stolenJobs.Load())
-			ds.Spills += int(w.doms[d].spills.Load())
-		}
-	}
-	for d := range st.Domains {
-		st.Domains[d].Pairs = ph.doms[d].pairs
-		st.Domains[d].PeakActive = int(r.gates[d].peak.Load())
-		st.Spills += st.Domains[d].Spills
-	}
-	ph.wdMu.Lock()
-	st.Stalls = ph.stalls
-	st.Stalled = append([]int(nil), ph.stalledPairs...)
-	st.Degraded = ph.degraded
-	ph.wdMu.Unlock()
-
-	r.ctrlMu.Lock()
-	st.FinalMTL = r.th.MTL()
-	if d, ok := r.th.(*core.Dynamic); ok {
-		st.MTLDecisions = append([]int(nil), d.History...)
-		st.Degraded = d.Degraded()
-	}
-	if o, ok := r.th.(*core.OnlineExhaustive); ok {
-		st.MTLDecisions = append([]int(nil), o.History...)
-	}
-	if p, ok := r.th.(*core.PolicyThrottler); ok {
-		st.MTLDecisions = append([]int(nil), p.History...)
-	}
-	r.ctrlMu.Unlock()
-	if nTm > 0 {
-		st.MeanTm = time.Duration(sumTm / nTm)
-	}
-	if nTc > 0 {
-		st.MeanTc = time.Duration(sumTc / nTc)
-	}
-
-	ph.stateMu.Lock()
-	cancelErr, taskErr := ph.cancelErr, ph.err
-	ph.stateMu.Unlock()
-	st.Cancelled = cancelErr != nil
-	switch {
-	case cancelErr != nil:
-		return st, cancelErr
-	case taskErr != nil:
-		return st, taskErr
-	}
-	return st, nil
-}
-
-// RunPhases executes phases back to back, returning per-phase stats.
-func (r *Runtime) RunPhases(phases [][]Pair) ([]Stats, error) {
-	var out []Stats
-	for i, ph := range phases {
-		st, err := r.Run(ph)
-		if err != nil {
-			return out, fmt.Errorf("host: phase %d: %w", i, err)
-		}
-		out = append(out, st)
-	}
-	return out, nil
-}
-
-// worker is one dispatch loop's private state: a bounded memory-class
-// deque per domain (admission-gated; mem[home] is the cache-warm one,
-// the others hold steal-half loot and remote-homed scatters), a free
-// compute deque, a parking slot, a steal RNG, and the worker's striped
-// counter shard. Memory deques are allocated on first push — the
-// seeded overflow feeds most gathers, so a worker that never produces
-// a memory successor never pays for them.
-//
-// Layout: the fields thieves poll while scanning (the deque pointers)
-// come first, then a full line of padding, then the owner-hot mutable
-// state — so a worker bumping its own counters or RNG never
-// invalidates the lines other workers' steal scans are reading.
-type worker struct {
-	slot int
-	home int // home memory domain (slot % Domains)
-	mem  []atomic.Pointer[deque]
-	comp *deque
-
-	_ [64]byte // thief-scanned pointers above, owner-hot state below
-
-	park   parker
-	rng    uint64
-	spinNs int64 // EWMA idle gap, drives the pre-park spin budget
-
-	// Striped per-worker counters, merged into Stats after the phase.
-	// Single-writer — only this worker adds — but atomic, because the
-	// end-of-run merge may read while a worker wedged in user code past
-	// an abort is still accounting its final park.
-	sumTm  atomic.Int64 // summed memory-task ns
-	nTm    atomic.Int64
-	sumTc  atomic.Int64 // summed compute-task ns
-	nTc    atomic.Int64
-	parks  atomic.Int64 // blocking park events (home domain)
-	idleNs atomic.Int64 // blocked-park time (home domain)
-	doms   []domShard   // per-domain steal/spill counters
-}
-
-// memQ returns w's deque for domain d, installing it on first use.
-// Only w itself installs (it is the sole pusher into its own deques),
-// so a plain store behind the atomic pointer is race-free; thieves
-// that load nil simply skip the not-yet-existing deque.
-func (w *worker) memQ(d int) *deque {
-	if q := w.mem[d].Load(); q != nil {
-		return q
-	}
-	// The home deque carries the worker's own successor stream; remote
-	// deques only hold steal-half loot and remote-homed scatters, so
-	// they stay small.
-	capQ := 16
-	if d == w.home {
-		capQ = 64
-	}
-	q := newDeque(capQ)
-	w.mem[d].Store(q)
-	return q
-}
-
-// nextRand is a xorshift64* step — cheap decorrelated victim choice.
-func (w *worker) nextRand() uint64 {
-	x := w.rng
-	x ^= x << 13
-	x ^= x >> 7
-	x ^= x << 17
-	w.rng = x
-	return x * 0x2545F4914F6CDD1D
-}
-
-// hasLocalWork reports whether any of the worker's own deques holds a
-// job (racy — used only for the dispatch wake heuristic).
-func (w *worker) hasLocalWork() bool {
-	if w.comp.size() > 0 {
-		return true
-	}
-	for d := range w.mem {
-		if q := w.mem[d].Load(); q != nil && q.size() > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// jobList is one class of a domain's shared overflow FIFO: it seeds
-// the phase with the initial memory jobs in submission order (the Go
-// scheduler's global-runq seeding its local runqs) and absorbs
-// successor jobs that did not fit a worker's bounded deque. The atomic
-// count keeps the empty case — the steady state once the seed drains —
-// off the mutex entirely, and each class owns its lock so a compute
-// probe never blocks a memory admission (or vice versa) while the
-// phase tail drains.
-type jobList struct {
-	n    atomic.Int64
-	mu   sync.Mutex
-	jobs []*job
-	head int
-}
-
-// seed installs the initial jobs. Single-threaded phase setup, before
-// any worker starts.
-func (l *jobList) seed(jobs []*job) {
-	l.jobs = jobs
-	l.n.Store(int64(len(jobs)))
-}
-
-func (l *jobList) put(j *job) {
-	l.mu.Lock()
-	l.jobs = append(l.jobs, j)
-	l.n.Add(1)
-	l.mu.Unlock()
-}
-
-func (l *jobList) take() *job {
-	if l.n.Load() == 0 {
-		return nil
-	}
-	l.mu.Lock()
-	var j *job
-	if l.head < len(l.jobs) {
-		j = l.jobs[l.head]
-		l.jobs[l.head] = nil
-		l.head++
-		if l.head == len(l.jobs) {
-			l.jobs = l.jobs[:0]
-			l.head = 0
-		}
-		l.n.Add(-1)
-	}
-	l.mu.Unlock()
-	return j
-}
-
-// overflow is one domain's pair of shared FIFO job lists, one per
-// class so cross-class probing never shares a lock.
-type overflow struct {
-	mem  jobList
-	comp jobList
-}
-
-// domainState is one memory domain's share of the phase: its overflow
-// shard and the advisory ready count for its memory class. The
-// observability counters that used to live here (steals, spills,
-// parks, idle) are striped into the per-worker shards and merged into
-// DomainStats only at end of run — every worker RMW-ing six shared
-// counters per dispatch event was the very line ping-pong this domain
-// sharding exists to cut. readyMem keeps its own line: it is the one
-// remaining all-workers RMW word, and packing it beside the overflow
-// lists' mutexes made every publish invalidate the take fast path.
-type domainState struct {
-	// readyMem is an advisory upper bound on the runnable memory jobs
-	// homed in this domain: publishers increment *before* pushing, so
-	// a zero read proves there is nothing to find and an idle worker
-	// skips the domain's whole admission-and-steal scan (and,
-	// crucially, the wake-another-worker path) with two loads.
-	// Consumers decrement after a successful take, so the count may
-	// transiently overshoot — costing a spurious scan, never a lost
-	// job.
-	readyMem atomic.Int64
-	_        [56]byte
-	over     overflow
-	pairs    int      // pairs homed here, set at seed time
-	_        [24]byte // stride to a line multiple: no cross-domain sharing
-}
-
-// phase is the shared state of one Run.
-type phase struct {
-	rt        *Runtime
-	ctx       context.Context
-	pairs     int
-	nd        int     // memory domain count
-	pairDom   []int32 // home domain per pair
-	pairClass []int32 // traffic class per pair
-	jobs      []job   // id-indexed task block (3·pair + class)
-	doms      []domainState
-	workers   []atomic.Pointer[worker] // lazily spawned, published per slot
-	spawned   atomic.Int32             // worker slots claimed so far
-	start     time.Time
-
-	remain    atomic.Int64 // tasks not yet finished
-	completed atomic.Int64 // pairs whose compute finished
-	retries   atomic.Int64
-	recovered atomic.Int64
-
-	// readyComp is the compute-class analogue of the per-domain
-	// readyMem counts (compute tasks are not admission-gated, so one
-	// global advisory count suffices).
-	readyComp atomic.Int64
-
-	watch    bool  // stall watchdog armed (Config.StallTimeout > 0)
-	adaptive bool  // controller consumes samples (non-Fixed throttler)
-	spinMax  int64 // concurrent pre-park spinner cap (0 disables)
-
-	// tmDur[i] is written once by pair i's gather finisher and read by
-	// its compute finisher; the dispatch path's atomics order the two.
-	// The per-phase timing sums live in the per-worker shards.
-	tmDur []time.Duration // per-pair memory-task duration
-
-	flight []flightRec // per-worker in-flight registry (atomic fields)
-
-	wdMu         sync.Mutex // watchdog bookkeeping + end-of-run read
-	stalls       int
-	stalledPairs []int
-	degraded     bool
-
-	stateMu   sync.Mutex
-	err       error // first terminal task failure
-	cancelErr error // ctx cancellation, set by the canceller
-	aborted   atomic.Bool
-
-	done     chan struct{}
-	doneOnce sync.Once
-}
-
-// domOf reports the home domain of a job's pair.
-func (ph *phase) domOf(j *job) int { return int(ph.pairDom[j.pair()]) }
-
-// classOf reports the traffic class of a job's pair.
-func (ph *phase) classOf(j *job) int { return int(ph.pairClass[j.pair()]) }
-
-// spawnWorker starts one more worker goroutine if the pool has not
-// reached Config.Workers yet. Safe from any goroutine; the CAS makes
-// slot claims race-free and the atomic slot publication lets thieves
-// scan concurrently with spawning. Workers are homed round-robin
-// across the domains (slot % Domains), so the pool covers every
-// domain as soon as it is Domains wide.
-func (ph *phase) spawnWorker() {
-	nw := ph.rt.cfg.Workers
-	for {
-		n := ph.spawned.Load()
-		if int(n) >= nw || ph.stopped() {
-			return
-		}
-		if ph.spawned.CompareAndSwap(n, n+1) {
-			w := &worker{
-				slot: int(n),
-				home: int(n) % ph.nd,
-				mem:  make([]atomic.Pointer[deque], ph.nd),
-				comp: newDeque(64),
-				rng:  uint64(n)*0x9E3779B97F4A7C15 + 1,
-				park: parker{token: make(chan struct{}, 1)},
-				doms: make([]domShard, ph.nd),
-			}
-			ph.workers[n].Store(w)
-			go ph.work(w)
-			return
-		}
-	}
-}
-
-// signalDone releases RunContext.
-func (ph *phase) signalDone() {
-	ph.doneOnce.Do(func() { close(ph.done) })
-}
-
-// stopped reports whether workers must drain: the phase aborted or
-// every task finished.
-func (ph *phase) stopped() bool {
-	return ph.aborted.Load() || ph.remain.Load() <= 0
-}
-
-// abort marks the phase dead, releases RunContext and wakes every
-// parked worker so it can observe the stop.
-func (ph *phase) abort() {
-	if ph.aborted.CompareAndSwap(false, true) {
-		ph.signalDone()
-		ph.rt.lot.unparkAll()
-	}
-}
-
-// fail records the first terminal task failure and aborts.
-func (ph *phase) fail(err error) {
-	ph.stateMu.Lock()
-	if ph.err == nil && ph.cancelErr == nil {
-		ph.err = err
-	}
-	ph.stateMu.Unlock()
-	ph.abort()
-}
-
-// cancelRun records ctx expiry and aborts (no-op if a task failure
-// already took the phase down).
-func (ph *phase) cancelRun(err error) {
-	ph.stateMu.Lock()
-	if !ph.aborted.Load() && ph.err == nil {
-		ph.cancelErr = err
-	}
-	ph.stateMu.Unlock()
-	ph.abort()
-}
-
-// work is the worker-goroutine loop: pop local, steal remote, admit
-// memory-class jobs through the atomic gate, park when idle.
-// Cancellation and aborts are observed between tasks: a worker always
-// finishes (or exhausts retries on) the task it is running, then
-// drains.
-func (ph *phase) work(w *worker) {
-	for {
-		if ph.stopped() {
-			return
-		}
-		j := ph.acquire(w)
-		if j == nil {
-			if j = ph.parkTillWork(w); j == nil {
-				return
-			}
-		}
-		if !ph.execute(w, j) {
-			return
-		}
-	}
-}
-
-// acquire finds the next runnable job, or nil when the worker should
-// park. Memory-class jobs are only returned with their domain's gate
-// slot already held (admission precedes dequeue, so the slot is never
-// claimed for work that does not exist). Search order: own compute
-// (LIFO, cache-warm), spilled compute (home shard first), then the
-// memory domains in home-first order — one admission attempt each —
-// and finally stolen compute. Each class is searched only when its
-// ready count is non-zero, so an idle probe is a handful of loads with
-// no CAS traffic and no wakes.
-func (ph *phase) acquire(w *worker) *job {
-	if ph.stopped() {
-		return nil
-	}
-	if ph.readyComp.Load() > 0 {
-		if j := w.comp.popBottom(); j != nil {
-			ph.readyComp.Add(-1)
-			return j
-		}
-		for i := 0; i < ph.nd; i++ {
-			if j := ph.doms[(w.home+i)%ph.nd].over.comp.take(); j != nil {
-				ph.readyComp.Add(-1)
-				return j
-			}
-		}
-	}
-	for i := 0; i < ph.nd; i++ {
-		if j := ph.acquireMem(w, (w.home+i)%ph.nd); j != nil {
-			return j
-		}
-	}
-	if ph.readyComp.Load() > 0 {
-		if j := ph.stealComp(w); j != nil {
-			ph.readyComp.Add(-1)
-			return j
-		}
-	}
-	return nil
-}
-
-// acquireMem makes one admission attempt against domain d's gate and,
-// with the slot held, searches the domain's work: the worker's own
-// deque for d, the domain's overflow shard, then the other workers'
-// deques for d. A raced-away slot is handed back with a nudge so a
-// sleeper (or a fresh worker) retries while admissible work remains.
-func (ph *phase) acquireMem(w *worker, d int) *job {
-	ds := &ph.doms[d]
-	if ds.readyMem.Load() == 0 {
-		return nil
-	}
-	r := ph.rt
-	if !r.admit(d) {
-		return nil
-	}
-	var j *job
-	if q := w.mem[d].Load(); q != nil {
-		j = q.popBottom()
-	}
-	if j == nil {
-		j = ds.over.mem.take()
-	}
-	if j == nil {
-		j = ph.stealMem(w, d)
-	}
-	if j != nil {
-		c := ph.classOf(j)
-		if !r.admitClass(c) {
-			// Class-capped (limited or demoted): hand the job and the
-			// speculative gate slot back. The worker releasing the
-			// class's in-flight slot re-scans right after and finds the
-			// requeued job, so a capped class drains serialized instead
-			// of deadlocking.
-			ds.over.mem.put(j)
-			r.releaseMem(d)
-			return nil
-		}
-		ds.readyMem.Add(-1)
-		r.noteIssue(w.slot, c)
-		return j
-	}
-	// Raced away: hand the speculative slot back, and nudge one
-	// sleeper only if there is still admissible work it could run
-	// (spawning a fresh worker if nobody is parked).
-	r.releaseMem(d)
-	if ds.readyMem.Load() > 0 && !r.lot.unparkOne() {
-		ph.spawnWorker()
-	}
-	return nil
-}
-
-// stealMem scans the other workers' domain-d memory deques from a
-// random start, retrying a victim on CAS contention (the deque may
-// still hold work). A same-domain steal (the thief is homed at d)
-// takes a single job, exactly as the unsharded runtime stole. A
-// remote steal applies steal-half semantics: the visit also transfers
-// up to half of the victim's remaining queue into the thief's own
-// deque for d, amortising the cross-domain trip, and is counted per
-// domain so the remote-steal penalty is observable. Unspawned slots
-// read as nil and are skipped.
-func (ph *phase) stealMem(w *worker, d int) *job {
-	n := len(ph.workers)
-	if n == 1 {
-		return nil
-	}
-	ds := &ph.doms[d]
-	remote := d != w.home
-	off := int(w.nextRand() % uint64(n))
-	for i := 0; i < n; i++ {
-		v := ph.workers[(off+i)%n].Load()
-		if v == nil || v == w {
-			continue
-		}
-		q := v.mem[d].Load()
-		if q == nil {
-			continue
-		}
-		j := stealOne(q)
-		if j == nil {
-			continue
-		}
-		if !remote {
-			w.doms[d].steals.Add(1)
-			return j
-		}
-		// Steal-half: the target is computed once from the victim's
-		// size at visit time; concurrent thieves simply shrink what is
-		// left to move. Loot that does not fit the thief's bounded
-		// deque spills to the domain's shared list — never lost.
-		moved := 0
-		for target := q.size() / 2; moved < target; {
-			jj := stealOne(q)
-			if jj == nil {
-				break
-			}
-			if !w.memQ(d).push(jj) {
-				ds.over.mem.put(jj)
-				w.doms[d].spills.Add(1)
-			}
-			moved++
-		}
-		w.doms[d].remoteSteals.Add(1)
-		w.doms[d].stolenJobs.Add(int64(1 + moved))
-		return j
-	}
-	return nil
-}
-
-// stealOne drains one job from a deque, retrying CAS races.
-func stealOne(q *deque) *job {
-	for {
-		j, retry := q.steal()
-		if j != nil {
-			return j
-		}
-		if !retry {
-			return nil
-		}
-	}
-}
-
-// stealComp scans the other workers' compute deques from a random
-// start.
-func (ph *phase) stealComp(w *worker) *job {
-	n := len(ph.workers)
-	if n == 1 {
-		return nil
-	}
-	off := int(w.nextRand() % uint64(n))
-	for i := 0; i < n; i++ {
-		v := ph.workers[(off+i)%n].Load()
-		if v == nil || v == w {
-			continue
-		}
-		if j := stealOne(v.comp); j != nil {
-			return j
-		}
-	}
-	return nil
-}
-
-// parkTillWork idles the worker until work (or the end of the phase)
-// arrives: enqueue in the lot, re-scan (closing the lost-wakeup
-// window — any job published after that scan sees this worker parked
-// and wakes it), then spin for the adaptive budget before blocking on
-// the park token (see spin.go). The spin runs while enqueued, so the
-// targeted unpark protocol covers it unchanged; a token consumed
-// mid-spin is exactly a wakeup and loops back to acquisition. Only
-// the blocking park counts as a park, and its duration is accounted
-// once per cycle to the worker's shard (home-domain idle time).
-func (ph *phase) parkTillWork(w *worker) *job {
-	l := &ph.rt.lot
-	for {
-		l.enqueue(&w.park)
-		if ph.stopped() {
-			l.cancel(&w.park)
-			return nil
-		}
-		if j := ph.acquire(w); j != nil {
-			l.cancel(&w.park)
-			return j
-		}
-		if budget := spinBudgetNs(w.spinNs); budget > 0 && l.beginSpin(ph.spinMax) {
-			t0 := time.Now()
-			woken := false
-			for i := 1; !woken && time.Since(t0).Nanoseconds() < budget; i++ {
-				select {
-				case <-w.park.token:
-					woken = true
-				default:
-				}
-				if woken || ph.stopped() {
-					break
-				}
-				if ph.readyComp.Load() > 0 {
-					break
-				}
-				ready := false
-				for d := 0; d < ph.nd; d++ {
-					if ph.doms[d].readyMem.Load() > 0 {
-						ready = true
-						break
-					}
-				}
-				if ready {
-					break
-				}
-				if i%spinYieldEvery == 0 {
-					runtime.Gosched()
-				}
-			}
-			l.endSpin()
-			gap := time.Since(t0).Nanoseconds()
-			if !woken {
-				if ph.stopped() {
-					l.cancel(&w.park)
-					return nil
-				}
-				if j := ph.acquire(w); j != nil {
-					l.cancel(&w.park)
-					w.spinNs = foldIdleGap(w.spinNs, gap)
-					return j
-				}
-				// Budget spent with nothing runnable: fall through to the
-				// blocking park (still enqueued, so no wakeup was lost).
-			} else {
-				// Token consumed mid-spin — this was the wakeup.
-				w.spinNs = foldIdleGap(w.spinNs, gap)
-				if ph.stopped() {
-					return nil
-				}
-				if j := ph.acquire(w); j != nil {
-					return j
-				}
-				continue
-			}
-		}
-		w.parks.Add(1)
-		t0 := time.Now()
-		<-w.park.token
-		gap := time.Since(t0).Nanoseconds()
-		w.idleNs.Add(gap)
-		w.spinNs = foldIdleGap(w.spinNs, gap)
-		if ph.stopped() {
-			return nil
-		}
-		if j := ph.acquire(w); j != nil {
-			return j
-		}
-	}
-}
-
-// execute runs one job (under retry), releases its gate slot, and
-// feeds the completion back into the dispatch state. Returns false
-// when the worker must drain.
-func (ph *phase) execute(w *worker, j *job) bool {
-	dur, end, attempts, err := ph.runWithRetry(w.slot, j)
-	if j.memory() {
-		ph.rt.releaseMem(ph.domOf(j))
-		if ph.rt.lim != nil {
-			// Class-aware mode: the freed class slot may be exactly what
-			// a parked worker's capped job is waiting for, and this
-			// worker may move on to other work — wake one sleeper.
-			ph.rt.releaseClass(ph.classOf(j))
-			ph.rt.lot.unparkOne()
-		}
-		// No wake on release: while admissible work remains, either
-		// this worker's next acquire or the worker that races it into
-		// the freed slot stays active and keeps draining — waking a
-		// sleeper would only displace a running worker. The exception
-		// is a task outliving an aborted phase: this worker exits
-		// right after the release, and the freed slot may be the one
-		// a *newer* phase's gate-blocked sleepers are waiting for.
-		if ph.aborted.Load() {
-			ph.rt.lot.unparkOne()
-		}
-	}
-	if attempts > 1 {
-		ph.retries.Add(int64(attempts - 1))
-		if err == nil {
-			ph.recovered.Add(1)
-		}
-	}
-	if err != nil {
-		ph.fail(err)
-		return false
-	}
-	if ph.aborted.Load() {
-		// The phase was torn down while this task ran: the result is
-		// dropped, the gate slot above is already released.
-		return false
-	}
-	ph.finish(w, j, dur, end)
-	return true
-}
-
-// dispatch publishes a successor job to the finishing worker's own
-// deque for the job's class and home domain (or, if that is full, to
-// the domain's shared overflow shard). The ready count rises before
-// the push so no scanner can prove absence while the job is in flight.
-// No wake is issued when the job is the publisher's only local work:
-// the publisher's very next acquire pops it (own deques are scanned
-// first), so waking a thief would buy nothing; a thief is woken only
-// when the publisher demonstrably cannot drain alone.
-func (ph *phase) dispatch(w *worker, j *job) {
-	d := ph.domOf(j)
-	ds := &ph.doms[d]
-	mem := j.memory()
-	q, n := w.comp, &ph.readyComp
-	if mem {
-		q, n = w.memQ(d), &ds.readyMem
-	}
-	busy := w.hasLocalWork()
-	n.Add(1)
-	if !q.push(j) {
-		if mem {
-			ds.over.mem.put(j)
-		} else {
-			ds.over.comp.put(j)
-		}
-		w.doms[d].spills.Add(1)
-		busy = true
-	}
-	if busy && !ph.rt.lot.unparkOne() {
-		ph.spawnWorker()
-	}
-}
-
-// finish updates measurements, publishes successor jobs and feeds the
-// controller after a job completes.
-func (ph *phase) finish(w *worker, j *job, dur time.Duration, end time.Time) {
-	switch j.id % 3 {
-	case 0: // gather: enable the compute task
-		// The plain write to tmDur is published to the compute task's
-		// executor by the deque/overflow atomics inside dispatch.
-		ph.tmDur[j.pair()] = dur
-		w.sumTm.Add(int64(dur))
-		w.nTm.Add(1)
-		ph.dispatch(w, &ph.jobs[j.id+1])
-	case 1: // compute
-		ph.completed.Add(1)
-		if sc := &ph.jobs[j.id+1]; sc.fn != nil || sc.fnE != nil {
-			ph.dispatch(w, sc)
-		}
-		w.sumTc.Add(int64(dur))
-		w.nTc.Add(1)
-		// A completed memory/compute pair feeds an adaptive controller
-		// with real wall-clock timings; a Fixed throttler ignores
-		// samples and its limit never moves, so the lock is skipped.
-		if ph.adaptive {
-			ph.feedController(j.pair(), dur, end)
-		}
-	}
-	if ph.remain.Add(-1) == 0 {
-		ph.signalDone()
-		ph.rt.lot.unparkAll()
-	}
-}
-
-// feedController delivers one pair sample under ctrlMu, mirrors the
-// possibly-moved MTL into every domain gate, and — only when the limit
-// rose — wakes the gate-blocked sleepers the new headroom can admit.
-func (ph *phase) feedController(pair int, dur time.Duration, end time.Time) {
-	r := ph.rt
-	r.ctrlMu.Lock()
-	r.th.OnPair(core.PairSample{
-		Tm:    core.Time(ph.tmDur[pair].Seconds()),
-		Tc:    core.Time(dur.Seconds()),
-		Now:   core.Time(end.Sub(ph.start).Seconds()),
-		Class: int(ph.pairClass[pair]),
-	})
-	oldLimit := r.gates[0].limit.Load()
-	newLimit := int64(r.th.MTL())
-	for d := range r.gates {
-		r.gates[d].limit.Store(newLimit)
-	}
-	r.ctrlMu.Unlock()
-	if newLimit > oldLimit {
-		// New admission headroom: wake everyone (many sleepers may be
-		// gate-blocked) and grow the pool by one; dispatch pressure
-		// grows it further if that is still not enough.
-		r.lot.unparkAll()
-		ph.spawnWorker()
-	}
-}
-
-// runWithRetry executes one task under the retry policy, returning
-// the successful attempt's duration and end time plus the number of
-// attempts made. Each attempt re-registers the task with the stall
-// watchdog; backoff sleeps observe cancellation.
-func (ph *phase) runWithRetry(slot int, j *job) (dur time.Duration, end time.Time, attempts int, err error) {
-	pol := ph.rt.cfg.Retry
-	if ph.watch {
-		f := &ph.flight[slot]
-		defer f.clear()
-	}
-	var rng *rand.Rand
-	for attempts = 1; ; attempts++ {
-		if ph.watch {
-			ph.flight[slot].set(j.pair(), ph.classOf(j))
-		}
-		t0 := time.Now()
-		err = ph.runTask(j)
-		if err == nil {
-			end = time.Now()
-			return end.Sub(t0), end, attempts, nil
-		}
-		if !pol.enabled() || attempts >= pol.MaxAttempts {
-			if attempts > 1 {
-				err = fmt.Errorf("%w (after %d attempts)", err, attempts)
-			}
-			return 0, end, attempts, err
-		}
-		if ph.ctx.Err() != nil {
-			return 0, end, attempts, err
-		}
-		ph.rt.noteRetry(slot, ph.classOf(j))
-		if rng == nil {
-			// Decorrelated per worker, reproducible per seed.
-			rng = rand.New(rand.NewSource(pol.Seed + int64(slot)*0x9E3779B9 + 1))
-		}
-		timer := time.NewTimer(pol.delay(attempts, rng))
-		select {
-		case <-timer.C:
-		case <-ph.ctx.Done():
-			timer.Stop()
-			return 0, end, attempts, err
-		}
-	}
-}
-
-// runTask executes one task once, converting a returned error or a
-// panic into a decorated error.
-func (ph *phase) runTask(j *job) (err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			err = fmt.Errorf("host: pair %d %s task panicked: %v", j.pair(), taskName(j), rec)
-		}
-	}()
-	if j.fnE != nil {
-		if taskErr := j.fnE(); taskErr != nil {
-			return fmt.Errorf("host: pair %d %s task failed: %w", j.pair(), taskName(j), taskErr)
-		}
-		return nil
-	}
-	j.fn()
-	return nil
-}
-
-func taskName(j *job) string {
-	switch j.id % 3 {
-	case 0:
-		return "memory"
-	case 1:
-		return "compute"
-	default:
-		return "scatter"
-	}
 }

@@ -2,6 +2,7 @@ package host
 
 import (
 	"errors"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -176,38 +177,40 @@ func TestPanicDrainsSiblings(t *testing.T) {
 	pairs, mem, comp, _, _, _ := makePairs(40, false)
 	// Left alone, the second worker can run all 39 sibling gathers
 	// before the first reaches pair 0's compute, and the assertion below
-	// would blame the drain for it. So the siblings wait until that
-	// compute is about to panic: the seeded FIFO hands pair 0's gather
-	// out first, its worker takes its own compute next, and every other
-	// worker is parked in a sibling until then. Once released a sibling
-	// dwells a millisecond, far longer than the panic takes to become
-	// the abort, so only siblings already started can still finish. If
-	// pair 0's compute never runs, the deadline lets the run end and
-	// fails the test instead of hanging it.
-	released := make(chan struct{})
+	// would blame the drain for it. So every sibling gather waits at a
+	// gate that opens only once Run has returned: the seeded FIFO hands
+	// pair 0's gather out first, its worker takes its own compute next,
+	// and the other worker sits in a sibling until the panic has become
+	// the abort. Whatever runs after the gate opens, a drained phase
+	// must not have started. If pair 0's compute never runs, the
+	// deadline opens the gate so the run ends, and fails the test
+	// instead of hanging it.
+	goroutines := runtime.NumGoroutine()
+	gate := make(chan struct{})
+	var once sync.Once
+	open := func() { once.Do(func() { close(gate) }) }
 	deadline := time.AfterFunc(10*time.Second, func() {
 		t.Error("pair 0's compute never ran: sibling memory tasks starved it")
-		close(released)
+		open()
 	})
 	defer deadline.Stop()
 	for i := 1; i < len(pairs); i++ {
 		body := pairs[i].Memory
 		pairs[i].Memory = func() {
-			<-released
-			time.Sleep(time.Millisecond)
+			<-gate
 			body()
 		}
 	}
-	pairs[0].Compute = func() {
-		if deadline.Stop() {
-			close(released)
-		}
-		panic("early boom")
-	}
+	pairs[0].Compute = func() { panic("early boom") }
 	st, runErr := rt.Run(pairs)
+	deadline.Stop()
+	open()
 	if runErr == nil {
 		t.Fatal("panic did not surface")
 	}
+	// Let the workers that were inside a sibling finish and exit before
+	// counting.
+	waitGoroutines(t, goroutines)
 	// The queues must have been drained: nowhere near all 40 pairs may
 	// have executed after the first compute panicked.
 	if got := atomic.LoadInt64(mem); got >= 40 {
@@ -425,7 +428,7 @@ func TestMTLQueryIsSafeDuringRun(t *testing.T) {
 				t.Errorf("MTL() = %d mid-run", k)
 				return
 			}
-			time.Sleep(time.Millisecond)
+			runtime.Gosched()
 		}
 	}()
 	if _, err := rt.Run(pairs); err != nil {

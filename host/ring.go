@@ -3,7 +3,7 @@ package host
 import "sync/atomic"
 
 // mpmcRing is a bounded multi-producer multi-consumer ring over
-// *servJob, the classic per-slot-sequence design: each slot carries a
+// *pairRec, the classic per-slot-sequence design: each slot carries a
 // sequence number that encodes, relative to the head/tail tickets,
 // whether the slot is free, full, or mid-handoff. push and pop are one
 // ticket CAS plus one slot store each — no locks, no allocation, and
@@ -29,7 +29,7 @@ type mpmcRing struct {
 
 type ringSlot struct {
 	seq atomic.Uint64
-	job *servJob
+	job *pairRec
 	_   [48]byte // one slot per cache line: adjacent handoffs don't false-share
 }
 
@@ -56,7 +56,7 @@ func newMPMCRing(capacity int) *mpmcRing {
 // push enqueues j, reporting false when the ring is full (or a lagging
 // consumer still owns the target slot — the caller treats both as
 // full).
-func (r *mpmcRing) push(j *servJob) bool {
+func (r *mpmcRing) push(j *pairRec) bool {
 	pos := r.tail.Load()
 	for {
 		s := &r.slots[pos&r.mask]
@@ -79,7 +79,7 @@ func (r *mpmcRing) push(j *servJob) bool {
 
 // pop dequeues the oldest job, or nil when the ring is empty (or the
 // producer of the head slot hasn't finished publishing).
-func (r *mpmcRing) pop() *servJob {
+func (r *mpmcRing) pop() *pairRec {
 	pos := r.head.Load()
 	for {
 		s := &r.slots[pos&r.mask]

@@ -16,7 +16,7 @@ import (
 // repack has to beat.
 func BenchmarkMpmcRingContended(b *testing.B) {
 	r := newMPMCRing(1024)
-	blocks := make([]servJob, 512)
+	blocks := make([]pairRec, 512)
 	for i := range blocks {
 		if !r.push(&blocks[i]) {
 			b.Fatal("seed push failed")
@@ -25,7 +25,7 @@ func BenchmarkMpmcRingContended(b *testing.B) {
 	var balance atomic.Int64 // net pops held by workers, for the final audit
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
-		var held *servJob
+		var held *pairRec
 		for pb.Next() {
 			if held == nil {
 				if held = r.pop(); held != nil {

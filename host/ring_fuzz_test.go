@@ -17,8 +17,8 @@ func FuzzMpmcRing(f *testing.F) {
 	f.Fuzz(func(t *testing.T, capHint int, ops []byte) {
 		capacity := ceilPow2(capHint & 63)
 		r := newMPMCRing(capacity)
-		jobs := make([]servJob, len(ops))
-		var model []*servJob
+		jobs := make([]pairRec, len(ops))
+		var model []*pairRec
 		next := 0
 		for i, op := range ops {
 			if op&1 == 0 {

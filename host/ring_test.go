@@ -18,7 +18,7 @@ func TestCeilPow2(t *testing.T) {
 
 func TestRingFIFO(t *testing.T) {
 	r := newMPMCRing(4)
-	jobs := make([]servJob, 6)
+	jobs := make([]pairRec, 6)
 	for i := 0; i < 4; i++ {
 		if !r.push(&jobs[i]) {
 			t.Fatalf("push %d failed on empty-enough ring", i)
@@ -67,7 +67,7 @@ func TestRingCapacityTwo(t *testing.T) {
 		newMPMCRing(1)
 	}()
 	r := newMPMCRing(2)
-	var j1, j2 servJob
+	var j1, j2 pairRec
 	for lap := 0; lap < 5; lap++ {
 		if !r.push(&j1) || !r.push(&j2) {
 			t.Fatalf("lap %d: push failed", lap)
@@ -93,7 +93,7 @@ func TestRingConcurrent(t *testing.T) {
 		perProd   = 5000
 	)
 	r := newMPMCRing(64)
-	jobs := make([]servJob, producers*perProd)
+	jobs := make([]pairRec, producers*perProd)
 	counts := make([]atomic.Int32, len(jobs))
 	for i := range jobs {
 		jobs[i].seq = int64(i)

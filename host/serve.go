@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -14,8 +13,10 @@ import (
 	"memthrottle/internal/stats"
 )
 
-// This file turns the Runtime from a batch scheduler (Run: execute a
-// fixed slice of pairs to completion) into a long-running server:
+// This file is the open-loop queue discipline: it turns the Runtime
+// from a batch scheduler (Run: execute a fixed slice of pairs to
+// completion) into a long-running server on the same worker runtime
+// (runtime.go):
 // Serve opens a streaming ingress, Submit enqueues one pair without
 // blocking the dispatch path, and Drain stops intake and waits for the
 // tail. The MTL admission gate doubles as the server's admission
@@ -24,8 +25,8 @@ import (
 // more than MTL memory tasks in flight per domain) holds for streamed
 // work exactly as it does for batches.
 //
-// The serving hot path is allocation-free after Serve: jobs live in a
-// preallocated block pool and move between lock-free MPMC rings
+// The serving hot path is allocation-free after Serve: records live in
+// a preallocated block pool and move between lock-free MPMC rings
 // (ring.go). Admission is *batched*: instead of one gate CAS and one
 // wakeup per job, the pump claims a run of slots in a single
 // tryAcquireN CAS and wakes the matching number of workers under a
@@ -166,25 +167,6 @@ type ServeStats struct {
 	ServiceLatency stats.LatencyHist
 }
 
-// servJob is one streamed pair's lifecycle record. Blocks are
-// preallocated by Serve and recycled through the free ring, so the
-// Submit-to-completion path never allocates. The user's task functions
-// are stored directly (not wrapped), mirroring the batch path's job
-// struct.
-type servJob struct {
-	mem, comp, scat    func()
-	memE, compE, scatE func() error
-
-	seq     int64
-	dom     int32
-	class   int32
-	scatter bool // true: the scatter task is the next admission
-
-	enqNs   int64 // Submit time, ns since Serve start
-	admitNs int64 // first gate admission, ns since Serve start
-	tmNs    int64 // measured memory-task duration
-}
-
 // servDomain is one memory domain's share of the server.
 type servDomain struct {
 	// pend is the bounded ingress: Submit pushes, the admission pump
@@ -197,100 +179,30 @@ type servDomain struct {
 	// they are retried ahead of fresh ingress on every later pump.
 	pend     *mpmcRing
 	admitted *mpmcRing
-	scat     servList
-	held     servList
-}
-
-// servList is the serving analogue of jobList: an unbounded mutex FIFO
-// with an atomic count keeping the empty case off the lock. It holds
-// scatter-stage jobs awaiting re-admission, far off the gather hot
-// path.
-type servList struct {
-	n    atomic.Int64
-	mu   sync.Mutex
-	jobs []*servJob
-	head int
-}
-
-func (l *servList) put(j *servJob) {
-	l.mu.Lock()
-	l.jobs = append(l.jobs, j)
-	l.n.Add(1)
-	l.mu.Unlock()
-}
-
-func (l *servList) take() *servJob {
-	if l.n.Load() == 0 {
-		return nil
-	}
-	l.mu.Lock()
-	var j *servJob
-	if l.head < len(l.jobs) {
-		j = l.jobs[l.head]
-		l.jobs[l.head] = nil
-		l.head++
-		if l.head == len(l.jobs) {
-			l.jobs = l.jobs[:0]
-			l.head = 0
-		}
-		l.n.Add(-1)
-	}
-	l.mu.Unlock()
-	return j
-}
-
-// serveWorker is one serving worker's private state, including its
-// latency-histogram shards (merged only after the worker exits). Each
-// serveWorker is its own heap allocation, so no cross-worker padding
-// is needed here.
-type serveWorker struct {
-	slot     int
-	home     int
-	park     parker
-	rng      uint64
-	spinNs   int64 // EWMA idle gap, drives the pre-park spin budget
-	queueH   stats.LatencyHist
-	serviceH stats.LatencyHist
+	scat     recList
+	held     recList
 }
 
 // Server is a live Serve session.
 type Server struct {
-	rt       *Runtime
-	sc       ServeConfig
-	start    time.Time
-	adaptive bool
-	spinMax  int64 // concurrent pre-park spinner cap (see spin.go)
+	pool // the shared worker runtime; the rest is the serving discipline's
+	sc   ServeConfig
 
 	doms []servDomain
 	free *mpmcRing
 
-	lot     lot
-	workers []atomic.Pointer[serveWorker]
-	spawned atomic.Int32
-	wg      sync.WaitGroup
+	// ownLot parks this session's idle workers (the runtime's own lot
+	// is the batch phases'); pool.lot points at it.
+	ownLot lot
 
 	seq      atomic.Int64
 	inflight atomic.Int64
 	draining atomic.Bool
-	drained  chan struct{}
-	downOnce sync.Once
 
 	submitted, completed, failed atomic.Int64
 	dropped, rejected            atomic.Int64
-	retries, recovered           atomic.Int64
 	admitBatches, admittedJobs   atomic.Int64
 	blacklisted                  atomic.Int64
-
-	// Stall-watchdog state (Config.StallTimeout > 0 only): per-worker
-	// flight records plus the bookkeeping the watchdog goroutine and
-	// Drain share.
-	watch       bool
-	flight      []flightRec
-	stallMu     sync.Mutex
-	stalls      int64
-	stalledSeqs []int64
-	degraded    bool
-	rearms      int64
 
 	// blockMu/blockCond park ShedBlock submitters; blockWaiters keeps
 	// the signal off the completion hot path when nobody waits.
@@ -322,18 +234,9 @@ func (r *Runtime) Serve(sc ServeConfig) (*Server, error) {
 	nd := r.cfg.Domains
 	queueCap := ceilPow2(sc.Queue)
 	admitCap := ceilPow2(2 * (r.cfg.Workers + 1))
-	s := &Server{
-		rt:      r,
-		sc:      sc,
-		start:   time.Now(),
-		doms:    make([]servDomain, nd),
-		workers: make([]atomic.Pointer[serveWorker], r.cfg.Workers),
-		drained: make(chan struct{}),
-	}
+	s := &Server{sc: sc, doms: make([]servDomain, nd)}
+	s.setup(r, s, &s.ownLot, "job", nil)
 	s.blockCond = sync.NewCond(&s.blockMu)
-	_, fixed := r.th.(core.Fixed)
-	s.adaptive = !fixed
-	s.spinMax = spinnerCap()
 	for d := range s.doms {
 		s.doms[d].pend = newMPMCRing(queueCap)
 		s.doms[d].admitted = newMPMCRing(admitCap)
@@ -342,20 +245,12 @@ func (r *Runtime) Serve(sc ServeConfig) (*Server, error) {
 	// rings, the admitted rings, the scatter lists plus the workers'
 	// hands (both bounded by gate occupancy and the worker count).
 	total := nd*queueCap + nd*admitCap + 2*(r.cfg.Workers+1)
-	blocks := make([]servJob, total)
+	blocks := make([]pairRec, total)
 	s.free = newMPMCRing(ceilPow2(total))
 	for i := range blocks {
 		s.free.push(&blocks[i])
 	}
-	r.memPeak.Store(r.memActive.Load())
-	for d := range r.gates {
-		r.gates[d].resetPeak()
-	}
-	s.watch = r.cfg.StallTimeout > 0
-	if s.watch {
-		s.flight = make([]flightRec, r.cfg.Workers)
-		go s.watchdog()
-	}
+	s.armWatchdog(r.cfg.StallRecoverAfter)
 	return s, nil
 }
 
@@ -370,18 +265,15 @@ func (s *Server) Submit(p Pair) error {
 	if s.draining.Load() {
 		return ErrDraining
 	}
-	// Validate the slots inline (the batch path's rules): exactly one
-	// form per slot, memory and compute required.
-	if (p.Memory != nil) == (p.MemoryErr != nil) {
-		return fmt.Errorf("host: submit: exactly one of Memory/MemoryErr must be set")
-	}
-	if (p.Compute != nil) == (p.ComputeErr != nil) {
-		return fmt.Errorf("host: submit: exactly one of Compute/ComputeErr must be set")
-	}
-	if p.Scatter != nil && p.ScatterErr != nil {
+	// The batch path's rules: exactly one form per slot, memory and
+	// compute required.
+	var rec pairRec
+	switch fault, slot := rec.fill(p); {
+	case fault == slotBoth && slot == "Scatter":
 		return fmt.Errorf("host: submit: both Scatter and ScatterErr set")
-	}
-	if p.Class < 0 || p.Class >= core.MaxClasses {
+	case fault == slotBoth || fault == slotMissing:
+		return fmt.Errorf("host: submit: exactly one of %s/%sErr must be set", slot, slot)
+	case fault == classRange:
 		return fmt.Errorf("host: submit: class = %d, want within [0, %d)", p.Class, core.MaxClasses)
 	}
 	// Ingress containment: a demoted class is refused before it costs a
@@ -401,9 +293,14 @@ func (s *Server) Submit(p Pair) error {
 		s.undoInflight()
 		return ErrDraining
 	}
-	seq := s.seq.Add(1) - 1
-	dom := int(seq % int64(len(s.doms)))
-	if s.enqueue(seq, dom, p) {
+	rec.seq = s.seq.Add(1) - 1
+	dom, err := s.rt.homeOf(rec.seq)
+	if err != nil {
+		s.undoInflight()
+		return err
+	}
+	rec.dom = int32(dom)
+	if s.enqueue(&rec) {
 		s.submitted.Add(1)
 		s.pump(dom)
 		return nil
@@ -414,7 +311,7 @@ func (s *Server) Submit(p Pair) error {
 		s.dropped.Add(1)
 		return nil
 	case ShedBlock:
-		return s.submitBlocking(seq, dom, p)
+		return s.submitBlocking(&rec)
 	default: // ShedReject
 		s.undoInflight()
 		s.rejected.Add(1)
@@ -422,36 +319,34 @@ func (s *Server) Submit(p Pair) error {
 	}
 }
 
-// enqueue moves one validated pair into dom's pending ring, reporting
-// false when the queue (or the block pool) is full.
-func (s *Server) enqueue(seq int64, dom int, p Pair) bool {
+// enqueue copies one filled record into a pool block and moves it into
+// its domain's pending ring, reporting false when the queue (or the
+// block pool) is full.
+func (s *Server) enqueue(rec *pairRec) bool {
 	j := s.free.pop()
 	if j == nil {
 		return false
 	}
-	j.mem, j.memE = p.Memory, p.MemoryErr
-	j.comp, j.compE = p.Compute, p.ComputeErr
-	j.scat, j.scatE = p.Scatter, p.ScatterErr
-	j.seq = seq
-	j.dom = int32(dom)
-	j.class = int32(p.Class)
-	j.scatter = false
+	*j = *rec
 	j.enqNs = s.nowNs()
-	j.admitNs = 0
-	j.tmNs = 0
-	if s.doms[dom].pend.push(j) {
+	if s.doms[rec.dom].pend.push(j) {
 		return true
 	}
-	*j = servJob{}
+	s.recycle(j)
+	return false
+}
+
+// recycle clears a block and returns it to the pool.
+func (s *Server) recycle(j *pairRec) {
+	*j = pairRec{}
 	for !s.free.push(j) {
 		runtime.Gosched()
 	}
-	return false
 }
 
 // submitBlocking is the ShedBlock slow path: wait until the job fits
 // or the server drains.
-func (s *Server) submitBlocking(seq int64, dom int, p Pair) error {
+func (s *Server) submitBlocking(rec *pairRec) error {
 	s.blockWaiters.Add(1)
 	defer s.blockWaiters.Add(-1)
 	s.blockMu.Lock()
@@ -461,45 +356,29 @@ func (s *Server) submitBlocking(seq int64, dom int, p Pair) error {
 			s.undoInflight()
 			return ErrDraining
 		}
-		if s.enqueue(seq, dom, p) {
+		if s.enqueue(rec) {
 			s.blockMu.Unlock()
 			s.submitted.Add(1)
-			s.pump(dom)
+			s.pump(int(rec.dom))
 			return nil
 		}
 		s.blockCond.Wait()
 	}
 }
 
+// wakeSubmitters releases ShedBlock submitters after space opened.
+func (s *Server) wakeSubmitters() {
+	if s.blockWaiters.Load() > 0 {
+		s.blockMu.Lock()
+		s.blockCond.Broadcast()
+		s.blockMu.Unlock()
+	}
+}
+
 // undoInflight retires an inflight token without a job behind it.
 func (s *Server) undoInflight() {
 	if s.inflight.Add(-1) == 0 && s.draining.Load() {
-		s.closeDrained()
-	}
-}
-
-// claimSlots acquires up to max memory slots on domain d in one CAS
-// and maintains the cross-domain concurrency peak (the serving
-// analogue of Runtime.admit, batched).
-func (s *Server) claimSlots(d int, max int64) int64 {
-	n := s.rt.gates[d].tryAcquireN(max)
-	if n > 0 && len(s.rt.gates) > 1 {
-		a := s.rt.memActive.Add(n)
-		for {
-			p := s.rt.memPeak.Load()
-			if a <= p || s.rt.memPeak.CompareAndSwap(p, a) {
-				break
-			}
-		}
-	}
-	return n
-}
-
-// releaseSlots returns n memory slots on domain d.
-func (s *Server) releaseSlots(d int, n int64) {
-	s.rt.gates[d].releaseN(n)
-	if len(s.rt.gates) > 1 {
-		s.rt.memActive.Add(-n)
+		s.shutdown()
 	}
 }
 
@@ -518,16 +397,13 @@ func (s *Server) pump(d int) {
 		if pending == 0 {
 			return
 		}
-		want := pending
-		if want > batch {
-			want = batch
-		}
-		n := s.claimSlots(d, want)
+		want := min(pending, batch)
+		n := s.rt.claimSlots(d, want)
 		if n == 0 {
 			return
 		}
 		var moved int64
-		var deferred []*servJob
+		var deferred []*pairRec
 		now := s.nowNs()
 		for moved < n {
 			j := sd.scat.take()
@@ -560,27 +436,22 @@ func (s *Server) pump(d int) {
 				sd.scat.put(j)
 				break
 			}
-			// The issue signal is emitted by the worker that pops this
-			// admission (exec), not here: pump runs on arbitrary submitter
-			// goroutines with no worker slot to attribute a shard write
-			// to, and every admitted job is executed exactly once.
+			// The issue signal is emitted by the worker that runs this
+			// admission (runStage), not here: pump runs on arbitrary
+			// submitter goroutines with no worker slot to attribute a
+			// shard write to.
 			moved++
 		}
 		for _, j := range deferred {
 			sd.held.put(j)
 		}
 		if moved < n {
-			s.releaseSlots(d, n-moved)
+			s.rt.releaseSlots(d, n-moved)
 		}
 		if moved > 0 {
 			s.admitBatches.Add(1)
 			s.admittedJobs.Add(moved)
-			if s.blockWaiters.Load() > 0 {
-				// Space opened in pend; wake blocked submitters.
-				s.blockMu.Lock()
-				s.blockCond.Broadcast()
-				s.blockMu.Unlock()
-			}
+			s.wakeSubmitters() // space opened in pend
 			woken := s.lot.unparkN(int(moved))
 			for i := woken; i < int(moved); i++ {
 				s.spawnWorker()
@@ -592,312 +463,105 @@ func (s *Server) pump(d int) {
 	}
 }
 
-// pumpAll pumps every domain (slot releases affect one domain; MTL
-// raises affect all).
-func (s *Server) pumpAll() {
+// limitRose pumps every domain: an MTL raise opens headroom on all of
+// them (a slot release affects only its own).
+func (s *Server) limitRose() {
 	for d := range s.doms {
 		s.pump(d)
 	}
 }
 
-// spawnWorker starts one more serving worker if the pool has room.
-func (s *Server) spawnWorker() {
-	nw := s.rt.cfg.Workers
-	for {
-		n := s.spawned.Load()
-		if int(n) >= nw || s.finished() {
-			return
-		}
-		if s.spawned.CompareAndSwap(n, n+1) {
-			w := &serveWorker{
-				slot: int(n),
-				home: int(n) % len(s.doms),
-				rng:  uint64(n)*0x9E3779B97F4A7C15 + 1,
-				park: parker{token: make(chan struct{}, 1)},
-			}
-			s.workers[n].Store(w)
-			s.wg.Add(1)
-			go s.work(w)
-			return
-		}
-	}
-}
+// released re-pumps the domain whose slot just came back.
+func (s *Server) released(j *pairRec) { s.pump(int(j.dom)) }
 
-// finished reports whether the session is fully drained.
-func (s *Server) finished() bool {
+// equip gives a serving worker its latency shards.
+func (s *Server) equip(w *worker) { w.lat = new(latShard) }
+
+// stopped reports whether the session is fully drained.
+func (s *Server) stopped() bool {
 	return s.draining.Load() && s.inflight.Load() == 0
 }
 
-// closeDrained releases Drain and every parked worker, exactly once.
-func (s *Server) closeDrained() {
-	s.downOnce.Do(func() {
-		close(s.drained)
-		s.lot.unparkAll()
-	})
-}
-
-// work is the serving worker loop: take admitted jobs (home domain
-// first), pump when the rings run dry, park when there is truly
-// nothing, exit when the session drains.
-func (s *Server) work(w *serveWorker) {
-	defer s.wg.Done()
-	for {
-		if s.finished() {
-			return
-		}
-		j := s.take(w)
-		if j == nil {
-			if j = s.parkTillWork(w); j == nil {
-				return
-			}
-		}
-		s.exec(w, j)
-	}
-}
-
-// take scans the admitted rings home-first, pumping once on a miss
-// (the pump may admit work this very worker then takes).
-func (s *Server) take(w *serveWorker) *servJob {
+// popAdmitted scans the admitted rings home-first.
+func (s *Server) popAdmitted(w *worker) *pairRec {
 	nd := len(s.doms)
 	for i := 0; i < nd; i++ {
 		if j := s.doms[(w.home+i)%nd].admitted.pop(); j != nil {
 			return j
 		}
 	}
-	s.pumpAll()
-	for i := 0; i < nd; i++ {
-		if j := s.doms[(w.home+i)%nd].admitted.pop(); j != nil {
-			return j
-		}
-	}
 	return nil
 }
 
-// parkTillWork idles w until a wakeup token arrives, with the batch
-// path's lost-wakeup closure (re-scan after enqueueing, so any job
-// admitted after the scan finds this worker in the lot) and the batch
-// path's adaptive spin-then-park (spin.go): a bounded spin polls the
-// token and the admitted rings before the worker commits to the
-// blocking park.
-func (s *Server) parkTillWork(w *serveWorker) *servJob {
-	for {
-		s.lot.enqueue(&w.park)
-		if s.finished() {
-			s.lot.cancel(&w.park)
-			return nil
-		}
-		if j := s.take(w); j != nil {
-			s.lot.cancel(&w.park)
-			return j
-		}
-		if budget := spinBudgetNs(w.spinNs); budget > 0 && s.lot.beginSpin(s.spinMax) {
-			t0 := time.Now()
-			woken := false
-			for i := 1; !woken && time.Since(t0).Nanoseconds() < budget; i++ {
-				select {
-				case <-w.park.token:
-					woken = true
-				default:
-				}
-				if woken || s.finished() {
-					break
-				}
-				ready := false
-				for d := range s.doms {
-					if s.doms[d].admitted.length() > 0 {
-						ready = true
-						break
-					}
-				}
-				if ready {
-					break
-				}
-				if i%spinYieldEvery == 0 {
-					runtime.Gosched()
-				}
-			}
-			s.lot.endSpin()
-			gap := time.Since(t0).Nanoseconds()
-			if woken {
-				// Token consumed mid-spin — this was the wakeup.
-				w.spinNs = foldIdleGap(w.spinNs, gap)
-				if s.finished() {
-					return nil
-				}
-				if j := s.take(w); j != nil {
-					return j
-				}
-				continue
-			}
-			if s.finished() {
-				s.lot.cancel(&w.park)
-				return nil
-			}
-			if j := s.take(w); j != nil {
-				s.lot.cancel(&w.park)
-				w.spinNs = foldIdleGap(w.spinNs, gap)
-				return j
-			}
-			// Budget spent with nothing admitted: fall through to the
-			// blocking park (still enqueued, so no wakeup was lost).
-		}
-		t0 := time.Now()
-		<-w.park.token
-		w.spinNs = foldIdleGap(w.spinNs, time.Since(t0).Nanoseconds())
-		if s.finished() {
-			return nil
-		}
-		if j := s.take(w); j != nil {
-			return j
-		}
+// take scans the admitted rings, pumping every domain once on a miss
+// (the pump may admit work this very worker then takes). A gather's
+// queue latency is recorded here, before the task runs, so the
+// histogram update stays out of the memory-to-compute hand-off.
+func (s *Server) take(w *worker) *pairRec {
+	j := s.popAdmitted(w)
+	if j == nil {
+		s.limitRose()
+		j = s.popAdmitted(w)
 	}
+	if j != nil && j.stage == stageMem {
+		w.lat.queue.Record(time.Duration(j.admitNs - j.enqNs))
+	}
+	return j
 }
 
-// exec runs one admitted job stage. Gather: record queue latency, run
-// the memory task under the held slot, release, pump, then run compute
-// on the same worker and either finish or stage the scatter. Scatter:
-// run under the held slot, release, finish.
-func (s *Server) exec(w *serveWorker, j *servJob) {
-	d := int(j.dom)
-	// One issue signal per gate admission (gather and scatter stages are
-	// each admitted once), attributed to this worker's shard.
-	s.rt.noteIssue(w.slot, int(j.class))
-	if j.scatter {
-		_, err := s.runRetry(w, j.scat, j.scatE, j, "scatter")
-		s.releaseSlots(d, 1)
-		s.rt.releaseClass(int(j.class))
-		s.pump(d)
-		s.finishJob(w, j, err != nil)
-		return
+// ready reports whether any admitted ring holds a job.
+func (s *Server) ready() bool {
+	for d := range s.doms {
+		if s.doms[d].admitted.length() > 0 {
+			return true
+		}
 	}
-	w.queueH.Record(time.Duration(j.admitNs - j.enqNs))
-	tm, err := s.runRetry(w, j.mem, j.memE, j, "memory")
-	s.releaseSlots(d, 1)
-	s.rt.releaseClass(int(j.class))
-	s.pump(d)
+	return false
+}
+
+// finish moves a job on after one of its stages ran. Gather: the compute
+// runs next on the same worker, off the queues. Compute: feed the
+// controller, then either stage the scatter for re-admission or retire
+// the job. Scatter, or a failure at any stage: retire it.
+func (s *Server) finish(w *worker, j *pairRec, dur time.Duration, end time.Time, err error) *pairRec {
 	if err != nil {
-		s.finishJob(w, j, true)
-		return
-	}
-	j.tmNs = int64(tm)
-	tc, err := s.runRetry(w, j.comp, j.compE, j, "compute")
-	if err != nil {
-		s.finishJob(w, j, true)
-		return
-	}
-	if s.adaptive {
-		s.feedController(j, tc)
-	}
-	if j.scat != nil || j.scatE != nil {
-		j.scatter = true
-		s.doms[d].scat.put(j)
-		s.pump(d)
-		return
-	}
-	s.finishJob(w, j, false)
-}
-
-// feedController mirrors the batch path: one pair sample under ctrlMu,
-// the possibly-moved MTL mirrored into every gate, and a pump when the
-// limit rose (new headroom can admit queued jobs on every domain).
-func (s *Server) feedController(j *servJob, tc time.Duration) {
-	r := s.rt
-	r.ctrlMu.Lock()
-	r.th.OnPair(core.PairSample{
-		Tm:    core.Time(time.Duration(j.tmNs).Seconds()),
-		Tc:    core.Time(tc.Seconds()),
-		Now:   core.Time(time.Since(s.start).Seconds()),
-		Class: int(j.class),
-	})
-	old := r.gates[0].limit.Load()
-	newLimit := int64(r.th.MTL())
-	for d := range r.gates {
-		r.gates[d].limit.Store(newLimit)
-	}
-	r.ctrlMu.Unlock()
-	if newLimit > old {
-		s.pumpAll()
-	}
-}
-
-// runRetry executes one task under the runtime's retry policy with
-// panic recovery, returning the successful attempt's duration.
-func (s *Server) runRetry(w *serveWorker, fn func(), fnE func() error, j *servJob, name string) (time.Duration, error) {
-	pol := s.rt.cfg.Retry
-	var rng *rand.Rand
-	if s.watch {
-		f := &s.flight[w.slot]
-		defer f.clear()
-	}
-	for attempt := 1; ; attempt++ {
-		if s.watch {
-			s.flight[w.slot].set(int(j.seq), int(j.class))
-		}
-		t0 := time.Now()
-		err := s.runOnce(fn, fnE, j, name)
-		if err == nil {
-			if attempt > 1 {
-				s.retries.Add(int64(attempt - 1))
-				s.recovered.Add(1)
-			}
-			return time.Since(t0), nil
-		}
-		if !pol.enabled() || attempt >= pol.MaxAttempts {
-			if attempt > 1 {
-				s.retries.Add(int64(attempt - 1))
-				err = fmt.Errorf("%w (after %d attempts)", err, attempt)
-			}
-			return 0, err
-		}
-		s.rt.noteRetry(w.slot, int(j.class))
-		if rng == nil {
-			// Allocated only on the retry slow path — the success path
-			// stays allocation-free. Decorrelated per worker,
-			// reproducible per seed, mirroring the batch path.
-			rng = rand.New(rand.NewSource(pol.Seed + int64(w.slot)*0x9E3779B9 + 1))
-		}
-		time.Sleep(pol.delay(attempt, rng))
-	}
-}
-
-// runOnce executes one task attempt, converting panics to errors.
-func (s *Server) runOnce(fn func(), fnE func() error, j *servJob, name string) (err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			err = fmt.Errorf("host: job %d %s task panicked: %v", j.seq, name, rec)
-		}
-	}()
-	if fnE != nil {
-		if taskErr := fnE(); taskErr != nil {
-			return fmt.Errorf("host: job %d %s task failed: %w", j.seq, name, taskErr)
-		}
+		s.retire(w, j, true)
 		return nil
 	}
-	fn()
+	switch j.stage {
+	case stageMem:
+		j.stage = stageComp
+		return j
+	case stageComp:
+		if s.adaptive {
+			s.feedController(j, dur, end)
+		}
+		if j.has(stageScat) {
+			d := int(j.dom)
+			j.stage = stageScat
+			s.doms[d].scat.put(j)
+			s.pump(d)
+			return nil
+		}
+	}
+	s.retire(w, j, false)
 	return nil
 }
 
-// finishJob retires one job: count it, record service latency, recycle
-// the block, release blocked submitters, and close the drain when this
-// was the last inflight job of a draining session.
-func (s *Server) finishJob(w *serveWorker, j *servJob, failed bool) {
+// retire ends one job: count it, record service latency, recycle the
+// block, release blocked submitters, and close the drain when this was
+// the last inflight job of a draining session.
+func (s *Server) retire(w *worker, j *pairRec, failed bool) {
 	if failed {
 		s.failed.Add(1)
 	} else {
 		s.completed.Add(1)
-		w.serviceH.Record(time.Duration(s.nowNs() - j.admitNs))
+		w.lat.service.Record(time.Duration(s.nowNs() - j.admitNs))
 	}
-	*j = servJob{}
-	for !s.free.push(j) {
-		runtime.Gosched()
-	}
-	if s.blockWaiters.Load() > 0 {
-		s.blockMu.Lock()
-		s.blockCond.Broadcast()
-		s.blockMu.Unlock()
-	}
+	s.recycle(j)
+	s.wakeSubmitters()
 	if s.inflight.Add(-1) == 0 && s.draining.Load() {
-		s.closeDrained()
+		s.shutdown()
 	}
 }
 
@@ -910,15 +574,13 @@ func (s *Server) finishJob(w *serveWorker, j *servJob, failed bool) {
 // called again to finish waiting.
 func (s *Server) Drain(ctx context.Context) (ServeStats, error) {
 	if s.draining.CompareAndSwap(false, true) {
-		s.blockMu.Lock()
-		s.blockCond.Broadcast()
-		s.blockMu.Unlock()
+		s.wakeSubmitters()
 		if s.inflight.Load() == 0 {
-			s.closeDrained()
+			s.shutdown()
 		}
 	}
 	select {
-	case <-s.drained:
+	case <-s.done:
 	case <-ctx.Done():
 		return s.snapshotStats(), ctx.Err()
 	}
@@ -926,8 +588,8 @@ func (s *Server) Drain(ctx context.Context) (ServeStats, error) {
 	s.statsOnce.Do(func() {
 		for i := range s.workers {
 			if w := s.workers[i].Load(); w != nil {
-				s.finalQ.Merge(&w.queueH)
-				s.finalS.Merge(&w.serviceH)
+				s.finalQ.Merge(&w.lat.queue)
+				s.finalS.Merge(&w.lat.service)
 			}
 		}
 		s.rt.serving.Store(false)
@@ -956,12 +618,12 @@ func (s *Server) snapshotStats() ServeStats {
 		FinalMTL:       s.rt.MTL(),
 		MaxConcurrentM: s.rt.peakConcurrentM(),
 	}
-	s.stallMu.Lock()
+	s.wdMu.Lock()
 	st.Stalls = s.stalls
-	st.Stalled = append([]int64(nil), s.stalledSeqs...)
+	st.Stalled = append([]int64(nil), s.stalled...)
 	st.Degraded = s.degraded
 	st.Rearms = s.rearms
-	s.stallMu.Unlock()
+	s.wdMu.Unlock()
 	if sec := st.Elapsed.Seconds(); sec > 0 {
 		st.Goodput = float64(st.Completed) / sec
 	}

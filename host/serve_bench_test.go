@@ -101,7 +101,7 @@ func BenchmarkGateAdmitPerJob(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i += 32 {
 		for k := 0; k < 32; k++ {
-			if !g.tryAcquire() {
+			if g.tryAcquireN(1) == 0 {
 				b.Fatal("gate full")
 			}
 		}

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 // servTrackedPair returns a pair whose memory task maintains a live
@@ -62,12 +61,20 @@ func TestStressServeSubmitDrainMTL(t *testing.T) {
 	live, peak := new(int64), new(int64)
 	var accepted, shutOut atomic.Int64
 	var subWG sync.WaitGroup
+	// Each submission nudges the twiddler below, so the limit moves as
+	// fast as the load arrives whatever the machine's speed — no clock
+	// paces it.
+	nudge := make(chan struct{}, 1)
 	for g := 0; g < submitters; g++ {
 		subWG.Add(1)
 		go func() {
 			defer subWG.Done()
 			for i := 0; i < perSub; i++ {
 				err := srv.Submit(servTrackedPair(live, peak, 500))
+				select {
+				case nudge <- struct{}{}:
+				default:
+				}
 				switch {
 				case err == nil:
 					accepted.Add(1) // submitted or silently dropped (ShedDrop)
@@ -94,14 +101,13 @@ func TestStressServeSubmitDrainMTL(t *testing.T) {
 			select {
 			case <-stop:
 				return
-			default:
+			case <-nudge:
 			}
 			limit := int64(1 + i%maxTwiddle)
 			for d := range rt.gates {
 				rt.gates[d].limit.Store(limit)
 			}
-			srv.pumpAll()
-			time.Sleep(100 * time.Microsecond)
+			srv.limitRose()
 		}
 	}()
 

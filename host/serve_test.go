@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -219,9 +220,16 @@ func TestServeDrainReleasesBlockedSubmitters(t *testing.T) {
 			errs <- srv.Submit(Pair{Memory: func() {}, Compute: func() {}})
 		}()
 	}
-	time.Sleep(20 * time.Millisecond) // let the submitters block
+	// Every submitter has either got in or committed to the blocking
+	// path; then the wedged job is let go only once the drain has begun,
+	// so the blocked ones are released by Drain, not by space.
+	for srv.submitted.Load()-1+srv.blockWaiters.Load() < 8 {
+		runtime.Gosched()
+	}
 	go func() {
-		time.Sleep(20 * time.Millisecond)
+		for !srv.draining.Load() {
+			runtime.Gosched()
+		}
 		close(release)
 	}()
 	if _, err := srv.Drain(context.Background()); err != nil {
@@ -395,6 +403,71 @@ func TestServeDomains(t *testing.T) {
 	}
 	if st.MaxConcurrentM > 4 {
 		t.Fatalf("MaxConcurrentM = %d exceeds MTL 1 x 4 domains", st.MaxConcurrentM)
+	}
+}
+
+// TestServeHonoursConfigDomain checks that a session homes job seq where
+// Config.Domain says, exactly as Run homes pair i: with everything
+// homed at domain 1, every admission goes through gate 1 and gate 0 is
+// never claimed; an out-of-range answer is Run's range error, and the
+// refused Submit leaves nothing behind for Drain to wait on.
+func TestServeHonoursConfigDomain(t *testing.T) {
+	var mem, comp atomic.Int64
+	var home atomic.Int64
+	home.Store(1)
+	cfg := Config{Workers: 4, Policy: Static, MTL: 2, Domains: 2, Domain: func(int) int { return int(home.Load()) }}
+	rt, srv := newServer(t, cfg, ServeConfig{})
+	const jobs = 100
+	for i := 0; i < jobs; i++ {
+		p := countPair(&mem, &comp)
+		if i%4 == 0 {
+			p.Scatter = func() {}
+		}
+		if err := srv.Submit(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	home.Store(5)
+	err := srv.Submit(countPair(&mem, &comp))
+	if want := fmt.Sprintf("host: pair %d homed at domain 5, want within [0, 2)", jobs); err == nil || err.Error() != want {
+		t.Fatalf("Submit homed out of range = %v, want %q", err, want)
+	}
+	st, err := srv.Drain(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Submitted != jobs || st.Completed != jobs {
+		t.Fatalf("stats %+v, want %d submitted and completed", st, jobs)
+	}
+	if st.AdmittedJobs != jobs+jobs/4 {
+		t.Fatalf("AdmittedJobs = %d, want %d gathers + %d scatters", st.AdmittedJobs, jobs, jobs/4)
+	}
+	if p0, p1 := rt.gates[0].peak.Load(), rt.gates[1].peak.Load(); p0 != 0 || p1 < 1 || p1 > 2 {
+		t.Fatalf("gate peaks %d/%d, want every admission on gate 1 (0 and 1..2)", p0, p1)
+	}
+	if st.MaxConcurrentM > 2 {
+		t.Fatalf("MaxConcurrentM = %d with one domain in use at MTL 2", st.MaxConcurrentM)
+	}
+}
+
+// TestServeTaskErrorWording pins what the shared stage runner calls a
+// record under each discipline: a session's failures say "job <seq>"
+// where a Run's say "pair <index>" (runtime_parent.json pins those). A
+// session only counts its failures, so the text is read off the runner.
+func TestServeTaskErrorWording(t *testing.T) {
+	_, srv := newServer(t, Config{Workers: 1, Policy: Static, MTL: 1}, ServeConfig{})
+	j := &pairRec{seq: 7, stage: stageComp}
+	j.fnE[stageComp] = func() error { return errors.New("boom") }
+	if err := srv.invoke(j); err == nil || err.Error() != "host: job 7 compute task failed: boom" {
+		t.Errorf("invoke = %v", err)
+	}
+	j.stage = stageScat
+	j.fn[stageScat] = func() { panic("kaboom") }
+	if err := srv.invoke(j); err == nil || err.Error() != "host: job 7 scatter task panicked: kaboom" {
+		t.Errorf("invoke = %v", err)
+	}
+	if _, err := srv.Drain(context.Background()); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -24,8 +24,8 @@ type flightRec struct {
 
 // set registers the start of one task attempt. Order matters: the pair
 // is published before the start timestamp arms the watchdog.
-func (f *flightRec) set(pair, class int) {
-	f.pair.Store(int64(pair))
+func (f *flightRec) set(pair int64, class int) {
+	f.pair.Store(pair)
 	f.class.Store(int64(class))
 	f.stalled.Store(false)
 	f.start.Store(time.Now().UnixNano())
@@ -36,116 +36,34 @@ func (f *flightRec) clear() {
 	f.start.Store(0)
 }
 
+// armWatchdog starts the stall watchdog when Config.StallTimeout asks
+// for one. Call before the first worker spawns.
+func (p *pool) armWatchdog(recoverAfter int) {
+	if p.rt.cfg.StallTimeout <= 0 {
+		return
+	}
+	p.flight = make([]flightRec, len(p.workers))
+	go p.watchdog(recoverAfter)
+}
+
 // watchdog periodically scans the flight registry for tasks that have
 // been running longer than Config.StallTimeout. A flagged task is
-// recorded in the phase's stall statistics; once the phase accumulates
+// recorded in the pool's stall statistics; once the pool accumulates
 // Config.StallFallbackAfter stalls the runtime no longer trusts its
 // task timings and degrades gracefully: the Dynamic controller is
 // pinned to the conventional MTL (= workers) so a wedged memory task
-// can never starve the run through a tight throttle. The watchdog
-// exits when the phase completes or aborts.
-func (ph *phase) watchdog() {
-	r := ph.rt
-	tick := r.cfg.StallTimeout / 4
-	if tick < 200*time.Microsecond {
-		tick = 200 * time.Microsecond
-	}
-	t := time.NewTicker(tick)
-	defer t.Stop()
-	for {
-		select {
-		case <-ph.done:
-			return
-		case <-t.C:
-		}
-		now := time.Now().UnixNano()
-		for i := range ph.flight {
-			f := &ph.flight[i]
-			start := f.start.Load()
-			if start == 0 || f.stalled.Load() || now-start <= int64(r.cfg.StallTimeout) {
-				continue
-			}
-			f.stalled.Store(true)
-			ph.wdMu.Lock()
-			ph.stalls++
-			ph.stalledPairs = append(ph.stalledPairs, int(f.pair.Load()))
-			degrade := ph.stalls >= r.cfg.StallFallbackAfter
-			ph.wdMu.Unlock()
-			if r.obs != nil {
-				r.obs.OnSignal(int(f.class.Load()), core.SignalStall)
-			}
-			// The flagged worker may be wedged for good; with lazily
-			// spawned workers it could even be the only one alive, so
-			// grow the pool by a replacement to keep the phase moving.
-			ph.spawnWorker()
-			if degrade {
-				r.degrade(ph)
-			}
-		}
-	}
-}
-
-// degradeController pins an adaptive Dynamic controller to the
-// conventional MTL and mirrors the widened limit into every gate.
-// Reports false for non-Dynamic or already-degraded controllers.
-func (r *Runtime) degradeController() bool {
-	r.ctrlMu.Lock()
-	defer r.ctrlMu.Unlock()
-	d, ok := r.th.(*core.Dynamic)
-	if !ok || d.Degraded() {
-		return false
-	}
-	d.ForceConventional()
-	limit := int64(d.MTL())
-	for i := range r.gates {
-		r.gates[i].limit.Store(limit)
-	}
-	return true
-}
-
-// rearmController lifts a degraded Dynamic controller's fallback,
-// restarting MTL selection, and mirrors the new probe limit into the
-// gates. Reports false when there is nothing to re-arm.
-func (r *Runtime) rearmController() bool {
-	r.ctrlMu.Lock()
-	defer r.ctrlMu.Unlock()
-	d, ok := r.th.(*core.Dynamic)
-	if !ok || !d.Degraded() {
-		return false
-	}
-	d.Rearm()
-	limit := int64(d.MTL())
-	for i := range r.gates {
-		r.gates[i].limit.Store(limit)
-	}
-	return true
-}
-
-// degrade records a batch phase's fallback and widens the pool.
-func (r *Runtime) degrade(ph *phase) {
-	if !r.degradeController() {
-		return
-	}
-	ph.wdMu.Lock()
-	ph.degraded = true
-	ph.wdMu.Unlock()
-	// The MTL just widened to the worker count: wake gated workers and
-	// grow the pool (dispatch pressure takes it the rest of the way).
-	r.lot.unparkAll()
-	ph.spawnWorker()
-}
-
-// watchdog is the serving-session stall watchdog: the batch scan plus
-// the piece a barrier-free server needs — recovery. A batch phase ends
-// at its barrier, so degradation only ever has to last to the end of
-// the Run; a server runs indefinitely, and a controller pinned to the
-// conventional schedule forever after one stall storm would never
-// throttle again. With Config.StallRecoverAfter > 0, that many
+// can never starve the run through a tight throttle.
+//
+// recoverAfter > 0 adds the piece a barrier-free server needs —
+// recovery. A batch phase ends at its barrier, so degradation only ever
+// has to last to the end of the Run (Run passes 0); a server runs
+// indefinitely, and a controller pinned to the conventional schedule
+// forever after one stall storm would never throttle again. That many
 // consecutive clean scans (no task over the stall timeout — the
 // attacker stopped or was contained) re-arm the controller and restart
-// MTL selection.
-func (s *Server) watchdog() {
-	r := s.rt
+// MTL selection. The watchdog exits when the pool shuts down.
+func (p *pool) watchdog(recoverAfter int) {
+	r := p.rt
 	tick := r.cfg.StallTimeout / 4
 	if tick < 200*time.Microsecond {
 		tick = 200 * time.Microsecond
@@ -155,14 +73,14 @@ func (s *Server) watchdog() {
 	clean := 0
 	for {
 		select {
-		case <-s.drained:
+		case <-p.done:
 			return
 		case <-t.C:
 		}
 		now := time.Now().UnixNano()
 		dirty := false
-		for i := range s.flight {
-			f := &s.flight[i]
+		for i := range p.flight {
+			f := &p.flight[i]
 			start := f.start.Load()
 			if start == 0 || now-start <= int64(r.cfg.StallTimeout) {
 				continue
@@ -172,24 +90,25 @@ func (s *Server) watchdog() {
 				continue
 			}
 			f.stalled.Store(true)
-			s.stallMu.Lock()
-			s.stalls++
-			s.stalledSeqs = append(s.stalledSeqs, f.pair.Load())
-			degrade := s.stalls >= int64(r.cfg.StallFallbackAfter)
-			s.stallMu.Unlock()
+			p.wdMu.Lock()
+			p.stalls++
+			p.stalled = append(p.stalled, f.pair.Load())
+			degrade := p.stalls >= int64(r.cfg.StallFallbackAfter)
+			p.wdMu.Unlock()
 			if r.obs != nil {
 				r.obs.OnSignal(int(f.class.Load()), core.SignalStall)
 			}
-			// The wedged worker is out of rotation; grow the pool so
-			// the session keeps serving around it.
-			s.spawnWorker()
-			if degrade && r.degradeController() {
-				s.stallMu.Lock()
-				s.degraded = true
-				s.stallMu.Unlock()
+			// The flagged worker may be wedged for good; with lazily
+			// spawned workers it could even be the only one alive, so
+			// grow the pool by a replacement to keep the work moving.
+			p.spawnWorker()
+			if degrade && r.setDegraded(true) {
+				p.wdMu.Lock()
+				p.degraded = true
+				p.wdMu.Unlock()
 				// The limit widened to the worker count: admit and wake.
-				s.pumpAll()
-				s.lot.unparkAll()
+				p.q.limitRose()
+				p.lot.unparkAll()
 			}
 		}
 		if dirty {
@@ -197,14 +116,34 @@ func (s *Server) watchdog() {
 			continue
 		}
 		clean++
-		if ra := r.cfg.StallRecoverAfter; ra > 0 && clean >= ra {
+		if recoverAfter > 0 && clean >= recoverAfter {
 			clean = 0
-			if r.rearmController() {
-				s.stallMu.Lock()
-				s.rearms++
-				s.stallMu.Unlock()
-				s.pumpAll()
+			if r.setDegraded(false) {
+				p.wdMu.Lock()
+				p.rearms++
+				p.wdMu.Unlock()
+				p.q.limitRose()
 			}
 		}
 	}
+}
+
+// setDegraded pins an adaptive Dynamic controller to the conventional
+// MTL (on), or lifts that fallback and restarts MTL selection (off),
+// and mirrors the resulting limit into every gate. Reports false when
+// the controller is not Dynamic or already is in the asked-for state.
+func (r *Runtime) setDegraded(on bool) bool {
+	r.ctrlMu.Lock()
+	defer r.ctrlMu.Unlock()
+	d, ok := r.th.(*core.Dynamic)
+	if !ok || d.Degraded() == on {
+		return false
+	}
+	if on {
+		d.ForceConventional()
+	} else {
+		d.Rearm()
+	}
+	r.mirrorLimit()
+	return true
 }
