@@ -102,9 +102,12 @@ test:
 # blacklist publication against concurrent readers). The sharded-sim
 # suites (TestGroup*, TestWheel*, the SimPar serial-equality properties)
 # ride along, and TestRunConcurrentRecycling draws simsched's recycled
-# runners from their shared pool on four goroutines.
+# runners from their shared pool on four goroutines. internal/core joins
+# whole: TestDriverConcurrentReaders holds the one controller driver to
+# its contract (mutators under the caller's lock, MTL/ClassLimit/
+# Blacklisted/OnSignal from any goroutine) without a runtime around it.
 race:
-	$(GO) test -race ./host/... ./internal/parallel/...
+	$(GO) test -race ./host/... ./internal/parallel/... ./internal/core
 	$(GO) test -race -run 'DiskCache|Cached|RobustnessR2' ./internal/experiments
 	$(GO) test -race -run 'TestGroup|TestWheel|TestSimPar|TestRunConcurrentRecycling' ./internal/sim ./internal/simsched
 

@@ -167,22 +167,16 @@ func (r *Runtime) RunContext(ctx context.Context, pairs []Pair) (Stats, error) {
 	for _, seq := range ph.stalled {
 		st.Stalled = append(st.Stalled, int(seq))
 	}
-	st.Degraded = ph.degraded
 	ph.wdMu.Unlock()
 
 	r.ctrlMu.Lock()
 	st.FinalMTL = r.th.MTL()
-	if d, ok := r.th.(*core.Dynamic); ok {
-		st.MTLDecisions = append([]int(nil), d.History...)
-		st.Degraded = d.Degraded()
-	}
-	if o, ok := r.th.(*core.OnlineExhaustive); ok {
-		st.MTLDecisions = append([]int(nil), o.History...)
-	}
-	if p, ok := r.th.(*core.PolicyThrottler); ok {
-		st.MTLDecisions = append([]int(nil), p.History...)
-	}
+	rep := core.ReportOf(r.th)
 	r.ctrlMu.Unlock()
+	st.MTLDecisions = rep.Decisions
+	// The controller's state, not this run's: a phase never re-arms, and
+	// the controller persists across runs, so does its fallback.
+	st.Degraded = rep.Health.Degraded
 	if nTm > 0 {
 		st.MeanTm = time.Duration(sumTm / nTm)
 	}

@@ -133,8 +133,12 @@ type Config struct {
 	// core.Throttler works; one that also implements core.ClassLimiter
 	// (e.g. core.PolicyThrottler wrapping a blacklist policy) gets
 	// per-class admission and ingress shedding, and one implementing
-	// core.Observer receives issue/stall/retry signals. The runtime owns
-	// the controller's mutations; it must not be shared across runtimes.
+	// core.Observer receives issue/stall/retry signals. Any adaptive
+	// controller plugged here (a core.Degrader: Dynamic, OnlineExhaustive,
+	// a PolicyThrottler around any policy) is covered by the stall
+	// fallback and reports through Health and Stats.Degraded exactly as
+	// the built-in policies do. The runtime owns the controller's
+	// mutations; it must not be shared across runtimes.
 	Throttler core.Throttler
 	// MTL is the fixed limit for the Static policy. With Domains > 1
 	// it is the per-domain limit: each domain admits up to MTL
@@ -166,7 +170,8 @@ type Config struct {
 	// controller to the conventional schedule. Default: off.
 	StallTimeout time.Duration
 	// StallFallbackAfter is the number of stalled tasks in one run
-	// that triggers graceful degradation. Default: 3 (when the
+	// that triggers graceful degradation of any adaptive controller,
+	// built in or plugged through Throttler. Default: 3 (when the
 	// watchdog is armed).
 	StallFallbackAfter int
 	// StallRecoverAfter, when positive, lets a serving session's
@@ -477,14 +482,7 @@ func (r *Runtime) peakConcurrentM() int {
 func (r *Runtime) Health() core.Health {
 	r.ctrlMu.Lock()
 	defer r.ctrlMu.Unlock()
-	switch t := r.th.(type) {
-	case *core.Dynamic:
-		return t.Health()
-	case *core.OnlineExhaustive:
-		return t.Health()
-	default:
-		return core.Health{}
-	}
+	return core.ReportOf(r.th).Health
 }
 
 // Close marks the runtime closed; subsequent Run calls fail.

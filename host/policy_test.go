@@ -234,16 +234,41 @@ func TestServeClassCapCompletes(t *testing.T) {
 // mid-session, and once the wedge clears, StallRecoverAfter clean
 // scans re-arm the controller. The batch path already covers the
 // degrade half (TestWatchdogFallbackVisible); recovery only exists in
-// serving mode, where the session outlives the stall storm.
+// serving mode, where the session outlives the stall storm. The
+// fallback belongs to the controller path, not to one controller type:
+// the plugged case is the throttler examples/hostruntime -attack builds,
+// which the watchdog could not degrade while it asserted *core.Dynamic.
 func TestServeWatchdogDegradeAndRecover(t *testing.T) {
-	rt, err := New(Config{
-		Workers:            4,
-		Policy:             Dynamic,
-		W:                  4,
-		StallTimeout:       20 * time.Millisecond,
-		StallFallbackAfter: 1,
-		StallRecoverAfter:  2,
-	})
+	inner := core.NewDynamic(core.NewModel(4), 4)
+	for _, c := range []struct {
+		name      string
+		policy    Policy
+		throttler core.Throttler
+	}{
+		{"built-in", Dynamic, nil},
+		{"plugged", 0, core.NewPolicyThrottler(core.NewBlacklist(inner, core.BlacklistOptions{}), 4, 4)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			testServeWatchdogDegradeAndRecover(t, Config{
+				Workers:            4,
+				Policy:             c.policy,
+				Throttler:          c.throttler,
+				W:                  4,
+				StallTimeout:       20 * time.Millisecond,
+				StallFallbackAfter: 1,
+				StallRecoverAfter:  2,
+			})
+		})
+	}
+	// Read after Drain: the first selection is the constructor's, the
+	// second the re-arm's Restart, passed on by the blacklist.
+	if inner.Selections < 2 {
+		t.Errorf("plugged D-MTL ran %d selections, want a fresh one after the re-arm", inner.Selections)
+	}
+}
+
+func testServeWatchdogDegradeAndRecover(t *testing.T, cfg Config) {
+	rt, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +312,10 @@ func TestServeWatchdogDegradeAndRecover(t *testing.T) {
 	for i := 0; i < 400 && !rearmed; i++ {
 		_ = srv.Submit(Pair{Memory: func() {}, Compute: func() {}})
 		time.Sleep(5 * time.Millisecond)
-		rearmed = !rt.Health().Degraded
+		h := rt.Health()
+		if rearmed = !h.Degraded; rearmed && (h.Fallbacks != 1 || h.Rearms != 1) {
+			t.Errorf("health once re-armed = %+v, want one fallback and one re-arm", h)
+		}
 	}
 	st, err := srv.Drain(context.Background())
 	if err != nil {

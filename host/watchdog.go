@@ -128,15 +128,16 @@ func (p *pool) watchdog(recoverAfter int) {
 	}
 }
 
-// setDegraded pins an adaptive Dynamic controller to the conventional
-// MTL (on), or lifts that fallback and restarts MTL selection (off),
-// and mirrors the resulting limit into every gate. Reports false when
-// the controller is not Dynamic or already is in the asked-for state.
+// setDegraded pins an adaptive controller (a core.Degrader) to the
+// conventional MTL (on), or lifts that fallback and restarts MTL
+// selection (off), and mirrors the resulting limit into every gate.
+// Reports false when the controller does not adapt or already is in the
+// asked-for state.
 func (r *Runtime) setDegraded(on bool) bool {
 	r.ctrlMu.Lock()
 	defer r.ctrlMu.Unlock()
-	d, ok := r.th.(*core.Dynamic)
-	if !ok || d.Degraded() == on {
+	d, ok := r.th.(core.Degrader)
+	if !ok || d.Health().Degraded == on {
 		return false
 	}
 	if on {

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "fmt"
 
 // PairSample is one completed memory/compute task pair as observed by
 // the runtime: the measured durations plus the completion wall-clock
@@ -63,59 +60,51 @@ func (f Fixed) OnPair(PairSample) {}
 // Observe implements Policy: a static policy always answers its K.
 func (f Fixed) Observe(WindowStats) Decision { return Decision{Limit: f.K} }
 
-// window accumulates W pair samples.
-type window struct {
-	w     int
-	count int
-	tmSum Time
-	tcSum Time
-	start Time // wall-clock when the window opened
-	open  bool
-}
+// front is how Dynamic and OnlineExhaustive hold the window driver: by
+// value, behind the Throttler and Degrader methods and nothing else.
+// Embedding PolicyThrottler itself would promote ClassLimit, OnSignal
+// and SetSignalSource, and a runtime that finds those on its throttler
+// turns on the per-class admission CAS and the signal shards, which a
+// class-blind controller never reads.
+type front struct{ drv PolicyThrottler }
 
-func (a *window) add(s PairSample) bool {
-	if !a.open {
-		a.start = s.Now
-		a.open = true
-	}
-	a.count++
-	a.tmSum += s.Tm
-	a.tcSum += s.Tc
-	return a.count >= a.w
-}
+// The Throttler methods: MTL is a single atomic load, safe from any
+// goroutine; Monitoring holds until the controller is degraded; OnPair
+// has the driver guard and window the sample and call Observe at each
+// boundary.
+func (f *front) MTL() int            { return f.drv.MTL() }
+func (f *front) Monitoring() bool    { return f.drv.Monitoring() }
+func (f *front) OnPair(s PairSample) { f.drv.OnPair(s) }
 
-func (a *window) measurement() Measurement {
-	return Measurement{Tm: a.tmSum / Time(a.count), Tc: a.tcSum / Time(a.count)}
-}
-
-func (a *window) span(now Time) Time { return now - a.start }
-
-func (a *window) reset() { *a = window{w: a.w} }
+// The Degrader methods; Rearm has the driver call Restart.
+func (f *front) Health() Health     { return f.drv.Health() }
+func (f *front) ForceConventional() { f.drv.ForceConventional() }
+func (f *front) Rearm()             { f.drv.Rearm() }
 
 // Dynamic is the paper's run-time memory thread throttling mechanism
 // (§IV, Fig. 6): an initial MTL selection, then IdleBound-based phase
 // watching that re-triggers selection only when the core idle
-// behaviour changes.
+// behaviour changes. It is a Policy — the decisions of Observe — in
+// front of its own driver.
 type Dynamic struct {
+	front
 	model Model
-	w     int
 	opts  DynamicOptions
 
-	mtl       atomic.Int32
+	limit     int // the MTL being probed or held; the driver publishes it
 	sel       *Selector
-	win       window
 	watching  bool
 	prevIdle  int
 	prevRatio float64
 	flips     int // consecutive watch windows with a flipped IdleBound
-	guard     guard
-	degraded  bool
 
-	// Stats for overhead and adaptation reporting.
-	MonitoredPairs int
-	Selections     int
-	TotalProbes    int
-	History        []int // every decided D-MTL in order
+	// Stats for overhead and adaptation reporting. History lists the
+	// MTLs decided by finished selections, in order, plus the
+	// conventional MTL at each forced fallback — not every limit
+	// published on the way (that is PolicyThrottler.History).
+	Selections  int
+	TotalProbes int
+	History     []int
 }
 
 // DynamicOptions selects ablation variants of the mechanism. The zero
@@ -146,17 +135,15 @@ func NewDynamic(model Model, w int) *Dynamic {
 
 // NewDynamicOpts builds an ablation variant of the dynamic throttler.
 func NewDynamicOpts(model Model, w int, opts DynamicOptions) *Dynamic {
-	if w < 1 {
-		panic(fmt.Sprintf("core: NewDynamic with W = %d", w))
-	}
 	if opts.NaiveRatioTrigger < 0 {
 		panic(fmt.Sprintf("core: NaiveRatioTrigger = %g", opts.NaiveRatioTrigger))
 	}
 	if opts.Hysteresis < 0 {
 		panic(fmt.Sprintf("core: Hysteresis = %d", opts.Hysteresis))
 	}
-	d := &Dynamic{model: model, w: w, opts: opts, win: window{w: w}}
-	d.startSelection()
+	d := &Dynamic{model: model, opts: opts}
+	d.drv.init(d, w, model.N)
+	d.drv.apply(d.Restart())
 	return d
 }
 
@@ -181,64 +168,25 @@ func (d *Dynamic) Name() string {
 	}
 }
 
-// MTL implements Throttler. The read is a single atomic load: the
-// host runtime's workers and samplers may call it concurrently with
-// the (externally serialized) OnPair/ForceConventional writers. All
-// other Throttler methods remain single-writer: callers must serialize
-// mutations, only MTL() is safe to read from other goroutines.
-func (d *Dynamic) MTL() int { return int(d.mtl.Load()) }
-
-// Monitoring implements Throttler: the mechanism measures individual
-// tasks both while probing and while watching for phase changes. A
-// degraded controller has stopped adapting and measures nothing.
-func (d *Dynamic) Monitoring() bool { return !d.degraded }
-
 // Watching reports whether the mechanism is in the steady phase-watch
 // state (as opposed to actively probing candidate MTLs).
 func (d *Dynamic) Watching() bool { return d.watching }
 
-// Health reports the measurement-guard summary: samples kept, clamped
-// and dropped, windows discarded, and fallback state.
-func (d *Dynamic) Health() Health {
-	h := d.guard.h
-	h.Degraded = d.degraded
-	return h
-}
-
-// Degraded reports whether the controller has been forced into the
-// conventional fallback.
-func (d *Dynamic) Degraded() bool { return d.degraded }
-
-// ForceConventional pins the controller to the conventional MTL
-// (MTL = n) and stops it from adapting — the graceful-degradation path
-// the host runtime takes when its stall watchdog no longer trusts
-// task timings. The fallback is recorded in Health and History.
+// ForceConventional implements Degrader. The degrading is the
+// driver's; Dynamic adds what its own reports show of it: the
+// conventional MTL in History, and no longer Watching.
 func (d *Dynamic) ForceConventional() {
-	if d.degraded {
-		return
+	if !d.drv.Health().Degraded {
+		d.watching = false
+		d.History = append(d.History, d.model.N)
 	}
-	d.degraded = true
-	d.guard.h.Fallbacks++
-	d.mtl.Store(int32(d.model.N))
-	d.watching = false
-	d.win.reset()
-	d.History = append(d.History, d.model.N)
+	d.drv.ForceConventional()
 }
 
-// Rearm lifts the conventional fallback and restarts MTL selection
-// from scratch — the recovery path the host watchdog takes once the
-// stall storm that forced degradation has passed and task timings can
-// be trusted again. A controller that was never degraded is untouched.
-func (d *Dynamic) Rearm() {
-	if !d.degraded {
-		return
-	}
-	d.degraded = false
-	d.guard.h.Rearms++
-	d.startSelection()
-}
-
-func (d *Dynamic) startSelection() {
+// Restart begins an MTL selection from scratch and answers its first
+// probe: at construction, whenever Observe sees the phase change, and
+// from the driver when the conventional fallback is lifted.
+func (d *Dynamic) Restart() Decision {
 	if d.opts.LinearSearch {
 		d.sel = NewLinearSelector(d.model)
 	} else {
@@ -251,53 +199,16 @@ func (d *Dynamic) startSelection() {
 	if done {
 		panic("core: selector done before any probe")
 	}
-	d.mtl.Store(int32(k))
-	d.win.reset()
-}
-
-// OnPair implements Throttler. Samples pass the measurement guard
-// first: non-finite or non-positive timings are dropped and outlying
-// Tm spikes winsorized, so a polluted measurement cannot steer the
-// binary search (cf. MISE's estimation guard rails).
-func (d *Dynamic) OnPair(s PairSample) {
-	if d.degraded {
-		return
-	}
-	s, ok := d.guard.admit(s)
-	if !ok {
-		return
-	}
-	d.MonitoredPairs++
-	if !d.win.add(s) {
-		return
-	}
-	m := d.win.measurement()
-	start := d.win.start
-	d.win.reset()
-	d.Observe(WindowStats{Start: start, End: s.Now, Pairs: d.w, Tm: m.Tm, Tc: m.Tc})
+	d.limit = k
+	return d.decision()
 }
 
 // Observe implements Policy: the window-boundary decision core of the
-// mechanism, also reachable directly by plugin drivers that window the
-// pair stream themselves (e.g. composite policies layering a blacklist
-// over D-MTL). OnPair is now just per-sample guarding plus windowing
-// in front of this.
+// mechanism, called by Dynamic's own driver or by the driver of a
+// composite policy layered over it (a blacklist over D-MTL). Either
+// has discarded any window whose aggregate is not finite and positive.
 func (d *Dynamic) Observe(w WindowStats) Decision {
-	if d.degraded {
-		return d.decision()
-	}
 	m := Measurement{Tm: w.Tm, Tc: w.Tc}
-	if !finitePositive(m.Tm) || !finitePositive(m.Tc) {
-		// Defensive: an unusable aggregate never reaches the selector.
-		// The window is discarded and the search state clamped back
-		// into its domain; the current probe is simply re-measured.
-		d.guard.h.DiscardedWindows++
-		if !d.watching {
-			d.sel.Clamp()
-		}
-		return d.decision()
-	}
-
 	if d.watching {
 		if d.opts.NaiveRatioTrigger > 0 {
 			// Ablation: fine-grained trigger on any ratio movement.
@@ -306,7 +217,7 @@ func (d *Dynamic) Observe(w WindowStats) Decision {
 				abs(ratio-d.prevRatio) > d.opts.NaiveRatioTrigger*d.prevRatio
 			d.prevRatio = ratio
 			if moved {
-				d.startSelection()
+				return d.Restart()
 			}
 			return d.decision()
 		}
@@ -317,7 +228,7 @@ func (d *Dynamic) Observe(w WindowStats) Decision {
 		if ib != d.prevIdle {
 			d.flips++
 			if d.flips > d.opts.Hysteresis {
-				d.startSelection()
+				return d.Restart()
 			}
 		} else {
 			d.flips = 0
@@ -326,15 +237,15 @@ func (d *Dynamic) Observe(w WindowStats) Decision {
 	}
 
 	// Selection in progress: this window measured the current probe.
-	d.sel.Record(int(d.mtl.Load()), m)
+	d.sel.Record(d.limit, m)
 	k, done := d.sel.NextProbe()
 	if !done {
-		d.mtl.Store(int32(k))
+		d.limit = k
 		return d.decision()
 	}
 	dmtl, _ := d.sel.Decision()
 	d.TotalProbes += d.sel.Probes()
-	d.mtl.Store(int32(dmtl))
+	d.limit = dmtl
 	d.watching = true
 	d.History = append(d.History, dmtl)
 	ref := m
@@ -348,7 +259,7 @@ func (d *Dynamic) Observe(w WindowStats) Decision {
 
 // decision snapshots the current limit as a Decision.
 func (d *Dynamic) decision() Decision {
-	return Decision{Limit: int(d.mtl.Load()), Monitoring: !d.degraded}
+	return Decision{Limit: d.limit, Monitoring: true}
 }
 
 func abs(x float64) float64 {
@@ -365,82 +276,54 @@ func abs(x float64) float64 {
 // involved, so it pays n probes per trigger and is vulnerable to
 // load-imbalance noise.
 type OnlineExhaustive struct {
+	front
 	model     Model
-	w         int
 	threshold float64
 
-	mtl      atomic.Int32
-	win      window
+	limit    int // the MTL being probed or held; the driver publishes it
 	probing  bool
 	probeK   int
 	bestK    int
 	bestSpan Time
 	prevSpan Time
 	havePrev bool
-	guard    guard
 
-	MonitoredPairs int
-	Selections     int
-	TotalProbes    int
-	History        []int
+	// History lists the MTL each finished sweep adopted (cf.
+	// Dynamic.History).
+	Selections  int
+	TotalProbes int
+	History     []int
 }
-
-// Health reports the measurement-guard summary.
-func (o *OnlineExhaustive) Health() Health { return o.guard.h }
 
 // NewOnlineExhaustive builds the baseline with the paper's
 // best-performing threshold of 10% unless overridden (threshold <= 0
-// selects 0.10).
+// selects 0.10). Panics on W < 1.
 func NewOnlineExhaustive(model Model, w int, threshold float64) *OnlineExhaustive {
-	if w < 1 {
-		panic(fmt.Sprintf("core: NewOnlineExhaustive with W = %d", w))
-	}
 	if threshold <= 0 {
 		threshold = 0.10
 	}
-	o := &OnlineExhaustive{model: model, w: w, threshold: threshold, win: window{w: w}}
+	o := &OnlineExhaustive{model: model, threshold: threshold}
+	o.drv.init(o, w, model.N)
 	// The naive method has no model to seed it: it starts with a full
 	// probe sweep from MTL=1.
-	o.startProbe()
+	o.drv.apply(o.Restart())
 	return o
 }
 
 // Name implements Throttler.
 func (o *OnlineExhaustive) Name() string { return "online-exhaustive" }
 
-// MTL implements Throttler. Like Dynamic.MTL, this is an atomic load
-// safe to call concurrently with the single-writer OnPair.
-func (o *OnlineExhaustive) MTL() int { return int(o.mtl.Load()) }
-
-// Monitoring implements Throttler.
-func (o *OnlineExhaustive) Monitoring() bool { return true }
-
-func (o *OnlineExhaustive) startProbe() {
+// Restart begins a fresh probe sweep from MTL=1: at construction, on a
+// trigger in Observe, and from the driver when the conventional
+// fallback is lifted.
+func (o *OnlineExhaustive) Restart() Decision {
 	o.probing = true
 	o.probeK = 1
 	o.bestK = 0
 	o.bestSpan = 0
-	o.mtl.Store(1)
-	o.win.reset()
+	o.limit = 1
 	o.Selections++
-}
-
-// OnPair implements Throttler. The same measurement guard as Dynamic
-// screens samples: the naive baseline is even more exposed to polluted
-// timings because its trigger compares raw window spans.
-func (o *OnlineExhaustive) OnPair(s PairSample) {
-	s, ok := o.guard.admit(s)
-	if !ok {
-		return
-	}
-	o.MonitoredPairs++
-	if !o.win.add(s) {
-		return
-	}
-	m := o.win.measurement()
-	start := o.win.start
-	o.win.reset()
-	o.Observe(WindowStats{Start: start, End: s.Now, Pairs: o.w, Tm: m.Tm, Tc: m.Tc})
+	return o.decision()
 }
 
 // Observe implements Policy: the baseline's window-boundary logic,
@@ -455,11 +338,11 @@ func (o *OnlineExhaustive) Observe(w WindowStats) Decision {
 		}
 		if o.probeK < o.model.N {
 			o.probeK++
-			o.mtl.Store(int32(o.probeK))
+			o.limit = o.probeK
 			return o.decision()
 		}
 		// Sweep finished: adopt the fastest group.
-		o.mtl.Store(int32(o.bestK))
+		o.limit = o.bestK
 		o.probing = false
 		o.havePrev = false
 		o.History = append(o.History, o.bestK)
@@ -472,8 +355,7 @@ func (o *OnlineExhaustive) Observe(w WindowStats) Decision {
 			num = -num
 		}
 		if float64(num) > o.threshold*float64(o.prevSpan) {
-			o.startProbe()
-			return o.decision()
+			return o.Restart()
 		}
 	}
 	o.prevSpan = span
@@ -483,5 +365,5 @@ func (o *OnlineExhaustive) Observe(w WindowStats) Decision {
 
 // decision snapshots the current limit as a Decision.
 func (o *OnlineExhaustive) decision() Decision {
-	return Decision{Limit: int(o.mtl.Load()), Monitoring: true}
+	return Decision{Limit: o.limit, Monitoring: true}
 }

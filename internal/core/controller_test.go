@@ -47,8 +47,8 @@ func TestDynamicConvergesComputeBound(t *testing.T) {
 	if len(d.History) != 1 {
 		t.Errorf("selections decided = %d, want 1 (no phase changes)", len(d.History))
 	}
-	if d.MonitoredPairs != 200 {
-		t.Errorf("MonitoredPairs = %d, want 200", d.MonitoredPairs)
+	if h := d.Health(); h.Kept+h.Clamped != 200 {
+		t.Errorf("monitored pairs = %d, want 200", h.Kept+h.Clamped)
 	}
 }
 

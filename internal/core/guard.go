@@ -54,19 +54,18 @@ type guard struct {
 	tmEwma float64
 }
 
-// finitePositive reports whether t is a usable duration sample.
-func finitePositive(t Time) bool {
-	f := float64(t)
-	return !math.IsNaN(f) && !math.IsInf(f, 0) && f > 0
-}
+// finitePositive reports whether t is a usable duration sample. The
+// one comparison pair rejects NaN (every comparison false), both
+// infinities, zero and negatives.
+func finitePositive(t Time) bool { return t > 0 && t <= math.MaxFloat64 }
 
-// admit validates s, returning the (possibly winsorized) sample and
+// admit validates s, winsorizing it in place if need be, and reports
 // whether it may enter the monitor window.
-func (g *guard) admit(s PairSample) (PairSample, bool) {
-	if !finitePositive(s.Tm) || !finitePositive(s.Tc) ||
-		math.IsNaN(float64(s.Now)) || math.IsInf(float64(s.Now), 0) {
+func (g *guard) admit(s *PairSample) bool {
+	// Now may be zero or negative, but not NaN or infinite.
+	if !finitePositive(s.Tm) || !finitePositive(s.Tc) || !(s.Now >= -math.MaxFloat64 && s.Now <= math.MaxFloat64) {
 		g.h.Dropped++
-		return s, false
+		return false
 	}
 	tm := float64(s.Tm)
 	if g.tmEwma > 0 && tm > outlierFactor*g.tmEwma {
@@ -81,5 +80,5 @@ func (g *guard) admit(s PairSample) (PairSample, bool) {
 	} else {
 		g.tmEwma += ewmaAlpha * (tm - g.tmEwma)
 	}
-	return s, true
+	return true
 }

@@ -40,8 +40,8 @@ func TestGuardDropsNonFinite(t *testing.T) {
 	if h.Dropped != 2*len(bad)+1 {
 		t.Errorf("Dropped = %d, want %d", h.Dropped, 2*len(bad)+1)
 	}
-	if d.MonitoredPairs != 0 {
-		t.Errorf("dropped samples entered the window: MonitoredPairs = %d", d.MonitoredPairs)
+	if h.Kept+h.Clamped != 0 {
+		t.Errorf("dropped samples entered the window: %+v", h)
 	}
 	// Clean samples still adapt the controller afterwards.
 	feedLaw(d, 200, 0.8*us, 0.1*us, 10*us)
@@ -102,8 +102,8 @@ func TestForceConventional(t *testing.T) {
 		t.Fatal("controller never throttled; fallback test is vacuous")
 	}
 	d.ForceConventional()
-	if !d.Degraded() || d.MTL() != 4 {
-		t.Errorf("fallback: degraded=%v MTL=%d, want true/4", d.Degraded(), d.MTL())
+	if !d.Health().Degraded || d.MTL() != 4 {
+		t.Errorf("fallback: degraded=%v MTL=%d, want true/4", d.Health().Degraded, d.MTL())
 	}
 	if d.Monitoring() {
 		t.Error("degraded controller still claims to monitor")
@@ -116,9 +116,8 @@ func TestForceConventional(t *testing.T) {
 		t.Errorf("Health after fallback: %+v", h)
 	}
 	// Further samples must not move the MTL or panic.
-	before := d.MonitoredPairs
 	feedLaw(d, 100, 0.8*us, 0.1*us, 0.1*us)
-	if d.MTL() != 4 || d.MonitoredPairs != before {
+	if after := d.Health(); d.MTL() != 4 || after.Kept+after.Clamped != h.Kept+h.Clamped {
 		t.Errorf("degraded controller kept adapting: MTL=%d", d.MTL())
 	}
 	// Idempotent.
@@ -128,28 +127,13 @@ func TestForceConventional(t *testing.T) {
 	}
 }
 
-func TestSelectorClamp(t *testing.T) {
-	m := NewModel(4)
-	s := NewSelector(m)
-	s.lo, s.hi = 0, 9
-	s.Clamp()
-	if s.lo != 1 || s.hi != 4 {
-		t.Errorf("Clamp -> [%d, %d], want [1, 4]", s.lo, s.hi)
-	}
-	s.lo, s.hi = 3, 2
-	s.Clamp()
-	if s.lo != 3 || s.hi != 3 {
-		t.Errorf("Clamp inverted -> [%d, %d], want [3, 3]", s.lo, s.hi)
-	}
-}
-
 func TestOnlineExhaustiveGuard(t *testing.T) {
 	m := NewModel(4)
 	o := NewOnlineExhaustive(m, 4, 0.10)
 	for i := 0; i < 10; i++ {
 		o.OnPair(PairSample{Tm: sim.Time(math.NaN()), Tc: us, Now: us})
 	}
-	if h := o.Health(); h.Dropped != 10 || o.MonitoredPairs != 0 {
-		t.Errorf("online guard: %+v, monitored %d", h, o.MonitoredPairs)
+	if h := o.Health(); h.Dropped != 10 || h.Kept+h.Clamped != 0 {
+		t.Errorf("online guard: %+v", h)
 	}
 }

@@ -17,6 +17,10 @@ var (
 	_ Throttler    = (*PolicyThrottler)(nil)
 	_ ClassLimiter = (*PolicyThrottler)(nil)
 	_ Observer     = (*PolicyThrottler)(nil)
+
+	_ Degrader = (*PolicyThrottler)(nil)
+	_ Degrader = (*Dynamic)(nil)
+	_ Degrader = (*OnlineExhaustive)(nil)
 )
 
 // StdevClamp is an anomaly-triggered clamp in the style of the
@@ -185,6 +189,18 @@ func (b *Blacklist) Name() string {
 // Blacklisted reports whether class is currently demoted.
 func (b *Blacklist) Blacklisted(class int) bool {
 	return class >= 0 && class < MaxClasses && b.mask&(1<<uint(class)) != 0
+}
+
+// Restart passes the driver's restart on to the inner policy; the
+// demotions stand.
+func (b *Blacklist) Restart() Decision {
+	var d Decision
+	if r, ok := b.inner.(restarter); ok {
+		d = r.Restart()
+	}
+	d.Blacklist = b.mask
+	d.Monitoring = true
+	return d
 }
 
 // Observe implements Policy.

@@ -48,7 +48,7 @@ type WindowStats struct {
 	Pairs int  // completed pairs in the window
 
 	// Tm and Tc are the mean per-pair memory and compute durations of
-	// the window, after any per-sample guarding by the caller.
+	// the window, after the driver's per-sample guarding.
 	Tm Time
 	Tc Time
 
@@ -83,15 +83,22 @@ type Decision struct {
 // Policy is the pluggable throttling-policy contract: observe one
 // monitor window's statistics, return the limits to enforce for the
 // next. Policies are pure controllers — windowing, per-sample
-// guarding, and atomic publication of limits belong to the driver
-// (the legacy controllers do it inline; PolicyThrottler does it for
-// plugin policies). Observe is externally serialized like every
-// Throttler mutator.
+// guarding, atomic publication of limits and the conventional fallback
+// belong to the one driver, PolicyThrottler. Observe is externally
+// serialized like every Throttler mutator.
 type Policy interface {
 	// Name identifies the policy in reports.
 	Name() string
 	// Observe consumes one window and returns the next decision.
 	Observe(w WindowStats) Decision
+}
+
+// restarter is the optional Policy method the driver calls when the
+// conventional fallback is lifted: drop what was learned, start over,
+// and say what to enforce meanwhile. Dynamic begins a fresh selection;
+// a wrapping policy forwards to the one it wraps.
+type restarter interface {
+	Restart() Decision
 }
 
 // ClassLimiter is implemented by throttlers that enforce per-class
@@ -136,18 +143,53 @@ type SignalBatching interface {
 	SetSignalSource(src SignalSource)
 }
 
-// PolicyThrottler adapts a Policy to the Throttler interface: it
-// windows the pair stream (W pairs per window, like the legacy
-// controllers), keeps per-class aggregates and signal counters, calls
-// Observe at each boundary, and publishes the decision behind atomics
-// so scheduler hot paths read limits lock-free. The zero-allocation
-// boundary is pinned by BenchmarkPolicyObserve.
+// window accumulates W pair samples.
+type window struct {
+	w     int
+	count int
+	tmSum Time
+	tcSum Time
+	start Time // wall-clock when the window opened
+	open  bool
+}
+
+func (a *window) add(s PairSample) bool {
+	if !a.open {
+		a.start = s.Now
+		a.open = true
+	}
+	a.count++
+	a.tmSum += s.Tm
+	a.tcSum += s.Tc
+	return a.count >= a.w
+}
+
+func (a *window) measurement() Measurement {
+	return Measurement{Tm: a.tmSum / Time(a.count), Tc: a.tcSum / Time(a.count)}
+}
+
+func (a *window) span(now Time) Time { return now - a.start }
+
+func (a *window) reset() { *a = window{w: a.w} }
+
+// PolicyThrottler is the one window driver: it adapts a Policy to the
+// Throttler interface and is the only place a pair stream is guarded,
+// windowed, published and degraded. Every sample passes the
+// measurement guard (non-finite or non-positive timings are dropped,
+// outlying Tm spikes winsorized — cf. MISE's estimation guard rails);
+// W admitted pairs make a window; at each boundary the driver harvests
+// per-class aggregates and signal counters, calls Observe, and
+// publishes the decision behind atomics so scheduler hot paths read
+// limits lock-free. Dynamic and OnlineExhaustive hold one by value
+// (see front). The zero-allocation boundary is pinned by
+// BenchmarkPolicyObserve and TestDriverSteadyStateAllocs.
 type PolicyThrottler struct {
-	p Policy
-	w int
+	p        Policy
+	fallback int // the conventional limit ForceConventional pins
 
 	mtl        atomic.Int32
 	monitoring bool
+	guard      guard // its Health carries the fallback state too
 	win        window
 	classes    [MaxClasses]ClassStats
 	scratch    [MaxClasses]ClassStats
@@ -166,37 +208,80 @@ type PolicyThrottler struct {
 	climit [MaxClasses]atomic.Int32
 	black  atomic.Uint64
 
-	// Windows counts observed windows; History records every aggregate
-	// limit change in decision order, mirroring Dynamic.History.
-	Windows int
+	// History records every published change of the aggregate limit,
+	// fallbacks included, in order — not to be read as Dynamic.History,
+	// which lists only the MTLs a finished selection decided.
 	History []int
 }
 
 // NewPolicyThrottler wraps p with window size w and an initial
-// aggregate limit. Panics on w < 1 or limit < 1.
+// aggregate limit, which is also the conventional limit
+// ForceConventional falls back to (callers pass the thread count).
+// Panics on w < 1 or limit < 1.
 func NewPolicyThrottler(p Policy, w, limit int) *PolicyThrottler {
-	if w < 1 {
-		panic(fmt.Sprintf("core: NewPolicyThrottler with W = %d", w))
-	}
-	if limit < 1 {
-		panic(fmt.Sprintf("core: NewPolicyThrottler with limit = %d", limit))
-	}
-	t := &PolicyThrottler{p: p, w: w, monitoring: true, win: window{w: w}}
-	t.mtl.Store(int32(limit))
+	t := new(PolicyThrottler)
+	t.init(p, w, limit)
 	return t
+}
+
+// init sets the driver up in place: it holds atomics, so it is never
+// copied.
+func (t *PolicyThrottler) init(p Policy, w, limit int) {
+	if w < 1 || limit < 1 {
+		panic(fmt.Sprintf("core: controller with W = %d, limit = %d", w, limit))
+	}
+	t.p, t.fallback, t.monitoring, t.win = p, limit, true, window{w: w}
+	t.mtl.Store(int32(limit))
 }
 
 // Name implements Throttler.
 func (t *PolicyThrottler) Name() string { return t.p.Name() }
 
-// MTL implements Throttler; a single atomic load.
+// MTL implements Throttler. The read is a single atomic load: the host
+// runtime's workers and samplers call it concurrently with the
+// (externally serialized) OnPair, ForceConventional and Rearm.
 func (t *PolicyThrottler) MTL() int { return int(t.mtl.Load()) }
 
-// Monitoring implements Throttler.
+// Monitoring implements Throttler: the last decision's flag; a
+// degraded controller has stopped adapting and measures nothing.
 func (t *PolicyThrottler) Monitoring() bool { return t.monitoring }
 
-// Policy returns the wrapped policy for report introspection.
-func (t *PolicyThrottler) Policy() Policy { return t.p }
+// Health reports the measurement-guard summary: samples kept, clamped
+// and dropped, windows discarded, and fallback state.
+func (t *PolicyThrottler) Health() Health { return t.guard.h }
+
+// ForceConventional pins the limit to the conventional one and stops
+// the controller from adapting — the graceful-degradation path the host
+// runtime takes when its stall watchdog no longer trusts task timings.
+// Class limits and the blacklist stay as last published.
+func (t *PolicyThrottler) ForceConventional() {
+	if t.guard.h.Degraded {
+		return
+	}
+	t.guard.h.Degraded = true
+	t.guard.h.Fallbacks++
+	t.monitoring = false
+	t.win.reset()
+	t.classes = [MaxClasses]ClassStats{}
+	t.publish(t.fallback)
+}
+
+// Rearm lifts the conventional fallback — the recovery path the host
+// watchdog takes once the stall storm that forced degradation has
+// passed and task timings can be trusted again. A policy with a
+// Restart method starts over from it; any other resumes at its next
+// window. A controller that was never degraded is untouched.
+func (t *PolicyThrottler) Rearm() {
+	if !t.guard.h.Degraded {
+		return
+	}
+	t.guard.h.Degraded = false
+	t.guard.h.Rearms++
+	t.monitoring = true
+	if r, ok := t.p.(restarter); ok {
+		t.apply(r.Restart())
+	}
+}
 
 // ClassLimit implements ClassLimiter. Blacklisted classes report a
 // limit of 1 — demotion to fully serialized execution.
@@ -240,10 +325,16 @@ func (t *PolicyThrottler) OnSignal(class int, sig Signal) {
 	}
 }
 
-// OnPair implements Throttler: accumulate per-class, and at each
-// window boundary hand the policy a WindowStats snapshot and publish
-// its decision.
+// OnPair implements Throttler: guard the sample, accumulate it per
+// class, and at each window boundary hand the policy a WindowStats
+// snapshot and publish its decision. A degraded driver ignores samples.
 func (t *PolicyThrottler) OnPair(s PairSample) {
+	if t.guard.h.Degraded {
+		return
+	}
+	if !t.guard.admit(&s) {
+		return
+	}
 	c := s.Class
 	if c < 0 || c >= MaxClasses {
 		c = 0
@@ -259,17 +350,15 @@ func (t *PolicyThrottler) OnPair(s PairSample) {
 		return
 	}
 	m := t.win.measurement()
-	start := t.win.start
-	t.win.reset()
-
 	ws := WindowStats{
-		Start:   start,
+		Start:   t.win.start,
 		End:     s.Now,
-		Pairs:   t.w,
+		Pairs:   t.win.w,
 		Tm:      m.Tm,
 		Tc:      m.Tc,
 		Classes: t.scratch[:t.maxClass],
 	}
+	t.win.reset()
 	for i := 0; i < t.maxClass; i++ {
 		cc := t.classes[i]
 		issues, retries := t.issues[i].Load(), t.retries[i].Load()
@@ -289,17 +378,21 @@ func (t *PolicyThrottler) OnPair(s PairSample) {
 		t.scratch[i] = cc
 		t.classes[i] = ClassStats{}
 	}
+	if !finitePositive(ws.Tm) || !finitePositive(ws.Tc) {
+		// Sums of admitted samples can still overflow. An unusable
+		// aggregate never reaches the policy: the window is discarded
+		// and whatever it was measuring is measured again.
+		t.guard.h.DiscardedWindows++
+		return
+	}
 
-	d := t.p.Observe(ws)
-	t.Windows++
-	t.apply(d)
+	t.apply(t.p.Observe(ws))
 }
 
 // apply publishes one decision.
 func (t *PolicyThrottler) apply(d Decision) {
-	if d.Limit > 0 && d.Limit != int(t.mtl.Load()) {
-		t.mtl.Store(int32(d.Limit))
-		t.History = append(t.History, d.Limit)
+	if d.Limit > 0 {
+		t.publish(d.Limit)
 	}
 	for i := 0; i < MaxClasses; i++ {
 		lim := 0
@@ -312,4 +405,57 @@ func (t *PolicyThrottler) apply(d Decision) {
 	}
 	t.black.Store(d.Blacklist)
 	t.monitoring = d.Monitoring
+}
+
+// publish moves the aggregate limit, recording the change.
+func (t *PolicyThrottler) publish(limit int) {
+	if limit != int(t.mtl.Load()) {
+		t.mtl.Store(int32(limit))
+		t.History = append(t.History, limit)
+	}
+}
+
+// Report is what a run's report reads off a controller once it is done.
+type Report struct {
+	// Decisions is the controller's own History, copied: for Dynamic
+	// and OnlineExhaustive the MTLs decided by finished selections, for
+	// a PolicyThrottler every published change of the limit. The two
+	// are not comparable.
+	Decisions []int
+	// Probes counts the windows spent measuring candidate MTLs; a
+	// PolicyThrottler reports none, whatever its policy did.
+	Probes int
+	Health Health
+}
+
+// ReportOf reads th's Report, looking through decorators that expose
+// what they wrap with Unwrap() Throttler (fault injectors, corrupting
+// measurement proxies). Fixed and foreign throttlers report zero.
+func ReportOf(th Throttler) Report {
+	for th != nil {
+		switch t := th.(type) {
+		case *Dynamic:
+			return Report{append([]int(nil), t.History...), t.TotalProbes, t.Health()}
+		case *OnlineExhaustive:
+			return Report{append([]int(nil), t.History...), t.TotalProbes, t.Health()}
+		case *PolicyThrottler:
+			return Report{append([]int(nil), t.History...), 0, t.Health()}
+		case interface{ Unwrap() Throttler }:
+			th = t.Unwrap()
+		default:
+			return Report{}
+		}
+	}
+	return Report{}
+}
+
+// Degrader is implemented by every adaptive controller — Dynamic,
+// OnlineExhaustive, PolicyThrottler around any policy: the runtime's
+// stall watchdog pins it to the conventional limit and re-arms it
+// through these, and reads the state back from Health. Mutators, so
+// externally serialized like OnPair.
+type Degrader interface {
+	Health() Health
+	ForceConventional()
+	Rearm()
 }

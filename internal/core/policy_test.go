@@ -99,52 +99,6 @@ type policyFunc struct {
 func (p policyFunc) Name() string                   { return p.name }
 func (p policyFunc) Observe(w WindowStats) Decision { return p.fn(w) }
 
-// Dynamic's Observe port is decision-identical to the legacy OnPair
-// path: manual windowing + Observe reproduces OnPair's History.
-func TestDynamicObserveParity(t *testing.T) {
-	model := Model{N: 8}
-	w := 4
-	a := NewDynamic(model, w)
-	b := NewDynamic(model, w)
-
-	shapes := []struct{ tm, tc Time }{
-		{2 * pus, 6 * pus}, {2 * pus, 6 * pus}, {2 * pus, 6 * pus}, {2 * pus, 6 * pus},
-		{6 * pus, 2 * pus}, {6 * pus, 2 * pus}, {6 * pus, 2 * pus}, {6 * pus, 2 * pus},
-	}
-	var now Time
-	var win window
-	win = window{w: w}
-	for round := 0; round < 12; round++ {
-		for _, sh := range shapes {
-			now += sh.tm + sh.tc
-			s := PairSample{Tm: sh.tm, Tc: sh.tc, Now: now}
-			a.OnPair(s)
-			// b: replicate the guard+window front end by hand.
-			gs, ok := b.guard.admit(s)
-			if !ok {
-				continue
-			}
-			if win.add(gs) {
-				m := win.measurement()
-				start := win.start
-				win.reset()
-				b.Observe(WindowStats{Start: start, End: gs.Now, Pairs: w, Tm: m.Tm, Tc: m.Tc})
-			}
-		}
-	}
-	if a.MTL() != b.MTL() {
-		t.Errorf("MTL diverged: OnPair %d vs Observe %d", a.MTL(), b.MTL())
-	}
-	if len(a.History) != len(b.History) {
-		t.Fatalf("history diverged: %v vs %v", a.History, b.History)
-	}
-	for i := range a.History {
-		if a.History[i] != b.History[i] {
-			t.Fatalf("history diverged at %d: %v vs %v", i, a.History, b.History)
-		}
-	}
-}
-
 // Hysteresis: a flip must persist h+1 consecutive windows before
 // re-selection; an attacker flipping every window never triggers.
 func TestDynamicHysteresis(t *testing.T) {

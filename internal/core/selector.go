@@ -172,19 +172,3 @@ func (s *Selector) Decision() (dmtl int, ok bool) {
 // NoIdleBound returns the converged MTL_NoIdle (only meaningful once
 // decided).
 func (s *Selector) NoIdleBound() int { return s.lo }
-
-// Clamp bounds the binary-search state back into its domain [1, N]
-// with lo <= hi. Controllers call it after discarding a polluted
-// monitor window so the search can never be left probing an MTL that
-// does not exist.
-func (s *Selector) Clamp() {
-	if s.lo < 1 {
-		s.lo = 1
-	}
-	if s.hi > s.model.N {
-		s.hi = s.model.N
-	}
-	if s.hi < s.lo {
-		s.hi = s.lo
-	}
-}

@@ -197,7 +197,7 @@ func runMix(g *rig, cfg Config, spec MixSpec, th core.Throttler) MixResult {
 	}
 	m.res.Policy = th.Name()
 	m.res.FinalMTL = th.MTL()
-	m.res.MTLDecisions = decisions(th)
+	m.res.MTLDecisions = core.ReportOf(th).Decisions
 	completed := 0
 	for _, c := range m.res.ByClass {
 		completed += c.Completed

@@ -325,8 +325,8 @@ func (r *runner) run(prog *stream.Program, cfg Config, th core.Throttler) Result
 	res.TotalTime = r.eng.Now()
 	res.IdleTime = res.TotalTime*sim.Time(len(r.workers)) - res.BusyTime
 	res.FinalMTL = th.MTL()
-	res.MTLDecisions = decisions(th)
-	res.TotalProbes = probes(th)
+	rep := core.ReportOf(th)
+	res.MTLDecisions, res.TotalProbes = rep.Decisions, rep.Probes
 	res.MeanTm = make(map[int]sim.Time, len(r.tmByK))
 	for k, w := range r.tmByK {
 		res.MeanTm[k] = sim.Time(w.Mean())
@@ -338,53 +338,6 @@ func (r *runner) run(prog *stream.Program, cfg Config, th core.Throttler) Result
 	// A runner waiting for reuse keeps nothing of its last caller's.
 	r.prog, r.th, r.res, r.timeline = nil, nil, Result{}, nil
 	return res
-}
-
-// unwrapper lets decorating throttlers (fault injectors, corrupting
-// measurement proxies) expose the adaptive policy they wrap so its
-// decision history still reaches the Result.
-type unwrapper interface{ Unwrap() core.Throttler }
-
-// decisions extracts the D-MTL history from adaptive throttlers,
-// looking through any decorator chain.
-func decisions(th core.Throttler) []int {
-	for th != nil {
-		switch t := th.(type) {
-		case *core.Dynamic:
-			return append([]int(nil), t.History...)
-		case *core.OnlineExhaustive:
-			return append([]int(nil), t.History...)
-		case *core.PolicyThrottler:
-			return append([]int(nil), t.History...)
-		default:
-			u, ok := th.(unwrapper)
-			if !ok {
-				return nil
-			}
-			th = u.Unwrap()
-		}
-	}
-	return nil
-}
-
-// probes extracts the probe-window count from adaptive throttlers,
-// looking through any decorator chain.
-func probes(th core.Throttler) int {
-	for th != nil {
-		switch t := th.(type) {
-		case *core.Dynamic:
-			return t.TotalProbes
-		case *core.OnlineExhaustive:
-			return t.TotalProbes
-		default:
-			u, ok := th.(unwrapper)
-			if !ok {
-				return 0
-			}
-			th = u.Unwrap()
-		}
-	}
-	return 0
 }
 
 // enterPhase queues every task pair of phase p and dispatches workers.
