@@ -120,8 +120,8 @@ func BenchmarkCalibrateWarm(b *testing.B) {
 }
 
 // BenchmarkFig13Sweep tracks the wall-clock of the quick Fig. 13 grid
-// on a fresh environment (fresh baseline memo, process calibration
-// cache warm) — the unit of work the sweep acceleration layer targets.
+// on a fresh environment (fresh static-MTL memo, process calibration
+// cache warm): one figure's worth of simsched runs and nothing else.
 func BenchmarkFig13Sweep(b *testing.B) {
 	benchEnvironment(b) // warm the process-wide calibration cache
 	b.ResetTimer()

@@ -15,7 +15,11 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"math"
+	"os"
+	"slices"
 
 	"memthrottle/internal/contend"
 	"memthrottle/internal/core"
@@ -31,48 +35,61 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("mtlsim: ")
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
 // run returns instead of calling log.Fatal so the deferred profile
 // stop flushes on every exit path.
-func run() error {
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("mtlsim", flag.ExitOnError)
 	var (
-		wl         = flag.String("workload", "synthetic", "workload: synthetic | dft | sc | sift")
-		ratio      = flag.Float64("ratio", 0.5, "synthetic Tm1/Tc ratio")
-		pairs      = flag.Int("pairs", 96, "synthetic task-pair count")
-		dim        = flag.Int("dim", 128, "streamcluster input dimension")
-		policy     = flag.String("policy", "dynamic", "policy: conventional | static | dynamic | online")
-		mtl        = flag.Int("mtl", 1, "MTL for the static policy")
-		w          = flag.Int("w", 16, "monitor window for adaptive policies")
-		cores      = flag.Int("cores", 4, "physical cores")
-		smt        = flag.Int("smt", 1, "hardware threads per core")
-		channels   = flag.Int("channels", 1, "memory channels")
-		domains    = flag.Int("domains", 1, "independent memory domains (replicated DIMMs, round-robin homing)")
-		simPar     = flag.Bool("simpar", false, "shard the simulation across per-domain engines (bit-identical; needs -domains > 1 to engage)")
-		gantt      = flag.Bool("gantt", false, "print an ASCII Gantt chart")
-		seed       = flag.Int64("seed", 1, "noise seed")
-		jobs       = flag.Int("j", 0, "worker goroutines for independent runs (default: GOMAXPROCS)")
-		cpuprofile = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
-		memprofile = flag.String("memprofile", "", "write a pprof allocation profile to this file")
-		mtxprofile = flag.String("mutexprofile", "", "write a pprof mutex-contention profile to this file")
-		blkprofile = flag.String("blockprofile", "", "write a pprof blocking profile to this file")
-		exectrace  = flag.String("exectrace", "", "write a runtime/trace execution trace to this file (view with go tool trace)")
+		wl       = fs.String("workload", "synthetic", "workload: synthetic | dft | sc | sift")
+		ratio    = fs.Float64("ratio", 0.5, "synthetic Tm1/Tc ratio")
+		pairs    = fs.Int("pairs", 96, "synthetic task-pair count")
+		dim      = fs.Int("dim", 128, "streamcluster input dimension")
+		policy   = fs.String("policy", "dynamic", "policy: conventional | static | dynamic | online")
+		mtl      = fs.Int("mtl", 1, "MTL for the static policy")
+		w        = fs.Int("w", 16, "monitor window for adaptive policies")
+		cores    = fs.Int("cores", 4, "physical cores")
+		smt      = fs.Int("smt", 1, "hardware threads per core")
+		channels = fs.Int("channels", 1, "memory channels")
+		domains  = fs.Int("domains", 1, "independent memory domains (replicated DIMMs, round-robin homing)")
+		simPar   = fs.Bool("simpar", false, "shard the simulation across per-domain engines (bit-identical; needs -domains > 1 to engage)")
+		gantt    = fs.Bool("gantt", false, "print an ASCII Gantt chart")
+		seed     = fs.Int64("seed", 1, "noise seed")
+		jobs     = fs.Int("j", 0, "worker goroutines for independent runs (default: GOMAXPROCS)")
+		profiles = prof.Flags(fs)
 	)
-	flag.Parse()
-	if err := jobsFlagError(*jobs); err != nil {
+	_ = fs.Parse(args) // ExitOnError: a malformed flag exits, it does not return
+	if err := prof.JobsFlagError(fs, *jobs); err != nil {
 		return err
 	}
+	// Every value is checked here, before any simulation: the layers
+	// below treat a bad one as a programming error and panic, or (a
+	// static MTL outside [1, n]) quietly run some other schedule.
+	n := *cores * *smt
+	switch {
+	case *cores < 1 || *smt < 1 || n < 2:
+		return fmt.Errorf("-cores %d -smt %d: want each >= 1 and at least 2 hardware threads (one thread has nothing to throttle)", *cores, *smt)
+	case *mtl < 1 || *mtl > n:
+		return fmt.Errorf("-mtl %d: want within [1, %d] (cores x smt)", *mtl, n)
+	case *w < 1:
+		return fmt.Errorf("-w %d: monitor window must be >= 1", *w)
+	case *pairs < 1:
+		return fmt.Errorf("-pairs %d: task-pair count must be >= 1", *pairs)
+	case !(*ratio > 0 && *ratio <= math.MaxFloat64):
+		return fmt.Errorf("-ratio %g: Tm1/Tc must be positive and finite", *ratio)
+	case !slices.Contains(workload.StreamclusterDims, *dim):
+		return fmt.Errorf("-dim %d: want one of Table II's %v", *dim, workload.StreamclusterDims)
+	case *channels < 1:
+		return fmt.Errorf("-channels %d: want >= 1", *channels)
+	case *domains < 1 || *domains > simsched.MaxMemDomains:
+		return fmt.Errorf("-domains %d: want within [1, %d]", *domains, simsched.MaxMemDomains)
+	}
 
-	session, err := prof.StartAll(prof.Profiles{
-		CPU:   *cpuprofile,
-		Mem:   *memprofile,
-		Mutex: *mtxprofile,
-		Block: *blkprofile,
-		Trace: *exectrace,
-	})
+	session, err := prof.StartAll(*profiles)
 	if err != nil {
 		return err
 	}
@@ -83,14 +100,11 @@ func run() error {
 	}()
 
 	parallel.SetDefault(*jobs)
-	if *domains < 1 || *domains > simsched.MaxMemDomains {
-		return fmt.Errorf("-domains %d: want within [1, %d]", *domains, simsched.MaxMemDomains)
-	}
 	// With -domains > 1 each domain is a replica DIMM with decorrelated
 	// jitter; the replicas calibrate concurrently (each owns a private
 	// simulation) and domain 0 doubles as the workload-shaping law.
 	set := mem.Replicate(mem.DDR3_1066().WithChannels(*channels), *domains)
-	cals, err := set.Calibrate(*cores**smt, 6, workload.Footprint)
+	cals, err := set.Calibrate(n, 6, workload.Footprint)
 	if err != nil {
 		return err
 	}
@@ -123,7 +137,6 @@ func run() error {
 			cfg.DomainMem[d] = contend.FromCalibration(cals[d])
 		}
 	}
-	n := cfg.Machine.HardwareThreads()
 
 	var policyErr error
 	mkPolicy := func(name string) core.Throttler {
@@ -158,51 +171,34 @@ func run() error {
 	})
 	res, base := runs[0], runs[1]
 
-	fmt.Printf("workload : %s (%d pairs, %d phases)\n", prog.Name, prog.TotalPairs(), len(prog.Phases))
-	fmt.Printf("machine  : %d cores x %d SMT, %d channel(s), %d domain(s)\n", *cores, *smt, *channels, *domains)
-	fmt.Printf("policy   : %s\n", res.Policy)
-	fmt.Printf("time     : %v  (conventional: %v, speedup %.3fx)\n",
+	fmt.Fprintf(out, "workload : %s (%d pairs, %d phases)\n", prog.Name, prog.TotalPairs(), len(prog.Phases))
+	fmt.Fprintf(out, "machine  : %d cores x %d SMT, %d channel(s), %d domain(s)\n", *cores, *smt, *channels, *domains)
+	fmt.Fprintf(out, "policy   : %s\n", res.Policy)
+	fmt.Fprintf(out, "time     : %v  (conventional: %v, speedup %.3fx)\n",
 		res.TotalTime, base.TotalTime, float64(base.TotalTime)/float64(res.TotalTime))
-	fmt.Printf("idle     : %.1f%% of thread-time\n",
+	fmt.Fprintf(out, "idle     : %.1f%% of thread-time\n",
 		100*float64(res.IdleTime)/(float64(res.TotalTime)*float64(n)))
-	fmt.Printf("final MTL: %d", res.FinalMTL)
+	fmt.Fprintf(out, "final MTL: %d", res.FinalMTL)
 	if len(res.MTLDecisions) > 0 {
-		fmt.Printf("  (decisions: %v)", res.MTLDecisions)
+		fmt.Fprintf(out, "  (decisions: %v)", res.MTLDecisions)
 	}
-	fmt.Println()
+	fmt.Fprintln(out)
 	if len(res.PhaseTimes) > 1 {
-		fmt.Println("phases:")
+		fmt.Fprintln(out, "phases:")
 		for i, pt := range res.PhaseTimes {
-			fmt.Printf("  %-14s %12v  MTL=%d\n", prog.Phases[i].Name, pt, res.PhaseMTL[i])
+			fmt.Fprintf(out, "  %-14s %12v  MTL=%d\n", prog.Phases[i].Name, pt, res.PhaseMTL[i])
 		}
 	}
 	if res.MonitoredPairs > 0 {
-		fmt.Printf("monitoring: %d pairs, %.3f%% overhead\n",
+		fmt.Fprintf(out, "monitoring: %d pairs, %.3f%% overhead\n",
 			res.MonitoredPairs, 100*float64(res.OverheadTime)/float64(res.TotalTime))
 	}
 	if res.CacheMissFraction > 0 {
-		fmt.Printf("LLC overflow: %.1f%% mean compute miss fraction\n", 100*res.CacheMissFraction)
+		fmt.Fprintf(out, "LLC overflow: %.1f%% mean compute miss fraction\n", 100*res.CacheMissFraction)
 	}
 	if *gantt {
-		fmt.Println("\nschedule (M = memory task, C = compute):")
-		fmt.Print(res.Timeline.Gantt(100))
-	}
-	return nil
-}
-
-// jobsFlagError rejects an explicitly-passed nonsensical worker count.
-// The default (flag not set) resolves to GOMAXPROCS; an explicit
-// "-j 0" or negative value is a user error, not a request for the
-// fallback.
-func jobsFlagError(jobs int) error {
-	set := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "j" {
-			set = true
-		}
-	})
-	if set && jobs < 1 {
-		return fmt.Errorf("-j %d: worker count must be >= 1", jobs)
+		fmt.Fprintln(out, "\nschedule (M = memory task, C = compute):")
+		fmt.Fprint(out, res.Timeline.Gantt(100))
 	}
 	return nil
 }

@@ -85,20 +85,10 @@ func main() {
 	shedName := flag.String("shed", "reject", "serving mode overload response: reject | drop | block")
 	domains := flag.Int("domains", 1, "shard the runtime into N memory domains (per-domain MTL gates)")
 	timings := flag.String("timings", "", "write per-policy stats incl. per-domain counters to this JSON file")
-	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a pprof allocation profile to this file")
-	mtxprofile := flag.String("mutexprofile", "", "write a pprof mutex-contention profile to this file")
-	blkprofile := flag.String("blockprofile", "", "write a pprof blocking profile to this file")
-	exectrace := flag.String("exectrace", "", "write a runtime/trace execution trace to this file (view with go tool trace)")
+	profiles := prof.Flags(flag.CommandLine)
 	flag.Parse()
 
-	session, err := prof.StartAll(prof.Profiles{
-		CPU:   *cpuprofile,
-		Mem:   *memprofile,
-		Mutex: *mtxprofile,
-		Block: *blkprofile,
-		Trace: *exectrace,
-	})
+	session, err := prof.StartAll(*profiles)
 	if err != nil {
 		log.Fatal(err)
 	}

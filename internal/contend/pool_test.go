@@ -28,10 +28,16 @@ func approxTime(t *testing.T, got, want sim.Time, relTol float64, what string) {
 	}
 }
 
-// TestPoolSteadyStateZeroAlloc pins the slice-based actor tracking:
-// one full start/fire cycle costs at most the Actor allocation itself —
-// the due/firing scratch, the event shells and the pre-bound fire
-// callback are all reused.
+// The mechanism under the pool — piecewise integration, the frozen due
+// set, cancellation, shell recycling, Reset — is sim.Shared's and is
+// tested there (internal/sim/shared_test.go). The tests here hold what
+// is the pool's own: the Tml + a*Tql law in bytes, fractional weights,
+// the argument panics, and that the wrapper adds nothing to the hot
+// path.
+
+// TestPoolSteadyStateZeroAlloc pins the wrapper's cost at zero: one
+// full start/fire cycle through the pool allocates at most the Actor
+// handed out, as the server alone does.
 func TestPoolSteadyStateZeroAlloc(t *testing.T) {
 	eng := sim.New()
 	p := NewPool(eng, testParams())
@@ -46,11 +52,10 @@ func TestPoolSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestStartFuncRecyclesShells pins the handle-free start path: a
-// closed loop of transfers, each started from its predecessor's
-// completion callback, allocates nothing once the shells exist — and
-// interleaves with Start exactly as Start alone would (same seq order,
-// same completion instants), while a Start handle is never recycled.
+// TestStartFuncRecyclesShells pins the handle-free start path as
+// simsched drives it: a closed loop of transfers, each started from its
+// predecessor's completion callback, allocates nothing through the pool
+// once the shells exist.
 func TestStartFuncRecyclesShells(t *testing.T) {
 	eng := sim.New()
 	p := NewPool(eng, testParams())
@@ -73,89 +78,54 @@ func TestStartFuncRecyclesShells(t *testing.T) {
 	if avg := testing.AllocsPerRun(50, cycle); avg != 0 {
 		t.Fatalf("closed loop of StartFunc transfers allocates %.2f allocs/op, want 0", avg)
 	}
-
-	// The two entry points share one path: the same mix of transfers
-	// completes at the same instants in the same order either way.
-	run := func(pooled bool) (order []int, ends []sim.Time) {
-		eng := sim.New()
-		p := NewPool(eng, testParams())
-		done := func(arg any) {
-			order = append(order, arg.(int))
-			ends = append(ends, eng.Now())
-		}
-		for i, bytes := range []float64{300, 100, 200, 100} {
-			i := i
-			if pooled {
-				p.StartFunc(bytes, 1, done, i)
-			} else {
-				p.Start(bytes, 1, func() { done(i) })
-			}
-		}
-		eng.Run()
-		return order, ends
+	if p.Completed() != 52*64 {
+		t.Errorf("completed = %d, want %d", p.Completed(), 52*64)
 	}
-	o1, e1 := run(false)
-	o2, e2 := run(true)
-	for i := range o1 {
-		if o1[i] != o2[i] || e1[i] != e2[i] {
-			t.Fatalf("Start completes %v at %v, StartFunc %v at %v", o1, e1, o2, e2)
-		}
-	}
-
-	// A handle outlives its transfer and must not be reused by a later
-	// handle-free start.
-	a := p.Start(100, 1, nil)
-	eng.Run()
-	p.StartFunc(100, 1, nil, nil)
-	if a.Active() || a.Remaining() != 0 {
-		t.Errorf("completed handle reads active=%v remaining=%g after a later StartFunc", a.Active(), a.Remaining())
-	}
-	eng.Run()
 }
 
-// TestPoolResetMatchesNew pins that a reset pool on a reset engine
-// behaves as a new pool on a new engine: same completion instants, same
-// order among simultaneous completions, counters from zero — even when
-// the reset interrupts transfers in flight.
+// TestPoolResetMatchesNew pins that Reset installs the new coefficients:
+// a pool reset to other params completes a scenario at the instants a
+// new pool with those params does, reports them, and counts from zero;
+// invalid params panic as in NewPool.
 func TestPoolResetMatchesNew(t *testing.T) {
-	scenario := func(eng *sim.Engine, p *Pool) (ends []sim.Time, order []int) {
-		done := func(arg any) {
-			ends = append(ends, eng.Now())
-			order = append(order, arg.(int))
+	scenario := func(eng *sim.Engine, p *Pool) (ends []sim.Time) {
+		done := func(any) { ends = append(ends, eng.Now()) }
+		for _, bytes := range []float64{4096, 1024, 1024, 2048} {
+			p.StartFunc(bytes, 1, done, nil)
 		}
-		for i, bytes := range []float64{4096, 1024, 1024, 2048} {
-			p.StartFunc(bytes, 1, done, i)
-		}
-		eng.After(sim.Microsecond, func() { p.StartFunc(512, 0.5, done, 4) })
+		eng.After(sim.Microsecond, func() { p.StartFunc(512, 0.5, done, nil) })
 		eng.Run()
-		return ends, order
+		return ends
 	}
 	slow := Params{TmlPerByte: 2e-9, TqlPerByte: 1e-9}
 
 	eng := sim.NewWheel()
 	p := NewPool(eng, testParams())
 	scenario(eng, p)
-	a := p.Start(1<<20, 1, nil) // still in flight at the reset
-	p.StartFunc(1<<20, 1, func(any) { t.Error("a transfer dropped by Reset completed") }, nil)
-	eng.RunUntil(eng.Now() + sim.Microsecond)
 	eng.Reset()
 	p.Reset(slow)
-	if a.Active() || p.Count() != 0 || p.ActiveWeight() != 0 || p.Started() != 0 || p.Completed() != 0 {
-		t.Fatalf("after Reset: handle active=%v, count %d, weight %g, started %d, completed %d",
-			a.Active(), p.Count(), p.ActiveWeight(), p.Started(), p.Completed())
+	if p.Params() != slow || p.Started() != 0 || p.Completed() != 0 {
+		t.Fatalf("after Reset: params %+v, started %d, completed %d", p.Params(), p.Started(), p.Completed())
 	}
-	gotEnds, gotOrder := scenario(eng, p)
+	got := scenario(eng, p)
 
 	fresh := sim.NewWheel()
-	wantEnds, wantOrder := scenario(fresh, NewPool(fresh, slow))
-	for i := range wantEnds {
-		if gotEnds[i] != wantEnds[i] || gotOrder[i] != wantOrder[i] {
-			t.Fatalf("reset pool completes %v at %v, new pool %v at %v", gotOrder, gotEnds, wantOrder, wantEnds)
+	want := scenario(fresh, NewPool(fresh, slow))
+	if len(got) != 5 || len(want) != 5 {
+		t.Fatalf("completions: %d after reset, %d new, want 5 each", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("reset pool completes at %v, new pool at %v", got, want)
 		}
 	}
-	if p.Completed() != 5 {
-		t.Errorf("completed = %d after the scenario, want 5", p.Completed())
-	}
+
+	defer func() {
+		if recover() == nil {
+			t.Error("Reset accepted bad params")
+		}
+	}()
+	p.Reset(Params{})
 }
 
 func TestParamsValidate(t *testing.T) {

@@ -18,9 +18,10 @@ func tbl(run func(Env) Table) func(Env) (Table, error) {
 }
 
 // Catalog lists every regenerable artifact, in paper order. Fig. 13's
-// three footprints use a coarser default step than the paper's 0.01 so
-// the whole catalog stays runnable in minutes; cmd/mtlbench exposes
-// the step as a flag.
+// three footprints use a coarser default step than the paper's 0.01
+// (each figure 0.1 s instead of 1 s; the whole catalog a few seconds
+// at the paper's 20 runs a point); cmd/mtlbench exposes the step as a
+// flag.
 func Catalog() []Spec {
 	fig13 := func(footprint float64) func(Env) (Table, error) {
 		return func(e Env) (Table, error) {

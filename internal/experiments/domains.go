@@ -63,9 +63,9 @@ func DomainSweep(e Env, counts []int, ratios []float64, pairs int) ([]DomainPoin
 	}
 
 	// Per-domain calibrations. Domain 0 is the base DIMM itself, so its
-	// calibration is served from the environment's cache; the replicas
-	// differ only in jitter seed and cost one sweep each, once per
-	// process (and once per cache directory with a disk cache).
+	// calibration is served from the process-wide cache NewEnv filled;
+	// the replicas differ only in jitter seed and cost one sweep each,
+	// once per process.
 	// Each replica owns a private simulation, so the calibrations fan
 	// out across the worker budget like mem.DomainSet.Calibrate does;
 	// results are assembled in domain order and the process-wide cache
@@ -76,7 +76,7 @@ func DomainSweep(e Env, counts []int, ratios []float64, pairs int) ([]DomainPoin
 		err error
 	}
 	measured := parallel.Map(e.jobs(), maxD, func(d int) calOutcome {
-		cal, err := e.calibrate(set.Configs[d], 8, 6, workload.Footprint)
+		cal, err := mem.CalibrateCached(set.Configs[d], 8, 6, workload.Footprint)
 		return calOutcome{cal, err}
 	})
 	params := make([]contend.Params, maxD)

@@ -10,9 +10,7 @@ import (
 // the paper's 2-DIMM platform — from e.
 func domainGolden(t *testing.T, e Env) Table {
 	t.Helper()
-	tab, err := e.RunCached("D1-2dom", "golden", func() (Table, error) {
-		return DomainScalingCounts(e, []int{2})
-	})
+	tab, err := DomainScalingCounts(e, []int{2})
 	if err != nil {
 		t.Fatal(err)
 	}

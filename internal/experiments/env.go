@@ -53,19 +53,14 @@ type Env struct {
 	// shared by all copies of this Env.
 	memo *staticMemo
 
-	// disk is the optional persistent result cache; nil keeps the
-	// environment memory-only. simPar turns on the sharded parallel
-	// simulation in every config the environment hands out.
-	disk   *DiskCache
+	// simPar turns on the sharded parallel simulation in every config
+	// the environment hands out.
 	simPar bool
 }
 
-// Options selects optional acceleration layers for an environment.
-// The zero value reproduces DefaultEnv exactly.
+// Options selects how an environment simulates. The zero value
+// reproduces DefaultEnv exactly.
 type Options struct {
-	// Cache persists calibrations, baselines and whole experiment
-	// tables across processes. nil disables persistence.
-	Cache *DiskCache
 	// SimPar runs multi-domain simulations sharded across per-domain
 	// engines coordinated by a merge-mode sim.Group (simsched.Config's
 	// SimPar knob). Results are byte-identical to the single-engine
@@ -95,10 +90,9 @@ func DefaultEnv(quick bool) (Env, error) {
 	return NewEnv(quick, Options{})
 }
 
-// NewEnv is DefaultEnv with the sweep-acceleration layers selectable.
-// Every option is output-neutral: the sharded simulation is
-// byte-identical to the single-engine one, and the cache stores
-// deterministic results keyed by everything they depend on.
+// NewEnv is DefaultEnv with the options selectable. Every option is
+// output-neutral: the sharded simulation is byte-identical to the
+// single-engine one.
 func NewEnv(quick bool, opt Options) (Env, error) {
 	// NoiseSigma: the paper measures on a noise-controlled machine
 	// (services disabled, 20-run trimming); per-task jitter there is
@@ -116,19 +110,17 @@ func NewEnv(quick bool, opt Options) (Env, error) {
 		e.Reps, e.Keep = 3, 3
 	}
 	e.memo = newStaticMemo()
-	e.disk = opt.Cache
 	e.simPar = opt.SimPar
 	// Calibration is deterministic per DRAM config, so it is cached
 	// process-wide: every test, benchmark and CLI entry point pays
-	// for each configuration at most once. With a disk cache attached
-	// it is paid at most once per cache directory.
+	// for each configuration at most once.
 	const maxK = 8 // calibrate up to the SMT thread count
 	var err error
-	e.Cal1, err = e.calibrate(e.DRAM1, maxK, 6, workload.Footprint)
+	e.Cal1, err = mem.CalibrateCached(e.DRAM1, maxK, 6, workload.Footprint)
 	if err != nil {
 		return Env{}, fmt.Errorf("experiments: 1-DIMM calibration: %w", err)
 	}
-	e.Cal2, err = e.calibrate(e.DRAM2, maxK, 6, workload.Footprint)
+	e.Cal2, err = mem.CalibrateCached(e.DRAM2, maxK, 6, workload.Footprint)
 	if err != nil {
 		return Env{}, fmt.Errorf("experiments: 2-DIMM calibration: %w", err)
 	}

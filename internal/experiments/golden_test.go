@@ -26,53 +26,27 @@ func TestFigureOutputsMatchGolden(t *testing.T) {
 }
 
 // TestFigureOutputsMatchGoldenAccelerated re-renders the golden
-// figures through every sweep-acceleration layer: the sharded
-// simulation, a cold disk cache (computing and storing), and the warm
-// cache (serving stored tables). Each variant must match the committed
-// goldens byte for byte — acceleration is never allowed to move a
-// number.
+// figures through the one remaining way to simulate differently, the
+// sharded simulation. It must match the committed goldens byte for
+// byte — an option is never allowed to move a number.
 func TestFigureOutputsMatchGoldenAccelerated(t *testing.T) {
 	if *update {
 		t.Skip("goldens are updated by the plain variant only")
 	}
-	cache, err := OpenDiskCache(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range []struct {
-		name string
-		opt  Options
-	}{
-		{"simpar", Options{SimPar: true}},
-		{"disk-cold", Options{Cache: cache}},
-		{"disk-warm", Options{Cache: cache}}, // second pass: pure hits
-	} {
-		t.Run(v.name, func(t *testing.T) {
-			e, err := NewEnv(true, v.opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			compareFiguresToGolden(t, e.WithWorkers(4))
-		})
-	}
-	if hits, _, _ := cache.Stats(); hits == 0 {
-		t.Error("disk-warm pass served no cache hits")
-	}
+	t.Run("simpar", func(t *testing.T) {
+		e, err := NewEnv(true, Options{SimPar: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		compareFiguresToGolden(t, e.WithWorkers(4))
+	})
 }
 
 // compareFiguresToGolden renders the golden artifact set from e and
 // diffs it against testdata/golden (rewriting with -update).
 func compareFiguresToGolden(t *testing.T, e Env) {
 	t.Helper()
-	f13, err := e.RunCached("F13-quick", "golden", func() (Table, error) {
-		return Fig13(e, 512<<10, 0.3, 1.5, 0.4, 32)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f14, err := e.RunCached("F14", "golden", func() (Table, error) {
-		return Fig14(e), nil
-	})
+	f13, err := Fig13(e, 512<<10, 0.3, 1.5, 0.4, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +55,7 @@ func compareFiguresToGolden(t *testing.T, e Env) {
 		tab  Table
 	}{
 		{"F13-quick", f13},
-		{"F14", f14},
+		{"F14", Fig14(e)},
 	}
 	formats := []struct{ format, ext string }{{"text", "txt"}, {"json", "json"}}
 	for _, b := range builds {

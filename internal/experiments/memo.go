@@ -88,31 +88,7 @@ func (e Env) Static(prog *stream.Program, cfg simsched.Config, k int) (float64, 
 		e.memo.hits.Add(1)
 	}
 	e.memo.mu.Unlock()
-	ent.once.Do(func() {
-		// Second layer: the persistent cache. Static points — the
-		// MTL = n baselines above all — are the most reused runs across
-		// invocations, so a warm cache skips their repetitions entirely.
-		if e.disk != nil {
-			dk := staticDiskKey{
-				Version: cacheVersion,
-				Kind:    "static",
-				Prog:    key.prog,
-				Cfg:     key.cfg,
-				Reps:    e.Reps,
-				Keep:    e.Keep,
-				K:       k,
-			}
-			var v staticDiskValue
-			if e.disk.Get(dk, &v) {
-				ent.t, ent.rep = v.T, v.Rep
-				return
-			}
-			ent.t, ent.rep = e.runTrimmed(prog, cfg, mk)
-			e.disk.put(dk, staticDiskValue{T: ent.t, Rep: ent.rep})
-			return
-		}
-		ent.t, ent.rep = e.runTrimmed(prog, cfg, mk)
-	})
+	ent.once.Do(func() { ent.t, ent.rep = e.runTrimmed(prog, cfg, mk) })
 	return ent.t, ent.rep
 }
 

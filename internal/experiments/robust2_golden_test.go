@@ -10,9 +10,7 @@ import (
 // robustGolden renders the R2 attack-robustness grid from e.
 func robustGolden(t *testing.T, e Env) Table {
 	t.Helper()
-	tab, err := e.RunCached("R2", "golden", func() (Table, error) {
-		return RobustnessR2(e)
-	})
+	tab, err := RobustnessR2(e)
 	if err != nil {
 		t.Fatal(err)
 	}

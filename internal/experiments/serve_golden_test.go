@@ -9,9 +9,7 @@ import (
 // serveGolden renders the S1 serving table from e.
 func serveGolden(t *testing.T, e Env) Table {
 	t.Helper()
-	tab, err := e.RunCached("S1", "golden", func() (Table, error) {
-		return ServeS1(e)
-	})
+	tab, err := ServeS1(e)
 	if err != nil {
 		t.Fatal(err)
 	}

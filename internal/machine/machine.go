@@ -99,184 +99,45 @@ func (m *Machine) Cores() []*Core { return m.cores }
 // events are forgotten, not cancelled.
 func (m *Machine) Reset() {
 	for _, c := range m.cores {
-		for i, e := range c.active {
-			e.active, e.idx = false, -1
-			c.active[i] = nil
-		}
-		c.active = c.active[:0]
-		c.lastSettle, c.next, c.seq, c.busyTime = 0, nil, 0, 0
-		c.due = c.due[:0]
+		c.srv.Reset(0, 1)
 	}
 }
 
-// Exec is one compute execution in flight on a core.
-type Exec struct {
-	seq       uint64    // start order; fixes callback ordering
-	remaining float64   // solo-seconds of work left
-	fn        func(any) // completion callback, called as fn(arg); or
-	arg       any       // nil fn and a func() in arg: the closure form
-	// The three below share one word, which keeps an Exec in the
-	// 48-byte size class it had when its callback was a bare func().
-	idx    int32 // position in core.active; -1 once removed
-	active bool
-	pooled bool // started without a handle: the shell returns to core.free
-}
-
-// Active reports whether the execution is still running.
-func (e *Exec) Active() bool { return e.active }
+// Exec is one compute execution in flight on a core; Active reports
+// whether it is still running.
+type Exec = sim.Job
 
 // Core is one physical core: a processor-sharing server for compute
 // work. n concurrently computing hardware threads each progress at
-// rate 1/n. Like contend.Pool, active executions live in an
-// index-tracked slice with scratch due/firing sets and a pre-bound
-// fire callback, so the settle/reschedule/fire cycle stays free of
-// steady-state allocations, and executions started through
-// StartComputeFunc — which hands out no *Exec — reuse completed shells.
+// rate 1/n, which is a sim.Shared in solo-seconds whose time per unit
+// is 0 + 1*n: the unit-weight case of the law contend.Pool runs in
+// bytes, on the same mechanism.
 type Core struct {
-	eng        *sim.Engine
-	id         int
-	active     []*Exec // in-flight executions, unordered; Exec.idx tracks slots
-	lastSettle sim.Time
-	next       *sim.Event
-	due        []*Exec   // execs the pending event will complete
-	firing     []*Exec   // scratch swapped with due while callbacks run
-	fireFn     func(any) // pre-bound fire
-	free       []*Exec   // completed StartComputeFunc shells awaiting reuse
-	seq        uint64
-
-	busyTime sim.Time // integrated time with >= 1 active exec
+	id  int
+	srv *sim.Shared
 }
 
 func newCore(eng *sim.Engine, id int) *Core {
-	c := &Core{eng: eng, id: id}
-	c.fireFn = c.fire
-	return c
-}
-
-// remove unlinks an execution by swapping the last slot into its place.
-func (c *Core) remove(e *Exec) {
-	last := len(c.active) - 1
-	moved := c.active[last]
-	c.active[e.idx] = moved
-	moved.idx = e.idx
-	c.active[last] = nil
-	c.active = c.active[:last]
-	e.idx = -1
+	return &Core{id: id, srv: sim.NewShared(eng, 0, 1)}
 }
 
 // ID reports the core index.
 func (c *Core) ID() int { return c.id }
 
 // ActiveCompute reports the number of compute executions in flight.
-func (c *Core) ActiveCompute() int { return len(c.active) }
+func (c *Core) ActiveCompute() int { return c.srv.Count() }
 
 // BusyTime reports the total time this core had at least one compute
 // execution active (used for idle accounting).
-func (c *Core) BusyTime() sim.Time {
-	c.settle()
-	return c.busyTime
-}
-
-func (c *Core) settle() {
-	now := c.eng.Now()
-	dt := float64(now - c.lastSettle)
-	c.lastSettle = now
-	if dt == 0 {
-		return
-	}
-	n := len(c.active)
-	if n == 0 {
-		return
-	}
-	c.busyTime += sim.Time(dt)
-	progress := dt / float64(n)
-	for _, e := range c.active {
-		e.remaining -= progress
-		if e.remaining < 0 {
-			e.remaining = 0
-		}
-	}
-}
-
-func (c *Core) reschedule() {
-	if c.next != nil {
-		c.next.Cancel()
-		c.next = nil
-	}
-	c.due = c.due[:0]
-	n := len(c.active)
-	if n == 0 {
-		return
-	}
-	minRem := -1.0
-	for _, e := range c.active {
-		if minRem < 0 || e.remaining < minRem {
-			minRem = e.remaining
-		}
-	}
-	// Remember which execs this event completes; re-deriving them from
-	// float comparisons at fire time can stall virtual time.
-	const relTol = 1e-12
-	for _, e := range c.active {
-		if e.remaining <= minRem*(1+relTol) {
-			c.due = append(c.due, e)
-		}
-	}
-	sortExecsBySeq(c.due)
-	c.next = c.eng.AfterFunc(sim.Time(minRem*float64(n)), c.fireFn, nil)
-}
-
-// sortExecsBySeq is an insertion sort over the (tiny) due set; unlike
-// sort.Slice it needs no closure and no reflection.
-func sortExecsBySeq(es []*Exec) {
-	for i := 1; i < len(es); i++ {
-		x := es[i]
-		j := i - 1
-		for j >= 0 && es[j].seq > x.seq {
-			es[j+1] = es[j]
-			j--
-		}
-		es[j+1] = x
-	}
-}
-
-func (c *Core) fire(any) {
-	c.settle()
-	c.firing, c.due = c.due, c.firing[:0]
-	for _, e := range c.firing {
-		c.remove(e)
-		e.active = false
-		e.remaining = 0
-	}
-	c.reschedule()
-	for _, e := range c.firing {
-		fn, arg := e.fn, e.arg
-		if e.pooled {
-			// No handle exists, so the shell is free once the callback
-			// has been read out; the callback may itself reuse it.
-			e.fn, e.arg = nil, nil
-			c.free = append(c.free, e)
-		}
-		if fn != nil {
-			fn(arg)
-		} else if done, ok := arg.(func()); ok {
-			done()
-		}
-	}
-}
+func (c *Core) BusyTime() sim.Time { return c.srv.BusyTime() }
 
 // StartCompute begins a compute execution of the given solo duration
 // on this core; done (may be nil) fires at completion. Panics on
 // non-positive duration. The returned handle stays valid after
 // completion.
 func (c *Core) StartCompute(solo sim.Time, done func()) *Exec {
-	if done == nil {
-		return c.start(solo, nil, nil, false)
-	}
-	// The closure form of a callback: no fn, the func() itself as arg
-	// (pointer-shaped, so the any allocates nothing); fire calls it
-	// directly.
-	return c.start(solo, nil, done, false)
+	checkSolo(solo)
+	return c.srv.Start(float64(solo), 1, done)
 }
 
 // StartComputeFunc is StartCompute for hot loops: at completion it
@@ -284,28 +145,12 @@ func (c *Core) StartCompute(solo sim.Time, done func()) *Exec {
 // recycle the execution shell. A nil fn means no callback and wants a
 // nil arg.
 func (c *Core) StartComputeFunc(solo sim.Time, fn func(any), arg any) {
-	c.start(solo, fn, arg, true)
+	checkSolo(solo)
+	c.srv.StartFunc(float64(solo), 1, fn, arg)
 }
 
-// start is the one start path behind StartCompute and StartComputeFunc.
-func (c *Core) start(solo sim.Time, fn func(any), arg any, pooled bool) *Exec {
+func checkSolo(solo sim.Time) {
 	if solo <= 0 {
 		panic(fmt.Sprintf("machine: StartCompute(%v)", solo))
 	}
-	c.settle()
-	var e *Exec
-	if n := len(c.free); pooled && n > 0 {
-		e = c.free[n-1]
-		c.free[n-1] = nil
-		c.free = c.free[:n-1]
-	} else {
-		e = &Exec{}
-	}
-	e.seq, e.remaining = c.seq, float64(solo)
-	e.fn, e.arg = fn, arg
-	e.active, e.pooled, e.idx = true, pooled, int32(len(c.active))
-	c.seq++
-	c.active = append(c.active, e)
-	c.reschedule()
-	return e
 }

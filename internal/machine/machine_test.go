@@ -129,10 +129,11 @@ func TestExecActiveFlag(t *testing.T) {
 	}
 }
 
-// TestStartComputeFuncRecyclesShells pins the handle-free start path:
-// a chain of executions, each started from its predecessor's
-// completion callback, allocates nothing once the shell exists, and a
-// StartCompute handle is never recycled.
+// TestStartComputeFuncRecyclesShells pins the handle-free start path
+// as simsched drives it: a chain of executions, each started from its
+// predecessor's completion callback, allocates nothing through the core
+// once the shells exist. (The recycling itself is sim.Shared's and is
+// tested there.)
 func TestStartComputeFuncRecyclesShells(t *testing.T) {
 	eng := sim.New()
 	c := New(eng, I7860().WithSMT(2)).Core(0)
@@ -155,19 +156,12 @@ func TestStartComputeFuncRecyclesShells(t *testing.T) {
 		t.Fatalf("chain of StartComputeFunc executions allocates %.2f allocs/op, want 0", avg)
 	}
 	approx(t, eng.Now(), 52*64*sim.Microsecond, "52 cycles of two co-scheduled chains of 32")
-
-	e := c.StartCompute(sim.Microsecond, nil)
-	eng.Run()
-	c.StartComputeFunc(sim.Microsecond, nil, nil)
-	if e.Active() {
-		t.Error("completed handle reads active after a later StartComputeFunc")
-	}
-	eng.Run()
 }
 
-// TestMachineResetMatchesNew pins that a reset machine on a reset
-// engine behaves as a new one: same completion instants, busy time from
-// zero — even when the reset interrupts an execution in flight.
+// TestMachineResetMatchesNew pins that Reset reaches every core: a
+// reset machine on a reset engine completes a scenario at the instants
+// a new one does, with busy time from zero on each core — even when the
+// reset interrupts an execution in flight.
 func TestMachineResetMatchesNew(t *testing.T) {
 	scenario := func(eng *sim.Engine, m *Machine) (ends []sim.Time) {
 		done := func(any) { ends = append(ends, eng.Now()) }
@@ -180,23 +174,32 @@ func TestMachineResetMatchesNew(t *testing.T) {
 	eng := sim.NewWheel()
 	m := New(eng, I7860().WithSMT(2))
 	scenario(eng, m)
-	e := m.Core(0).StartCompute(sim.Millisecond, nil) // still running at the reset
+	e := m.Core(1).StartCompute(sim.Millisecond, nil) // still running at the reset
 	eng.RunUntil(eng.Now() + sim.Microsecond)
 	eng.Reset()
 	m.Reset()
-	if e.Active() || m.Core(0).ActiveCompute() != 0 || m.Core(0).BusyTime() != 0 {
-		t.Fatalf("after Reset: handle active=%v, %d active, busy %v", e.Active(), m.Core(0).ActiveCompute(), m.Core(0).BusyTime())
+	for _, c := range m.Cores() {
+		if c.ActiveCompute() != 0 || c.BusyTime() != 0 {
+			t.Fatalf("after Reset: core %d has %d active, busy %v", c.ID(), c.ActiveCompute(), c.BusyTime())
+		}
+	}
+	if e.Active() {
+		t.Fatal("after Reset: interrupted handle still active")
 	}
 	got := scenario(eng, m)
 
 	fresh := sim.NewWheel()
 	want := scenario(fresh, New(fresh, I7860().WithSMT(2)))
+	if len(got) != 3 || len(want) != 3 {
+		t.Fatalf("completions: %d after reset, %d new, want 3 each", len(got), len(want))
+	}
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("reset machine completes at %v, new machine at %v", got, want)
 		}
 	}
-	approx(t, m.Core(0).BusyTime(), 4*sim.Microsecond, "busy time after reset")
+	approx(t, m.Core(0).BusyTime(), 4*sim.Microsecond, "core 0 busy time after reset")
+	approx(t, m.Core(1).BusyTime(), 2*sim.Microsecond, "core 1 busy time after reset")
 }
 
 func TestCompletionCanChainWork(t *testing.T) {

@@ -1,12 +1,14 @@
 // Package prof wires pprof CPU, heap, mutex and block profiling plus
 // runtime/trace execution traces into the CLIs. It exists so every
-// command handles profiles identically:
-// paths are opened (and thus validated) before any simulation work
-// starts, and Stop flushes every profile on every exit path —
-// including error returns — as long as the caller defers it.
+// command handles profiles identically: the same five flags (Flags),
+// paths opened (and thus validated) before any simulation work
+// starts, and Stop flushing every profile on every exit path —
+// including error returns — as long as the caller defers it. The -j
+// check the simulator commands share (JobsFlagError) lives here too.
 package prof
 
 import (
+	"flag"
 	"fmt"
 	"os"
 	"runtime"
@@ -25,7 +27,33 @@ type Profiles struct {
 	Trace string // runtime/trace execution trace (`go tool trace`)
 }
 
-// Session is a running profile capture. The zero value (from Start
+// Flags registers the capture flags every command offers on fs —
+// -cpuprofile, -memprofile, -mutexprofile, -blockprofile, -exectrace —
+// and returns the Profiles they fill in, for StartAll once fs is parsed.
+func Flags(fs *flag.FlagSet) *Profiles {
+	p := new(Profiles)
+	fs.StringVar(&p.CPU, "cpuprofile", "", "write a pprof CPU profile to this file")
+	fs.StringVar(&p.Mem, "memprofile", "", "write a pprof allocation profile to this file")
+	fs.StringVar(&p.Mutex, "mutexprofile", "", "write a pprof mutex-contention profile to this file")
+	fs.StringVar(&p.Block, "blockprofile", "", "write a pprof blocking profile to this file")
+	fs.StringVar(&p.Trace, "exectrace", "", "write a runtime/trace execution trace to this file (view with go tool trace)")
+	return p
+}
+
+// JobsFlagError rejects an explicitly-passed nonsensical -j worker
+// count on a parsed fs. The default (flag not set) resolves to
+// GOMAXPROCS; an explicit "-j 0" or negative value is a user error, not
+// a request for the fallback.
+func JobsFlagError(fs *flag.FlagSet, jobs int) error {
+	set := false
+	fs.Visit(func(f *flag.Flag) { set = set || f.Name == "j" })
+	if set && jobs < 1 {
+		return fmt.Errorf("-j %d: worker count must be >= 1", jobs)
+	}
+	return nil
+}
+
+// Session is a running profile capture. The zero value (from StartAll
 // with empty paths) is a valid no-op.
 type Session struct {
 	cpuFile   *os.File
@@ -38,12 +66,6 @@ type Session struct {
 	blockRateSet      bool
 }
 
-// Start begins CPU and heap captures — the original two-profile entry
-// point, kept for callers that have no contention flags.
-func Start(cpuPath, memPath string) (*Session, error) {
-	return StartAll(Profiles{CPU: cpuPath, Mem: memPath})
-}
-
 // StartAll begins every capture requested by the (possibly empty)
 // paths. It fails fast: an unwritable path is reported before the
 // caller burns minutes of simulation, not after. On error, anything
@@ -52,7 +74,7 @@ func Start(cpuPath, memPath string) (*Session, error) {
 // Requesting a mutex or block profile turns the corresponding runtime
 // sampler on (mutex fraction 1, block rate 1 — every event) for the
 // lifetime of the session; Stop restores the previous settings, so the
-// instrumented window is exactly Start..Stop.
+// instrumented window is exactly StartAll..Stop.
 func StartAll(p Profiles) (*Session, error) {
 	s := &Session{memPath: p.Mem, mutexPath: p.Mutex, blockPath: p.Block}
 	// Validate the Stop-time paths first — cheapest to unwind.
@@ -105,7 +127,7 @@ func StartAll(p Profiles) (*Session, error) {
 
 // Stop flushes and closes every active capture and restores the
 // runtime sampler settings. It is idempotent and safe to defer
-// immediately after a successful Start.
+// immediately after a successful StartAll.
 func (s *Session) Stop() error {
 	if s == nil {
 		return nil

@@ -1,6 +1,7 @@
 package prof
 
 import (
+	"flag"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -13,7 +14,7 @@ func TestStartStopWritesProfiles(t *testing.T) {
 	dir := t.TempDir()
 	cpu := filepath.Join(dir, "cpu.out")
 	mem := filepath.Join(dir, "mem.out")
-	s, err := Start(cpu, mem)
+	s, err := StartAll(Profiles{CPU: cpu, Mem: mem})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,19 +43,19 @@ func TestStartStopWritesProfiles(t *testing.T) {
 
 func TestStartFailsFastOnUnwritablePath(t *testing.T) {
 	bad := filepath.Join(t.TempDir(), "no", "such", "dir", "cpu.out")
-	if _, err := Start(bad, ""); err == nil {
+	if _, err := StartAll(Profiles{CPU: bad}); err == nil {
 		t.Fatal("unwritable cpu path did not fail")
 	}
-	if _, err := Start("", bad); err == nil {
+	if _, err := StartAll(Profiles{Mem: bad}); err == nil {
 		t.Fatal("unwritable mem path did not fail")
 	}
 	// A bad mem path must also tear down an already-started CPU capture
 	// so a later Start can succeed.
 	good := filepath.Join(t.TempDir(), "cpu.out")
-	if _, err := Start(good, bad); err == nil {
+	if _, err := StartAll(Profiles{CPU: good, Mem: bad}); err == nil {
 		t.Fatal("bad mem path with good cpu path did not fail")
 	}
-	s, err := Start(good, "")
+	s, err := StartAll(Profiles{CPU: good})
 	if err != nil {
 		t.Fatalf("cpu capture not released after failed Start: %v", err)
 	}
@@ -64,7 +65,7 @@ func TestStartFailsFastOnUnwritablePath(t *testing.T) {
 }
 
 func TestNoOpSession(t *testing.T) {
-	s, err := Start("", "")
+	s, err := StartAll(Profiles{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,5 +177,42 @@ func TestStartAllFailsFastOnUnwritableTracePath(t *testing.T) {
 	}
 	if err := s.Stop(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFlagsFillProfiles: the five capture flags every command offers
+// are registered once, here, and land in the Profiles StartAll takes.
+func TestFlagsFillProfiles(t *testing.T) {
+	fs := flag.NewFlagSet("cmd", flag.ContinueOnError)
+	p := Flags(fs)
+	args := []string{"-cpuprofile", "c", "-memprofile", "m", "-mutexprofile", "x", "-blockprofile", "b", "-exectrace", "t"}
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	if want := (Profiles{CPU: "c", Mem: "m", Mutex: "x", Block: "b", Trace: "t"}); *p != want {
+		t.Errorf("parsed %+v, want %+v", *p, want)
+	}
+}
+
+// TestJobsFlagError: only an explicit -j below 1 is an error; the unset
+// default of 0 means GOMAXPROCS.
+func TestJobsFlagError(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		bad  bool
+	}{
+		{nil, false},
+		{[]string{"-j", "3"}, false},
+		{[]string{"-j", "0"}, true},
+		{[]string{"-j", "-2"}, true},
+	} {
+		fs := flag.NewFlagSet("cmd", flag.ContinueOnError)
+		jobs := fs.Int("j", 0, "")
+		if err := fs.Parse(c.args); err != nil {
+			t.Fatal(err)
+		}
+		if err := JobsFlagError(fs, *jobs); (err != nil) != c.bad {
+			t.Errorf("-j args %v: error %v, want an error: %t", c.args, err, c.bad)
+		}
 	}
 }
