@@ -15,6 +15,12 @@
 // quartiles over the pairs, the pairs the change won, and whether the
 // medians differ by more than the distance between the base's own
 // quartiles. It ends with `bench/run.sh -compare` on the last pair.
+// After the first pair has built both harnesses it prints where each
+// side's linker put the host workloads' task bodies (address mod 64)
+// and warns when a body differs between the sides: this CPU runs
+// bench/hostload.go's summing loops ~1.8x slower from 32 mod 64 than
+// from 0, so a host_* row between two such builds reads the placement,
+// not the change.
 // Runs are untraced: a traced run (`bench/run.sh -trace 1`) of one
 // workload reports the layer budget and no end-to-end metric, so the
 // per-layer comparison is two such runs and `-compare`, by hand.
@@ -35,7 +41,9 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -122,6 +130,9 @@ func main() {
 			fmt.Println(line)
 			last[side.name] = out
 		}
+		if p == 0 {
+			reportBodyPlacement(baseTree, changeTree)
+		}
 	}
 
 	fmt.Printf("\n%s, %d pairs, base %s:\n", *workload, *pairs, *base)
@@ -164,6 +175,73 @@ func main() {
 	}
 	if !*keep {
 		os.RemoveAll(tmp)
+	}
+}
+
+// bodySymbols are the task bodies of bench/hostload.go that the host
+// workloads time: host_dispatch and host_serve run buffer's, host_stream
+// streamPair's.
+var bodySymbols = []string{
+	"main.(*buffer).gather", "main.(*buffer).compute",
+	"main.(*streamPair).gather", "main.(*streamPair).compute", "main.(*streamPair).scatter",
+}
+
+// bodyPlacement returns address mod 64 of each body symbol in the
+// harness tree's bench/run.sh built.
+func bodyPlacement(tree string) (map[string]uint64, error) {
+	out, err := exec.Command("go", "tool", "nm", filepath.Join(tree, "bench", "out", "bin", "bench")).Output()
+	if err != nil {
+		return nil, fmt.Errorf("go tool nm: %w", err)
+	}
+	at := map[string]uint64{}
+	for _, line := range strings.Split(string(out), "\n") {
+		f := strings.Fields(line) // address, type, name
+		if len(f) != 3 || !slices.Contains(bodySymbols, f[2]) {
+			continue
+		}
+		addr, err := strconv.ParseUint(f[0], 16, 64)
+		if err != nil {
+			return nil, fmt.Errorf("go tool nm: %q: %w", line, err)
+		}
+		at[f[2]] = addr % 64
+	}
+	return at, nil
+}
+
+// reportBodyPlacement prints both sides' placements and a WARNING per
+// body that differs. It reports and never fails the run: a tree whose
+// harness has other bodies simply shows "?".
+func reportBodyPlacement(baseTree, changeTree string) {
+	base, err := bodyPlacement(baseTree)
+	if err != nil {
+		fmt.Println("task-body placement: base:", err)
+		return
+	}
+	change, err := bodyPlacement(changeTree)
+	if err != nil {
+		fmt.Println("task-body placement: change:", err)
+		return
+	}
+	show := func(m map[string]uint64, sym string) string {
+		if v, ok := m[sym]; ok {
+			return fmt.Sprint(v)
+		}
+		return "?"
+	}
+	for _, side := range []struct {
+		name string
+		at   map[string]uint64
+	}{{"base", base}, {"change", change}} {
+		line := fmt.Sprintf("task bodies, addr mod 64, %-6s", side.name)
+		for _, sym := range bodySymbols {
+			line += fmt.Sprintf("  %s %s", strings.TrimPrefix(sym, "main."), show(side.at, sym))
+		}
+		fmt.Println(line)
+	}
+	for _, sym := range bodySymbols {
+		if b, c := show(base, sym), show(change, sym); b != c {
+			fmt.Printf("WARNING: %s sits at %s mod 64 in base and %s in change: host_* rows that run it read the loop's placement as well as the change\n", sym, b, c)
+		}
 	}
 }
 

@@ -9,6 +9,7 @@
 //	mtlbench -fig F14             # one artifact
 //	mtlbench -fig F13a -step 0.02 # denser Fig. 13 sweep
 //	mtlbench -fig D1              # sharded-memory-domain sweep (1/2/4 domains)
+//	mtlbench -fig H1              # host runtime vs the §IV-A model (by ID only, not in -all)
 //	mtlbench -fig F14 -quick -cpuprofile cpu.out -memprofile mem.out
 //	mtlbench -list
 package main
@@ -58,6 +59,9 @@ func run() error {
 
 	if *list {
 		for _, s := range experiments.Catalog() {
+			fmt.Printf("%-5s %s\n", s.ID, s.Desc)
+		}
+		if s, ok := experiments.Find("H1"); ok { // by ID only, see experiments.Find
 			fmt.Printf("%-5s %s\n", s.ID, s.Desc)
 		}
 		return nil

@@ -34,6 +34,11 @@
 // re-execute the same arrays concurrently, so the generation sums
 // don't apply).
 //
+// With -model the example prints experiment H1 instead: the runtime's
+// measured pairs per second against the paper's §IV-A prediction from
+// each run's own task times, through Run and through Serve, with the
+// measured wake latency and where the dynamic controller settles.
+//
 // With -attack the serving path runs a two-class adversarial scenario:
 // a victim stream (class 0) of ordinary pairs shares the server with a
 // flooding attacker (class 1) whose memory tasks drag a footprint
@@ -59,6 +64,7 @@ import (
 
 	"memthrottle/host"
 	"memthrottle/internal/core"
+	"memthrottle/internal/experiments"
 	"memthrottle/internal/prof"
 	"memthrottle/internal/workload"
 )
@@ -85,6 +91,7 @@ func main() {
 	shedName := flag.String("shed", "reject", "serving mode overload response: reject | drop | block")
 	domains := flag.Int("domains", 1, "shard the runtime into N memory domains (per-domain MTL gates)")
 	timings := flag.String("timings", "", "write per-policy stats incl. per-domain counters to this JSON file")
+	model := flag.Bool("model", false, "print experiment H1: measured throughput vs the §IV-A model, Run and Serve")
 	profiles := prof.Flags(flag.CommandLine)
 	flag.Parse()
 
@@ -97,6 +104,15 @@ func main() {
 			log.Print(err)
 		}
 	}()
+
+	if *model {
+		tab, err := experiments.HostModelH1(experiments.Env{})
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Println(tab)
+		return
+	}
 
 	workers := runtime.GOMAXPROCS(0)
 	if *domains < 1 {

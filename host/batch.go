@@ -129,6 +129,7 @@ func (r *Runtime) RunContext(ctx context.Context, pairs []Pair) (Stats, error) {
 		MaxConcurrentM: r.peakConcurrentM(),
 		Retries:        int(ph.retries.Load()),
 		Recovered:      int(ph.recovered.Load()),
+		WakeLatency:    time.Duration(r.lot.wakeNs.Load()),
 	}
 	// Merge the striped per-worker shards into the per-domain view:
 	// parks/idle are attributed to the worker's home domain, the steal
@@ -295,20 +296,6 @@ func (w *worker) memQ(d int) *deque {
 	return q
 }
 
-// hasLocalWork reports whether any of the worker's own deques holds a
-// record (racy — used only for the dispatch wake heuristic).
-func (w *worker) hasLocalWork() bool {
-	if w.comp.size() > 0 {
-		return true
-	}
-	for d := range w.mem {
-		if q := w.mem[d].Load(); q != nil && q.size() > 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // stopped reports whether workers must drain: the phase aborted or
 // every task finished.
 func (ph *phase) stopped() bool {
@@ -344,18 +331,52 @@ func (ph *phase) cancelRun(err error) {
 	ph.abort()
 }
 
-// ready reports whether any class shows runnable work.
-func (ph *phase) ready() bool {
-	if ph.readyComp.Load() > 0 {
-		return true
-	}
+// ready reports whether take could find something now.
+func (ph *phase) ready() bool { return ph.admissible() > 0 }
+
+// admissible counts the records take could return now: every ready
+// compute, and each domain's ready memory-class records up to the slots
+// its gate has free. Advisory, like the counts it sums.
+func (ph *phase) admissible() int64 {
+	n := ph.readyComp.Load()
 	for d := range ph.doms {
-		if ph.doms[d].readyMem.Load() > 0 {
-			return true
+		if m := ph.doms[d].readyMem.Load(); m > 0 {
+			if room := ph.rt.gates[d].room(); room > 0 {
+				n += min(m, room)
+			}
 		}
 	}
-	return false
+	return n
 }
+
+// offer is the wake rule, applied by a worker that has just published
+// a successor of the given stage and takes it — or whatever else is
+// admissible — next: wake one sleeper (or spawn, when none is parked and
+// the pool is below Workers) iff take could find a second record now
+// and the publisher's next task should outlast λ/wakeDiv, λ being the
+// measured wake latency (lot.wakeNs). Gast et al.: makespan is W/p plus
+// a term linear in λ, so ~1 µs bodies never wake and ~100 µs ones overlap
+// gather i+1 with compute i, as §IV-A assumes. The expectation is w's
+// running mean sum/n for the stage's class, the other class's before
+// its first sample; compared multiplied out, this runs per task.
+func (ph *phase) offer(w *worker, stage int32) {
+	sum, n := w.sumTm.Load(), w.nTm.Load()
+	if sc, nc := w.sumTc.Load(), w.nTc.Load(); n == 0 || (stage == stageComp && nc > 0) {
+		sum, n = sc, nc
+	}
+	if wakeDiv*sum > ph.lot.wakeNs.Load()*n && ph.admissible() >= 2 && !ph.lot.unparkOne() {
+		ph.spawnWorker()
+	}
+}
+
+// wakeDiv: a woken worker arrives λ late for the record it was sent for
+// and is repaid by staying up (it spins 2λ between records, spin.go), so
+// the threshold sits under λ. Sized on 2 vCPUs: host_stream reads λ
+// 100-200 µs against Tc ~200 µs — at 1 every drift of λ past Tc cost a
+// serial run (a tenth of them), at 2 and 4 none; host_dispatch reads λ
+// 1.5-3 µs against ~0.5 µs bodies — blocking parks per Run 0.56-0.65 at
+// the parent, 0.66-0.74 at 2, 0.87-0.99 at 4.
+const wakeDiv = 2
 
 // take finds the next runnable record, or nil when the worker should
 // park. Memory-class records are only returned with their domain's gate
@@ -534,16 +555,14 @@ func (ph *phase) stealComp(w *worker) *pairRec {
 	return nil
 }
 
-// released follows a returned memory slot. There is no wake for the
-// gate slot itself: while admissible work remains, either this worker's
-// next take or the worker that races it into the freed slot stays
-// active and keeps draining — waking a sleeper would only displace a
-// running worker. Two exceptions. In class-aware mode the freed class
-// slot may be exactly what a parked worker's capped record is waiting
-// for, and this worker may move on to other work — wake one sleeper.
-// And a task outliving an aborted phase: its worker exits right after
-// the release, and the freed slot may be the one a *newer* phase's
-// gate-blocked sleepers are waiting for.
+// released follows a returned memory slot. A gather's slot is offered
+// by the dispatch of its compute, which follows at once and counts it
+// free (offer); a scatter's is reclaimed by its worker's next take. Two
+// cases cannot wait for that. In class-aware mode the freed class slot
+// may be just what a parked worker's capped record is waiting for while
+// this worker moves on to other work — wake one sleeper. And a task
+// outliving an aborted phase: its worker exits right after the release,
+// and the slot may be the one a *newer* phase's sleepers wait for.
 func (ph *phase) released(*pairRec) {
 	if ph.rt.lim != nil {
 		ph.lot.unparkOne()
@@ -565,10 +584,9 @@ func (ph *phase) limitRose() {
 // for the stage's class and j's home domain (or, if that is full, to
 // the domain's shared overflow shard). The ready count rises before
 // the push so no scanner can prove absence while the record is in
-// flight. No wake is issued when the record is the publisher's only
-// local work: the publisher's very next take pops it (own deques are
-// scanned first), so waking a thief would buy nothing; a thief is woken
-// only when the publisher demonstrably cannot drain alone.
+// flight. The publisher's very next take pops the record (own deques
+// are scanned first); whether a sleeper is woken for what else is
+// admissible is the wake rule's call (offer).
 func (ph *phase) dispatch(w *worker, j *pairRec, stage int32) {
 	j.stage = stage
 	d := int(j.dom)
@@ -578,7 +596,6 @@ func (ph *phase) dispatch(w *worker, j *pairRec, stage int32) {
 	if mem {
 		q, n = w.memQ(d), &ds.readyMem
 	}
-	busy := w.hasLocalWork()
 	n.Add(1)
 	if !q.push(j) {
 		if mem {
@@ -587,11 +604,8 @@ func (ph *phase) dispatch(w *worker, j *pairRec, stage int32) {
 			ds.over.comp.put(j)
 		}
 		w.doms[d].spills.Add(1)
-		busy = true
 	}
-	if busy && !ph.lot.unparkOne() {
-		ph.spawnWorker()
-	}
+	ph.offer(w, stage)
 }
 
 // finish feeds a finished stage back into the dispatch state: surface a

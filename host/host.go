@@ -300,6 +300,14 @@ type Stats struct {
 	Cancelled bool  // run ended early on cancellation or deadline
 	Spills    int   // jobs that overflowed a worker deque into a shared list
 
+	// WakeLatency is λ as the run ended: the runtime's running mean of
+	// the time from a wakeup sent to the blocked worker running again,
+	// one sample per blocking park (the events Domains[].Parks counts,
+	// inside the time Domains[].Idle sums), kept across runs. When a
+	// finished stage wakes a sleeper and how long an idle worker spins
+	// are stated in it. Measured, not set; zero until a worker blocked.
+	WakeLatency time.Duration
+
 	// Domains holds the per-domain dispatch counters, one entry per
 	// configured memory domain (a single entry for the default
 	// unsharded runtime).

@@ -66,6 +66,11 @@ func TestLayoutLot(t *testing.T) {
 	if !distinctLines(mu, spinners) {
 		t.Errorf("lot.mu (offset %d) and lot.spinners (offset %d) may share a cache line (spin entry/exit would bounce the lock word)", mu, spinners)
 	}
+	// λ is loaded by every dispatch and stored once per blocking park:
+	// park-path traffic like spinners, whose line it shares.
+	if wake := unsafe.Offsetof(l.wakeNs); !distinctLines(mu, wake) {
+		t.Errorf("lot.mu (offset %d) and lot.wakeNs (offset %d) may share a cache line (every dispatch's λ load would contend with the lock word)", mu, wake)
+	}
 }
 
 func TestLayoutMpmcRing(t *testing.T) {

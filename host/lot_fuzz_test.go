@@ -68,6 +68,9 @@ func FuzzLotProtocol(f *testing.F) {
 				if got, want := len(p.token), b2i(state[i] == woken); int64(got) != want {
 					t.Fatalf("op %d (%s): parker %d holds %d tokens in state %d", step, what, i, got, state[i])
 				}
+				if state[i] == woken && p.woken.IsZero() {
+					t.Fatalf("op %d (%s): parker %d was sent a token without a wake stamp", step, what, i)
+				}
 			}
 			if got := l.spinners.Load(); got != spin {
 				t.Fatalf("op %d (%s): spinners = %d, model %d", step, what, got, spin)

@@ -230,6 +230,7 @@ type discipline interface {
 	// should park.
 	take(w *worker) *pairRec
 	// ready is the pre-park spin's poll: could take find something now?
+	// Work queued behind a full gate does not count.
 	ready() bool
 	// stopped reports that workers must drain and exit.
 	stopped() bool
@@ -383,7 +384,7 @@ func (p *pool) parkTillWork(w *worker) *pairRec {
 			l.cancel(&w.park)
 			return j
 		}
-		if budget := spinBudgetNs(w.spinNs); budget > 0 && l.beginSpin(p.spinMax) {
+		if budget := spinBudgetNs(w.spinNs, l.wakeNs.Load()); budget > 0 && l.beginSpin(p.spinMax) {
 			t0 := time.Now()
 			woken := false
 			for i := 1; !woken && time.Since(t0).Nanoseconds() < budget; i++ {
@@ -408,14 +409,14 @@ func (p *pool) parkTillWork(w *worker) *pairRec {
 				}
 				if j := q.take(w); j != nil {
 					l.cancel(&w.park)
-					w.spinNs = foldIdleGap(w.spinNs, gap)
+					w.spinNs = fold(w.spinNs, gap)
 					return j
 				}
 				// Budget spent with nothing runnable: fall through to the
 				// blocking park (still enqueued, so no wakeup was lost).
 			} else {
 				// Token consumed mid-spin — this was the wakeup.
-				w.spinNs = foldIdleGap(w.spinNs, gap)
+				w.spinNs = fold(w.spinNs, gap)
 				if q.stopped() {
 					return nil
 				}
@@ -428,9 +429,10 @@ func (p *pool) parkTillWork(w *worker) *pairRec {
 		w.parks.Add(1)
 		t0 := time.Now()
 		<-w.park.token
+		l.noteWake(&w.park)
 		gap := time.Since(t0).Nanoseconds()
 		w.idleNs.Add(gap)
-		w.spinNs = foldIdleGap(w.spinNs, gap)
+		w.spinNs = fold(w.spinNs, gap)
 		if q.stopped() {
 			return nil
 		}

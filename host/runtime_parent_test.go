@@ -162,6 +162,42 @@ var pinRetry = RetryPolicy{MaxAttempts: 3, BaseDelay: 20 * time.Microsecond, Max
 // in one order.
 func pinW1() Config { return Config{Workers: 1, Policy: Static, MTL: 1} }
 
+// stallSpy is pinW1's limit behind the plugin surface, so the stall
+// cases can see the watchdog's signal: a task parks in hold until it has
+// been flagged, where it used to sleep a fixed 60 ms against the 15 ms
+// watchdog and read Stalls 0 on a loaded box.
+type stallSpy struct {
+	core.Fixed
+	once    sync.Once
+	flagged chan struct{}
+}
+
+func (s *stallSpy) OnSignal(_ int, sig core.Signal) {
+	if sig == core.SignalStall {
+		s.once.Do(func() { close(s.flagged) })
+	}
+}
+
+// hold returns once the watchdog has flagged the calling task. The
+// timer only fires in a run that has already failed (Stalls 0).
+func (s *stallSpy) hold() {
+	deadline := time.NewTimer(30 * time.Second)
+	defer deadline.Stop()
+	select {
+	case <-s.flagged:
+	case <-deadline.C:
+	}
+}
+
+// pinStall is pinW1 with a 15 ms stall watchdog and six pairs whose
+// third compute stalls until flagged.
+func pinStall() (Config, []Pair) {
+	spy := &stallSpy{Fixed: core.Fixed{K: 1}, flagged: make(chan struct{})}
+	pairs := pinPairs(6)
+	pairs[2].Compute = spy.hold
+	return Config{Workers: 1, Throttler: spy, StallTimeout: 15 * time.Millisecond}, pairs
+}
+
 // pinW4 runs four workers over two domains under a plugged controller
 // that holds the limit at 2 and batches signals, so the issue and retry
 // totals can be read back from the runtime's shards.
@@ -313,10 +349,6 @@ func runtimeCases() []struct {
 		name string
 		run  func(t *testing.T) pinnedCase
 	}
-	stallCfg := func(cfg Config) Config {
-		cfg.StallTimeout = 15 * time.Millisecond
-		return cfg
-	}
 	phases := func(t *testing.T, cfg Config, permanentAt int) pinnedCase {
 		rt := pinRuntime(t, cfg)
 		var progs [][]Pair
@@ -379,9 +411,8 @@ func runtimeCases() []struct {
 			return pinRun(t, cfg, pairs, nil)
 		}},
 		{"w1/run/stall", func(t *testing.T) pinnedCase {
-			pairs := pinPairs(6)
-			pairs[2].Compute = func() { time.Sleep(60 * time.Millisecond) }
-			return pinRun(t, stallCfg(pinW1()), pairs, nil)
+			cfg, pairs := pinStall()
+			return pinRun(t, cfg, pairs, nil)
 		}},
 		{"w1/runphases/faults-recovered", func(t *testing.T) pinnedCase {
 			cfg := pinW1()
@@ -413,9 +444,8 @@ func runtimeCases() []struct {
 			return pinServe(t, cfg, ServeConfig{Queue: 2, Shed: ShedBlock, AdmitBatch: 1}, pairs, inj, false, 1)
 		}},
 		{"w1/serve/stall", func(t *testing.T) pinnedCase {
-			pairs := pinPairs(6)
-			pairs[2].Compute = func() { time.Sleep(60 * time.Millisecond) }
-			return pinServe(t, stallCfg(pinW1()), ServeConfig{Shed: ShedBlock}, pairs, nil, false, 1)
+			cfg, pairs := pinStall()
+			return pinServe(t, cfg, ServeConfig{Shed: ShedBlock}, pairs, nil, false, 1)
 		}},
 		{"w4d2/run/plain", func(t *testing.T) pinnedCase {
 			return pinRun(t, pinW4(), pinPairs(96), nil)
