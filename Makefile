@@ -105,9 +105,8 @@ test:
 # RobustnessR2 joins the race pass as the adversarial stress: it fans
 # the 15-cell attack grid across 4 workers through parallel.Map while
 # each cell drives the class-aware PolicyThrottler (atomic limit and
-# blacklist publication against concurrent readers). The sharded-sim
-# suites (TestGroup*, TestWheel*, the SimPar serial-equality properties)
-# ride along, and TestRunConcurrentRecycling draws simsched's recycled
+# blacklist publication against concurrent readers). TestWheel* rides
+# along, and TestRunConcurrentRecycling draws simsched's recycled
 # runners from their shared pool on four goroutines. internal/core joins
 # whole: TestDriverConcurrentReaders holds the one controller driver to
 # its contract (mutators under the caller's lock, MTL/ClassLimit/
@@ -115,7 +114,7 @@ test:
 race:
 	$(GO) test -race ./host/... ./internal/parallel/... ./internal/core
 	$(GO) test -race -run 'RobustnessR2' ./internal/experiments
-	$(GO) test -race -run 'TestGroup|TestWheel|TestSimPar|TestRunConcurrentRecycling' ./internal/sim ./internal/simsched
+	$(GO) test -race -run 'TestWheel|TestRunConcurrentRecycling' ./internal/sim ./internal/simsched
 
 # fuzz-smoke gives the event queue's differential fuzzer (the engine
 # against a plain heap, see internal/sim/wheel_test.go) fifteen seconds

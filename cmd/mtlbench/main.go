@@ -46,7 +46,6 @@ func run() error {
 		format   = flag.String("format", "text", "output format: text | csv | json")
 		jobs     = flag.Int("j", 0, "worker goroutines for independent runs (default: GOMAXPROCS)")
 		_        = flag.Bool("no-cache", false, "accepted and ignored: there is no result cache, every run computes everything")
-		simPar   = flag.Bool("simpar", false, "shard multi-domain simulations across per-domain engines (bit-identical; composes with -j)")
 		profiles = prof.Flags(flag.CommandLine)
 	)
 	flag.Parse()
@@ -94,7 +93,7 @@ func run() error {
 
 	parallel.SetDefault(*jobs)
 	t0 := time.Now()
-	env, err := experiments.NewEnv(*quick, experiments.Options{SimPar: *simPar})
+	env, err := experiments.DefaultEnv(*quick)
 	if err != nil {
 		return err
 	}

@@ -56,7 +56,6 @@ func run(args []string, out io.Writer) error {
 		smt      = fs.Int("smt", 1, "hardware threads per core")
 		channels = fs.Int("channels", 1, "memory channels")
 		domains  = fs.Int("domains", 1, "independent memory domains (replicated DIMMs, round-robin homing)")
-		simPar   = fs.Bool("simpar", false, "shard the simulation across per-domain engines (bit-identical; needs -domains > 1 to engage)")
 		gantt    = fs.Bool("gantt", false, "print an ASCII Gantt chart")
 		seed     = fs.Int64("seed", 1, "noise seed")
 		jobs     = fs.Int("j", 0, "worker goroutines for independent runs (default: GOMAXPROCS)")
@@ -130,7 +129,6 @@ func run(args []string, out io.Writer) error {
 	cfg.NoiseSigma = 0.003
 	cfg.Seed = *seed
 	cfg.RecordTrace = *gantt
-	cfg.SimPar = *simPar
 	if *domains > 1 {
 		cfg.Machine.MemDomains = *domains
 		for d := 0; d < *domains; d++ {

@@ -28,8 +28,8 @@ func (r *Runtime) Run(pairs []Pair) (Stats, error) {
 	return r.RunContext(context.Background(), pairs)
 }
 
-// RunContext is Run with cancellation: when ctx is cancelled (or the
-// configured RunTimeout expires) workers stop picking up tasks and the
+// RunContext is Run with cancellation: when ctx is cancelled (bound a
+// run with context.WithTimeout) workers stop picking up tasks and the
 // call returns the partial Stats of the completed prefix together with
 // ctx's error. Tasks already executing are not interrupted — a worker
 // wedged inside user code keeps its goroutine (and its gate slot)
@@ -65,11 +65,6 @@ func (r *Runtime) RunContext(ctx context.Context, pairs []Pair) (Stats, error) {
 		if j.has(stageScat) {
 			total++
 		}
-	}
-	if r.cfg.RunTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, r.cfg.RunTimeout)
-		defer cancel()
 	}
 	if err := ctx.Err(); err != nil {
 		return Stats{Pairs: len(pairs), Cancelled: true}, err

@@ -160,10 +160,6 @@ type Config struct {
 	// Retry re-executes tasks that return an error or panic. The zero
 	// value disables retry.
 	Retry RetryPolicy
-	// RunTimeout, when positive, bounds every Run/RunContext call: on
-	// expiry the run drains and returns partial Stats plus
-	// context.DeadlineExceeded.
-	RunTimeout time.Duration
 	// StallTimeout, when positive, arms a watchdog that flags tasks
 	// running longer than this (Stats.Stalls) and, after
 	// StallFallbackAfter flags in one run, degrades the Dynamic
@@ -236,9 +232,6 @@ func (c Config) validate() error {
 	}
 	if err := c.Retry.validate(); err != nil {
 		return err
-	}
-	if c.RunTimeout < 0 {
-		return fmt.Errorf("host: RunTimeout = %v, want >= 0", c.RunTimeout)
 	}
 	if c.StallTimeout < 0 {
 		return fmt.Errorf("host: StallTimeout = %v, want >= 0", c.StallTimeout)

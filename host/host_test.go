@@ -90,7 +90,6 @@ func TestConfigValidation(t *testing.T) {
 		{"retry multiplier below 1", Config{Workers: 4, Retry: RetryPolicy{MaxAttempts: 3, Multiplier: 0.5}}},
 		{"negative retry jitter", Config{Workers: 4, Retry: RetryPolicy{MaxAttempts: 3, Jitter: -0.1}}},
 		{"retry jitter >= 1", Config{Workers: 4, Retry: RetryPolicy{MaxAttempts: 3, Jitter: 1.0}}},
-		{"negative run timeout", Config{Workers: 4, RunTimeout: -time.Second}},
 		{"negative stall timeout", Config{Workers: 4, StallTimeout: -time.Second}},
 		{"negative stall fallback", Config{Workers: 4, StallTimeout: time.Second, StallFallbackAfter: -1}},
 		{"stall fallback without watchdog", Config{Workers: 4, StallFallbackAfter: 2}},
@@ -105,7 +104,6 @@ func TestConfigValidation(t *testing.T) {
 		{Workers: 4, Retry: RetryPolicy{MaxAttempts: 3}},
 		{Workers: 4, StallTimeout: time.Second},
 		{Workers: 4, StallTimeout: time.Second, StallFallbackAfter: 1},
-		{Workers: 4, RunTimeout: time.Minute},
 	} {
 		if _, err := New(c); err != nil {
 			t.Errorf("valid config %+v rejected: %v", c, err)

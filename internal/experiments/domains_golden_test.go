@@ -21,7 +21,7 @@ func domainGolden(t *testing.T, e Env) Table {
 // byte-for-byte in both stable formats (the goldens regenerate with
 // -update, shared with golden_test.go).
 func TestDomainSweepMatchesGolden(t *testing.T) {
-	tab := domainGolden(t, freshEnv(t, 4))
+	tab := domainGolden(t, freshEnv(t, 1))
 	for _, f := range []struct{ format, ext string }{{"text", "txt"}, {"json", "json"}} {
 		got, err := tab.Render(f.format)
 		if err != nil {
@@ -48,19 +48,14 @@ func TestDomainSweepMatchesGolden(t *testing.T) {
 	}
 }
 
-// TestDomainSweepMatchesGoldenSimPar re-renders the 2-domain golden
-// with the sharded parallel simulation on — the configuration where
-// SimPar actually engages (per-domain engines under a merge-mode
-// group). It must match the committed golden byte for byte.
-func TestDomainSweepMatchesGoldenSimPar(t *testing.T) {
+// TestDomainSweepMatchesGoldenAccelerated re-renders the 2-domain
+// golden on four workers (`-j 4`). It must match the committed golden
+// byte for byte.
+func TestDomainSweepMatchesGoldenAccelerated(t *testing.T) {
 	if *update {
 		t.Skip("goldens are updated by the plain variant only")
 	}
-	e, err := NewEnv(true, Options{SimPar: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tab := domainGolden(t, e.WithWorkers(4))
+	tab := domainGolden(t, freshEnv(t, 4))
 	for _, f := range []struct{ format, ext string }{{"text", "txt"}, {"json", "json"}} {
 		got, err := tab.Render(f.format)
 		if err != nil {
@@ -72,7 +67,7 @@ func TestDomainSweepMatchesGoldenSimPar(t *testing.T) {
 			t.Fatalf("missing golden (run the plain variant with -update to create): %v", err)
 		}
 		if got != string(want) {
-			t.Errorf("simpar %s output drifted from golden %s\n--- got ---\n%s\n--- want ---\n%s",
+			t.Errorf("-j 4 %s output drifted from golden %s\n--- got ---\n%s\n--- want ---\n%s",
 				f.format, path, got, want)
 		}
 	}

@@ -52,21 +52,11 @@ type Env struct {
 	// memo caches static-MTL measurements per (program, config, K);
 	// shared by all copies of this Env.
 	memo *staticMemo
-
-	// simPar turns on the sharded parallel simulation in every config
-	// the environment hands out.
-	simPar bool
 }
 
-// Options selects how an environment simulates. The zero value
-// reproduces DefaultEnv exactly.
-type Options struct {
-	// SimPar runs multi-domain simulations sharded across per-domain
-	// engines coordinated by a merge-mode sim.Group (simsched.Config's
-	// SimPar knob). Results are byte-identical to the single-engine
-	// path; single-domain configs degenerate to it.
-	SimPar bool
-}
+// Options has no fields left; NewEnv keeps the parameter so existing
+// callers that pass Options{} still compile.
+type Options struct{}
 
 // WithWorkers returns a copy of the environment with the given
 // parallel worker budget (0 = process default). The static-MTL memo is
@@ -90,10 +80,8 @@ func DefaultEnv(quick bool) (Env, error) {
 	return NewEnv(quick, Options{})
 }
 
-// NewEnv is DefaultEnv with the options selectable. Every option is
-// output-neutral: the sharded simulation is byte-identical to the
-// single-engine one.
-func NewEnv(quick bool, opt Options) (Env, error) {
+// NewEnv is DefaultEnv; Options is empty.
+func NewEnv(quick bool, _ Options) (Env, error) {
 	// NoiseSigma: the paper measures on a noise-controlled machine
 	// (services disabled, 20-run trimming); per-task jitter there is
 	// well under 1%. Larger values dissolve the equal-task convoys
@@ -110,7 +98,6 @@ func NewEnv(quick bool, opt Options) (Env, error) {
 		e.Reps, e.Keep = 3, 3
 	}
 	e.memo = newStaticMemo()
-	e.simPar = opt.SimPar
 	// Calibration is deterministic per DRAM config, so it is cached
 	// process-wide: every test, benchmark and CLI entry point pays
 	// for each configuration at most once.
@@ -137,7 +124,6 @@ func (e Env) Lib() workload.Library { return workload.NewLibrary(e.Mem1) }
 func (e Env) Cfg() simsched.Config {
 	c := simsched.Default(e.Mem1)
 	c.NoiseSigma = e.NoiseSigma
-	c.SimPar = e.simPar
 	return c
 }
 
@@ -145,7 +131,6 @@ func (e Env) Cfg() simsched.Config {
 func (e Env) Cfg2(smt bool) simsched.Config {
 	c := simsched.Default(e.Mem2)
 	c.NoiseSigma = e.NoiseSigma
-	c.SimPar = e.simPar
 	if smt {
 		c.Machine = machine.I7860().WithSMT(2)
 	}

@@ -218,11 +218,6 @@ type Engine struct {
 	// wheel is the event queue: see wheel.go.
 	wheel timingWheel
 
-	// gseq, when set by a Group, replaces the engine-local sequence
-	// counter so events allocated across the group's engines are
-	// numbered exactly as a single engine would number them.
-	gseq *uint64
-
 	// free recycles fired/cancelled events: the simulation hot path
 	// schedules and retires millions of events per run, and reusing
 	// them keeps Step allocation-free (see BenchmarkEngineStepWheel).
@@ -266,13 +261,8 @@ func (e *Engine) alloc(t Time) *Event {
 	}
 	ev.due = t
 	ev.engine = e
-	if e.gseq != nil {
-		ev.seq = *e.gseq
-		*e.gseq++
-	} else {
-		ev.seq = e.seq
-		e.seq++
-	}
+	ev.seq = e.seq
+	e.seq++
 	return ev
 }
 
@@ -387,28 +377,4 @@ func (e *Engine) RunUntil(deadline Time) Time {
 		e.now = deadline
 	}
 	return e.now
-}
-
-// NextDue reports the due time and sequence number of the next pending
-// event. ok is false when the engine is idle.
-func (e *Engine) NextDue() (due Time, seq uint64, ok bool) {
-	ev := e.wheel.peek()
-	if ev == nil {
-		return 0, 0, false
-	}
-	return ev.due, ev.seq, true
-}
-
-// SyncTo advances the clock to t without firing anything, so that
-// relative scheduling (After/AfterFunc) issued by cross-engine callers
-// lands at the right absolute time. Synchronizing backwards is a no-op;
-// synchronizing past a pending event panics — it would reorder history.
-func (e *Engine) SyncTo(t Time) {
-	if t <= e.now {
-		return
-	}
-	if ev := e.wheel.peek(); ev != nil && ev.due < t {
-		panic(fmt.Sprintf("sim: SyncTo %v past pending event at %v", t, ev.due))
-	}
-	e.now = t
 }

@@ -330,54 +330,6 @@ func TestWheelWindowBoundaryDrain(t *testing.T) {
 	})
 }
 
-// TestWheelSyncTo pins the Group primitives: NextDue reports the next
-// pending event, SyncTo advances the clock without firing, and SyncTo
-// past a pending event panics — with the pending events all in slots
-// ("wheel") and all in the far heap ("heap").
-func TestWheelSyncTo(t *testing.T) {
-	for name, unit := range map[string]Time{"heap": Millisecond, "wheel": 100 * Nanosecond} {
-		t.Run(name, func(t *testing.T) {
-			e := NewWheel()
-			var fired int
-			for i := 1; i <= 5; i++ {
-				ev := e.At(Time(i)*unit, func() { fired++ })
-				if (ev.loc == locHeap) != (name == "heap") {
-					t.Fatalf("event %d: loc %d is the wrong store for this case", i, ev.loc)
-				}
-			}
-			e.Step()
-			e.Step()
-			if fired != 2 || e.Now() != 2*unit {
-				t.Fatalf("after two steps fired = %d, Now = %v, want 2 and %v", fired, e.Now(), 2*unit)
-			}
-			due, _, ok := e.NextDue()
-			if !ok || due != 3*unit {
-				t.Fatalf("NextDue = %v %v, want %v true", due, ok, 3*unit)
-			}
-			e.SyncTo(3 * unit) // exactly at the pending event: allowed
-			if e.Now() != 3*unit {
-				t.Fatalf("Now = %v after SyncTo, want %v", e.Now(), 3*unit)
-			}
-			e.SyncTo(unit) // backwards: no-op
-			if e.Now() != 3*unit {
-				t.Fatalf("backwards SyncTo moved the clock to %v", e.Now())
-			}
-			func() {
-				defer func() {
-					if recover() == nil {
-						t.Error("SyncTo past a pending event did not panic")
-					}
-				}()
-				e.SyncTo(4 * unit)
-			}()
-			e.Run()
-			if fired != 5 {
-				t.Fatalf("fired = %d after Run, want 5", fired)
-			}
-		})
-	}
-}
-
 // TestWheelSteadyStateZeroAlloc pins the wheel's zero-allocation
 // contract, matching TestEngineSteadyStateZeroAlloc on the heap.
 func TestWheelSteadyStateZeroAlloc(t *testing.T) {

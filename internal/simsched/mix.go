@@ -189,7 +189,7 @@ func runMix(g *rig, cfg Config, spec MixSpec, th core.Throttler) MixResult {
 		streams[i].Stream = st
 		m.eng.AfterFunc(sim.Time(st.Arrivals.Next()), m.arriveFn, &streams[i])
 	}
-	m.drain()
+	m.eng.Run()
 
 	if m.inflight != 0 || m.pending() != 0 {
 		panic(fmt.Sprintf("simsched: open-loop deadlock — %d in flight, %d queued at drain",

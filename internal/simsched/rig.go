@@ -12,12 +12,11 @@ import (
 
 // rig is the machine under test, shared by the closed-loop kernel
 // (runner) and the open-loop driver (mixer). newRig builds what depends
-// only on the machine's shape and on SimPar; reset sets the rest, so a
+// only on the machine's shape; reset sets the rest, so a
 // rig one run has finished with serves the next run of either kind.
 type rig struct {
 	cfg     Config
-	eng     *sim.Engine // cores, scheduler bookkeeping, arrivals
-	group   *sim.Group  // non-nil when SimPar shards the run
+	eng     *sim.Engine // cores, pools, scheduler bookkeeping, arrivals
 	mach    *machine.Machine
 	pools   []*contend.Pool // one fluid memory model per domain
 	llc     *cache.LLC
@@ -32,10 +31,6 @@ type worker struct {
 	idle bool
 }
 
-// sharded reports whether SimPar puts each domain's pool on an engine
-// of its own. With one domain SimPar degenerates to the default path.
-func (c Config) sharded() bool { return c.SimPar && c.Machine.Domains() > 1 }
-
 // memParams returns the fluid parameters of domain d: with a unified
 // memory system Mem parameterises the single pool, otherwise each
 // domain's DIMM has its own independently calibrated model.
@@ -46,26 +41,13 @@ func (c Config) memParams(d int) contend.Params {
 	return c.Mem
 }
 
-// newRig builds the rig for cfg's machine. Every pool lives on the main
-// engine unless the run is sharded: then each domain gets a private
-// engine and a merge-mode sim.Group coordinates them.
+// newRig builds the rig for cfg's machine, every pool on the one engine.
 func newRig(cfg Config) rig {
-	nd := cfg.Machine.Domains()
 	g := rig{cfg: cfg, eng: sim.NewWheel(), noise: stats.NewNoise(0, 0)}
-	poolEng := make([]*sim.Engine, nd)
-	for d := range poolEng {
-		poolEng[d] = g.eng
-	}
-	if cfg.sharded() {
-		for d := range poolEng {
-			poolEng[d] = sim.NewWheel()
-		}
-		g.group = sim.NewGroup(append([]*sim.Engine{g.eng}, poolEng...)...)
-	}
 	g.mach = machine.New(g.eng, cfg.Machine)
-	g.pools = make([]*contend.Pool, nd)
+	g.pools = make([]*contend.Pool, cfg.Machine.Domains())
 	for d := range g.pools {
-		g.pools[d] = contend.NewPool(poolEng[d], cfg.memParams(d))
+		g.pools[d] = contend.NewPool(g.eng, cfg.memParams(d))
 	}
 	g.workers = make([]worker, cfg.Machine.HardwareThreads())
 	for i := range g.workers {
@@ -77,9 +59,7 @@ func newRig(cfg Config) rig {
 // reset puts the rig in the state a run starts from. It is the only
 // way into a run, for a new rig and a recycled one alike, so the two
 // cannot differ: whatever a run reads of the rig, reset has set. cfg
-// must have the machine shape the rig was built for. (A sharded rig's
-// domain engines are not reset — a merge group takes fresh engines — so
-// such a rig runs once.)
+// must have the machine shape the rig was built for.
 func (g *rig) reset(cfg Config) {
 	g.cfg = cfg
 	g.eng.Reset()
@@ -95,15 +75,6 @@ func (g *rig) reset(cfg Config) {
 		g.llc.Reserve(cfg.ResidentOverheadBytes)
 	}
 	g.noise.Reset(cfg.NoiseSigma, cfg.Seed)
-}
-
-// drain runs the event loop until nothing is pending.
-func (g *rig) drain() {
-	if g.group != nil {
-		g.group.Run()
-	} else {
-		g.eng.Run()
-	}
 }
 
 // startCompute runs the compute half of a pair on w's core. If live
@@ -133,19 +104,13 @@ func (g *rig) startCompute(w *worker, dom int, gatherBytes float64, work sim.Tim
 var runners sync.Pool
 
 // acquire returns a runner whose rig has cfg's machine shape, from the
-// pool when it holds one. A sharded run always builds its own.
+// pool when it holds one.
 func acquire(cfg Config) *runner {
-	if !cfg.sharded() {
-		if r, _ := runners.Get().(*runner); r != nil && r.cfg.Machine == cfg.Machine {
-			return r
-		}
+	if r, _ := runners.Get().(*runner); r != nil && r.cfg.Machine == cfg.Machine {
+		return r
 	}
 	return newRunner(cfg)
 }
 
 // release hands a runner whose run completed to the next acquire.
-func release(r *runner) {
-	if r.group == nil {
-		runners.Put(r)
-	}
-}
+func release(r *runner) { runners.Put(r) }

@@ -52,13 +52,7 @@ type Config struct {
 	Seed       int64
 	// RecordTrace captures a per-thread timeline in the result.
 	RecordTrace bool
-	// SimPar shards the simulation across engines when the machine has
-	// multiple memory domains: each domain's fluid pool lives on its own
-	// timing-wheel engine and a merge-mode sim.Group coordinates them.
-	// The engines share one sequence counter and every clock tracks the
-	// global fire instant, so results are byte-identical to the default
-	// single-engine run — `-simpar` is a performance knob, never a
-	// modelling one. With one domain it degenerates to the default path.
+	// SimPar is accepted and ignored: every run is one engine.
 	SimPar bool
 }
 
@@ -313,7 +307,7 @@ func (r *runner) run(prog *stream.Program, cfg Config, th core.Throttler) Result
 	}
 
 	r.enterPhase(0)
-	r.drain()
+	r.eng.Run()
 
 	if r.phase < len(prog.Phases) {
 		panic(fmt.Sprintf("simsched: deadlock — run ended in phase %d/%d with %d tasks left",
