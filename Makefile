@@ -13,7 +13,7 @@ BENCH_COUNT ?= 3
 HOT_BENCHES  = BenchmarkDRAMAccess|BenchmarkStreamPump|BenchmarkCalibrate|BenchmarkCalibrateWarm|BenchmarkCalibrateAdjacentCold|BenchmarkFig13Sweep
 
 # Host-runtime dispatch benchmarks, pinned against the pre-rewrite
-# mutex-and-broadcast runtime so the lock-free gate/deque win stays
+# mutex-and-broadcast runtime so the lock-free dispatch win stays
 # measured. The 8/32 variants guard the unsharded (Domains=1) dispatch
 # path; 64 runs 2 memory domains and 128/256 run 4, pinning the
 # sharded-gate scaling past the old single-gate plateau; the
@@ -94,7 +94,7 @@ test:
 # detector. In host that is one worker runtime (host/runtime.go: pool,
 # lazily spawned workers, the park/spin loop over the waiter lot, the
 # stage runner with retry, the controller feed, the stall watchdog)
-# under two queue disciplines — Run's stealing deques and overflow
+# under two queue disciplines — Run's per-domain gather and scatter
 # FIFOs (batch.go), Serve's MPMC rings and batched pump (serve.go) — so
 # every suite races the same park, release and wake code: the chaos and
 # cancellation suites, TestStress* (hundreds of workers oversubscribing

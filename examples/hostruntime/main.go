@@ -16,10 +16,9 @@
 // end on live goroutines.
 //
 // With -domains N the runtime shards into N memory domains: per-domain
-// MTL gates, sharded overflow lists and locality-aware stealing. The
-// per-domain dispatch counters (steals, remote steal-half visits,
-// spills, parks, idle time) print per policy, and -timings writes the
-// whole set as a JSON snapshot.
+// MTL gates and queues, each worker trying its home domain first. The
+// per-domain dispatch counters (pairs, parks, idle time) print per
+// policy, and -timings writes the whole set as a JSON snapshot.
 //
 // With -rate R the example switches from closed-loop phases to the
 // open-loop serving path: jobs arrive as a seeded Poisson stream at R
@@ -78,7 +77,6 @@ type domainSnapshot struct {
 	TotalMs      int64              `json:"total_ms"`
 	PeakMemTasks int                `json:"peak_mem_tasks"`
 	FinalMTL     int                `json:"final_mtl"`
-	Spills       int                `json:"spills"`
 	Domains      []host.DomainStats `json:"domains"`
 }
 
@@ -174,9 +172,8 @@ func main() {
 		fmt.Printf("%-18s total %6dms  peak mem tasks %d  final MTL %d  decisions %v\n",
 			name, total, last.MaxConcurrentM, last.FinalMTL, last.MTLDecisions)
 		for d, ds := range last.Domains {
-			fmt.Printf("    domain %d: %d pairs, %d steals (%d remote moving %d jobs), %d spills, %d parks, idle %v\n",
-				d, ds.Pairs, ds.Steals+ds.RemoteSteals, ds.RemoteSteals, ds.StolenJobs,
-				ds.Spills, ds.Parks, ds.Idle.Round(time.Microsecond))
+			fmt.Printf("    domain %d: %d pairs, %d parks, idle %v\n",
+				d, ds.Pairs, ds.Parks, ds.Idle.Round(time.Microsecond))
 		}
 		snaps = append(snaps, domainSnapshot{
 			Policy:       name,
@@ -185,7 +182,6 @@ func main() {
 			TotalMs:      total,
 			PeakMemTasks: last.MaxConcurrentM,
 			FinalMTL:     last.FinalMTL,
-			Spills:       last.Spills,
 			Domains:      last.Domains,
 		})
 	}

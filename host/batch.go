@@ -12,10 +12,10 @@ import (
 )
 
 // This file is the closed-loop queue discipline behind Run: the phase's
-// gathers seed per-domain FIFOs in submission order, each successor
-// stage stays on the worker that produced it (a bounded Chase–Lev deque
-// per worker, class and domain) unless stolen, and admission is one
-// gate claim by the worker about to run the task. The worker loop, the
+// gathers seed per-domain FIFOs in submission order, a gather's compute
+// runs next on the worker that ran the gather, a compute's scatter
+// waits in its home domain's scatter list, and admission is one gate
+// claim by the worker about to run the task. The worker loop, the
 // park/spin protocol, the stage runner and the controller feed are the
 // shared runtime's (runtime.go).
 
@@ -82,18 +82,16 @@ func (r *Runtime) RunContext(ctx context.Context, pairs []Pair) (Stats, error) {
 
 	// The initial memory stages seed each domain's shared FIFO in
 	// submission order, so gathers are admitted lowest pair first
-	// within their domain exactly as a sorted global queue would; each
-	// successor stage then stays on the worker that produced it
-	// (dispatch) unless stolen.
+	// within their domain exactly as a sorted global queue would.
 	for d := range seeds {
 		ds := &ph.doms[d]
 		ds.pairs = len(seeds[d])
-		ds.over.mem.seed(seeds[d])
+		ds.gath.seed(seeds[d])
 		ds.readyMem.Store(int64(len(seeds[d])))
 	}
 
 	// The canceller propagates ctx into the phase: workers stop
-	// dequeueing and every parked worker is woken, then the run
+	// taking records and every parked worker is woken, then the run
 	// returns promptly with partial stats.
 	go func() {
 		select {
@@ -126,10 +124,9 @@ func (r *Runtime) RunContext(ctx context.Context, pairs []Pair) (Stats, error) {
 		Recovered:      int(ph.recovered.Load()),
 		WakeLatency:    time.Duration(r.lot.wakeNs.Load()),
 	}
-	// Merge the striped per-worker shards into the per-domain view:
-	// parks/idle are attributed to the worker's home domain, the steal
-	// family to the domain of the counted records. This is the only
-	// place the shards are summed — the per-task fast path touched
+	// Merge the striped per-worker shards into the per-domain view,
+	// parks and idle attributed to the worker's home domain. This is the
+	// only place the shards are summed — the per-task fast path touched
 	// nothing shared.
 	st.Domains = make([]DomainStats, nd)
 	var sumTm, nTm, sumTc, nTc int64
@@ -145,18 +142,10 @@ func (r *Runtime) RunContext(ctx context.Context, pairs []Pair) (Stats, error) {
 		hd := &st.Domains[w.home]
 		hd.Parks += int(w.parks.Load())
 		hd.Idle += time.Duration(w.idleNs.Load())
-		for d := range w.doms {
-			ds := &st.Domains[d]
-			ds.Steals += int(w.doms[d].steals.Load())
-			ds.RemoteSteals += int(w.doms[d].remoteSteals.Load())
-			ds.StolenJobs += int(w.doms[d].stolenJobs.Load())
-			ds.Spills += int(w.doms[d].spills.Load())
-		}
 	}
 	for d := range st.Domains {
 		st.Domains[d].Pairs = ph.doms[d].pairs
 		st.Domains[d].PeakActive = int(r.gates[d].peak.Load())
-		st.Spills += st.Domains[d].Spills
 	}
 	ph.wdMu.Lock()
 	st.Stalls = int(ph.stalls)
@@ -206,36 +195,24 @@ func (r *Runtime) RunPhases(phases [][]Pair) ([]Stats, error) {
 	return out, nil
 }
 
-// overflow is one domain's pair of shared FIFO lists, one per class so
-// a compute probe never blocks a memory admission (or vice versa)
-// while the phase tail drains. They hold the seeded gathers and absorb
-// successor stages that did not fit a worker's bounded deque.
-type overflow struct {
-	mem  recList
-	comp recList
-}
-
-// domainState is one memory domain's share of the phase: its overflow
-// shard and the advisory ready count for its memory class. The
-// observability counters that used to live here (steals, spills,
-// parks, idle) are striped into the per-worker shards and merged into
-// DomainStats only at end of run — every worker RMW-ing six shared
-// counters per dispatch event was the very line ping-pong this domain
-// sharding exists to cut. readyMem keeps its own line: it is the one
-// remaining all-workers RMW word, and packing it beside the overflow
+// domainState is one memory domain's share of the phase: its two
+// shared FIFOs of memory-class records and the advisory ready count over
+// both. Parks and idle time are striped into the per-worker shards and
+// merged into DomainStats only at end of run. readyMem keeps its own
+// line: it is the one all-workers RMW word, and packing it beside the
 // lists' mutexes made every publish invalidate the take fast path.
 type domainState struct {
-	// readyMem is an advisory upper bound on the runnable memory-class
-	// records homed in this domain: publishers increment *before*
-	// pushing, so a zero read proves there is nothing to find and an
-	// idle worker skips the domain's whole admission-and-steal scan
-	// (and, crucially, the wake-another-worker path) with two loads.
-	// Consumers decrement after a successful take, so the count may
-	// transiently overshoot — costing a spurious scan, never a lost
+	// readyMem is an advisory upper bound on the records in scat and gath:
+	// publishers increment *before* putting, so a zero read proves there
+	// is nothing to find and an idle worker skips the domain's admission
+	// attempt (and, crucially, the wake-another-worker path) with two
+	// loads. Consumers decrement after a successful take, so the count
+	// may transiently overshoot — costing a spurious scan, never a lost
 	// record.
 	readyMem atomic.Int64
 	_        [56]byte
-	over     overflow
+	scat     recList  // scatters of finished computes, each waiting for a gate slot
+	gath     recList  // the phase's gathers, seeded in submission order
 	pairs    int      // pairs homed here, set at seed time
 	_        [24]byte // stride to a line multiple: no cross-domain sharing
 }
@@ -250,46 +227,14 @@ type phase struct {
 	remain    atomic.Int64 // tasks not yet finished
 	completed atomic.Int64 // pairs whose compute finished
 
-	// readyComp is the compute-class analogue of the per-domain
-	// readyMem counts (compute tasks are not admission-gated, so one
-	// global advisory count suffices).
-	readyComp atomic.Int64
-
 	stateMu   sync.Mutex
 	err       error // first terminal task failure
 	cancelErr error // ctx cancellation, set by the canceller
 	aborted   atomic.Bool
 }
 
-// equip gives a worker its deques and per-domain counters. Memory
-// deques are allocated on first push — the seeded overflow feeds most
-// gathers, so a worker that never produces a memory-class successor
-// never pays for them.
-func (ph *phase) equip(w *worker) {
-	w.mem = make([]atomic.Pointer[deque], ph.nd)
-	w.comp = newDeque(64)
-	w.doms = make([]domShard, ph.nd)
-}
-
-// memQ returns w's deque for domain d, installing it on first use.
-// Only w itself installs (it is the sole pusher into its own deques),
-// so a plain store behind the atomic pointer is race-free; thieves
-// that load nil simply skip the not-yet-existing deque.
-func (w *worker) memQ(d int) *deque {
-	if q := w.mem[d].Load(); q != nil {
-		return q
-	}
-	// The home deque carries the worker's own successor stream; remote
-	// deques only hold steal-half loot and remote-homed scatters, so
-	// they stay small.
-	capQ := 16
-	if d == w.home {
-		capQ = 64
-	}
-	q := newDeque(capQ)
-	w.mem[d].Store(q)
-	return q
-}
+// equip has nothing to give: a batch worker holds no queue of its own.
+func (*phase) equip(*worker) {}
 
 // stopped reports whether workers must drain: the phase aborted or
 // every task finished.
@@ -329,11 +274,11 @@ func (ph *phase) cancelRun(err error) {
 // ready reports whether take could find something now.
 func (ph *phase) ready() bool { return ph.admissible() > 0 }
 
-// admissible counts the records take could return now: every ready
-// compute, and each domain's ready memory-class records up to the slots
-// its gate has free. Advisory, like the counts it sums.
+// admissible counts the records take could return now: each domain's
+// ready records up to the slots its gate has free. Advisory, like the
+// counts it sums.
 func (ph *phase) admissible() int64 {
-	n := ph.readyComp.Load()
+	var n int64
 	for d := range ph.doms {
 		if m := ph.doms[d].readyMem.Load(); m > 0 {
 			if room := ph.rt.gates[d].room(); room > 0 {
@@ -344,22 +289,23 @@ func (ph *phase) admissible() int64 {
 	return n
 }
 
-// offer is the wake rule, applied by a worker that has just published
-// a successor of the given stage and takes it — or whatever else is
-// admissible — next: wake one sleeper (or spawn, when none is parked and
-// the pool is below Workers) iff take could find a second record now
-// and the publisher's next task should outlast λ/wakeDiv, λ being the
-// measured wake latency (lot.wakeNs). Gast et al.: makespan is W/p plus
-// a term linear in λ, so ~1 µs bodies never wake and ~100 µs ones overlap
+// offer is the wake rule, applied by a worker that has just finished a
+// stage and holds held records it runs next (1 when it continues into
+// the pair's compute, 0 after queuing a scatter): wake one sleeper (or
+// spawn, when none is parked and the pool is below Workers) iff take
+// could find a record beyond the publisher's next one and the
+// publisher's next task should outlast λ/wakeDiv, λ being the measured
+// wake latency (lot.wakeNs). Gast et al.: makespan is W/p plus a term
+// linear in λ, so ~1 µs bodies never wake and ~100 µs ones overlap
 // gather i+1 with compute i, as §IV-A assumes. The expectation is w's
 // running mean sum/n for the stage's class, the other class's before
 // its first sample; compared multiplied out, this runs per task.
-func (ph *phase) offer(w *worker, stage int32) {
+func (ph *phase) offer(w *worker, stage int32, held int64) {
 	sum, n := w.sumTm.Load(), w.nTm.Load()
 	if sc, nc := w.sumTc.Load(), w.nTc.Load(); n == 0 || (stage == stageComp && nc > 0) {
 		sum, n = sc, nc
 	}
-	if wakeDiv*sum > ph.lot.wakeNs.Load()*n && ph.admissible() >= 2 && !ph.lot.unparkOne() {
+	if wakeDiv*sum > ph.lot.wakeNs.Load()*n && held+ph.admissible() >= 2 && !ph.lot.unparkOne() {
 		ph.spawnWorker()
 	}
 }
@@ -374,49 +320,32 @@ func (ph *phase) offer(w *worker, stage int32) {
 const wakeDiv = 2
 
 // take finds the next runnable record, or nil when the worker should
-// park. Memory-class records are only returned with their domain's gate
-// slot already held (admission precedes dequeue, so the slot is never
-// claimed for work that does not exist). Search order: own compute
-// (LIFO, cache-warm), spilled compute (home shard first), then the
-// memory domains in home-first order — one admission attempt each —
-// and finally stolen compute. Each class is searched only when its
-// ready count is non-zero, so an idle probe is a handful of loads with
-// no CAS traffic and no wakes.
+// park. Every queued record is memory-class (a compute never queues, see
+// finish) and is only returned with its domain's gate slot already held
+// (admission precedes the take, so the slot is never claimed for work
+// that does not exist). The domains are tried home first, one admission
+// attempt each, and only where the ready count is non-zero, so an idle
+// probe is a handful of loads with no CAS traffic and no wakes.
 func (ph *phase) take(w *worker) *pairRec {
 	if ph.stopped() {
 		return nil
-	}
-	if ph.readyComp.Load() > 0 {
-		if j := w.comp.popBottom(); j != nil {
-			ph.readyComp.Add(-1)
-			return j
-		}
-		for i := 0; i < ph.nd; i++ {
-			if j := ph.doms[(w.home+i)%ph.nd].over.comp.take(); j != nil {
-				ph.readyComp.Add(-1)
-				return j
-			}
-		}
 	}
 	for i := 0; i < ph.nd; i++ {
 		if j := ph.takeMem(w, (w.home+i)%ph.nd); j != nil {
 			return j
 		}
 	}
-	if ph.readyComp.Load() > 0 {
-		if j := ph.stealComp(w); j != nil {
-			ph.readyComp.Add(-1)
-			return j
-		}
-	}
 	return nil
 }
 
-// takeMem makes one admission attempt against domain d's gate and,
-// with the slot held, searches the domain's work: the worker's own
-// deque for d, the domain's overflow shard, then the other workers'
-// deques for d. A raced-away slot is handed back with a nudge so a
-// sleeper (or a fresh worker) retries while admissible work remains.
+// takeMem makes one admission attempt against domain d's gate and, with
+// the slot held, takes the domain's oldest scatter or oldest gather. A
+// worker with a scatter of its own queued (w.scatQueued) tries the
+// scatters first; any other worker tries the gathers first, so a scatter
+// waits for the worker whose cache holds its compute's data unless no
+// gather can be admitted. A raced-away slot is handed back with a nudge
+// so a sleeper (or a fresh worker) retries while admissible work
+// remains.
 func (ph *phase) takeMem(w *worker, d int) *pairRec {
 	ds := &ph.doms[d]
 	if ds.readyMem.Load() == 0 {
@@ -426,138 +355,49 @@ func (ph *phase) takeMem(w *worker, d int) *pairRec {
 	if r.claimSlots(d, 1) == 0 {
 		return nil
 	}
-	var j *pairRec
-	if q := w.mem[d].Load(); q != nil {
-		j = q.popBottom()
+	lists := [...]*recList{&ds.gath, &ds.scat}
+	if w.scatQueued {
+		lists = [...]*recList{&ds.scat, &ds.gath}
 	}
-	if j == nil {
-		j = ds.over.mem.take()
-	}
-	if j == nil {
-		j = ph.stealMem(w, d)
-	}
-	if j != nil {
-		if !r.admitClass(int(j.class)) {
-			// Class-capped (limited or demoted): hand the record and the
-			// speculative gate slot back. The worker releasing the
-			// class's in-flight slot re-scans right after and finds the
-			// requeued record, so a capped class drains serialized
-			// instead of deadlocking.
-			ds.over.mem.put(j)
-			r.releaseSlots(d, 1)
-			return nil
+	capped := false
+	for _, l := range lists {
+		j := l.take()
+		if j == nil {
+			continue
 		}
-		ds.readyMem.Add(-1)
-		return j
+		if r.admitClass(int(j.class)) {
+			ds.readyMem.Add(-1)
+			if j.stage == stageScat {
+				w.scatQueued = false
+			}
+			return j
+		}
+		// Class-capped (limited or demoted): the record goes back to the
+		// tail of its list, and the other list gets its turn. The class
+		// slot's release wakes a sleeper (released), so a capped class
+		// drains serialized instead of deadlocking.
+		l.put(j)
+		capped = true
 	}
-	// Raced away: hand the speculative slot back, and nudge one
-	// sleeper only if there is still admissible work it could run
-	// (spawning a fresh worker if nobody is parked).
+	// Hand the speculative slot back. Raced away: nudge one sleeper only
+	// if there is still admissible work it could run (spawning a fresh
+	// worker if nobody is parked).
 	r.releaseSlots(d, 1)
-	if ds.readyMem.Load() > 0 && !ph.lot.unparkOne() {
+	if !capped && ds.readyMem.Load() > 0 && !ph.lot.unparkOne() {
 		ph.spawnWorker()
 	}
 	return nil
 }
 
-// stealMem scans the other workers' domain-d memory deques from a
-// random start, retrying a victim on CAS contention (the deque may
-// still hold work). A same-domain steal (the thief is homed at d)
-// takes a single record, exactly as the unsharded runtime stole. A
-// remote steal applies steal-half semantics: the visit also transfers
-// up to half of the victim's remaining queue into the thief's own
-// deque for d, amortising the cross-domain trip, and is counted per
-// domain so the remote-steal penalty is observable. Unspawned slots
-// read as nil and are skipped.
-func (ph *phase) stealMem(w *worker, d int) *pairRec {
-	n := len(ph.workers)
-	if n == 1 {
-		return nil
-	}
-	ds := &ph.doms[d]
-	remote := d != w.home
-	off := int(w.nextRand() % uint64(n))
-	for i := 0; i < n; i++ {
-		v := ph.workers[(off+i)%n].Load()
-		if v == nil || v == w {
-			continue
-		}
-		q := v.mem[d].Load()
-		if q == nil {
-			continue
-		}
-		j := stealOne(q)
-		if j == nil {
-			continue
-		}
-		if !remote {
-			w.doms[d].steals.Add(1)
-			return j
-		}
-		// Steal-half: the target is computed once from the victim's
-		// size at visit time; concurrent thieves simply shrink what is
-		// left to move. Loot that does not fit the thief's bounded
-		// deque spills to the domain's shared list — never lost.
-		moved := 0
-		for target := q.size() / 2; moved < target; {
-			jj := stealOne(q)
-			if jj == nil {
-				break
-			}
-			if !w.memQ(d).push(jj) {
-				ds.over.mem.put(jj)
-				w.doms[d].spills.Add(1)
-			}
-			moved++
-		}
-		w.doms[d].remoteSteals.Add(1)
-		w.doms[d].stolenJobs.Add(int64(1 + moved))
-		return j
-	}
-	return nil
-}
-
-// stealOne drains one record from a deque, retrying CAS races.
-func stealOne(q *deque) *pairRec {
-	for {
-		j, retry := q.steal()
-		if j != nil {
-			return j
-		}
-		if !retry {
-			return nil
-		}
-	}
-}
-
-// stealComp scans the other workers' compute deques from a random
-// start.
-func (ph *phase) stealComp(w *worker) *pairRec {
-	n := len(ph.workers)
-	if n == 1 {
-		return nil
-	}
-	off := int(w.nextRand() % uint64(n))
-	for i := 0; i < n; i++ {
-		v := ph.workers[(off+i)%n].Load()
-		if v == nil || v == w {
-			continue
-		}
-		if j := stealOne(v.comp); j != nil {
-			return j
-		}
-	}
-	return nil
-}
-
 // released follows a returned memory slot. A gather's slot is offered
-// by the dispatch of its compute, which follows at once and counts it
-// free (offer); a scatter's is reclaimed by its worker's next take. Two
-// cases cannot wait for that. In class-aware mode the freed class slot
-// may be just what a parked worker's capped record is waiting for while
-// this worker moves on to other work — wake one sleeper. And a task
-// outliving an aborted phase: its worker exits right after the release,
-// and the slot may be the one a *newer* phase's sleepers wait for.
+// by the finish that continues into its compute, which follows at once
+// and counts it free (offer); a scatter's is reclaimed by its worker's
+// next take. Two cases cannot wait for that. In class-aware mode the
+// freed class slot may be just what a parked worker's capped record is
+// waiting for while this worker moves on to other work — wake one
+// sleeper. And a task outliving an aborted phase: its worker exits
+// right after the release, and the slot may be the one a *newer*
+// phase's sleepers wait for.
 func (ph *phase) released(*pairRec) {
 	if ph.rt.lim != nil {
 		ph.lot.unparkOne()
@@ -568,46 +408,19 @@ func (ph *phase) released(*pairRec) {
 }
 
 // limitRose wakes everyone (many sleepers may be gate-blocked) and
-// grows the pool by one; dispatch pressure grows it further if that is
+// grows the pool by one; the wake rule grows it further if that is
 // still not enough.
 func (ph *phase) limitRose() {
 	ph.lot.unparkAll()
 	ph.spawnWorker()
 }
 
-// dispatch publishes j's next stage to the finishing worker's own deque
-// for the stage's class and j's home domain (or, if that is full, to
-// the domain's shared overflow shard). The ready count rises before
-// the push so no scanner can prove absence while the record is in
-// flight. The publisher's very next take pops the record (own deques
-// are scanned first); whether a sleeper is woken for what else is
-// admissible is the wake rule's call (offer).
-func (ph *phase) dispatch(w *worker, j *pairRec, stage int32) {
-	j.stage = stage
-	d := int(j.dom)
-	ds := &ph.doms[d]
-	mem := stage != stageComp
-	q, n := w.comp, &ph.readyComp
-	if mem {
-		q, n = w.memQ(d), &ds.readyMem
-	}
-	n.Add(1)
-	if !q.push(j) {
-		if mem {
-			ds.over.mem.put(j)
-		} else {
-			ds.over.comp.put(j)
-		}
-		w.doms[d].spills.Add(1)
-	}
-	ph.offer(w, stage)
-}
-
 // finish feeds a finished stage back into the dispatch state: surface a
-// terminal failure, publish the successor stage, feed the controller
-// after a compute, and end the phase with its last task. The result of
-// a task that outlived an abort is dropped (its gate slot is already
-// back).
+// terminal failure, continue a gather into its compute on this worker
+// (as Server.finish does), queue a compute's scatter in its home
+// domain's scatter list and feed the controller, and end the phase with
+// its last task. The result of a task that outlived an abort is dropped
+// (its gate slot is already back).
 func (ph *phase) finish(w *worker, j *pairRec, dur time.Duration, end time.Time, err error) *pairRec {
 	if err != nil {
 		ph.fail(err)
@@ -616,13 +429,23 @@ func (ph *phase) finish(w *worker, j *pairRec, dur time.Duration, end time.Time,
 	if ph.aborted.Load() {
 		return nil
 	}
+	var next *pairRec
 	switch j.stage {
 	case stageMem:
-		ph.dispatch(w, j, stageComp)
+		j.stage = stageComp
+		next = j
+		ph.offer(w, stageComp, 1)
 	case stageComp:
 		ph.completed.Add(1)
 		if j.has(stageScat) {
-			ph.dispatch(w, j, stageScat)
+			// The ready count rises before the put so no scanner can
+			// prove absence while the record is in flight.
+			ds := &ph.doms[j.dom]
+			j.stage = stageScat
+			ds.readyMem.Add(1)
+			ds.scat.put(j)
+			w.scatQueued = true
+			ph.offer(w, stageScat, 0)
 		}
 		// The scatter may already be running elsewhere; what the
 		// controller reads of j (tmNs, class) no later stage writes.
@@ -633,5 +456,5 @@ func (ph *phase) finish(w *worker, j *pairRec, dur time.Duration, end time.Time,
 	if ph.remain.Add(-1) == 0 {
 		ph.shutdown()
 	}
-	return nil
+	return next
 }

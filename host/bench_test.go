@@ -5,14 +5,14 @@ import "testing"
 // benchThroughput drives phases of small pairs through a Static-MTL
 // runtime at the given worker and domain counts. The task bodies are
 // deliberately tiny (2 KiB arrays, one compute pass) so the dispatch
-// machinery — dequeue, MTL admission, worker wakeup — dominates the
+// machinery — queue take, MTL admission, worker wakeup — dominates the
 // wall-clock, not memory bandwidth. These are the numbers the
 // scalable-dispatch work is pinned against in BENCH_SIM.json: the
 // worker count rises while the total work stays fixed, so any
 // serialization in the dispatch path shows up directly as lost
 // throughput. The per-domain MTL stays fixed at 2, so raising the
 // domain count both widens admission (2 x domains memory tasks in
-// flight) and shards the gate/overflow hot words — the two effects the
+// flight) and shards the gate/queue hot words — the two effects the
 // 32→64-worker plateau motivated.
 func benchThroughput(b *testing.B, workers, domains int) {
 	a, err := NewArraySet(128, 2*1024)

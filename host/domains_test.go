@@ -53,8 +53,8 @@ func TestDomainConfigValidation(t *testing.T) {
 }
 
 // TestDomainStatsAccounting checks the per-domain Stats slice: one
-// entry per domain, pairs split by the default home rule, spill total
-// consistent, and the global peak bounded by MTL x Domains.
+// entry per domain, pairs split by the default home rule, and the
+// global peak bounded by MTL x Domains.
 func TestDomainStatsAccounting(t *testing.T) {
 	const (
 		domains = 4
@@ -74,7 +74,7 @@ func TestDomainStatsAccounting(t *testing.T) {
 	if len(st.Domains) != domains {
 		t.Fatalf("len(Stats.Domains) = %d, want %d", len(st.Domains), domains)
 	}
-	sumPairs, sumSpills := 0, 0
+	sumPairs := 0
 	for d, ds := range st.Domains {
 		want := pairs / domains
 		if d < pairs%domains {
@@ -87,13 +87,9 @@ func TestDomainStatsAccounting(t *testing.T) {
 			t.Errorf("domain %d: PeakActive = %d, MTL is %d", d, ds.PeakActive, mtl)
 		}
 		sumPairs += ds.Pairs
-		sumSpills += ds.Spills
 	}
 	if sumPairs != pairs {
 		t.Errorf("sum of Domains[].Pairs = %d, want %d", sumPairs, pairs)
-	}
-	if sumSpills != st.Spills {
-		t.Errorf("sum of Domains[].Spills = %d, Stats.Spills = %d", sumSpills, st.Spills)
 	}
 	if st.CompletedPairs != pairs {
 		t.Errorf("completed %d of %d pairs", st.CompletedPairs, pairs)
@@ -106,7 +102,7 @@ func TestDomainStatsAccounting(t *testing.T) {
 // TestStressDomainGateInvariant is the sharded analogue of
 // TestStressStaticMTLInvariant: with 128 workers, 4 domains and a
 // per-domain MTL of 2, no domain's observed memory concurrency may
-// ever exceed 2 — remote steal-half moves jobs between workers but an
+// ever exceed 2 — a worker takes from every domain's lists, but an
 // admission must still charge the job's home domain. Run with -race.
 func TestStressDomainGateInvariant(t *testing.T) {
 	const (
@@ -146,12 +142,12 @@ func TestStressDomainGateInvariant(t *testing.T) {
 	}
 }
 
-// TestStressCrossDomainStealNoLossNoDup homes every pair in domain 0
-// while the worker pool spans 4 domains, forcing the off-home workers
-// to live entirely off remote steal-half visits. Every task must run
-// exactly once: a lost job hangs the phase (test timeout), a
-// duplicated one trips the per-pair execution counters.
-func TestStressCrossDomainStealNoLossNoDup(t *testing.T) {
+// TestStressCrossDomainNoLossNoDup homes every pair in domain 0 while
+// the worker pool spans 4 domains, so the off-home workers live
+// entirely off domain 0's shared lists. Every task must run exactly
+// once: a lost job hangs the phase (test timeout), a duplicated one
+// trips the per-pair execution counters.
+func TestStressCrossDomainNoLossNoDup(t *testing.T) {
 	const (
 		workers = 64
 		domains = 4
@@ -270,14 +266,14 @@ func TestStressDynamicWithDomains(t *testing.T) {
 	}
 }
 
-// TestJobListCrossClassIndependence checks the sharded overflow's
-// claim that the two classes never share a lock: a goroutine holding
-// the memory list's mutex (via a slow synthetic drain) must not delay
-// compute puts/takes. We approximate this structurally: concurrent
-// mem and comp traffic over one overflow shard stays linearizable
-// (every job taken exactly once, counts drain to zero).
+// TestJobListCrossClassIndependence checks a domain's claim that its
+// two lists never share a lock: a goroutine holding the scatter list's
+// mutex (via a slow synthetic drain) must not delay gather puts/takes.
+// We approximate this structurally: concurrent scatter and gather
+// traffic over one domainState stays linearizable (every job taken
+// exactly once, counts drain to zero).
 func TestJobListCrossClassIndependence(t *testing.T) {
-	var o overflow
+	var ds domainState
 	const n = 2000
 	jobs := make([]pairRec, 2*n)
 	for i := range jobs {
@@ -293,11 +289,11 @@ func TestJobListCrossClassIndependence(t *testing.T) {
 		}
 		done <- seen
 	}
-	go drain(&o.mem)
-	go drain(&o.comp)
+	go drain(&ds.scat)
+	go drain(&ds.gath)
 	for i := 0; i < n; i++ {
-		o.mem.put(&jobs[2*i])
-		o.comp.put(&jobs[2*i+1])
+		ds.scat.put(&jobs[2*i])
+		ds.gath.put(&jobs[2*i+1])
 	}
 	for k := 0; k < 2; k++ {
 		seen := <-done
@@ -307,7 +303,7 @@ func TestJobListCrossClassIndependence(t *testing.T) {
 			}
 		}
 	}
-	if o.mem.n.Load() != 0 || o.comp.n.Load() != 0 {
-		t.Fatalf("residual counts mem=%d comp=%d", o.mem.n.Load(), o.comp.n.Load())
+	if ds.scat.n.Load() != 0 || ds.gath.n.Load() != 0 {
+		t.Fatalf("residual counts scat=%d gath=%d", ds.scat.n.Load(), ds.gath.n.Load())
 	}
 }

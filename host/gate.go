@@ -105,9 +105,9 @@ type parker struct {
 }
 
 // lot is the parked-waiter list: workers that found no runnable job
-// (empty deques, or only gate-blocked memory work) enqueue themselves
+// (empty queues, or only gate-blocked memory work) enqueue themselves
 // and block on their token. Every event that creates a dispatch
-// opportunity — a successor job pushed, a gate slot released, an MTL
+// opportunity — a successor job published, a gate slot released, an MTL
 // raise, phase end — wakes exactly the workers it can satisfy instead
 // of broadcasting to all of them. The lock guards only the waiter
 // list; workers with work in hand never touch it.

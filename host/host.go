@@ -6,26 +6,24 @@
 // retarget the MTL from live task timings.
 //
 // The dispatch core is built for contended scale: MTL admission is one
-// CAS on an atomic counter (gate.go) instead of a global lock, ready
-// jobs live in per-worker bounded work-stealing deques (deque.go)
+// CAS on an atomic counter (gate.go) instead of a global lock, a
+// gather's compute runs next on the worker that ran the gather with no
+// trip through a queue, memory-class work waits in per-domain FIFOs
 // instead of globally sorted slices, and workers that go idle park on
 // a waiter list and receive targeted wakeups — one notify per dispatch
-// opportunity — rather than a Broadcast to every worker on every task
+// opportunity, sent only when the next task outlasts the measured wake
+// latency — rather than a Broadcast to every worker on every task
 // completion.
 //
 // The machine can further be sharded into independent memory domains
 // (Config.Domains), the host analogue of the paper's 2-DIMM platform
 // (§V) where each DIMM's channel contends independently. Every pair
 // has a home domain (pair index modulo Domains, or Config.Domain),
-// admission runs against the home domain's own MTL gate, the overflow
-// lists are sharded per domain, and victim selection in the stealing
-// deques is locality-aware: a worker drains its home domain first and
-// falls back to remote domains with steal-half semantics — one remote
-// visit transfers up to half the victim's queue, amortising the
-// cross-domain penalty as in Gast et al.'s work-stealing-with-latency
-// analysis — with every remote steal counted in Stats.Domains. With
-// Domains = 1 (the default) all of this degenerates to the single
-// global gate and list of the unsharded runtime.
+// admission runs against the home domain's own MTL gate, the queues
+// are sharded per domain, and a worker tries its home domain first and
+// then the others. With Domains = 1 (the default) all of this
+// degenerates to the single global gate and queues of the unsharded
+// runtime.
 //
 // The paper's semantics are preserved exactly: never more than MTL
 // memory tasks in flight per domain (admission-time), compute after
@@ -148,8 +146,8 @@ type Config struct {
 	// W is the monitor window for adaptive policies. Default: 16.
 	W int
 	// Domains shards the runtime into independent memory domains:
-	// per-domain MTL gates, per-domain overflow lists and
-	// locality-aware stealing. Default: 1 (the unsharded runtime).
+	// per-domain MTL gates and queues, each worker trying its home
+	// domain first. Default: 1 (the unsharded runtime).
 	Domains int
 	// Domain maps a pair index — its position in the slice given to
 	// Run, its Submit order within a Serve session — to its home domain
@@ -253,8 +251,8 @@ func (c Config) validate() error {
 
 // DomainStats is the per-domain slice of one Run's dispatch activity,
 // merged from the per-worker counter shards after the phase completes.
-// Steal counters are attributed to the domain of the stolen jobs;
-// Parks and Idle to the domain the parking worker is homed at.
+// Parks and Idle are attributed to the domain the parking worker is
+// homed at.
 //
 // Parks counts only blocking parks — a worker whose adaptive pre-park
 // spin (spin.go) found work or consumed its wakeup token mid-spin
@@ -263,14 +261,13 @@ func (c Config) validate() error {
 // token wait, added to the worker's own shard on wake), so it measures
 // blocked time exclusively: spin time is running time, by design.
 type DomainStats struct {
-	Pairs        int           // pairs homed in this domain
-	Steals       int           // same-domain steals (thief homed here)
-	RemoteSteals int           // cross-domain steal visits into this domain
-	StolenJobs   int           // jobs moved by remote steal-half visits
-	Spills       int           // jobs that overflowed a deque into this domain's shared list
-	Parks        int           // blocking park events of workers homed here
-	Idle         time.Duration // blocked-park time of workers homed here
-	PeakActive   int           // peak concurrent admitted memory tasks
+	Pairs      int           // pairs homed in this domain
+	Parks      int           // blocking park events of workers homed here
+	Idle       time.Duration // blocked-park time of workers homed here
+	PeakActive int           // peak concurrent admitted memory tasks
+
+	// Deprecated: always zero; Run no longer steals or spills work.
+	Steals, RemoteSteals, Spills int
 }
 
 // Stats summarises one Run. On a cancelled or failed run the counters
@@ -291,7 +288,9 @@ type Stats struct {
 	Stalled   []int // pair index of each flagged task, in detection order
 	Degraded  bool  // Dynamic controller fell back to Conventional
 	Cancelled bool  // run ended early on cancellation or deadline
-	Spills    int   // jobs that overflowed a worker deque into a shared list
+
+	// Deprecated: always zero; Run no longer spills work.
+	Spills int
 
 	// WakeLatency is λ as the run ended: the runtime's running mean of
 	// the time from a wakeup sent to the blocked worker running again,

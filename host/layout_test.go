@@ -46,19 +46,6 @@ func TestLayoutGate(t *testing.T) {
 	}
 }
 
-func TestLayoutDeque(t *testing.T) {
-	var d deque
-	top := unsafe.Offsetof(d.top)
-	bottom := unsafe.Offsetof(d.bottom)
-	mask := unsafe.Offsetof(d.mask)
-	if !distinctLines(top, bottom) {
-		t.Errorf("deque.top (offset %d) and deque.bottom (offset %d) may share a cache line", top, bottom)
-	}
-	if !distinctLines(bottom, mask) {
-		t.Errorf("deque.bottom (offset %d) and deque.mask (offset %d) may share a cache line (owner stores would invalidate thief mask/ring reads)", bottom, mask)
-	}
-}
-
 func TestLayoutLot(t *testing.T) {
 	var l lot
 	mu := unsafe.Offsetof(l.mu)
@@ -104,27 +91,14 @@ func TestLayoutSigShard(t *testing.T) {
 	}
 }
 
-func TestLayoutWorker(t *testing.T) {
-	var w worker
-	// The thief-scanned pointers (mem, comp) must be at least a full
-	// line before the owner-hot state (park onward), so a worker
-	// bumping its own counters never invalidates the lines other
-	// workers' steal scans read.
-	thief := unsafe.Offsetof(w.comp)
-	owner := unsafe.Offsetof(w.park)
-	if owner < thief+unsafe.Sizeof(w.comp)+lineSize {
-		t.Errorf("worker owner-hot state at offset %d, want >= %d (a full line past the thief-scanned pointers)", owner, thief+unsafe.Sizeof(w.comp)+lineSize)
-	}
-}
-
 func TestLayoutDomainState(t *testing.T) {
 	var ds domainState
 	if got := unsafe.Sizeof(ds); got%lineSize != 0 {
 		t.Errorf("sizeof(domainState) = %d, want a multiple of %d (states live in a per-phase array; a fractional stride would share readyMem lines across domains)", got, lineSize)
 	}
 	ready := unsafe.Offsetof(ds.readyMem)
-	over := unsafe.Offsetof(ds.over)
-	if !distinctLines(ready, over) {
-		t.Errorf("domainState.readyMem (offset %d) and domainState.over (offset %d) may share a cache line", ready, over)
+	scat := unsafe.Offsetof(ds.scat)
+	if !distinctLines(ready, scat) {
+		t.Errorf("domainState.readyMem (offset %d) and domainState.scat (offset %d) may share a cache line", ready, scat)
 	}
 }

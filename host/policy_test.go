@@ -3,6 +3,7 @@ package host
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -123,6 +124,81 @@ func TestClassLimitEnforcedInRun(t *testing.T) {
 	}
 	if p := atomic.LoadInt64(&peak); p > cap {
 		t.Fatalf("class-1 memory concurrency peaked at %d, cap is %d", p, cap)
+	}
+}
+
+// TestClassCappedScattersInRun pins the batch path's requeue of a
+// class-capped scatter: with class 1 capped at one memory task, a
+// scatter that finds the class slot held goes back to its domain's
+// scatter list and is retried, so every pair completes with each stage
+// run once, and class-1 memory-class concurrency — gathers and scatters
+// counted together — never passes 1.
+func TestClassCappedScattersInRun(t *testing.T) {
+	pol := &fixedDecision{d: core.Decision{
+		ClassLimit: []int{0, 1},
+		Monitoring: true,
+	}}
+	rt, err := New(Config{
+		Workers:   4,
+		Throttler: core.NewPolicyThrottler(pol, 1, 4),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	primeThrottler(t, rt)
+
+	// Bodies yield, so a sibling worker takes the next gather while a
+	// compute runs, and the compute's scatter then finds the class slot
+	// held — on one P as on many.
+	yieldingBusy := func() {
+		for k := 0; k < 4; k++ {
+			busy(5000)
+			runtime.Gosched()
+		}
+	}
+	const n = 24
+	var live, peak int64
+	var runs [3][n]atomic.Int32
+	memClass := func(i int, stage int32) func() {
+		return func() {
+			runs[stage][i].Add(1)
+			cur := atomic.AddInt64(&live, 1)
+			for {
+				old := atomic.LoadInt64(&peak)
+				if cur <= old || atomic.CompareAndSwapInt64(&peak, old, cur) {
+					break
+				}
+			}
+			yieldingBusy()
+			atomic.AddInt64(&live, -1)
+		}
+	}
+	pairs := make([]Pair, n)
+	for i := range pairs {
+		pairs[i] = Pair{
+			Class:   1,
+			Memory:  memClass(i, stageMem),
+			Compute: func() { runs[stageComp][i].Add(1); yieldingBusy() },
+			Scatter: memClass(i, stageScat),
+		}
+	}
+	st, err := rt.Run(pairs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.CompletedPairs != n {
+		t.Fatalf("completed %d of %d pairs", st.CompletedPairs, n)
+	}
+	for stage := range runs {
+		for i := range runs[stage] {
+			if got := runs[stage][i].Load(); got != 1 {
+				t.Errorf("pair %d %s task ran %d times, want 1", i, stageNames[stage], got)
+			}
+		}
+	}
+	if p := atomic.LoadInt64(&peak); p > 1 {
+		t.Fatalf("class-1 memory-class concurrency peaked at %d, cap is 1", p)
 	}
 }
 

@@ -21,7 +21,7 @@ import "sync/atomic"
 type mpmcRing struct {
 	mask  uint64
 	slots []ringSlot
-	_     [48]byte // keep enqueue/dequeue tickets off the slots' lines
+	_     [48]byte // keep push/pop tickets off the slots' lines
 	head  atomic.Uint64
 	_     [56]byte
 	tail  atomic.Uint64
@@ -77,7 +77,7 @@ func (r *mpmcRing) push(j *pairRec) bool {
 	}
 }
 
-// pop dequeues the oldest job, or nil when the ring is empty (or the
+// pop takes the oldest job, or nil when the ring is empty (or the
 // producer of the head slot hasn't finished publishing).
 func (r *mpmcRing) pop() *pairRec {
 	pos := r.head.Load()

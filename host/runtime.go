@@ -12,15 +12,17 @@ import (
 	"memthrottle/internal/stats"
 )
 
-// This file is the worker runtime Run and Serve share. The two differ
-// only in how runnable work is queued — Run seeds per-domain FIFOs and
-// keeps successors in per-worker stealing deques (batch.go), Serve
-// moves records through MPMC rings with a batched admission pump
-// (serve.go) — and each implements discipline. Everything around the
-// queues lives here once: the per-pair record, the worker, the lazily
-// grown pool, the park/spin loop, the stage runner with retry and
-// panic recovery, the controller feed, and (watchdog.go) the stall
-// scan. DESIGN.md §11 says why both disciplines stay.
+// This file is the worker runtime Run and Serve share. Both run a
+// gather's compute next on the gather's worker and hold a scatter in its
+// home domain's list until a gate slot admits it; they differ only in
+// how the rest is queued and admitted — Run seeds per-domain FIFOs with
+// the phase's gathers and admits on take (batch.go), Serve moves
+// records through MPMC rings with a batched admission pump (serve.go) —
+// and each implements discipline. Everything around the queues lives
+// here once: the per-pair record, the worker, the lazily grown pool,
+// the park/spin loop, the stage runner with retry and panic recovery,
+// the controller feed, and (watchdog.go) the stall scan. DESIGN.md §11
+// says why both disciplines stay.
 
 // The three stages of a pair, in execution order. Memory and scatter
 // are memory-class: they run under a gate slot of the pair's home
@@ -117,11 +119,11 @@ func (r *Runtime) homeOf(index int64) (int, error) {
 
 // recList is an unbounded mutex FIFO of records with an atomic count
 // that keeps the empty case — the steady state — off the lock. Run
-// seeds each domain's list with the phase's gathers in submission order
-// (the Go scheduler's global runq seeding its local runqs) and spills
-// deque overflow into it; Serve holds scatter-stage and class-capped
-// records in it until the pump re-admits them. Every user gives each
-// class of work its own list, so probing one never blocks another.
+// seeds one list per domain with the phase's gathers in submission
+// order; Run and Serve both hold a domain's scatter-stage records in
+// another until a gate slot admits them, and Serve holds class-capped
+// records in a third. Every user gives each kind of record its own
+// list, so probing one never blocks another.
 type recList struct {
 	n    atomic.Int64
 	mu   sync.Mutex
@@ -164,27 +166,20 @@ func (l *recList) take() *pairRec {
 }
 
 // worker is one dispatch loop's private state: a parking slot, the spin
-// calibration, a steal RNG, the striped counter shard, and whatever its
-// discipline equips it with — for Run a bounded memory-class deque per
-// domain (admission-gated; mem[home] is the cache-warm one, the others
-// hold steal-half loot and remote-homed scatters) and a free compute
-// deque, for Serve the latency histograms.
-//
-// Layout: the fields thieves poll while scanning (the deque pointers)
-// come first, then a full line of padding, then the owner-hot mutable
-// state — so a worker bumping its own counters or RNG never
-// invalidates the lines other workers' steal scans are reading.
+// calibration, the striped counter shard, and for Serve the latency
+// histograms its discipline equips it with. Other goroutines touch only
+// its parker (the lot's unparkers) until the end-of-run merge reads the
+// counters, so it needs no padding against them.
 type worker struct {
 	slot int
 	home int // home memory domain (slot % Domains)
-	mem  []atomic.Pointer[deque]
-	comp *deque
-
-	_ [64]byte // thief-scanned pointers above, owner-hot state below
 
 	park   parker
-	rng    uint64
 	spinNs int64 // EWMA idle gap, drives the pre-park spin budget
+
+	// scatQueued (Run): this worker queued a scatter and has taken none
+	// since, so its next take tries the scatter lists first (takeMem).
+	scatQueued bool
 
 	// Striped per-worker counters, merged into Stats after the phase
 	// (Serve counts them too and does not publish them yet).
@@ -197,7 +192,6 @@ type worker struct {
 	nTc    atomic.Int64
 	parks  atomic.Int64 // blocking park events (home domain)
 	idleNs atomic.Int64 // blocked-park time (home domain)
-	doms   []domShard   // Run: per-domain steal/spill counters
 
 	lat *latShard // Serve: merged only after the worker exits
 }
@@ -205,16 +199,6 @@ type worker struct {
 // latShard is one serving worker's latency histograms.
 type latShard struct {
 	queue, service stats.LatencyHist
-}
-
-// nextRand is a xorshift64* step — cheap decorrelated victim choice.
-func (w *worker) nextRand() uint64 {
-	x := w.rng
-	x ^= x << 13
-	x ^= x >> 7
-	x ^= x << 17
-	w.rng = x
-	return x * 0x2545F4914F6CDD1D
 }
 
 // discipline is what a way of queueing runnable records gives the
@@ -267,6 +251,11 @@ type pool struct {
 	spawned atomic.Int32             // worker slots claimed so far
 	wg      sync.WaitGroup           // Serve waits on it before merging histograms
 
+	// spawnMu orders every spawn's wg.Add before Drain's wg.Wait: a
+	// submitter's pump can still be spawning after its own job retired
+	// and the session drained.
+	spawnMu sync.Mutex
+
 	retries   atomic.Int64
 	recovered atomic.Int64
 
@@ -317,31 +306,37 @@ func (p *pool) shutdown() {
 // style: starting more than the admission limit can run would only park
 // them, so the pool grows when a publisher cannot drain its own backlog,
 // admitted work finds nobody parked, the MTL rises, or the watchdog
-// flags a wedged task. Safe from any goroutine; the CAS makes slot
-// claims race-free and the atomic slot publication lets thieves scan
-// concurrently with spawning. Workers are homed round-robin across the
-// domains (slot % Domains), so the pool covers every domain as soon as
-// it is Domains wide.
+// flags a wedged task. Safe from any goroutine; spawnMu serialises slot
+// claims (a full pool returns before taking it) and no worker starts
+// once done has closed, while the atomic slot publication lets the
+// end-of-run merge read concurrently with spawning. Workers are homed
+// round-robin across the domains (slot % Domains), so the pool covers
+// every domain as soon as it is Domains wide.
 func (p *pool) spawnWorker() {
-	for {
-		n := p.spawned.Load()
-		if int(n) >= len(p.workers) || p.q.stopped() {
-			return
-		}
-		if p.spawned.CompareAndSwap(n, n+1) {
-			w := &worker{
-				slot: int(n),
-				home: int(n) % p.rt.cfg.Domains,
-				rng:  uint64(n)*0x9E3779B97F4A7C15 + 1,
-				park: parker{token: make(chan struct{}, 1)},
-			}
-			p.q.equip(w)
-			p.workers[n].Store(w)
-			p.wg.Add(1)
-			go p.work(w)
-			return
-		}
+	if int(p.spawned.Load()) >= len(p.workers) {
+		return
 	}
+	p.spawnMu.Lock()
+	defer p.spawnMu.Unlock()
+	n := p.spawned.Load()
+	if int(n) >= len(p.workers) || p.q.stopped() {
+		return
+	}
+	select {
+	case <-p.done:
+		return
+	default:
+	}
+	w := &worker{
+		slot: int(n),
+		home: int(n) % p.rt.cfg.Domains,
+		park: parker{token: make(chan struct{}, 1)},
+	}
+	p.q.equip(w)
+	p.workers[n].Store(w)
+	p.spawned.Store(n + 1)
+	p.wg.Add(1)
+	go p.work(w)
 }
 
 // work is the worker-goroutine loop: take, park when there is nothing,

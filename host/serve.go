@@ -584,6 +584,10 @@ func (s *Server) Drain(ctx context.Context) (ServeStats, error) {
 	case <-ctx.Done():
 		return s.snapshotStats(), ctx.Err()
 	}
+	// A spawn that raced the drain has joined wg by now, and none starts
+	// after it: spawnWorker checks done under spawnMu.
+	s.spawnMu.Lock()
+	s.spawnMu.Unlock()
 	s.wg.Wait() // workers exited: histogram shards are quiescent
 	s.statsOnce.Do(func() {
 		for i := range s.workers {

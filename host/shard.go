@@ -25,19 +25,6 @@ type sigShard struct {
 	retries [core.MaxClasses]atomic.Int64
 }
 
-// domShard is one worker's dispatch counters for one memory domain,
-// attributed to the domain of the counted jobs (a thief homed at
-// domain 0 stealing domain-2 work counts into its own doms[2]). No
-// internal padding: the whole per-worker slice has a single writer and
-// its backing array is allocated per worker, so cross-worker line
-// sharing cannot occur.
-type domShard struct {
-	steals       atomic.Int64 // same-domain steals (thief homed here)
-	remoteSteals atomic.Int64 // cross-domain steal visits
-	stolenJobs   atomic.Int64 // jobs moved by remote steal-half visits
-	spills       atomic.Int64 // jobs spilled to the domain's overflow
-}
-
 // noteIssue records one memory-task admission for class, attributed to
 // the admitting worker's slot: a single-writer add on the worker's own
 // shard when the controller batches signals, else one per-event

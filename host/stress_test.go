@@ -35,7 +35,7 @@ func trackedPairs(n, work int) (pairs []Pair, peak *int64) {
 // than slots: with 160 workers and MTL 3, the observed peak memory
 // concurrency must never exceed 3 — the paper's hard invariant — on
 // any of the repeated phases. Run with -race to also exercise the
-// deque/gate memory-ordering claims.
+// queue/gate memory-ordering claims.
 func TestStressStaticMTLInvariant(t *testing.T) {
 	const (
 		workers = 160

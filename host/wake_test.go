@@ -22,7 +22,7 @@ func TestPhaseReadyCountsOnlyAdmissibleWork(t *testing.T) {
 	ph := &phase{recs: recs, nd: 1, doms: make([]domainState, 1)}
 	ph.setup(r, ph, &r.lot, "pair", nil)
 	ph.remain.Store(4)
-	ph.doms[0].over.mem.seed([]*pairRec{&recs[0], &recs[1]})
+	ph.doms[0].gath.seed([]*pairRec{&recs[0], &recs[1]})
 	ph.doms[0].readyMem.Store(2)
 
 	if !ph.ready() {
@@ -43,6 +43,52 @@ func TestPhaseReadyCountsOnlyAdmissibleWork(t *testing.T) {
 	}
 	if got := ph.admissible(); got != 1 {
 		t.Errorf("admissible() = %d with two gathers and one free slot, want 1", got)
+	}
+}
+
+// TestPhaseTakeKeepsScattersWithTheirWorkers pins the batch take order:
+// a worker that queued a scatter tries the scatter list first, any other
+// worker tries the gathers first, and a scatter goes to whoever asks once
+// no gather is left. A scatter run by another worker reads its compute's
+// data from the other core's cache.
+func TestPhaseTakeKeepsScattersWithTheirWorkers(t *testing.T) {
+	r, err := New(Config{Workers: 2, Policy: Static, MTL: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := make([]pairRec, 3)
+	gather1, gather2, scatter := &recs[0], &recs[1], &recs[2]
+	scatter.stage = stageScat
+	ph := &phase{recs: recs, nd: 1, doms: make([]domainState, 1)}
+	ph.setup(r, ph, &r.lot, "pair", nil)
+	ph.remain.Store(6)
+	ds := &ph.doms[0]
+	ds.gath.seed([]*pairRec{gather1, gather2})
+	ds.scat.put(scatter)
+	ds.readyMem.Store(3)
+
+	owner, other := &worker{scatQueued: true}, &worker{}
+	for _, c := range []struct {
+		name string
+		w    *worker
+		want *pairRec
+	}{
+		{"other worker", other, gather1},
+		{"scatter's worker", owner, scatter},
+		{"scatter's worker after its scatter", owner, gather2},
+	} {
+		if j := ph.take(c.w); j != c.want {
+			t.Fatalf("%s took record %p, want %p", c.name, j, c.want)
+		}
+		r.releaseSlots(0, 1)
+	}
+	if owner.scatQueued {
+		t.Error("scatQueued still set after its worker took a scatter")
+	}
+	ds.readyMem.Add(1)
+	ds.scat.put(scatter)
+	if j := ph.take(other); j != scatter {
+		t.Fatalf("with no gather left another worker took %p, want the scatter %p", j, scatter)
 	}
 }
 

@@ -49,7 +49,7 @@ func Catalog() []Spec {
 		{"R1", "Robustness: controller decisions under injected measurement corruption", RobustnessR1},
 		{"P1", "§VIII future work: POWER7-style 32-thread scaling", tbl(Power7Scale)},
 		{"D1", "Sharded memory domains: per-domain MTL sweep over 1/2/4 domains", DomainScaling},
-		{"D1H", "Host runtime: per-domain steal/spill/park/idle counters over 1/2/4 domains (not golden)", HostDomainCounters},
+		{"D1H", "Host runtime: per-domain park/idle/peak counters over 1/2/4 domains (not golden)", HostDomainCounters},
 		{"S1", "Open-loop serving: goodput, drops and latency percentiles vs offered load", ServeS1},
 		{"R2", "Attack robustness: victim p99/goodput/time-to-contain under flood and phase-flip attackers", RobustnessR2},
 	}

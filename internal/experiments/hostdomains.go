@@ -9,13 +9,11 @@ import (
 // HostDomainCounters (D1H) is the host-runtime twin of the simulated
 // D1 sweep: it runs the live goroutine runtime sharded into 1, 2 and 4
 // memory domains and exports the per-domain dispatch counters the
-// runtime already collects — steals, remote steal-half visits, moved
-// jobs, deque spills, park events, parked time and peak admitted
+// runtime collects — park events, parked time and peak admitted
 // concurrency. These are the observables the ROADMAP's Gast et al.
-// steal/idle validation needs: the simulated scheduler can only be
-// checked against mean-field steal/idle predictions once the real
-// dispatch layer reports how often work actually moved and how long
-// workers actually sat parked.
+// idle-time validation reads: the simulated scheduler can only be
+// checked against mean-field idle predictions once the real dispatch
+// layer reports how often and how long workers actually sat parked.
 //
 // Unlike D1 the numbers here are wall-clock measurements of live
 // goroutines, so they vary run to run (and with the machine's core
@@ -35,10 +33,9 @@ func HostDomainCounters(Env) (Table, error) {
 		return Table{}, err
 	}
 	t := Table{
-		ID:    "D1H",
-		Title: "Host runtime: per-domain dispatch counters (steals, spills, parks, idle)",
-		Columns: []string{"domains", "dom", "pairs", "steals", "remote steals",
-			"stolen jobs", "spills", "parks", "idle (ms)", "peak active"},
+		ID:      "D1H",
+		Title:   "Host runtime: per-domain dispatch counters (parks, idle, peak admitted)",
+		Columns: []string{"domains", "dom", "pairs", "parks", "idle (ms)", "peak active"},
 	}
 	for _, domains := range []int{1, 2, 4} {
 		rt, err := host.New(host.Config{Workers: workers, Policy: host.Static, MTL: mtl, Domains: domains})
@@ -57,15 +54,13 @@ func HostDomainCounters(Env) (Table, error) {
 		}
 		for d, ds := range st.Domains {
 			t.AddRow(fmt.Sprintf("%d", domains), fmt.Sprintf("%d", d),
-				fmt.Sprintf("%d", ds.Pairs), fmt.Sprintf("%d", ds.Steals),
-				fmt.Sprintf("%d", ds.RemoteSteals), fmt.Sprintf("%d", ds.StolenJobs),
-				fmt.Sprintf("%d", ds.Spills), fmt.Sprintf("%d", ds.Parks),
+				fmt.Sprintf("%d", ds.Pairs), fmt.Sprintf("%d", ds.Parks),
 				f3(ds.Idle.Seconds()*1e3), fmt.Sprintf("%d", ds.PeakActive))
 		}
 	}
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("live goroutine runtime: %d workers, static per-domain MTL %d, %d pairs of %d KiB", workers, mtl, pairs, footprint>>10),
 		"wall-clock dispatch activity — counters vary run to run and are not golden-pinned",
-		"steals are charged to the stolen job's home domain; parks and idle to the parking worker's home domain")
+		"parks and idle are charged to the parking worker's home domain")
 	return t, nil
 }

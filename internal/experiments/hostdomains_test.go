@@ -47,7 +47,7 @@ func TestHostDomainCountersStructure(t *testing.T) {
 			t.Errorf("row %v: %d pairs homed, want %d", row, pairs, want)
 		}
 		byCount[domains] += pairs
-		if peak := cell(row, 9); peak > mtl {
+		if peak := cell(row, 5); peak > mtl {
 			t.Errorf("row %v: peak active %d exceeds per-domain MTL %d", row, peak, mtl)
 		}
 	}
