@@ -52,6 +52,15 @@ func validateMeasure(cfg Config, k, tasksPerStream, footprint int) error {
 // pure function of (sys.cfg, k, tasksPerStream, footprint), identical
 // whether the underlying allocations are new or reused.
 func measureStreams(eng *sim.Engine, sys *System, k, tasksPerStream, footprint int, durations []float64) []float64 {
+	startStreams(eng, sys, k, tasksPerStream, footprint, &durations)
+	eng.Run()
+	return durations
+}
+
+// startStreams launches measureStreams' k streams without running the
+// engine; each post-warm-up task appends its duration to *durations as
+// it finishes.
+func startStreams(eng *sim.Engine, sys *System, k, tasksPerStream, footprint int, durations *[]float64) {
 	cfg := sys.Config()
 	lines := footprint / cfg.LineBytes
 	// Worker state machine: run task i, then task i+1, ...
@@ -73,7 +82,7 @@ func measureStreams(eng *sim.Engine, sys *System, k, tasksPerStream, footprint i
 		start := eng.Now()
 		sys.StartStream(region(worker, task), lines, func(finished sim.Time) {
 			if task > 0 { // skip warm-up task
-				durations = append(durations, float64(finished-start))
+				*durations = append(*durations, float64(finished-start))
 			}
 			launch(worker, task+1)
 		})
@@ -81,8 +90,6 @@ func measureStreams(eng *sim.Engine, sys *System, k, tasksPerStream, footprint i
 	for w := 0; w < k; w++ {
 		launch(w, 0)
 	}
-	eng.Run()
-	return durations
 }
 
 // Calibration is the result of fitting the paper's contention law
@@ -118,21 +125,37 @@ func (c Calibration) PerByte() (tml, tql float64) {
 // are assembled in k order and the fit is identical to a serial
 // calibration.
 func Calibrate(cfg Config, maxK, tasksPerStream, footprint int) (Calibration, error) {
+	return fitPoints(maxK, footprint, func(k int) (sim.Time, bool, error) {
+		tm, err := MeasureTaskTime(cfg, k, tasksPerStream, footprint)
+		return tm, true, err
+	})
+}
+
+// fitPoints fans the points k = 1..maxK out across the parallel worker
+// budget, assembles them in k order and fits the law. point reports
+// each point's task time and whether it simulated to get it; a call
+// that simulated any point counts in CalibrateRuns.
+func fitPoints(maxK, footprint int, point func(k int) (tm sim.Time, simulated bool, err error)) (Calibration, error) {
 	if maxK < 2 {
 		return Calibration{}, fmt.Errorf("mem: Calibrate needs maxK >= 2 to fit a line, got %d", maxK)
 	}
-	calibrateRuns.Add(1)
-	cal := Calibration{Tasklet: footprint}
 	type outcome struct {
-		tm  sim.Time
-		err error
+		tm        sim.Time
+		simulated bool
+		err       error
 	}
 	measured := parallel.Map(0, maxK, func(i int) outcome {
-		tm, err := MeasureTaskTime(cfg, i+1, tasksPerStream, footprint)
-		return outcome{tm, err}
+		tm, simulated, err := point(i + 1)
+		return outcome{tm, simulated, err}
 	})
-	for k := 1; k <= maxK; k++ {
-		o := measured[k-1]
+	for _, o := range measured {
+		if o.simulated {
+			calibrateRuns.Add(1)
+			break
+		}
+	}
+	cal := Calibration{Tasklet: footprint, Tm: make([]sim.Time, 0, maxK)}
+	for _, o := range measured {
 		if o.err != nil {
 			return Calibration{}, o.err
 		}
@@ -162,59 +185,61 @@ func (c *Calibration) fit() error {
 	return nil
 }
 
-// calibrateRuns counts full (non-cached) Calibrate executions; tests
-// use it to assert the cache actually deduplicates work.
+// calibrateRuns counts calibrations that simulated at least one point;
+// tests use it to assert the cache actually deduplicates work.
 var calibrateRuns atomic.Uint64
 
-// CalibrateRuns reports how many times Calibrate has executed a full
-// measurement sweep in this process (cache hits excluded).
+// CalibrateRuns reports how many calibrations in this process have
+// simulated at least one point: every Calibrate call, and every
+// CalibrateCached call that found a point not yet measured.
 func CalibrateRuns() uint64 { return calibrateRuns.Load() }
 
-// calKey identifies one calibration request. Config is a flat value
-// type, so the whole argument tuple is comparable.
-type calKey struct {
+// pointKey identifies one measured point of a calibration. Config is a
+// flat value type, so the whole tuple is comparable.
+type pointKey struct {
 	cfg            Config
-	maxK           int
+	k              int
 	tasksPerStream int
 	footprint      int
 }
 
-// calEntry is a singleflight slot: the first requester computes, every
-// later requester waits on once and reads the shared result.
-type calEntry struct {
+// pointEntry is a singleflight slot: the first requester measures,
+// every later requester waits on once and reads the shared result.
+type pointEntry struct {
 	once sync.Once
-	cal  Calibration
+	tm   sim.Time
 	err  error
 }
 
 var (
-	calCacheMu sync.Mutex
-	calCache   = map[calKey]*calEntry{}
+	pointsMu sync.Mutex
+	points   = map[pointKey]*pointEntry{}
 )
 
-// CalibrateCached is Calibrate behind a process-wide cache keyed by
-// the full argument tuple. Calibration is deterministic in its inputs
-// (every RNG inside is seeded from cfg.Seed), so each DRAM
-// configuration needs to be measured exactly once per process no
-// matter how many environments, tests, or CLI entry points request
-// it. Concurrent requests for the same key share one measurement.
+// CalibrateCached is Calibrate over a process-wide memo of measured
+// points, keyed by (cfg, k, tasksPerStream, footprint). A point is
+// deterministic in its inputs (every RNG inside is seeded from
+// cfg.Seed), so each is simulated exactly once per process no matter
+// how many environments, tests, CLI entry points or fits of different
+// maxK request it: a maxK = 4 fit of a configuration already fitted to
+// maxK = 8 simulates nothing. Concurrent requests for the same point
+// share one measurement; the points of one call still fan out across
+// the worker budget, and the fit is Calibrate's.
 func CalibrateCached(cfg Config, maxK, tasksPerStream, footprint int) (Calibration, error) {
-	key := calKey{cfg, maxK, tasksPerStream, footprint}
-	calCacheMu.Lock()
-	e := calCache[key]
-	if e == nil {
-		e = &calEntry{}
-		calCache[key] = e
-	}
-	calCacheMu.Unlock()
-	e.once.Do(func() {
-		e.cal, e.err = Calibrate(cfg, maxK, tasksPerStream, footprint)
+	return fitPoints(maxK, footprint, func(k int) (sim.Time, bool, error) {
+		key := pointKey{cfg, k, tasksPerStream, footprint}
+		pointsMu.Lock()
+		e := points[key]
+		if e == nil {
+			e = &pointEntry{}
+			points[key] = e
+		}
+		pointsMu.Unlock()
+		simulated := false
+		e.once.Do(func() {
+			e.tm, e.err = MeasureTaskTime(key.cfg, key.k, key.tasksPerStream, key.footprint)
+			simulated = true
+		})
+		return e.tm, simulated, e.err
 	})
-	if e.err != nil {
-		return Calibration{}, e.err
-	}
-	// Copy the Tm slice so callers cannot corrupt the cached entry.
-	cal := e.cal
-	cal.Tm = append([]sim.Time(nil), e.cal.Tm...)
-	return cal, nil
 }

@@ -11,7 +11,8 @@ const footprint512K = 512 << 10
 
 // TestCalibrateCachedDeduplicates asserts that repeated and concurrent
 // requests for the same configuration perform exactly one measurement
-// sweep, and that distinct configurations are cached independently.
+// sweep, that distinct configurations are cached independently, and
+// that a narrower fit reuses a wider one's points.
 func TestCalibrateCachedDeduplicates(t *testing.T) {
 	cfg := DDR3_1066()
 	cfg.Seed = 424242 // private key: other tests must not pre-warm it
@@ -67,6 +68,35 @@ func TestCalibrateCachedDeduplicates(t *testing.T) {
 	}
 	if again.Tm[0] == -1 {
 		t.Error("cached calibration shares Tm storage with callers")
+	}
+
+	// The memo is per point: once a configuration is fitted to maxK = 8,
+	// a maxK = 4 fit of it simulates nothing and is built from the same
+	// first four points.
+	cfg3 := cfg
+	cfg3.Seed = 434343
+	before = CalibrateRuns()
+	wide, err := CalibrateCached(cfg3, 8, 6, footprint512K)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := CalibrateRuns() - before; got != 1 {
+		t.Fatalf("maxK=8 fit ran %d calibrations, want 1", got)
+	}
+	narrow, err := CalibrateCached(cfg3, 4, 6, footprint512K)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := CalibrateRuns() - before; got != 1 {
+		t.Errorf("maxK=4 fit after maxK=8 simulated: %d calibrations, want 1", got)
+	}
+	if len(narrow.Tm) != 4 {
+		t.Fatalf("maxK=4 fit has %d points, want 4", len(narrow.Tm))
+	}
+	for k, tm := range narrow.Tm {
+		if tm != wide.Tm[k] {
+			t.Errorf("Tm[%d] = %v, maxK=8 fit measured %v", k, tm, wide.Tm[k])
+		}
 	}
 }
 

@@ -1,19 +1,18 @@
 package mem
 
 import (
-	"encoding/json"
 	"reflect"
 	"testing"
 )
 
-// calKeyCoveredFields is the audited list of Config fields the
-// calibration cache key accounts for. calKey embeds the whole Config
-// value and the persistent cache hashes Config's full JSON encoding,
-// so TODAY every field is covered by construction — this test exists
-// for the day someone adds a Config field (or narrows calKey to a
-// subset): it fails until the new field is added here, and the
-// perturbation pass below proves the caches actually distinguish it.
-var calKeyCoveredFields = []string{
+// pointKeyCoveredFields is the audited list of Config fields the
+// calibration memo's point key accounts for. pointKey embeds the whole
+// Config value, so TODAY every field is covered by construction — this
+// test exists for the day someone adds a Config field (or narrows
+// pointKey to a subset): it fails until the new field is added here,
+// and the perturbation pass below proves the key actually
+// distinguishes it.
+var pointKeyCoveredFields = []string{
 	"Channels", "RanksPerChannel", "BanksPerRank", "RowBytes", "LineBytes",
 	"TCAS", "TRCD", "TRP", "TBurst", "TFrontEnd",
 	"FrontJitter", "HitStreakCap", "MaxOutstanding", "ThinkTime",
@@ -35,13 +34,12 @@ func perturb(cfg Config, field string) Config {
 }
 
 // TestCalibrationCacheKeyCoversEveryConfigField fails when Config
-// grows a field the cache-key audit has not seen, and proves each
-// audited field separates both the in-process calKey and the JSON
-// encoding the persistent cache hashes.
+// grows a field the point-key audit has not seen, and proves each
+// audited field separates pointKey.
 func TestCalibrationCacheKeyCoversEveryConfigField(t *testing.T) {
 	typ := reflect.TypeOf(Config{})
-	covered := make(map[string]bool, len(calKeyCoveredFields))
-	for _, f := range calKeyCoveredFields {
+	covered := make(map[string]bool, len(pointKeyCoveredFields))
+	for _, f := range pointKeyCoveredFields {
 		if _, ok := typ.FieldByName(f); !ok {
 			t.Errorf("audited field %q no longer exists in mem.Config; prune the audit list", f)
 		}
@@ -50,32 +48,20 @@ func TestCalibrationCacheKeyCoversEveryConfigField(t *testing.T) {
 	for i := 0; i < typ.NumField(); i++ {
 		name := typ.Field(i).Name
 		if !covered[name] {
-			t.Errorf("mem.Config field %q is not in the calibration cache-key audit: "+
-				"confirm calKey and the disk cache distinguish it, then add it to calKeyCoveredFields", name)
+			t.Errorf("mem.Config field %q is not in the calibration point-key audit: "+
+				"confirm pointKey distinguishes it, then add it to pointKeyCoveredFields", name)
 		}
 	}
 	if t.Failed() {
 		return
 	}
 
-	base := DDR3_1066()
-	baseKey := calKey{cfg: base, maxK: 4, tasksPerStream: 6, footprint: footprint512K}
-	baseJSON, err := json.Marshal(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, field := range calKeyCoveredFields {
-		mod := perturb(base, field)
-		if modKey := (calKey{cfg: mod, maxK: 4, tasksPerStream: 6, footprint: footprint512K}); modKey == baseKey {
-			t.Errorf("perturbing Config.%s does not change calKey: cache would serve a stale calibration", field)
-		}
-		modJSON, err := json.Marshal(mod)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(modJSON) == string(baseJSON) {
-			t.Errorf("perturbing Config.%s does not change the JSON encoding: "+
-				"the persistent cache would serve a stale calibration (unexported or untagged field?)", field)
+	base := pointKey{cfg: DDR3_1066(), k: 4, tasksPerStream: 6, footprint: footprint512K}
+	for _, field := range pointKeyCoveredFields {
+		mod := base
+		mod.cfg = perturb(base.cfg, field)
+		if mod == base {
+			t.Errorf("perturbing Config.%s does not change pointKey: the memo would serve a stale point", field)
 		}
 	}
 }

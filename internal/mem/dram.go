@@ -238,13 +238,21 @@ func (r *reqRing) grow() {
 
 // bank is one DRAM bank: an open-page row buffer plus its FR-FCFS
 // request queue.
+//
+// The bank is busy until its release at (freeAt, freeSeq): the instant
+// and the sequence number the release event takes when a service
+// starts. The event is queued exactly while requests wait: a release
+// that would find the queue empty is never scheduled, and the first
+// arrival to find it still ahead schedules it under the reserved
+// number, so it fires where it always would have.
 type bank struct {
 	openRow    int64 // -1 = no open row
-	busy       bool
+	freeAt     sim.Time
+	freeSeq    uint64
 	queue      reqRing
 	streak     int // row hits served past an older waiting request
 	lastServed sim.Time
-	ch         *channel // owner, for the pre-bound bank-free callback
+	ch         *channel // owner, for the pre-bound release callback
 }
 
 // channel groups its banks with the shared data bus.
@@ -341,7 +349,7 @@ func (s *System) Reset() {
 				s.releaseReq(q)
 			}
 			bk.openRow = -1
-			bk.busy = false
+			bk.freeAt, bk.freeSeq = 0, 0
 			bk.streak = 0
 			bk.lastServed = 0
 		}
@@ -503,18 +511,27 @@ func (s *System) issue(addr uint64) *request {
 	return req
 }
 
-// arrive queues a request at its bank when it clears the front end.
+// arrive queues a request at its bank when it clears the front end. A
+// bank whose release has passed serves it at once (its queue was empty:
+// a waiting request keeps a release queued); at a busy bank the first
+// request to wait queues the release under its reserved number. (A
+// fresh or Reset bank's (0, 0) has passed by the time any event fires.)
 func (s *System) arrive(x any) {
 	req := x.(*request)
 	bk := req.bk
 	bk.queue.push(req)
-	s.serveBank(req.ch, bk)
+	switch {
+	case s.eng.Passed(bk.freeAt, bk.freeSeq):
+		s.serveBank(req.ch, bk)
+	case bk.queue.Len() == 1:
+		s.eng.AtFuncSeq(bk.freeAt, bk.freeSeq, s.bankFreeFn, bk)
+	}
 }
 
-// bankFree releases a bank at the end of a service and starts the next.
+// bankFree releases a bank at the end of a service and starts the next:
+// it is only ever scheduled for a waiting request.
 func (s *System) bankFree(x any) {
 	bk := x.(*bank)
-	bk.busy = false
 	s.serveBank(bk.ch, bk)
 }
 
@@ -563,13 +580,9 @@ func (s *System) pick(bk *bank) *request {
 	return r
 }
 
-// serveBank starts service of the next queued request if the bank is
-// idle. Completion schedules the next service.
+// serveBank starts service of the next queued request on a free bank
+// and records the bank's release.
 func (s *System) serveBank(ch *channel, bk *bank) {
-	if bk.busy || bk.queue.Len() == 0 {
-		return
-	}
-	bk.busy = true
 	req := s.pick(bk)
 
 	now := s.applyRefresh(bk, s.eng.Now())
@@ -604,14 +617,19 @@ func (s *System) serveBank(ch *channel, bk *bank) {
 	// Row hits release the bank once their column access is done
 	// (the burst drains on the bus); activates occupy it until the
 	// transfer completes.
-	bankFree := complete
+	bk.freeAt = complete
 	if hit {
-		bankFree = dataReady
+		bk.freeAt = dataReady
 	}
-	// Order matters when bankFree == complete (every non-hit): the
-	// bank-free event must keep firing before the completion callback,
-	// exactly as the closure-based path scheduled them.
-	s.eng.AtFunc(bankFree, s.bankFreeFn, bk)
+	// The release takes its sequence number before the completion does,
+	// so where the two coincide (every non-hit) the bank frees before
+	// the completion callback runs, as it always has. It is queued now
+	// only if a request already waits; otherwise arrive queues it under
+	// this number if one comes while the bank is busy.
+	bk.freeSeq = s.eng.Reserve()
+	if bk.queue.Len() > 0 {
+		s.eng.AtFuncSeq(bk.freeAt, bk.freeSeq, s.bankFreeFn, bk)
+	}
 	if req.doneFn != nil {
 		s.eng.AtFunc(complete, req.doneFn, req.doneArg)
 	} else if req.done != nil {

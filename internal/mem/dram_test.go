@@ -250,6 +250,27 @@ func TestConflictLatency(t *testing.T) {
 	}
 }
 
+// TestArrivalAtReleaseInstant: with no front end, a completion callback
+// that issues to the same bank arrives at the very instant the bank
+// frees (an activate frees the bank when its burst completes), after
+// the release's position. The bank must serve it at once, as the
+// release event that fired just before the completion once did.
+func TestArrivalAtReleaseInstant(t *testing.T) {
+	cfg := detCfg()
+	cfg.TFrontEnd = 0
+	eng := sim.New()
+	s := NewSystem(eng, cfg)
+	var first, second sim.Time
+	s.Access(0, func() {
+		first = eng.Now()
+		s.Access(64, func() { second = eng.Now() }) // same row
+	})
+	eng.Run()
+	if want := first + cfg.TCAS + cfg.TBurst; !timeEq(second, want) {
+		t.Errorf("row hit issued at the release completed at %v, want %v", second, want)
+	}
+}
+
 func TestRowHitFasterThanConflict(t *testing.T) {
 	cfg := detCfg()
 

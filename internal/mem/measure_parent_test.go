@@ -98,14 +98,7 @@ func TestMeasureMatchesParent(t *testing.T) {
 		}
 		return
 	}
-	data, err := os.ReadFile(measureParentPath)
-	if err != nil {
-		t.Fatalf("missing parent measurements (see -capture): %v", err)
-	}
-	var want map[string]measured
-	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatal(err)
-	}
+	want := parentMeasurements(t)
 	cases := measureCases()
 	if len(want) != len(cases)*measureMaxK {
 		t.Fatalf("parent file holds %d measurements, the test makes %d: re-capture at the parent commit", len(want), len(cases)*measureMaxK)
@@ -133,5 +126,51 @@ func TestMeasureMatchesParent(t *testing.T) {
 		for k := measureMaxK; k >= 1; k-- {
 			check("calibrator, falling", k, warm(k))
 		}
+	}
+}
+
+// parentMeasurements reads testdata/measure_parent.json.
+func parentMeasurements(t *testing.T) map[string]measured {
+	t.Helper()
+	data, err := os.ReadFile(measureParentPath)
+	if err != nil {
+		t.Fatalf("missing parent measurements (see -capture): %v", err)
+	}
+	var want map[string]measured
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatal(err)
+	}
+	return want
+}
+
+// TestReleasesOnlyForWaiters steps a measurement by hand and counts
+// its events. A line costs an arrival, a completion and (all but the
+// last MaxOutstanding of a task) a think-time pump; the parent also
+// fired a bank release per line, so it ran at 4 events a line less
+// those pumps (49 104 for the 12 288 lines here). A release is now
+// queued only for a request that waits on the bank, so the count must
+// fall well below that while the mean task time keeps the parent's
+// bits.
+func TestReleasesOnlyForWaiters(t *testing.T) {
+	const k = 4
+	want := parentMeasurements(t)
+	eng := sim.New()
+	sys := NewSystem(eng, DDR3_1066())
+	var durations []float64
+	startStreams(eng, sys, k, measureTasks, measureFootprint, &durations)
+	events := 0
+	for eng.Step() {
+		events++
+	}
+	if got, w := measuredOf(durations, sys), want[fmt.Sprintf("base/k=%d", k)]; got != w {
+		t.Fatalf("stepped by hand: got %+v, parent %+v", got, w)
+	}
+	lines := int(sys.Stats().Requests)
+	tasks := k * measureTasks
+	parent := 4*lines - sys.Config().MaxOutstanding*tasks
+	wakes := events - (parent - lines)
+	t.Logf("%d events for %d lines (%.3f a line; parent %d), %d releases", events, lines, float64(events)/float64(lines), parent, wakes)
+	if events >= 4*lines || wakes > lines/2 {
+		t.Errorf("%d events, %d of them releases, for %d lines: want fewer than 4 a line and releases for at most half the lines", events, wakes, lines)
 	}
 }

@@ -1,11 +1,15 @@
 // Package sim provides a deterministic discrete-event simulation engine.
 //
 // The engine maintains a virtual clock and an event queue ordered by
-// (time, insertion sequence). All model time in this repository is
+// (time, sequence number). All model time in this repository is
 // expressed in seconds as the float64-based Time type; helpers for
 // common units are provided. Determinism is guaranteed: two events
-// scheduled for the same instant fire in insertion order, so repeated
-// runs with the same inputs produce identical traces.
+// due at the same instant fire in sequence-number order, so repeated
+// runs with the same inputs produce identical traces. An event takes
+// its number when it is scheduled, or, through Reserve and AtFuncSeq,
+// earlier: a number reserved at one point and scheduled under later
+// fires exactly where an event scheduled at that point would have,
+// ahead of younger events already queued for the same instant.
 //
 // The queue (wheel.go) is a near-horizon timing wheel merged with an
 // indexed 4-ary min-heap over *Event for everything further out — no
@@ -215,6 +219,13 @@ type Engine struct {
 	seq     uint64
 	stopped bool
 
+	// fence is one past the sequence number of the event that fired
+	// last at now: an event at (now, s) with s < fence has fired, or
+	// would have (Passed). It is zero before the first Step and after
+	// Reset, when nothing has; RunUntil, moving the clock past the last
+	// event, sets it to seq.
+	fence uint64
+
 	// wheel is the event queue: see wheel.go.
 	wheel timingWheel
 
@@ -250,6 +261,14 @@ func (e *Engine) alloc(t Time) *Event {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", t, e.now))
 	}
+	ev := e.shell(t)
+	ev.seq = e.seq
+	e.seq++
+	return ev
+}
+
+// shell takes an event off the free list, or allocates one, due at t.
+func (e *Engine) shell(t Time) *Event {
 	var ev *Event
 	if n := len(e.free); n > 0 {
 		ev = e.free[n-1]
@@ -261,8 +280,6 @@ func (e *Engine) alloc(t Time) *Event {
 	}
 	ev.due = t
 	ev.engine = e
-	ev.seq = e.seq
-	e.seq++
 	return ev
 }
 
@@ -296,6 +313,39 @@ func (e *Engine) AtFunc(t Time, fn func(any), arg any) *Event {
 	return ev
 }
 
+// Reserve takes the next sequence number without scheduling anything.
+// An event scheduled later under it (AtFuncSeq) fires exactly where one
+// scheduled now for the same time would have, because the queue orders
+// by (due, seq) alone: a model can so decide late whether an event is
+// needed at all without moving anything else.
+func (e *Engine) Reserve() uint64 {
+	s := e.seq
+	e.seq++
+	return s
+}
+
+// Passed reports whether an event at (t, seq) would already have fired:
+// t is before now, or it is now and the event that fired last at now
+// was numbered seq or later (the firing event itself has passed).
+func (e *Engine) Passed(t Time, seq uint64) bool {
+	return t < e.now || t == e.now && seq < e.fence
+}
+
+// AtFuncSeq is AtFunc under a sequence number taken earlier with
+// Reserve. It panics if (t, seq) has passed, which would fire the event
+// out of order, or if the number was never handed out.
+func (e *Engine) AtFuncSeq(t Time, seq uint64, fn func(any), arg any) *Event {
+	if seq >= e.seq || e.Passed(t, seq) {
+		panic(fmt.Sprintf("sim: schedule at (%v, %d), which has passed or was never reserved", t, seq))
+	}
+	ev := e.shell(t)
+	ev.seq = seq
+	ev.afn = fn
+	ev.arg = arg
+	e.wheel.insert(ev)
+	return ev
+}
+
 // AfterFunc schedules the pre-bound callback fn(arg) to run d seconds
 // from now. See AtFunc.
 func (e *Engine) AfterFunc(d Time, fn func(any), arg any) *Event {
@@ -317,15 +367,16 @@ func (e *Engine) Stop() { e.stopped = true }
 // warm-start calibration reuse one engine across measurements without
 // perturbing a single result.
 func (e *Engine) Reset() {
+	e.now = 0
+	e.seq = 0
+	e.fence = 0
+	e.stopped = false
 	e.wheel.reset(func(ev *Event) {
 		ev.index = -1
 		ev.loc = locNone
 		ev.dead = true
 		e.recycle(ev)
 	})
-	e.now = 0
-	e.seq = 0
-	e.stopped = false
 }
 
 // Pending reports the number of events still queued.
@@ -340,6 +391,7 @@ func (e *Engine) Step() bool {
 	}
 	ev.dead = true
 	e.now = ev.due
+	e.fence = ev.seq + 1
 	if ev.afn != nil {
 		ev.afn(ev.arg)
 	} else {
@@ -374,7 +426,8 @@ func (e *Engine) RunUntil(deadline Time) Time {
 		e.Step()
 	}
 	if e.now < deadline {
-		e.now = deadline
+		// Every event numbered so far that is due by now has fired.
+		e.now, e.fence = deadline, e.seq
 	}
 	return e.now
 }

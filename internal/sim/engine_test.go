@@ -112,6 +112,73 @@ func TestEngineSchedulePastPanics(t *testing.T) {
 	e.Run()
 }
 
+// TestEngineAtFuncSeqPanics: a number reserved before an event was
+// queued fires ahead of it at the same instant, and scheduling under a
+// reserved number is refused when (t, seq) has passed — t before now,
+// or t equal to now and seq not after the firing event's — and for a
+// number that was never reserved.
+func TestEngineAtFuncSeqPanics(t *testing.T) {
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", name)
+			}
+		}()
+		f()
+	}
+	nop := func(any) {}
+	var got []string
+	e := New()
+	early := e.Reserve()       // 0
+	e.At(Microsecond, func() { // 1
+		e.AtFuncSeq(2*Microsecond, early, func(any) { got = append(got, "reserved") }, nil)
+	})
+	e.At(2*Microsecond, func() { // 2
+		got = append(got, "queued")
+		mustPanic("a time before now", func() { e.AtFuncSeq(Microsecond, early, nop, nil) })
+		mustPanic("the firing event's own position", func() { e.AtFuncSeq(2*Microsecond, 2, nop, nil) })
+		mustPanic("an older number at now", func() { e.AtFuncSeq(2*Microsecond, 1, nop, nil) })
+		mustPanic("a number never reserved", func() { e.AtFuncSeq(3*Microsecond, e.seq, nop, nil) })
+	})
+	e.Run()
+	if len(got) != 2 || got[0] != "reserved" || got[1] != "queued" {
+		t.Fatalf("fired %v, want [reserved queued]", got)
+	}
+}
+
+// TestEnginePassed pins Passed at its edges: nothing has passed before
+// the first Step or after Reset, the firing event has passed inside its
+// own callback, a later number at the same instant has not, and
+// RunUntil's jump of the clock passes every number handed out before it.
+func TestEnginePassed(t *testing.T) {
+	e := New()
+	if e.Passed(0, 0) {
+		t.Error("(0, 0) passed before the first Step")
+	}
+	s := e.Reserve()
+	e.At(0, func() {
+		if !e.Passed(0, s) || !e.Passed(0, 1) {
+			t.Error("the firing event or an older number has not passed inside its callback")
+		}
+		if e.Passed(0, 2) || e.Passed(Nanosecond, 0) {
+			t.Error("a later number at now, or a later time, has passed")
+		}
+	})
+	e.Run()
+	// RunUntil moving the clock past the last event has fired, in
+	// effect, everything numbered by then at the new instant.
+	late := e.Reserve()
+	e.RunUntil(Microsecond)
+	if !e.Passed(Microsecond, late) || e.Passed(Microsecond, late+1) {
+		t.Error("after RunUntil: a number reserved before it has not passed, or a later one has")
+	}
+	e.Reset()
+	if e.Passed(0, 0) {
+		t.Error("(0, 0) passed after Reset")
+	}
+}
+
 func TestEngineStop(t *testing.T) {
 	e := New()
 	count := 0

@@ -33,10 +33,11 @@ import (
 // a drained slot is sorted by (due, seq) before any of it fires; an
 // event whose tick is already behind the cursor (due == now is the
 // common case: callbacks chaining work at the same instant) is inserted
-// into the sorted residue of the firing bucket, where its fresh
-// sequence number places it after every queued event at the same due
-// time; and the heap root is compared with the wheel head by the same
-// before() at every pop. Where the cursor stands therefore only decides
+// into the sorted residue of the firing bucket by (due, seq) — a fresh
+// number lands it after every queued event at the same due time, a
+// reserved one (Engine.AtFuncSeq) may land it before some; and the
+// heap root is compared with the wheel head by the same before() at
+// every pop. Where the cursor stands therefore only decides
 // which store an event waits in, never when it fires.
 const (
 	wheelSlots = 512 // ticks in the near window; a power of two
@@ -143,8 +144,11 @@ func (w *timingWheel) unlink(e *Event) {
 }
 
 // insertCur places e into the sorted live tail of the firing bucket.
-// Positions before curPos have fired; e belongs after them because its
-// due is >= now and its seq is newer than everything already there.
+// Positions before curPos have fired, and e belongs after them: its
+// (due, seq) has not passed (alloc numbers it afresh, AtFuncSeq refuses
+// a passed one). Within the live tail it goes by before(), so a
+// reserved sequence number older than queued events at the same due
+// time walks back past them.
 func (w *timingWheel) insertCur(e *Event) {
 	if w.curPos == len(w.cur) {
 		// Nothing live: start over, so a chain of such inserts (far

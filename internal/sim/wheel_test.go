@@ -348,24 +348,38 @@ func TestWheelSteadyStateZeroAlloc(t *testing.T) {
 // --- differential driver: the merged queue vs a plain heap ----------
 
 // refEngine is the oracle: the Engine's clock and numbering rules over
-// the bare eventQueue heap, and nothing else.
+// the bare eventQueue heap, and nothing else. A position has passed
+// when it is at or before the last fired event's.
 type refEngine struct {
-	now Time
-	seq uint64
-	q   eventQueue
+	now  Time
+	seq  uint64
+	q    eventQueue
+	last *Event
 }
 
 // scriptEngine is what runScript needs of either engine.
 type scriptEngine interface {
 	after(d Time, fn func()) *Event
+	reserve() uint64
+	passed(t Time, seq uint64) bool
+	atSeq(t Time, seq uint64, fn func()) *Event
 	cancel(ev *Event)
 	step() bool
 	clock() Time
 }
 
 func (r *refEngine) after(d Time, fn func()) *Event {
-	ev := &Event{due: r.now + d, seq: r.seq, fn: fn}
+	return r.atSeq(r.now+d, r.reserve(), fn)
+}
+func (r *refEngine) reserve() uint64 {
 	r.seq++
+	return r.seq - 1
+}
+func (r *refEngine) passed(t Time, seq uint64) bool {
+	return r.last != nil && !before(r.last, &Event{due: t, seq: seq})
+}
+func (r *refEngine) atSeq(t Time, seq uint64, fn func()) *Event {
+	ev := &Event{due: t, seq: seq, fn: fn}
 	r.q.push(ev)
 	return ev
 }
@@ -376,7 +390,7 @@ func (r *refEngine) step() bool {
 		return false
 	}
 	ev := r.q.pop()
-	r.now = ev.due
+	r.now, r.last = ev.due, ev
 	ev.fn()
 	return true
 }
@@ -384,9 +398,14 @@ func (r *refEngine) step() bool {
 type realEngine struct{ *Engine }
 
 func (e realEngine) after(d Time, fn func()) *Event { return e.After(d, fn) }
-func (e realEngine) cancel(ev *Event)               { ev.Cancel() }
-func (e realEngine) step() bool                     { return e.Step() }
-func (e realEngine) clock() Time                    { return e.Now() }
+func (e realEngine) reserve() uint64                { return e.Reserve() }
+func (e realEngine) passed(t Time, seq uint64) bool { return e.Passed(t, seq) }
+func (e realEngine) atSeq(t Time, seq uint64, fn func()) *Event {
+	return e.AtFuncSeq(t, seq, func(any) { fn() }, nil)
+}
+func (e realEngine) cancel(ev *Event) { ev.Cancel() }
+func (e realEngine) step() bool       { return e.Step() }
+func (e realEngine) clock() Time      { return e.Now() }
 
 // firedAt is one trace entry of the differential driver.
 type firedAt struct {
@@ -418,6 +437,13 @@ func scriptDelay(a, b byte) Time {
 	}
 }
 
+// reservation is a sequence number a script took for an event it has
+// not scheduled yet.
+type reservation struct {
+	due Time
+	seq uint64
+}
+
 // runScript interprets ops as a deterministic schedule/cancel/step
 // program against one engine and returns the fire trace. The same
 // script run on the reference heap and on the Engine must produce the
@@ -425,18 +451,22 @@ func scriptDelay(a, b byte) Time {
 func runScript(e scriptEngine, ops []byte) []firedAt {
 	var got []firedAt
 	var live []*Event
+	var reserved []reservation
 	label := 0
+	plain := func(sched func(fn func()) *Event) {
+		l, slot := label, len(live)
+		label++
+		live = append(live, nil)
+		live[slot] = sched(func() {
+			live[slot] = nil // handle is dead: stop cancelling it
+			got = append(got, firedAt{l, e.clock()})
+		})
+	}
 	for i := 0; i+2 < len(ops); i += 3 {
 		op, a, b := ops[i], ops[i+1], ops[i+2]
-		switch op % 4 {
+		switch op % 6 {
 		case 0: // schedule a plain event
-			l, slot := label, len(live)
-			label++
-			live = append(live, nil)
-			live[slot] = e.after(scriptDelay(a, b), func() {
-				live[slot] = nil // handle is dead: stop cancelling it
-				got = append(got, firedAt{l, e.clock()})
-			})
+			plain(func(fn func()) *Event { return e.after(scriptDelay(a, b), fn) })
 		case 1: // schedule an event that chains a same-instant follow-up
 			l := label
 			label++
@@ -460,6 +490,17 @@ func runScript(e scriptEngine, ops []byte) []firedAt {
 					live[int(a)%len(live)] = nil
 				}
 			}
+		case 4: // reserve a number for an event due after a delay
+			reserved = append(reserved, reservation{e.clock() + scriptDelay(a, b), e.reserve()})
+		case 5: // schedule a reserved event, unless its position has passed
+			if n := len(reserved); n > 0 {
+				r := reserved[int(a)%n]
+				reserved[int(a)%n] = reserved[n-1]
+				reserved = reserved[:n-1]
+				if !e.passed(r.due, r.seq) {
+					plain(func(fn func()) *Event { return e.atSeq(r.due, r.seq, fn) })
+				}
+			}
 		}
 	}
 	for e.step() {
@@ -481,10 +522,66 @@ func diffScript(t *testing.T, ops []byte) {
 	}
 }
 
+// reservedScripts reserve a number, schedule an event behind it at the
+// same due time, and only then schedule the reserved event, so that it
+// must fire first: from the firing bucket (the older same-instant
+// event has fired and the younger waits in the bucket's live tail),
+// from a wheel slot, and from the far heap, where it displaces the
+// root. The fourth reserves at the current instant and steps past it
+// first: the event is dropped as passed. want is the labels in fire
+// order.
+var reservedScripts = []struct {
+	name string
+	ops  []byte
+	want []int
+}{
+	{"firing bucket", []byte{0, 2, 10, 4, 2, 10, 0, 2, 10, 2, 0, 0, 5, 0, 0}, []int{0, 2, 1}},
+	{"slot", []byte{4, 2, 10, 0, 2, 10, 5, 0, 0}, []int{1, 0}},
+	{"far heap root", []byte{4, 6, 1, 0, 6, 1, 5, 0, 0}, []int{1, 0}},
+	{"passed", []byte{4, 0, 0, 0, 1, 5, 2, 0, 0, 5, 0, 0}, []int{0}},
+}
+
+// TestWheelReservedSeq runs reservedScripts against the heap, and checks
+// on the engine that each lands where its name says and fires ahead of
+// the event scheduled before it.
+func TestWheelReservedSeq(t *testing.T) {
+	for _, c := range reservedScripts {
+		diffScript(t, c.ops)
+		got := runScript(realEngine{NewWheel()}, c.ops)
+		labels := make([]int, len(got))
+		for i, f := range got {
+			labels[i] = f.label
+		}
+		t.Run(c.name, func(t *testing.T) { wantOrder(t, labels, c.want) })
+	}
+
+	nop := func(any) {}
+	e := NewWheel()
+	first := e.At(80*Nanosecond, func() {})
+	bucket := e.Reserve()
+	e.At(80*Nanosecond, func() {})
+	slot, far := e.Reserve(), e.Reserve()
+	root := e.At(6*Millisecond, func() {})
+	if ev := e.AtFuncSeq(mid(100), slot, nop, nil); ev.loc < 0 {
+		t.Errorf("slot case landed at loc %d", ev.loc)
+	}
+	if ev := e.AtFuncSeq(6*Millisecond, far, nop, nil); ev.loc != locHeap || e.wheel.far.ev[0] != ev || root.index == 0 {
+		t.Errorf("far case: loc %d, root replaced %v", ev.loc, e.wheel.far.ev[0] == ev)
+	}
+	e.Step()
+	if e.Now() != first.Due() {
+		t.Fatalf("first step fired at %v", e.Now())
+	}
+	if ev := e.AtFuncSeq(80*Nanosecond, bucket, nop, nil); ev.loc != locCur || e.wheel.cur[e.wheel.curPos] != ev {
+		t.Errorf("bucket case: loc %d, not at the head of the live tail", ev.loc)
+	}
+}
+
 // TestWheelMatchesHeap runs the differential driver over generated op
 // scripts via testing/quick: the engine must agree with the reference
 // heap on the exact fire order, including cancels, interleaved steps,
-// and same-instant chained events.
+// same-instant chained events and events scheduled under reserved
+// numbers.
 func TestWheelMatchesHeap(t *testing.T) {
 	prop := func(ops []byte) bool {
 		diffScript(t, ops)
@@ -503,6 +600,9 @@ func FuzzEventQueue(f *testing.F) {
 	f.Add([]byte{0, 1, 10, 1, 0, 0, 2, 3, 0, 3, 0, 0})
 	f.Add([]byte{0, 4, 200, 0, 3, 50, 2, 7, 0, 0, 2, 64, 3, 1, 0})
 	f.Add([]byte{1, 0, 0, 1, 2, 9, 2, 1, 0, 0, 4, 255, 3, 2, 0, 2, 7, 7})
+	for _, c := range reservedScripts {
+		f.Add(c.ops)
+	}
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 3*4096 {
 			t.Skip("script too long")
