@@ -8,9 +8,10 @@ GO ?= go
 # Benchmarks pinned against the committed BENCH_SIM.json baseline
 # (captured on the pre-optimization tree, so the reported speedup is
 # the zero-allocation hot path's win). -count repeats each benchmark;
-# benchdiff keeps the best run of each.
+# benchdiff keeps the best run of each. BenchmarkPoolStart is the fluid
+# pool's closure entry point, the one the repository benchmark probes.
 BENCH_COUNT ?= 3
-HOT_BENCHES  = BenchmarkDRAMAccess|BenchmarkStreamPump|BenchmarkCalibrate|BenchmarkCalibrateWarm|BenchmarkCalibrateAdjacentCold|BenchmarkFig13Sweep
+HOT_BENCHES  = BenchmarkDRAMAccess|BenchmarkStreamPump|BenchmarkPoolStart|BenchmarkCalibrate|BenchmarkCalibrateWarm|BenchmarkCalibrateAdjacentCold|BenchmarkFig13Sweep
 
 # Host-runtime dispatch benchmarks, pinned against the pre-rewrite
 # mutex-and-broadcast runtime so the lock-free dispatch win stays
@@ -50,9 +51,10 @@ CONTEND_BENCHES = BenchmarkContendedCounterGlobal|BenchmarkContendedCounterShare
 # Benchmarks pinned allocation-free by `make bench-check`: the
 # zero-allocation hot paths from the PR 2 work must never regrow an
 # alloc, the warm Calibrator's adjacent re-measure joins them, and the
-# serving-path admission primitives, the policy-plugin window boundary
-# and the event-queue step, in each regime, stay allocation-free too.
-ZERO_ALLOC   = BenchmarkEngineStepWheel,BenchmarkEngineStepWheelDeep256,BenchmarkEngineStepSparse,BenchmarkDRAMAccess,BenchmarkStreamPump,BenchmarkGateAdmitBatched,BenchmarkGateAdmitPerJob,BenchmarkPolicyObserve
+# serving-path admission primitives, the policy-plugin window boundary,
+# the event-queue step, in each regime, and the fluid pool's start/fire
+# cycle stay allocation-free too.
+ZERO_ALLOC   = BenchmarkEngineStepWheel,BenchmarkEngineStepWheelDeep256,BenchmarkEngineStepSparse,BenchmarkDRAMAccess,BenchmarkStreamPump,BenchmarkPoolStart,BenchmarkGateAdmitBatched,BenchmarkGateAdmitPerJob,BenchmarkPolicyObserve
 
 .PHONY: check lint fmt vet layout build bench-build test race fuzz-smoke flake bench bench-host bench-baseline bench-check ab loc
 

@@ -18,6 +18,7 @@ import (
 	"sync"
 	"testing"
 
+	"memthrottle/internal/contend"
 	"memthrottle/internal/core"
 	"memthrottle/internal/experiments"
 	"memthrottle/internal/mem"
@@ -301,10 +302,33 @@ func BenchmarkDRAMAccess(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sys.Access(uint64(i*64), nil)
+		sys.AccessFn(uint64(i*64), nil, nil)
 		if i%1024 == 0 {
 			eng.RunUntil(eng.Now() + sim.Millisecond)
 		}
+	}
+	eng.Run()
+}
+
+// BenchmarkPoolStart drives the fluid contention pool through its
+// closure entry point, as the repository benchmark's contend.Pool probe
+// does: four transfers in flight, each restarted from its
+// predecessor's completion callback.
+func BenchmarkPoolStart(b *testing.B) {
+	eng := sim.New()
+	pool := contend.NewPool(eng, contend.Params{TmlPerByte: 1e-9, TqlPerByte: 0.4e-9})
+	left := b.N
+	var next func()
+	next = func() {
+		if left > 0 {
+			left--
+			pool.Start(workload.Footprint, 1, next)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < 4; i++ {
+		next()
 	}
 	eng.Run()
 }

@@ -124,7 +124,7 @@ type Config struct {
 	// Workers is the number of worker goroutines (the paper spawns
 	// one thread per core). Default: runtime.GOMAXPROCS(0).
 	Workers int
-	// Policy selects the controller. Default: Dynamic.
+	// Policy selects the controller. Default: Conventional (MTL = Workers).
 	Policy Policy
 	// Throttler plugs a custom controller, overriding Policy — the
 	// host-side entry point of the policy-plugin architecture. Any

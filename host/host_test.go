@@ -227,6 +227,28 @@ func TestPanicDrainsSiblings(t *testing.T) {
 	}
 }
 
+// TestZeroPolicyIsConventional pins Config.Policy's zero value: a
+// runtime configured without one runs Conventional, its MTL is Workers,
+// and it makes no decision.
+func TestZeroPolicyIsConventional(t *testing.T) {
+	rt, err := New(Config{Workers: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	if rt.MTL() != 3 {
+		t.Errorf("MTL = %d before the run, want Workers = 3", rt.MTL())
+	}
+	pairs, _, _, _, _, _ := makePairs(64, false)
+	st, err := rt.Run(pairs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.MTLDecisions) != 0 || st.FinalMTL != 3 || rt.MTL() != 3 {
+		t.Errorf("after the run: decisions %v, FinalMTL %d, MTL %d; want none, 3, 3", st.MTLDecisions, st.FinalMTL, rt.MTL())
+	}
+}
+
 func TestPolicyString(t *testing.T) {
 	for p, want := range map[Policy]string{
 		Conventional: "conventional", Static: "static",

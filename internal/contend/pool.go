@@ -48,10 +48,6 @@ func (p Params) TaskTime(footprintBytes float64, a float64) sim.Time {
 	return sim.Time(footprintBytes * (p.TmlPerByte + a*p.TqlPerByte))
 }
 
-// Actor is one in-flight memory transfer in the pool: Active reports
-// whether it is still in flight, Remaining the bytes left to transfer.
-type Actor = sim.Job
-
 // Pool tracks the set of active memory actors and advances their
 // progress under the fluid contention law: a sim.Shared server in bytes
 // whose time per byte is tml + a*tql. The server is the mechanism
@@ -71,7 +67,7 @@ func NewPool(eng *sim.Engine, params Params) *Pool {
 }
 
 // Reset returns the pool to the state NewPool(eng, params) builds,
-// keeping its scratch slices and recycled actor shells, so one pool can
+// keeping its scratch slices and recycled transfer shells, so one pool can
 // serve run after run. The engine must have been reset first: actors
 // still in flight are dropped without their callbacks and the pending
 // completion event is forgotten, not cancelled. Invalid params panic.
@@ -97,25 +93,23 @@ func (p *Pool) ActiveWeight() float64 { return p.srv.Weight() }
 func (p *Pool) Started() uint64   { return p.srv.Started() }
 func (p *Pool) Completed() uint64 { return p.srv.Completed() }
 
-// Start adds a transfer of footprintBytes with the given concurrency
-// weight; done (may be nil) fires at completion. Weight is 1 for a
-// memory task; compute tasks with LLC-overflow miss traffic join with
-// their miss fraction as weight. Panics on non-positive footprint or
-// weight out of (0, 1]. The returned handle stays valid after
-// completion (Active, Remaining) and may be passed to Cancel.
-func (p *Pool) Start(footprintBytes, weight float64, done func()) *Actor {
-	checkStart(footprintBytes, weight)
-	return p.srv.Start(footprintBytes, weight, done)
-}
-
-// StartFunc is Start for hot loops: at completion it calls fn(arg) —
-// fn typically a method value created once, arg the per-transfer state
-// — and it returns no handle, which is what lets the pool recycle the
-// actor shell. The transfer cannot be cancelled or inspected. A nil fn
-// means no callback and wants a nil arg.
+// StartFunc adds a transfer of footprintBytes with the given
+// concurrency weight; at completion it calls fn(arg) — fn typically a
+// method value created once, arg the per-transfer state. Weight is 1
+// for a memory task; compute tasks with LLC-overflow miss traffic join
+// with their miss fraction as weight. A nil fn means no callback and
+// wants a nil arg. Panics on non-positive footprint or weight out of
+// (0, 1].
 func (p *Pool) StartFunc(footprintBytes, weight float64, fn func(any), arg any) {
 	checkStart(footprintBytes, weight)
 	p.srv.StartFunc(footprintBytes, weight, fn, arg)
+}
+
+// Start is StartFunc for a closure: done (may be nil) fires at
+// completion.
+func (p *Pool) Start(footprintBytes, weight float64, done func()) {
+	checkStart(footprintBytes, weight)
+	p.srv.Start(footprintBytes, weight, done)
 }
 
 func checkStart(footprintBytes, weight float64) {
@@ -126,7 +120,3 @@ func checkStart(footprintBytes, weight float64) {
 		panic(fmt.Sprintf("contend: Start with weight %g, want (0, 1]", weight))
 	}
 }
-
-// Cancel removes an in-flight actor without firing its callback.
-// Cancelling an inactive actor is a no-op.
-func (p *Pool) Cancel(a *Actor) { p.srv.Cancel(a) }

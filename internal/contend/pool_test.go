@@ -29,26 +29,31 @@ func approxTime(t *testing.T, got, want sim.Time, relTol float64, what string) {
 }
 
 // The mechanism under the pool — piecewise integration, the frozen due
-// set, cancellation, shell recycling, Reset — is sim.Shared's and is
-// tested there (internal/sim/shared_test.go). The tests here hold what
-// is the pool's own: the Tml + a*Tql law in bytes, fractional weights,
-// the argument panics, and that the wrapper adds nothing to the hot
-// path.
+// set, shell recycling, Reset — is sim.Shared's and is tested there
+// (internal/sim/shared_test.go). The tests here hold what is the pool's
+// own: the Tml + a*Tql law in bytes, fractional weights, the argument
+// panics, and that the wrapper adds nothing to the hot path.
 
-// TestPoolSteadyStateZeroAlloc pins the wrapper's cost at zero: one
-// full start/fire cycle through the pool allocates at most the Actor
-// handed out, as the server alone does.
+// TestPoolSteadyStateZeroAlloc pins the wrapper's cost at zero: once
+// the shells exist, a full start/fire cycle through the pool allocates
+// nothing, whether it starts with a closure — Start, the entry point
+// the repository benchmark probes — or without a callback.
 func TestPoolSteadyStateZeroAlloc(t *testing.T) {
 	eng := sim.New()
 	p := NewPool(eng, testParams())
-	cycle := func() {
-		p.Start(1024, 1, nil)
-		eng.Run()
-	}
-	cycle() // warm scratch slices and the event free list
-	cycle()
-	if avg := testing.AllocsPerRun(200, cycle); avg > 1 {
-		t.Fatalf("steady-state start/fire cycle allocates %.2f allocs/op, want <= 1 (the Actor)", avg)
+	done := func() {}
+	for _, c := range []struct {
+		name string
+		done func()
+	}{{"a closure", done}, {"no callback", nil}} {
+		cycle := func() {
+			p.Start(1024, 1, c.done)
+			eng.Run()
+		}
+		cycle() // warm scratch slices and the free lists
+		if avg := testing.AllocsPerRun(200, cycle); avg != 0 {
+			t.Errorf("steady-state start/fire cycle with %s allocates %.2f allocs/op, want 0", c.name, avg)
+		}
 	}
 }
 
@@ -93,7 +98,7 @@ func TestPoolResetMatchesNew(t *testing.T) {
 		for _, bytes := range []float64{4096, 1024, 1024, 2048} {
 			p.StartFunc(bytes, 1, done, nil)
 		}
-		eng.After(sim.Microsecond, func() { p.StartFunc(512, 0.5, done, nil) })
+		eng.AfterFunc(sim.Microsecond, func(any) { p.StartFunc(512, 0.5, done, nil) }, nil)
 		eng.Run()
 		return ends
 	}
@@ -187,7 +192,7 @@ func TestStaggeredArrivalIntegratesPiecewise(t *testing.T) {
 	half := sim.Time(F / 2 * (p.TmlPerByte + p.TqlPerByte))
 	var endA, endB sim.Time
 	pool.Start(F, 1, func() { endA = eng.Now() })
-	eng.At(half, func() { pool.Start(F, 1, func() { endB = eng.Now() }) })
+	eng.AtFunc(half, func(any) { pool.Start(F, 1, func() { endB = eng.Now() }) }, nil)
 	eng.Run()
 
 	perByte1 := p.TmlPerByte + p.TqlPerByte
@@ -214,41 +219,20 @@ func TestWeightedActorRaisesConcurrencyFractionally(t *testing.T) {
 	approxTime(t, endFull, want, 1e-9, "weighted concurrency")
 }
 
-func TestCancelRemovesActor(t *testing.T) {
-	p := testParams()
-	eng := sim.New()
-	pool := NewPool(eng, p)
-	var endA sim.Time
-	canceledFired := false
-	pool.Start(1000, 1, func() { endA = eng.Now() })
-	victim := pool.Start(1000, 1, func() { canceledFired = true })
-	eng.After(0, func() { pool.Cancel(victim) })
-	eng.Run()
-	if canceledFired {
-		t.Error("cancelled actor fired its callback")
-	}
-	if victim.Active() {
-		t.Error("cancelled actor still active")
-	}
-	pool.Cancel(victim) // double-cancel is a no-op
-	approxTime(t, endA, p.TaskTime(1000, 1), 1e-9, "survivor after cancel")
-}
-
+// TestRemainingReflectsProgress: the work an actor has left when the
+// concurrency changes is what its progress so far left, and only that
+// runs at the new rate. A's first 300 bytes run alone; a 0.5-weight
+// actor joins, and A's remaining 700 run at concurrency 1.5.
 func TestRemainingReflectsProgress(t *testing.T) {
 	p := testParams()
 	eng := sim.New()
 	pool := NewPool(eng, p)
-	a := pool.Start(1000, 1, nil)
-	perByte := p.TmlPerByte + p.TqlPerByte
-	eng.At(sim.Time(300*perByte), func() {
-		if rem := a.Remaining(); math.Abs(rem-700) > 1e-6 {
-			t.Errorf("Remaining = %g bytes, want 700", rem)
-		}
-	})
+	var endA sim.Time
+	pool.Start(1000, 1, func() { endA = eng.Now() })
+	join := sim.Time(300 * (p.TmlPerByte + p.TqlPerByte))
+	eng.AtFunc(join, func(any) { pool.Start(1e6, 0.5, nil) }, nil)
 	eng.Run()
-	if a.Remaining() != 0 || a.Active() {
-		t.Error("actor not drained at end")
-	}
+	approxTime(t, endA, join+p.TaskTime(700, 1.5), 1e-9, "A after the join")
 }
 
 func TestStartPanics(t *testing.T) {
@@ -314,9 +298,9 @@ func TestFIFOCompletionProperty(t *testing.T) {
 		for i, g := range gapsRaw {
 			at += sim.Time(g+1) * sim.Nanosecond
 			i := i
-			eng.At(at, func() {
+			eng.AtFunc(at, func(any) {
 				pool.Start(500, 1, func() { order = append(order, i) })
-			})
+			}, nil)
 		}
 		eng.Run()
 		if len(order) != len(gapsRaw) {

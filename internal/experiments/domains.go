@@ -66,25 +66,13 @@ func DomainSweep(e Env, counts []int, ratios []float64, pairs int) ([]DomainPoin
 	// calibration is served from the process-wide cache NewEnv filled;
 	// the replicas differ only in jitter seed and cost one sweep each,
 	// once per process.
-	// Each replica owns a private simulation, so the calibrations fan
-	// out across the worker budget like mem.DomainSet.Calibrate does;
-	// results are assembled in domain order and the process-wide cache
-	// deduplicates anything a previous caller measured.
-	set := mem.Replicate(e.DRAM1, maxD)
-	type calOutcome struct {
-		cal mem.Calibration
-		err error
+	cals, err := mem.Replicate(e.DRAM1, maxD).Calibrate(8, 6, workload.Footprint)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: domain sweep: %w", err)
 	}
-	measured := parallel.Map(e.jobs(), maxD, func(d int) calOutcome {
-		cal, err := mem.CalibrateCached(set.Configs[d], 8, 6, workload.Footprint)
-		return calOutcome{cal, err}
-	})
 	params := make([]contend.Params, maxD)
-	for d, o := range measured {
-		if o.err != nil {
-			return nil, fmt.Errorf("experiments: domain %d calibration: %w", d, o.err)
-		}
-		params[d] = contend.FromCalibration(o.cal)
+	for d, cal := range cals {
+		params[d] = contend.FromCalibration(cal)
 	}
 
 	lib := e.Lib()

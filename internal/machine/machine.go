@@ -103,10 +103,6 @@ func (m *Machine) Reset() {
 	}
 }
 
-// Exec is one compute execution in flight on a core; Active reports
-// whether it is still running.
-type Exec = sim.Job
-
 // Core is one physical core: a processor-sharing server for compute
 // work. n concurrently computing hardware threads each progress at
 // rate 1/n, which is a sim.Shared in solo-seconds whose time per unit
@@ -131,22 +127,19 @@ func (c *Core) ActiveCompute() int { return c.srv.Count() }
 // execution active (used for idle accounting).
 func (c *Core) BusyTime() sim.Time { return c.srv.BusyTime() }
 
-// StartCompute begins a compute execution of the given solo duration
-// on this core; done (may be nil) fires at completion. Panics on
-// non-positive duration. The returned handle stays valid after
-// completion.
-func (c *Core) StartCompute(solo sim.Time, done func()) *Exec {
-	checkSolo(solo)
-	return c.srv.Start(float64(solo), 1, done)
-}
-
-// StartComputeFunc is StartCompute for hot loops: at completion it
-// calls fn(arg), and it returns no handle, which is what lets the core
-// recycle the execution shell. A nil fn means no callback and wants a
-// nil arg.
+// StartComputeFunc begins a compute execution of the given solo
+// duration on this core; at completion it calls fn(arg). A nil fn means
+// no callback and wants a nil arg. Panics on non-positive duration.
 func (c *Core) StartComputeFunc(solo sim.Time, fn func(any), arg any) {
 	checkSolo(solo)
 	c.srv.StartFunc(float64(solo), 1, fn, arg)
+}
+
+// StartCompute is StartComputeFunc for a closure: done (may be nil)
+// fires at completion.
+func (c *Core) StartCompute(solo sim.Time, done func()) {
+	checkSolo(solo)
+	c.srv.Start(float64(solo), 1, done)
 }
 
 func checkSolo(solo sim.Time) {

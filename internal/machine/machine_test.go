@@ -75,9 +75,9 @@ func TestStaggeredSMTSharing(t *testing.T) {
 	m := New(eng, I7860().WithSMT(2))
 	var endA, endB sim.Time
 	m.Core(0).StartCompute(10*sim.Microsecond, func() { endA = eng.Now() })
-	eng.At(5*sim.Microsecond, func() {
+	eng.AtFunc(5*sim.Microsecond, func(any) {
 		m.Core(0).StartCompute(10*sim.Microsecond, func() { endB = eng.Now() })
-	})
+	}, nil)
 	eng.Run()
 	approx(t, endA, 15*sim.Microsecond, "staggered A")
 	approx(t, endB, 20*sim.Microsecond, "staggered B")
@@ -90,7 +90,7 @@ func TestBusyTimeAccounting(t *testing.T) {
 	c.StartCompute(10*sim.Microsecond, nil)
 	eng.Run()
 	// Idle gap, then more work.
-	eng.At(20*sim.Microsecond, func() { c.StartCompute(5*sim.Microsecond, nil) })
+	eng.AtFunc(20*sim.Microsecond, func(any) { c.StartCompute(5*sim.Microsecond, nil) }, nil)
 	eng.Run()
 	approx(t, c.BusyTime(), 15*sim.Microsecond, "busy time")
 }
@@ -116,27 +116,35 @@ func TestStartComputePanicsOnZero(t *testing.T) {
 	New(eng, I7860()).Core(0).StartCompute(0, nil)
 }
 
+// TestExecActiveFlag: an execution counts as active on its core from
+// its start until its completion callback.
 func TestExecActiveFlag(t *testing.T) {
 	eng := sim.New()
-	m := New(eng, I7860())
-	e := m.Core(0).StartCompute(sim.Microsecond, nil)
-	if !e.Active() {
+	c := New(eng, I7860()).Core(0)
+	c.StartCompute(sim.Microsecond, func() {
+		if c.ActiveCompute() != 0 {
+			t.Error("exec active in its completion callback")
+		}
+	})
+	if c.ActiveCompute() != 1 {
 		t.Error("exec not active after start")
 	}
 	eng.Run()
-	if e.Active() {
+	if c.ActiveCompute() != 0 {
 		t.Error("exec active after completion")
 	}
 }
 
-// TestStartComputeFuncRecyclesShells pins the handle-free start path
-// as simsched drives it: a chain of executions, each started from its
-// predecessor's completion callback, allocates nothing through the core
-// once the shells exist. (The recycling itself is sim.Shared's and is
-// tested there.)
+// TestStartComputeFuncRecyclesShells pins the start path as simsched
+// and the repository benchmark drive it: a chain of executions, each
+// started from its predecessor's completion callback, allocates nothing
+// through the core once the shells exist — through StartComputeFunc or
+// through StartCompute's closure. (The recycling itself is sim.Shared's
+// and is tested there.)
 func TestStartComputeFuncRecyclesShells(t *testing.T) {
 	eng := sim.New()
-	c := New(eng, I7860().WithSMT(2)).Core(0)
+	m := New(eng, I7860().WithSMT(2))
+	c := m.Core(0)
 	left := 0
 	var next func(any)
 	next = func(arg any) {
@@ -145,17 +153,31 @@ func TestStartComputeFuncRecyclesShells(t *testing.T) {
 			c.StartComputeFunc(sim.Microsecond, next, arg)
 		}
 	}
-	cycle := func() {
-		left = 64
-		next(c)
-		next(c)
-		eng.Run()
+	var closure func()
+	closure = func() {
+		if left > 0 {
+			left--
+			c.StartCompute(sim.Microsecond, closure)
+		}
 	}
-	cycle()
-	if avg := testing.AllocsPerRun(50, cycle); avg != 0 {
-		t.Fatalf("chain of StartComputeFunc executions allocates %.2f allocs/op, want 0", avg)
+	for _, start := range []struct {
+		name string
+		next func()
+	}{{"StartComputeFunc", func() { next(c) }}, {"StartCompute", closure}} {
+		cycle := func() {
+			left = 64
+			start.next()
+			start.next()
+			eng.Run()
+		}
+		eng.Reset()
+		m.Reset()
+		cycle()
+		if avg := testing.AllocsPerRun(50, cycle); avg != 0 {
+			t.Errorf("chain of %s executions allocates %.2f allocs/op, want 0", start.name, avg)
+		}
+		approx(t, eng.Now(), 52*64*sim.Microsecond, "52 cycles of two co-scheduled chains of 32")
 	}
-	approx(t, eng.Now(), 52*64*sim.Microsecond, "52 cycles of two co-scheduled chains of 32")
 }
 
 // TestMachineResetMatchesNew pins that Reset reaches every core: a
@@ -174,7 +196,7 @@ func TestMachineResetMatchesNew(t *testing.T) {
 	eng := sim.NewWheel()
 	m := New(eng, I7860().WithSMT(2))
 	scenario(eng, m)
-	e := m.Core(1).StartCompute(sim.Millisecond, nil) // still running at the reset
+	m.Core(1).StartCompute(sim.Millisecond, nil) // still running at the reset
 	eng.RunUntil(eng.Now() + sim.Microsecond)
 	eng.Reset()
 	m.Reset()
@@ -182,9 +204,6 @@ func TestMachineResetMatchesNew(t *testing.T) {
 		if c.ActiveCompute() != 0 || c.BusyTime() != 0 {
 			t.Fatalf("after Reset: core %d has %d active, busy %v", c.ID(), c.ActiveCompute(), c.BusyTime())
 		}
-	}
-	if e.Active() {
-		t.Fatal("after Reset: interrupted handle still active")
 	}
 	got := scenario(eng, m)
 

@@ -162,15 +162,11 @@ func (c Config) TotalBandwidth() float64 {
 
 // request is one line access queued at a bank. Requests are pooled on
 // the System (see newRequest/releaseReq): the hot path retires millions
-// per run and reusing the shells keeps steady-state Access at 0
-// allocs/op. The completion callback comes in two forms — a plain
-// closure (done) for external callers, or a pre-bound func plus
-// argument (doneFn/doneArg) for allocation-free internal callers like
-// Stream.
+// per run and reusing the shells keeps steady-state AccessFn at 0
+// allocs/op. The completion callback is pre-bound: doneFn(doneArg).
 type request struct {
 	row     int64
 	seq     uint64 // arrival order, for oldest-first
-	done    func()
 	doneFn  func(any)
 	doneArg any
 
@@ -472,29 +468,13 @@ func (s *System) locate(addr uint64) (chIdx, bankIdx int, row int64) {
 	return
 }
 
-// Access requests one line at addr; done (may be nil) fires at the
-// completion instant. The request crosses the jittered front-end
-// path, queues at its bank, is scheduled hit-first (FR-FCFS with a
-// starvation cap), and finally occupies the channel data bus for
-// TBurst.
-func (s *System) Access(addr uint64, done func()) {
-	req := s.issue(addr)
-	req.done = done
-}
-
-// AccessFn is the allocation-free form of Access: doneFn (may be nil)
-// is a pre-bound callback invoked with arg at the completion instant.
-// Internal hot loops (Stream) and steady-state benchmarks use this
-// path; combined with the request pool it issues at 0 allocs/op.
+// AccessFn requests one line at addr; doneFn (may be nil) is a
+// pre-bound callback invoked with arg at the completion instant. The
+// request crosses the jittered front-end path, queues at its bank, is
+// scheduled hit-first (FR-FCFS with a starvation cap), and finally
+// occupies the channel data bus for TBurst. Combined with the request
+// pool it issues at 0 allocs/op.
 func (s *System) AccessFn(addr uint64, doneFn func(any), arg any) {
-	req := s.issue(addr)
-	req.doneFn = doneFn
-	req.doneArg = arg
-}
-
-// issue routes addr, draws the front-end jitter, and schedules the
-// pooled request's arrival at its bank.
-func (s *System) issue(addr uint64) *request {
 	chIdx, bankIdx, row := s.locate(addr)
 	ch := s.channels[chIdx]
 	fe := s.cfg.TFrontEnd
@@ -506,9 +486,9 @@ func (s *System) issue(addr uint64) *request {
 	req.seq = s.arrivals
 	req.ch = ch
 	req.bk = &ch.banks[bankIdx]
+	req.doneFn, req.doneArg = doneFn, arg
 	s.arrivals++
 	s.eng.AfterFunc(fe, s.arriveFn, req)
-	return req
 }
 
 // arrive queues a request at its bank when it clears the front end. A
@@ -632,8 +612,6 @@ func (s *System) serveBank(ch *channel, bk *bank) {
 	}
 	if req.doneFn != nil {
 		s.eng.AtFunc(complete, req.doneFn, req.doneArg)
-	} else if req.done != nil {
-		s.eng.At(complete, req.done)
 	}
 	s.releaseReq(req)
 }

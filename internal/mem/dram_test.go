@@ -181,12 +181,22 @@ func TestLocateChannelInterleave(t *testing.T) {
 	}
 }
 
+// access requests a line through AccessFn with a closure: done (may be
+// nil) fires at the completion instant.
+func access(s *System, addr uint64, done func()) {
+	if done == nil {
+		s.AccessFn(addr, nil, nil)
+		return
+	}
+	s.AccessFn(addr, func(any) { done() }, nil)
+}
+
 func TestColdAccessLatency(t *testing.T) {
 	cfg := detCfg()
 	eng := sim.New()
 	s := NewSystem(eng, cfg)
 	var done sim.Time
-	s.Access(0, func() { done = eng.Now() })
+	access(s, 0, func() { done = eng.Now() })
 	eng.Run()
 	want := cfg.TFrontEnd + cfg.TRCD + cfg.TCAS + cfg.TBurst
 	if !timeEq(done, want) {
@@ -203,8 +213,8 @@ func TestRowHitLatency(t *testing.T) {
 	eng := sim.New()
 	s := NewSystem(eng, cfg)
 	var first, second sim.Time
-	s.Access(0, func() { first = eng.Now() })
-	s.Access(64, func() { second = eng.Now() }) // same row
+	access(s, 0, func() { first = eng.Now() })
+	access(s, 64, func() { second = eng.Now() }) // same row
 	eng.Run()
 	// The second request arrives with the first in service; it is a
 	// row hit served when the bank frees (dataReady of the first),
@@ -234,8 +244,8 @@ func TestConflictLatency(t *testing.T) {
 	s := NewSystem(eng, cfg)
 	addrB := conflictAddr(t, s, 0)
 	var first, second sim.Time
-	s.Access(0, func() { first = eng.Now() })
-	s.Access(addrB, func() { second = eng.Now() })
+	access(s, 0, func() { first = eng.Now() })
+	access(s, addrB, func() { second = eng.Now() })
 	eng.Run()
 	// The conflicting request waits for the first activate to finish
 	// (bank busy until the burst completes), then pays the full
@@ -261,9 +271,9 @@ func TestArrivalAtReleaseInstant(t *testing.T) {
 	eng := sim.New()
 	s := NewSystem(eng, cfg)
 	var first, second sim.Time
-	s.Access(0, func() {
+	access(s, 0, func() {
 		first = eng.Now()
-		s.Access(64, func() { second = eng.Now() }) // same row
+		access(s, 64, func() { second = eng.Now() }) // same row
 	})
 	eng.Run()
 	if want := first + cfg.TCAS + cfg.TBurst; !timeEq(second, want) {
@@ -277,15 +287,15 @@ func TestRowHitFasterThanConflict(t *testing.T) {
 	eng := sim.New()
 	s := NewSystem(eng, cfg)
 	var hitDone sim.Time
-	s.Access(0, nil)
-	s.Access(64, func() { hitDone = eng.Now() })
+	access(s, 0, nil)
+	access(s, 64, func() { hitDone = eng.Now() })
 	eng.Run()
 
 	eng2 := sim.New()
 	s2 := NewSystem(eng2, cfg)
 	var confDone sim.Time
-	s2.Access(0, nil)
-	s2.Access(conflictAddr(t, s2, 0), func() { confDone = eng2.Now() })
+	access(s2, 0, nil)
+	access(s2, conflictAddr(t, s2, 0), func() { confDone = eng2.Now() })
 	eng2.Run()
 
 	if hitDone >= confDone {
@@ -300,8 +310,8 @@ func TestBusSerialisation(t *testing.T) {
 	eng := sim.New()
 	s := NewSystem(eng, cfg)
 	var a, b sim.Time
-	s.Access(0, func() { a = eng.Now() })
-	s.Access(otherBankAddr(t, s, 0), func() { b = eng.Now() })
+	access(s, 0, func() { a = eng.Now() })
+	access(s, otherBankAddr(t, s, 0), func() { b = eng.Now() })
 	eng.Run()
 	if d := b - a; d < cfg.TBurst-eps {
 		t.Errorf("bus overlap: completions %v apart, want >= %v", d, cfg.TBurst)
@@ -316,9 +326,9 @@ func TestFRFCFSHitFirst(t *testing.T) {
 	s := NewSystem(eng, cfg)
 	rowConflict := conflictAddr(t, s, 0)
 	var order []string
-	s.Access(0, func() { order = append(order, "A") })
-	s.Access(rowConflict, func() { order = append(order, "B") })
-	s.Access(64, func() { order = append(order, "C") }) // row 0 again
+	access(s, 0, func() { order = append(order, "A") })
+	access(s, rowConflict, func() { order = append(order, "B") })
+	access(s, 64, func() { order = append(order, "C") }) // row 0 again
 	eng.Run()
 	if len(order) != 3 || order[0] != "A" || order[1] != "C" || order[2] != "B" {
 		t.Errorf("service order = %v, want [A C B]", order)
@@ -335,10 +345,10 @@ func TestFRFCFSStreakCapPreventsStarvation(t *testing.T) {
 	rowConflict := conflictAddr(t, s, 0)
 	var conflictAt sim.Time
 	var hitsBefore int
-	s.Access(0, nil) // opens row 0
-	s.Access(rowConflict, func() { conflictAt = eng.Now() })
+	access(s, 0, nil) // opens row 0
+	access(s, rowConflict, func() { conflictAt = eng.Now() })
 	for i := 1; i <= 8; i++ {
-		s.Access(uint64(i*cfg.LineBytes), func() {
+		access(s, uint64(i*cfg.LineBytes), func() {
 			if conflictAt == 0 {
 				hitsBefore++
 			}
@@ -582,7 +592,7 @@ func TestRefreshStallsAndClosesRows(t *testing.T) {
 	cfg := detCfg().WithRefresh()
 	eng := sim.New()
 	s := NewSystem(eng, cfg)
-	s.Access(0, nil) // opens row 0 long before the first refresh
+	access(s, 0, nil) // opens row 0 long before the first refresh
 	eng.Run()
 
 	// Issue a same-row access that arrives mid-refresh: it must stall
@@ -590,9 +600,9 @@ func TestRefreshStallsAndClosesRows(t *testing.T) {
 	// closed the row), despite looking like a row hit at issue time.
 	var second sim.Time
 	issueAt := cfg.TREFI + cfg.TRFC/2 - cfg.TFrontEnd
-	eng.At(issueAt, func() {
-		s.Access(64, func() { second = eng.Now() })
-	})
+	eng.AtFunc(issueAt, func(any) {
+		access(s, 64, func() { second = eng.Now() })
+	}, nil)
 	eng.Run()
 	refreshEnd := cfg.TREFI + cfg.TRFC
 	want := refreshEnd + cfg.TRCD + cfg.TCAS + cfg.TBurst

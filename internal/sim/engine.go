@@ -13,10 +13,11 @@
 //
 // The queue (wheel.go) is a near-horizon timing wheel merged with an
 // indexed 4-ary min-heap over *Event for everything further out — no
-// container/heap, no interface boxing on push/pop. Combined with the
-// event free list and the pre-bound AtFunc/AfterFunc callback path,
-// the steady-state schedule/fire cycle runs allocation-free (see
-// BenchmarkEngineStepWheel and TestEngineSteadyStateZeroAlloc).
+// container/heap, no interface boxing on push/pop. Every callback is
+// pre-bound, fn(arg) with fn typically a method value created once, so
+// together with the event free list the steady-state schedule/fire
+// cycle runs allocation-free (see BenchmarkEngineStepWheel and
+// TestEngineSteadyStateZeroAlloc).
 package sim
 
 import (
@@ -49,26 +50,22 @@ func (t Time) String() string {
 	return fmt.Sprintf("%.3fus", t.Micros())
 }
 
-// Event is a scheduled callback. The callback runs with the engine
-// clock set to the event's due time.
+// Event is a scheduled callback, afn(arg). The callback runs with the
+// engine clock set to the event's due time.
 //
 // Lifetime: an Event handle is valid only until the event fires or is
-// cancelled — afterwards the engine recycles it for a future At/After
-// call, so holders must drop their reference once it is dead (every
-// holder in this repository clears its reference when rescheduling or
-// when the callback runs). Cancelling an event that already fired or
+// cancelled — afterwards the engine recycles it for a future AtFunc or
+// AfterFunc call, so holders must drop their reference once it is dead
+// (sim.Shared, the one holder outside tests, replaces its reference
+// whenever it reschedules). Cancelling an event that already fired or
 // was already cancelled remains a no-op as long as the handle has not
 // been reused.
 type Event struct {
 	due Time
 	seq uint64
 
-	// Exactly one of fn (closure path) or afn (pre-bound path with an
-	// explicit argument) is set. The second form exists so hot loops
-	// can schedule without allocating: the callback func is created
-	// once and the per-event state travels in arg, which for a pointer
-	// payload costs no allocation.
-	fn  func()
+	// The callback is created once and the per-event state travels in
+	// arg, which for a pointer payload costs no allocation.
 	afn func(any)
 	arg any
 
@@ -245,11 +242,10 @@ func NewWheel() *Engine { return New() }
 // Now reports the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
-// recycle returns a dead event to the free list. The callbacks are
-// dropped immediately so their captures can be collected even while
+// recycle returns a dead event to the free list. The callback and its
+// argument are dropped immediately so they can be collected even while
 // the event shell waits for reuse.
 func (e *Engine) recycle(ev *Event) {
-	ev.fn = nil
 	ev.afn = nil
 	ev.arg = nil
 	e.free = append(e.free, ev)
@@ -283,28 +279,11 @@ func (e *Engine) shell(t Time) *Event {
 	return ev
 }
 
-// At schedules fn to run at absolute time t. Scheduling in the past
+// AtFunc schedules the pre-bound callback fn(arg) at absolute time t:
+// fn is typically a method value created once and stored by the
+// caller, and arg carries the per-event state (a pointer payload costs
+// no allocation when stored in the event). Scheduling in the past
 // panics: it would silently corrupt causality.
-func (e *Engine) At(t Time, fn func()) *Event {
-	ev := e.alloc(t)
-	ev.fn = fn
-	e.wheel.insert(ev)
-	return ev
-}
-
-// After schedules fn to run d seconds from now.
-func (e *Engine) After(d Time, fn func()) *Event {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v", d))
-	}
-	return e.At(e.now+d, fn)
-}
-
-// AtFunc schedules the pre-bound callback fn(arg) at absolute time t.
-// This is the allocation-free scheduling path: fn is typically a
-// method value created once and stored by the caller, and arg carries
-// the per-event state (a pointer payload costs no allocation when
-// stored in the event). Scheduling in the past panics.
 func (e *Engine) AtFunc(t Time, fn func(any), arg any) *Event {
 	ev := e.alloc(t)
 	ev.afn = fn
@@ -392,15 +371,11 @@ func (e *Engine) Step() bool {
 	ev.dead = true
 	e.now = ev.due
 	e.fence = ev.seq + 1
-	if ev.afn != nil {
-		ev.afn(ev.arg)
-	} else {
-		ev.fn()
-	}
+	ev.afn(ev.arg)
 	// Recycle only after the callback returns: code running inside it
-	// (the Cancel-then-reschedule pattern in contend and machine) may
-	// still hold this handle, and a reuse before those references are
-	// dropped would let a stale Cancel kill an unrelated event.
+	// (sim.Shared's Cancel-then-reschedule) may still hold this handle,
+	// and a reuse before those references are dropped would let a stale
+	// Cancel kill an unrelated event.
 	e.recycle(ev)
 	return true
 }

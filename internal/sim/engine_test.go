@@ -5,12 +5,19 @@ import (
 	"testing/quick"
 )
 
+// call runs a closure carried as an event's argument: through at and
+// after, the tests schedule closures on the one callback form.
+func call(fn any) { fn.(func())() }
+
+func at(e *Engine, t Time, fn func()) *Event    { return e.AtFunc(t, call, fn) }
+func after(e *Engine, d Time, fn func()) *Event { return e.AfterFunc(d, call, fn) }
+
 func TestEngineOrdering(t *testing.T) {
 	e := New()
 	var got []int
-	e.At(3*Microsecond, func() { got = append(got, 3) })
-	e.At(1*Microsecond, func() { got = append(got, 1) })
-	e.At(2*Microsecond, func() { got = append(got, 2) })
+	at(e, 3*Microsecond, func() { got = append(got, 3) })
+	at(e, 1*Microsecond, func() { got = append(got, 1) })
+	at(e, 2*Microsecond, func() { got = append(got, 2) })
 	e.Run()
 	want := []int{1, 2, 3}
 	for i := range want {
@@ -28,7 +35,7 @@ func TestEngineTieBreakInsertionOrder(t *testing.T) {
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.At(Microsecond, func() { got = append(got, i) })
+		at(e, Microsecond, func() { got = append(got, i) })
 	}
 	e.Run()
 	for i := range got {
@@ -41,9 +48,9 @@ func TestEngineTieBreakInsertionOrder(t *testing.T) {
 func TestEngineAfterAndNestedScheduling(t *testing.T) {
 	e := New()
 	var fired []Time
-	e.After(Microsecond, func() {
+	after(e, Microsecond, func() {
 		fired = append(fired, e.Now())
-		e.After(2*Microsecond, func() {
+		after(e, 2*Microsecond, func() {
 			fired = append(fired, e.Now())
 		})
 	})
@@ -56,7 +63,7 @@ func TestEngineAfterAndNestedScheduling(t *testing.T) {
 func TestEngineCancel(t *testing.T) {
 	e := New()
 	ran := false
-	ev := e.After(Microsecond, func() { ran = true })
+	ev := after(e, Microsecond, func() { ran = true })
 	ev.Cancel()
 	ev.Cancel() // double-cancel is a no-op
 	e.Run()
@@ -74,7 +81,7 @@ func TestEngineCancelOneOfMany(t *testing.T) {
 	evs := make([]*Event, 5)
 	for i := 0; i < 5; i++ {
 		i := i
-		evs[i] = e.At(Time(i+1)*Microsecond, func() { got = append(got, i) })
+		evs[i] = at(e, Time(i+1)*Microsecond, func() { got = append(got, i) })
 	}
 	evs[2].Cancel()
 	e.Run()
@@ -91,7 +98,7 @@ func TestEngineCancelOneOfMany(t *testing.T) {
 
 func TestEngineCancelAfterFireNoop(t *testing.T) {
 	e := New()
-	ev := e.After(Microsecond, func() {})
+	ev := after(e, Microsecond, func() {})
 	e.Run()
 	ev.Cancel() // must not panic or corrupt the queue
 	if e.Pending() != 0 {
@@ -101,13 +108,13 @@ func TestEngineCancelAfterFireNoop(t *testing.T) {
 
 func TestEngineSchedulePastPanics(t *testing.T) {
 	e := New()
-	e.After(2*Microsecond, func() {
+	after(e, 2*Microsecond, func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling in the past did not panic")
 			}
 		}()
-		e.At(Microsecond, func() {})
+		at(e, Microsecond, func() {})
 	})
 	e.Run()
 }
@@ -130,11 +137,11 @@ func TestEngineAtFuncSeqPanics(t *testing.T) {
 	nop := func(any) {}
 	var got []string
 	e := New()
-	early := e.Reserve()       // 0
-	e.At(Microsecond, func() { // 1
+	early := e.Reserve()        // 0
+	at(e, Microsecond, func() { // 1
 		e.AtFuncSeq(2*Microsecond, early, func(any) { got = append(got, "reserved") }, nil)
 	})
-	e.At(2*Microsecond, func() { // 2
+	at(e, 2*Microsecond, func() { // 2
 		got = append(got, "queued")
 		mustPanic("a time before now", func() { e.AtFuncSeq(Microsecond, early, nop, nil) })
 		mustPanic("the firing event's own position", func() { e.AtFuncSeq(2*Microsecond, 2, nop, nil) })
@@ -157,7 +164,7 @@ func TestEnginePassed(t *testing.T) {
 		t.Error("(0, 0) passed before the first Step")
 	}
 	s := e.Reserve()
-	e.At(0, func() {
+	at(e, 0, func() {
 		if !e.Passed(0, s) || !e.Passed(0, 1) {
 			t.Error("the firing event or an older number has not passed inside its callback")
 		}
@@ -183,7 +190,7 @@ func TestEngineStop(t *testing.T) {
 	e := New()
 	count := 0
 	for i := 1; i <= 10; i++ {
-		e.At(Time(i)*Microsecond, func() {
+		at(e, Time(i)*Microsecond, func() {
 			count++
 			if count == 3 {
 				e.Stop()
@@ -203,7 +210,7 @@ func TestEngineRunUntil(t *testing.T) {
 	e := New()
 	var fired int
 	for i := 1; i <= 5; i++ {
-		e.At(Time(i)*Microsecond, func() { fired++ })
+		at(e, Time(i)*Microsecond, func() { fired++ })
 	}
 	e.RunUntil(3 * Microsecond)
 	if fired != 3 {
@@ -231,11 +238,11 @@ func TestEngineMonotonicProperty(t *testing.T) {
 		ok := true
 		var maxT Time
 		for _, d := range delaysRaw {
-			at := Time(d) * Nanosecond
-			if at > maxT {
-				maxT = at
+			due := Time(d) * Nanosecond
+			if due > maxT {
+				maxT = due
 			}
-			e.At(at, func() {
+			at(e, due, func() {
 				if e.Now() < last {
 					ok = false
 				}
@@ -251,22 +258,22 @@ func TestEngineMonotonicProperty(t *testing.T) {
 }
 
 // TestEventRecycling pins the free-list contract: a fired or cancelled
-// event's shell is reused by the next At/After, and a stale Cancel on a
+// event's shell is reused by the next schedule, and a stale Cancel on a
 // dead-but-not-yet-reused handle stays a no-op.
 func TestEventRecycling(t *testing.T) {
 	e := New()
-	fired := e.After(Microsecond, func() {})
+	fired := after(e, Microsecond, func() {})
 	e.Run()
 	fired.Cancel() // stale cancel on a dead handle: must be a no-op
-	reused := e.After(Microsecond, func() {})
+	reused := after(e, Microsecond, func() {})
 	if reused != fired {
-		t.Error("fired event shell was not reused by the next After")
+		t.Error("fired event shell was not reused by the next schedule")
 	}
 
-	cancelled := e.After(5*Microsecond, func() {})
+	cancelled := after(e, 5*Microsecond, func() {})
 	cancelled.Cancel()
-	if again := e.After(Microsecond, func() {}); again != cancelled {
-		t.Error("cancelled event shell was not reused by the next After")
+	if again := after(e, Microsecond, func() {}); again != cancelled {
+		t.Error("cancelled event shell was not reused by the next schedule")
 	}
 	e.Run()
 	if e.Pending() != 0 {
@@ -274,8 +281,8 @@ func TestEventRecycling(t *testing.T) {
 	}
 }
 
-// TestEventRecyclingRescheduleLoop exercises the pattern contend and
-// machine rely on: each callback cancels a (possibly dead) companion
+// TestEventRecyclingRescheduleLoop exercises the pattern sim.Shared
+// relies on: each callback cancels a (possibly dead) companion
 // event and schedules a replacement. A steady-state loop must keep
 // firing in order with the free list churning shells underneath.
 func TestEventRecyclingRescheduleLoop(t *testing.T) {
@@ -287,12 +294,12 @@ func TestEventRecyclingRescheduleLoop(t *testing.T) {
 		count++
 		companion.Cancel() // already fired and recycled: must be a no-op
 		if count < 100 {
-			companion = e.After(Microsecond/2, func() {})
-			e.After(Microsecond, step)
+			companion = after(e, Microsecond/2, func() {})
+			after(e, Microsecond, step)
 		}
 	}
-	companion = e.After(Microsecond/2, func() {})
-	e.After(Microsecond, step)
+	companion = after(e, Microsecond/2, func() {})
+	after(e, Microsecond, step)
 	e.Run()
 	if count != 100 {
 		t.Fatalf("count = %d, want 100", count)
@@ -307,10 +314,10 @@ func TestEventRecyclingRescheduleLoop(t *testing.T) {
 func TestEngineReset(t *testing.T) {
 	run := func(e *Engine) []int {
 		var got []int
-		e.At(2*Microsecond, func() { got = append(got, 2) })
-		e.At(1*Microsecond, func() { got = append(got, 1) })
-		e.At(1*Microsecond, func() { got = append(got, 10) }) // tie: insertion order
-		e.After(3*Microsecond, func() { got = append(got, 3) })
+		at(e, 2*Microsecond, func() { got = append(got, 2) })
+		at(e, 1*Microsecond, func() { got = append(got, 1) })
+		at(e, 1*Microsecond, func() { got = append(got, 10) }) // tie: insertion order
+		after(e, 3*Microsecond, func() { got = append(got, 3) })
 		e.Run()
 		return got
 	}
@@ -319,8 +326,8 @@ func TestEngineReset(t *testing.T) {
 	e := New()
 	run(e)
 	// Leave events queued and the clock advanced, then reset mid-flight.
-	e.At(e.Now()+Microsecond, func() { t.Error("event survived Reset") })
-	queued := e.At(e.Now()+2*Microsecond, func() { t.Error("event survived Reset") })
+	at(e, e.Now()+Microsecond, func() { t.Error("event survived Reset") })
+	queued := at(e, e.Now()+2*Microsecond, func() { t.Error("event survived Reset") })
 	e.Reset()
 	if e.Now() != 0 || e.Pending() != 0 {
 		t.Fatalf("after Reset: now = %v pending = %d, want 0 and 0", e.Now(), e.Pending())
@@ -329,7 +336,7 @@ func TestEngineReset(t *testing.T) {
 
 	// The recycled shells must feed the free list: the first schedule
 	// after Reset reuses one instead of allocating.
-	if reused := e.After(Microsecond, func() {}); reused != queued {
+	if reused := after(e, Microsecond, func() {}); reused != queued {
 		t.Error("event queued at Reset was not recycled onto the free list")
 	}
 	e.Reset()
@@ -348,16 +355,16 @@ func TestEngineReset(t *testing.T) {
 	}
 }
 
-// TestEngineAtFuncOrdering pins the pre-bound callback path: AtFunc
-// events interleave with At events in strict (due, seq) order and
-// receive their argument.
+// TestEngineAtFuncOrdering pins the callback's argument: events with
+// different callbacks interleave in strict (due, seq) order and each
+// receives its own argument.
 func TestEngineAtFuncOrdering(t *testing.T) {
 	e := New()
 	var got []int
 	record := func(x any) { got = append(got, x.(int)) }
 	e.AtFunc(2*Microsecond, record, 2)
-	e.At(Microsecond, func() { got = append(got, 1) })
-	e.AtFunc(Microsecond, record, 10) // same instant as the At: insertion order
+	at(e, Microsecond, func() { got = append(got, 1) })
+	e.AtFunc(Microsecond, record, 10) // same instant as the closure: insertion order
 	e.AfterFunc(3*Microsecond, record, 3)
 	e.Run()
 	want := []int{1, 10, 2, 3}
@@ -371,8 +378,8 @@ func TestEngineAtFuncOrdering(t *testing.T) {
 	}
 }
 
-// TestEngineAtFuncCancel verifies pre-bound events cancel like closure
-// events and their shells are recycled with the argument cleared.
+// TestEngineAtFuncCancel verifies a cancelled event's shell is recycled
+// with its callback and argument cleared.
 func TestEngineAtFuncCancel(t *testing.T) {
 	e := New()
 	ran := false
@@ -405,7 +412,7 @@ func TestEngineHeapStress(t *testing.T) {
 	for i := 0; i < n; i++ {
 		i := i
 		due := Time(i%17) * Microsecond // heavy due-time collisions
-		evs = append(evs, e.At(due, func() { got = append(got, fired{due, i}) }))
+		evs = append(evs, at(e, due, func() { got = append(got, fired{due, i}) }))
 	}
 	// Cancel a scattering of events, including heap-interior ones.
 	cancelled := map[int]bool{}

@@ -1,28 +1,15 @@
 package sim
 
-// Job is one unit of work in flight on a Shared server.
-type Job struct {
-	srv       *Shared
+// job is one unit of work in flight on a Shared server. Nobody outside
+// the server holds one, so its shell returns to the free list the
+// moment it completes or a Reset drops it.
+type job struct {
 	seq       uint64 // start order; fixes callback ordering
 	weight    float64
 	remaining float64   // work left, in the server's unit
-	fn        func(any) // completion callback, called as fn(arg); or
-	arg       any       // nil fn and a func() in arg: the closure form
-	// The three below share one word, which keeps a Job in the 64-byte
-	// size class.
-	idx    int32 // position in srv.jobs; -1 once removed
-	active bool
-	pooled bool // started without a handle: the shell returns to srv.free
-}
-
-// Active reports whether the job is still in flight.
-func (j *Job) Active() bool { return j.active }
-
-// Remaining reports the work left (after accounting for progress up to
-// the current engine time).
-func (j *Job) Remaining() float64 {
-	j.srv.settle()
-	return j.remaining
+	fn        func(any) // completion callback, called as fn(arg)
+	arg       any
+	idx       int // position in Shared.jobs
 }
 
 // Shared is a processor-sharing server, the one fluid mechanism under
@@ -40,22 +27,21 @@ func (j *Job) Remaining() float64 {
 //
 // Active jobs live in an index-tracked slice (not a map): iteration is
 // deterministic and allocation-free, and removal is an O(1) swap via
-// Job.idx. The due and firing scratch slices plus the pre-bound fire
+// job.idx. The due and firing scratch slices plus the pre-bound fire
 // callback keep the settle/reschedule/fire cycle free of steady-state
-// allocations, and work started through StartFunc — which hands out no
-// *Job — reuses completed job shells, so a steady stream of it
-// allocates nothing at all.
+// allocations, and every start reuses a completed job shell, so a
+// steady stream of work allocates nothing at all.
 type Shared struct {
 	eng         *Engine
 	base, slope float64
-	jobs        []*Job // active jobs, unordered; Job.idx tracks slots
+	jobs        []*job // active jobs, unordered; job.idx tracks slots
 	weight      float64
 	lastSettle  Time
 	next        *Event
-	due         []*Job    // jobs the pending event will complete
-	firing      []*Job    // scratch swapped with due while callbacks run
+	due         []*job    // jobs the pending event will complete
+	firing      []*job    // scratch swapped with due while callbacks run
 	fireFn      func(any) // pre-bound fire, so reschedule never allocates
-	free        []*Job    // completed StartFunc shells awaiting reuse
+	free        []*job    // completed or dropped shells awaiting reuse
 
 	started   uint64
 	completed uint64
@@ -77,7 +63,8 @@ func NewShared(eng *Engine, base, slope float64) *Shared {
 func (s *Shared) Reset(base, slope float64) {
 	s.base, s.slope = base, slope
 	for i, j := range s.jobs {
-		j.active, j.idx = false, -1
+		j.fn, j.arg = nil, nil
+		s.free = append(s.free, j)
 		s.jobs[i] = nil
 	}
 	s.jobs = s.jobs[:0]
@@ -108,16 +95,14 @@ func (s *Shared) perUnit() float64 { return s.base + s.weight*s.slope }
 
 // detach takes a job out of the active set: an O(1) swap of the last slot
 // into its place, and the job's weight off the total.
-func (s *Shared) detach(j *Job) {
+func (s *Shared) detach(j *job) {
 	last := len(s.jobs) - 1
 	moved := s.jobs[last]
 	s.jobs[j.idx] = moved
 	moved.idx = j.idx
 	s.jobs[last] = nil
 	s.jobs = s.jobs[:last]
-	j.idx = -1
 	s.weight -= j.weight
-	j.active = false
 }
 
 // settle integrates progress from lastSettle to now at the current
@@ -172,7 +157,7 @@ func (s *Shared) reschedule() {
 // sortJobsBySeq is an insertion sort: the due set is almost always one
 // or two jobs, and unlike sort.Slice it needs no closure and no
 // reflection. Sequence numbers are unique, so the order is total.
-func sortJobsBySeq(js []*Job) {
+func sortJobsBySeq(js []*job) {
 	for i := 1; i < len(js); i++ {
 		x := js[i]
 		k := i - 1
@@ -193,7 +178,6 @@ func (s *Shared) fire(any) {
 	s.firing, s.due = s.due, s.firing[:0]
 	for _, j := range s.firing {
 		s.detach(j)
-		j.remaining = 0
 		s.completed++
 	}
 	if s.weight < 1e-12 && len(s.jobs) == 0 {
@@ -201,77 +185,51 @@ func (s *Shared) fire(any) {
 	}
 	s.reschedule()
 	// Callbacks run after internal state is consistent: they may start
-	// new jobs.
+	// new jobs. A shell is free the moment its callback has been read
+	// out — the callback itself may already reuse it for the work it
+	// starts.
 	for _, j := range s.firing {
 		fn, arg := j.fn, j.arg
-		if j.pooled {
-			// Nobody holds this job, so its shell is free the moment the
-			// callback has been read out — the callback itself may
-			// already reuse it for the work it starts.
-			j.fn, j.arg = nil, nil
-			s.free = append(s.free, j)
-		}
+		j.fn, j.arg = nil, nil
+		s.free = append(s.free, j)
 		if fn != nil {
 			fn(arg)
-		} else if done, ok := arg.(func()); ok {
-			done()
 		}
 	}
 }
 
-// Start adds a job of the given amount of work and weight; done (may be
-// nil) fires at completion. The returned handle stays valid after
-// completion (Active, Remaining) and may be passed to Cancel.
-func (s *Shared) Start(amount, weight float64, done func()) *Job {
-	// The closure form of a callback: no fn, the func() itself as arg
-	// (a func value is pointer-shaped, so the any allocates nothing).
-	// fire calls it directly, which costs Start nothing over a
-	// dedicated func() field. A nil done stays a nil arg: boxed, it
-	// would not read as nil.
-	var arg any
-	if done != nil {
-		arg = done
+// Start is StartFunc for a closure: done (may be nil) fires at
+// completion.
+func (s *Shared) Start(amount, weight float64, done func()) {
+	if done == nil {
+		s.StartFunc(amount, weight, nil, nil)
+	} else {
+		// A func value is pointer-shaped: boxing it allocates nothing.
+		s.StartFunc(amount, weight, callDone, done)
 	}
-	return s.start(amount, weight, nil, arg, false)
 }
 
-// StartFunc is Start for hot loops: at completion it calls fn(arg) —
-// fn typically a method value created once, arg the per-job state — and
-// it returns no handle, which is what lets the server recycle the job
-// shell. The job cannot be cancelled or inspected. A nil fn means no
-// callback and wants a nil arg.
+func callDone(done any) { done.(func())() }
+
+// StartFunc adds a job of the given amount of work and weight; at
+// completion it calls fn(arg) — fn typically a method value created
+// once, arg the per-job state. A nil fn means no callback and wants a
+// nil arg.
 func (s *Shared) StartFunc(amount, weight float64, fn func(any), arg any) {
-	s.start(amount, weight, fn, arg, true)
-}
-
-// start is the one start path behind Start and StartFunc.
-func (s *Shared) start(amount, weight float64, fn func(any), arg any, pooled bool) *Job {
 	s.settle()
-	var j *Job
-	if n := len(s.free); pooled && n > 0 {
+	var j *job
+	if n := len(s.free); n > 0 {
 		j = s.free[n-1]
 		s.free[n-1] = nil
 		s.free = s.free[:n-1]
 	} else {
-		j = &Job{srv: s}
+		j = &job{}
 	}
 	j.seq, j.weight, j.remaining = s.started, weight, amount
 	j.fn, j.arg = fn, arg
-	j.active, j.pooled, j.idx = true, pooled, int32(len(s.jobs))
+	j.idx = len(s.jobs)
 	s.jobs = append(s.jobs, j)
 	s.weight += weight
 	s.started++
-	s.reschedule()
-	return j
-}
-
-// Cancel removes an in-flight job without firing its callback.
-// Cancelling an inactive job is a no-op.
-func (s *Shared) Cancel(j *Job) {
-	if !j.active {
-		return
-	}
-	s.settle()
-	s.detach(j)
 	s.reschedule()
 }

@@ -35,30 +35,40 @@ func TestSharedRateAndBusyTime(t *testing.T) {
 		t.Errorf("after the run: started %d completed %d count %d weight %g", s.Started(), s.Completed(), s.Count(), s.Weight())
 	}
 	// An idle gap is not busy time; two jobs sharing count once.
-	eng.At(100, func() { s.Start(1, 1, nil); s.Start(1, 1, nil) })
+	at(eng, 100, func() { s.Start(1, 1, nil); s.Start(1, 1, nil) })
 	eng.Run()
 	if want := endB + (2 + 0.5*2); math.Abs(float64(s.BusyTime()-want)) > 1e-9 {
 		t.Errorf("busy time %v, want %v", float64(s.BusyTime()), float64(want))
 	}
 }
 
-// TestSharedSteadyStateAllocs pins the slice-based job tracking: a
-// start/fire cycle through Start costs at most the Job handed out — the
-// due/firing scratch, the event shells and the pre-bound fire callback
-// are all reused — and a closed loop of handle-free starts, each from
-// its predecessor's completion callback, allocates nothing once the
-// shells exist.
+// TestSharedSteadyStateAllocs pins the slice-based job tracking: once
+// the shells exist, a start/fire cycle allocates nothing through either
+// entry point — the due/firing scratch, the event shells, the job
+// shells and the pre-bound fire callback are all reused, and Start's
+// closure travels as the argument of a shared callback — and neither
+// does a closed loop of starts, each from its predecessor's completion
+// callback.
 func TestSharedSteadyStateAllocs(t *testing.T) {
 	eng := New()
 	s := unit(eng)
-	cycle := func() {
-		s.Start(1e-6, 1, nil)
-		eng.Run()
-	}
-	cycle() // warm scratch slices and the event free list
-	cycle()
-	if avg := testing.AllocsPerRun(200, cycle); avg > 1 {
-		t.Errorf("steady-state Start/fire cycle allocates %.2f allocs/op, want <= 1 (the Job)", avg)
+	done := func() {}
+	for _, c := range []struct {
+		name  string
+		start func()
+	}{
+		{"Start without a callback", func() { s.Start(1e-6, 1, nil) }},
+		{"Start with a closure", func() { s.Start(1e-6, 1, done) }},
+		{"StartFunc", func() { s.StartFunc(1e-6, 1, nil, nil) }},
+	} {
+		cycle := func() {
+			c.start()
+			eng.Run()
+		}
+		cycle() // warm scratch slices and the free lists
+		if avg := testing.AllocsPerRun(200, cycle); avg != 0 {
+			t.Errorf("steady-state %s/fire cycle allocates %.2f allocs/op, want 0", c.name, avg)
+		}
 	}
 
 	left := 0
@@ -82,7 +92,7 @@ func TestSharedSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestSharedOneStartPath pins that the two entry points share one path:
+// TestSharedOneStartPath pins that Start is StartFunc under a closure:
 // the same mix of jobs completes at the same instants in the same order
 // either way.
 func TestSharedOneStartPath(t *testing.T) {
@@ -119,37 +129,12 @@ func TestSharedOneStartPath(t *testing.T) {
 	}
 }
 
-// TestSharedHandleOutlivesReuse: a handle stays valid after its job
-// completes and is never recycled by a later handle-free start.
-func TestSharedHandleOutlivesReuse(t *testing.T) {
-	eng := New()
-	s := unit(eng)
-	j := s.Start(1e-6, 1, nil)
-	if !j.Active() {
-		t.Error("job not active after Start")
-	}
-	eng.RunUntil(0.25e-6)
-	if rem := j.Remaining(); math.Abs(rem-0.75e-6) > 1e-15 {
-		t.Errorf("Remaining = %g a quarter of the way in, want 0.75e-6", rem)
-	}
-	eng.Run()
-	s.StartFunc(1e-6, 1, nil, nil)
-	if j.Active() || j.Remaining() != 0 {
-		t.Errorf("completed handle reads active=%v remaining=%g after a later StartFunc", j.Active(), j.Remaining())
-	}
-	eng.Run()
-	s.StartFunc(1e-6, 1, nil, nil) // takes the recycled shell, not j
-	if j.Active() {
-		t.Error("completed handle was recycled")
-	}
-	eng.Run()
-}
-
 // TestSharedDueSetFrozen pins the completion event: the jobs it will
 // complete are chosen when it is scheduled — everything within a
 // relative 1e-12 of the least remaining work — and all of them complete
-// in it, in start order, whatever their callbacks do; a job outside the
-// tolerance gets an event of its own.
+// in it, in start order, even when an earlier callback of the event
+// starts new work; a job outside the tolerance gets an event of its
+// own.
 func TestSharedDueSetFrozen(t *testing.T) {
 	eng := New()
 	s := unit(eng)
@@ -158,24 +143,21 @@ func TestSharedDueSetFrozen(t *testing.T) {
 		at Time
 	}
 	var ends []end
-	var c *Job
 	var done func(id int) func()
 	done = func(id int) func() {
 		return func() {
 			ends = append(ends, end{id, eng.Now()})
 			if id == 0 {
-				// The first callback of the event starts work and cancels
-				// the next job of the same event: that job is already
-				// complete, so its callback still runs, and the new job is
-				// not part of this event.
-				s.Cancel(c)
+				// The first callback of the event starts work, which may
+				// take its shell: the next job of the same event still
+				// completes in it, and the new job is not part of it.
 				s.Start(1e-9, 1, done(9))
 			}
 		}
 	}
 	s.Start(1e-6, 1, done(0))
-	s.Start(1e-6*(1+4e-12), 1, done(3))     // outside the tolerance
-	c = s.Start(1e-6*(1+1e-15), 1, done(2)) // inside it
+	s.Start(1e-6*(1+4e-12), 1, done(3)) // outside the tolerance
+	s.Start(1e-6*(1+1e-15), 1, done(2)) // inside it
 	eng.Run()
 	if len(ends) != 4 {
 		t.Fatalf("%d completions, want 4: %v", len(ends), ends)
@@ -196,35 +178,11 @@ func TestSharedDueSetFrozen(t *testing.T) {
 	}
 }
 
-func TestSharedCancel(t *testing.T) {
-	eng := New()
-	s := NewShared(eng, 1, 1)
-	var endA Time
-	s.Start(10, 1, func() { endA = eng.Now() })
-	victim := s.Start(10, 1, func() { t.Error("cancelled job fired its callback") })
-	eng.After(6, func() { s.Cancel(victim) }) // 3 units in, at 2 s a unit
-	eng.Run()
-	if victim.Active() {
-		t.Error("cancelled job still active")
-	}
-	if rem := victim.Remaining(); math.Abs(rem-8) > 1e-12 {
-		t.Errorf("cancelled job keeps remaining %g, want 8", rem)
-	}
-	s.Cancel(victim) // double cancel is a no-op
-	// The survivor: 2 units shared (3 s each), then 8 alone (2 s each).
-	if want := Time(6 + 8*2); math.Abs(float64(endA-want)) > 1e-12 {
-		t.Errorf("survivor ends at %v, want %v", float64(endA), float64(want))
-	}
-	if s.Started() != 2 || s.Completed() != 1 || s.Weight() != 0 {
-		t.Errorf("started %d completed %d weight %g, want 2, 1, 0", s.Started(), s.Completed(), s.Weight())
-	}
-}
-
 // TestSharedResetMatchesNew pins that a reset server on a reset engine
 // behaves as a new server on a new engine: same completion instants,
 // same order among simultaneous completions, counters and busy time
 // from zero, the new coefficients in force — even when the reset
-// interrupts jobs in flight.
+// interrupts jobs in flight, whose shells it recycles.
 func TestSharedResetMatchesNew(t *testing.T) {
 	scenario := func(eng *Engine, s *Shared) (ends []Time, order []int) {
 		done := func(arg any) {
@@ -234,7 +192,7 @@ func TestSharedResetMatchesNew(t *testing.T) {
 		for i, amount := range []float64{4096, 1024, 1024, 2048} {
 			s.StartFunc(amount, 1, done, i)
 		}
-		eng.After(Microsecond, func() { s.StartFunc(512, 0.5, done, 4) })
+		after(eng, Microsecond, func() { s.StartFunc(512, 0.5, done, 4) })
 		eng.Run()
 		return ends, order
 	}
@@ -242,14 +200,19 @@ func TestSharedResetMatchesNew(t *testing.T) {
 	eng := NewWheel()
 	s := NewShared(eng, 1e-9, 0.4e-9)
 	scenario(eng, s)
-	j := s.Start(1<<20, 1, nil) // still in flight at the reset
+	// Two jobs still in flight at the reset.
+	s.Start(1<<20, 1, func() { t.Error("a job dropped by Reset completed") })
 	s.StartFunc(1<<20, 1, func(any) { t.Error("a job dropped by Reset completed") }, nil)
 	eng.RunUntil(eng.Now() + Microsecond)
+	free := len(s.free)
 	eng.Reset()
 	s.Reset(2e-9, 1e-9)
-	if j.Active() || s.Count() != 0 || s.Weight() != 0 || s.Started() != 0 || s.Completed() != 0 || s.BusyTime() != 0 {
-		t.Fatalf("after Reset: handle active=%v, count %d, weight %g, started %d, completed %d, busy %v",
-			j.Active(), s.Count(), s.Weight(), s.Started(), s.Completed(), s.BusyTime())
+	if s.Count() != 0 || s.Weight() != 0 || s.Started() != 0 || s.Completed() != 0 || s.BusyTime() != 0 {
+		t.Fatalf("after Reset: count %d, weight %g, started %d, completed %d, busy %v",
+			s.Count(), s.Weight(), s.Started(), s.Completed(), s.BusyTime())
+	}
+	if len(s.free) != free+2 {
+		t.Errorf("Reset recycled %d of the 2 dropped job shells", len(s.free)-free)
 	}
 	gotEnds, gotOrder := scenario(eng, s)
 

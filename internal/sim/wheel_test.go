@@ -41,7 +41,7 @@ func TestWheelOrdering(t *testing.T) {
 	}
 	for i, d := range dues {
 		i := i
-		e.At(d, func() { got = append(got, i) })
+		at(e, d, func() { got = append(got, i) })
 	}
 	e.Run()
 	wantOrder(t, got, []int{3, 4, 1, 2, 5, 0})
@@ -59,12 +59,12 @@ func TestWheelTieBreakInsertionOrder(t *testing.T) {
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.At(Microsecond, func() {
+		at(e, Microsecond, func() {
 			got = append(got, i)
 			if i == 0 {
 				// Chained same-instant event: must fire after every
 				// already-queued event at this due time (newer seq).
-				e.At(e.Now(), func() { got = append(got, 100) })
+				at(e, e.Now(), func() { got = append(got, 100) })
 			}
 		})
 	}
@@ -79,7 +79,7 @@ func TestWheelSameTickOrdering(t *testing.T) {
 	var got []Time
 	base := 40 * Nanosecond // tick 10: 40.0 .. 43.9 ns
 	for _, d := range []Time{3, 1, 2, 1} {
-		e.At(base+d*Nanosecond, func() { got = append(got, e.Now()) })
+		at(e, base+d*Nanosecond, func() { got = append(got, e.Now()) })
 	}
 	e.Run()
 	for i, d := range []Time{1, 1, 2, 3} {
@@ -98,10 +98,10 @@ func TestWheelMerge(t *testing.T) {
 	t.Run("far between near", func(t *testing.T) {
 		e := NewWheel()
 		var got []int
-		far := e.At(3*Microsecond, func() { got = append(got, 1) })
-		e.At(2*Microsecond, func() {
+		far := at(e, 3*Microsecond, func() { got = append(got, 1) })
+		at(e, 2*Microsecond, func() {
 			got = append(got, 0)
-			near := e.At(3500*Nanosecond, func() { got = append(got, 2) })
+			near := at(e, 3500*Nanosecond, func() { got = append(got, 2) })
 			if far.loc != locHeap || near.loc < 0 {
 				t.Errorf("loc: far %d, near %d; want the heap and a slot", far.loc, near.loc)
 			}
@@ -121,11 +121,11 @@ func TestWheelMerge(t *testing.T) {
 			var got []int
 			due := 3 * Microsecond
 			e.seq = farSeq
-			far := e.At(due, func() { got = append(got, int(farSeq)) })
+			far := at(e, due, func() { got = append(got, int(farSeq)) })
 			e.seq = 1
-			e.At(2*Microsecond, func() {
+			at(e, 2*Microsecond, func() {
 				e.seq = 5
-				near := e.At(due, func() { got = append(got, 5) })
+				near := at(e, due, func() { got = append(got, 5) })
 				if far.loc != locHeap || near.loc < 0 {
 					t.Errorf("loc: far %d, near %d; want the heap and a slot", far.loc, near.loc)
 				}
@@ -147,11 +147,11 @@ func TestWheelMerge(t *testing.T) {
 func TestWheelCursorFollowsClock(t *testing.T) {
 	e := NewWheel()
 	var got []int
-	e.At(Millisecond, func() {
+	at(e, Millisecond, func() {
 		got = append(got, 0)
-		now := e.At(e.Now(), func() { got = append(got, 1) })
-		near := e.After(100*Nanosecond, func() { got = append(got, 2) })
-		far := e.After(2*window, func() { got = append(got, 3) })
+		now := at(e, e.Now(), func() { got = append(got, 1) })
+		near := after(e, 100*Nanosecond, func() { got = append(got, 2) })
+		far := after(e, 2*window, func() { got = append(got, 3) })
 		if now.loc < 0 || near.loc < 0 || far.loc != locHeap {
 			t.Errorf("loc: now %d, near %d, far %d; want two slots and the heap", now.loc, near.loc, far.loc)
 		}
@@ -173,12 +173,12 @@ func TestWheelRingReuse(t *testing.T) {
 		fn = func() {
 			got = append(got, e.Now())
 			if n++; n < hops {
-				if ev := e.After(stride, fn); ev.loc < 0 {
+				if ev := after(e, stride, fn); ev.loc < 0 {
 					t.Errorf("hop %d of stride %v left the wheel (loc %d)", n, stride, ev.loc)
 				}
 			}
 		}
-		e.After(stride, fn)
+		after(e, stride, fn)
 	}
 	chain(101*DefaultWheelTick, 30)            // ~6 laps
 	chain((wheelSlots-1)*DefaultWheelTick, 12) // ~12 laps, slot index falling by one
@@ -201,23 +201,23 @@ func TestWheelCancelEverywhere(t *testing.T) {
 	var got []int
 	keep := func(i int) func() { return func() { got = append(got, i) } }
 
-	slot := e.At(Microsecond, func() { t.Error("cancelled slot event ran") })
-	e.At(Microsecond, keep(1))
-	far := e.At(20*Millisecond, func() { t.Error("cancelled far event ran") })
-	e.At(20*Millisecond, keep(2))
+	slot := at(e, Microsecond, func() { t.Error("cancelled slot event ran") })
+	at(e, Microsecond, keep(1))
+	far := at(e, 20*Millisecond, func() { t.Error("cancelled far event ran") })
+	at(e, 20*Millisecond, keep(2))
 
 	// curVictim shares an instant with its canceller, which is queued
 	// first, so both are in the firing bucket when the canceller runs;
 	// keep(0) is queued behind the victim and must close the gap.
 	var curVictim *Event
-	e.At(100*Nanosecond, func() {
+	at(e, 100*Nanosecond, func() {
 		if curVictim.loc != locCur {
 			t.Errorf("victim loc = %d, want the firing bucket", curVictim.loc)
 		}
 		curVictim.Cancel()
 	})
-	curVictim = e.At(100*Nanosecond, func() { t.Error("cancelled firing-bucket event ran") })
-	e.At(100*Nanosecond, keep(0))
+	curVictim = at(e, 100*Nanosecond, func() { t.Error("cancelled firing-bucket event ran") })
+	at(e, 100*Nanosecond, keep(0))
 
 	if slot.loc < 0 || far.loc != locHeap {
 		t.Fatalf("loc: slot %d, far %d; want a slot and the heap", slot.loc, far.loc)
@@ -240,18 +240,18 @@ func TestWheelCancelEverywhere(t *testing.T) {
 func TestWheelFarFuture(t *testing.T) {
 	e := NewWheel()
 	fired := false
-	e.At(30*Second, func() { fired = true })
+	at(e, 30*Second, func() { fired = true })
 	e.Run()
 	if !fired || e.Now() != 30*Second {
 		t.Fatalf("fired=%v Now=%v, want true and 30s", fired, e.Now())
 	}
 	e2 := NewWheel()
 	var got []int
-	e2.At(Never, func() {
+	at(e2, Never, func() {
 		got = append(got, 1)
-		e2.At(Never, func() { got = append(got, 2) })
+		at(e2, Never, func() { got = append(got, 2) })
 	})
-	e2.At(Microsecond, func() { got = append(got, 0) })
+	at(e2, Microsecond, func() { got = append(got, 0) })
 	e2.Run()
 	wantOrder(t, got, []int{0, 1, 2})
 }
@@ -262,10 +262,10 @@ func TestWheelFarFuture(t *testing.T) {
 func TestWheelReset(t *testing.T) {
 	run := func(e *Engine) []int {
 		var got []int
-		e.At(2*Microsecond, func() { got = append(got, 2) })
-		e.At(1*Microsecond, func() { got = append(got, 1) })
-		e.At(1*Microsecond, func() { got = append(got, 10) })
-		e.After(3*Millisecond, func() { got = append(got, 3) })
+		at(e, 2*Microsecond, func() { got = append(got, 2) })
+		at(e, 1*Microsecond, func() { got = append(got, 1) })
+		at(e, 1*Microsecond, func() { got = append(got, 10) })
+		after(e, 3*Millisecond, func() { got = append(got, 3) })
 		e.Run()
 		return got
 	}
@@ -273,10 +273,10 @@ func TestWheelReset(t *testing.T) {
 
 	e := NewWheel()
 	run(e)
-	e.At(e.Now()+Microsecond, func() {})
-	cur := e.At(e.Now()+Microsecond, func() { t.Error("firing-bucket event survived Reset") })
-	slot := e.At(e.Now()+1500*Nanosecond, func() { t.Error("slot event survived Reset") })
-	queued := e.At(e.Now()+Second, func() { t.Error("far event survived Reset") })
+	at(e, e.Now()+Microsecond, func() {})
+	cur := at(e, e.Now()+Microsecond, func() { t.Error("firing-bucket event survived Reset") })
+	slot := at(e, e.Now()+1500*Nanosecond, func() { t.Error("slot event survived Reset") })
+	queued := at(e, e.Now()+Second, func() { t.Error("far event survived Reset") })
 	e.Step() // drains the first two into the firing bucket and fires one
 	if cur.loc != locCur || slot.loc < 0 || queued.loc != locHeap {
 		t.Fatalf("loc: %d %d %d; want the firing bucket, a slot and the heap", cur.loc, slot.loc, queued.loc)
@@ -302,9 +302,9 @@ func TestWheelWindowBoundaryDrain(t *testing.T) {
 		e := NewWheel()
 		var got []int
 		// A is in the window's last slot; B and C are past the edge.
-		a := e.At(mid(wheelSlots-1), func() { got = append(got, 0) })
-		b := e.At(mid(wheelSlots), func() { got = append(got, 1) })
-		e.At(mid(wheelSlots+300), func() { got = append(got, 2) })
+		a := at(e, mid(wheelSlots-1), func() { got = append(got, 0) })
+		b := at(e, mid(wheelSlots), func() { got = append(got, 1) })
+		at(e, mid(wheelSlots+300), func() { got = append(got, 2) })
 		if a.loc != wheelSlots-1 || b.loc != locHeap {
 			t.Fatalf("loc: A %d, B %d; want slot %d and the heap", a.loc, b.loc, wheelSlots-1)
 		}
@@ -317,10 +317,10 @@ func TestWheelWindowBoundaryDrain(t *testing.T) {
 		// A drains the window's last slot. B waits in the heap; E,
 		// scheduled from A's callback into B's tick with a later due,
 		// goes to a slot. Only the merge at pop puts B first.
-		b := e.At(mid(wheelSlots+64), func() { got = append(got, 1) })
-		e.At(mid(wheelSlots-1), func() {
+		b := at(e, mid(wheelSlots+64), func() { got = append(got, 1) })
+		at(e, mid(wheelSlots-1), func() {
 			got = append(got, 0)
-			ev := e.At(mid(wheelSlots+64)+Nanosecond, func() { got = append(got, 2) })
+			ev := at(e, mid(wheelSlots+64)+Nanosecond, func() { got = append(got, 2) })
 			if b.loc != locHeap || ev.loc < 0 {
 				t.Errorf("loc: B %d, E %d; want the heap and a slot", b.loc, ev.loc)
 			}
@@ -379,7 +379,7 @@ func (r *refEngine) passed(t Time, seq uint64) bool {
 	return r.last != nil && !before(r.last, &Event{due: t, seq: seq})
 }
 func (r *refEngine) atSeq(t Time, seq uint64, fn func()) *Event {
-	ev := &Event{due: t, seq: seq, fn: fn}
+	ev := &Event{due: t, seq: seq, afn: call, arg: fn}
 	r.q.push(ev)
 	return ev
 }
@@ -391,17 +391,17 @@ func (r *refEngine) step() bool {
 	}
 	ev := r.q.pop()
 	r.now, r.last = ev.due, ev
-	ev.fn()
+	ev.afn(ev.arg)
 	return true
 }
 
 type realEngine struct{ *Engine }
 
-func (e realEngine) after(d Time, fn func()) *Event { return e.After(d, fn) }
+func (e realEngine) after(d Time, fn func()) *Event { return after(e.Engine, d, fn) }
 func (e realEngine) reserve() uint64                { return e.Reserve() }
 func (e realEngine) passed(t Time, seq uint64) bool { return e.Passed(t, seq) }
 func (e realEngine) atSeq(t Time, seq uint64, fn func()) *Event {
-	return e.AtFuncSeq(t, seq, func(any) { fn() }, nil)
+	return e.AtFuncSeq(t, seq, call, fn)
 }
 func (e realEngine) cancel(ev *Event) { ev.Cancel() }
 func (e realEngine) step() bool       { return e.Step() }
@@ -557,11 +557,11 @@ func TestWheelReservedSeq(t *testing.T) {
 
 	nop := func(any) {}
 	e := NewWheel()
-	first := e.At(80*Nanosecond, func() {})
+	first := at(e, 80*Nanosecond, func() {})
 	bucket := e.Reserve()
-	e.At(80*Nanosecond, func() {})
+	at(e, 80*Nanosecond, func() {})
 	slot, far := e.Reserve(), e.Reserve()
-	root := e.At(6*Millisecond, func() {})
+	root := at(e, 6*Millisecond, func() {})
 	if ev := e.AtFuncSeq(mid(100), slot, nop, nil); ev.loc < 0 {
 		t.Errorf("slot case landed at loc %d", ev.loc)
 	}
@@ -615,10 +615,10 @@ func FuzzEventQueue(f *testing.F) {
 // spaced gap apart, each re-arming itself one full round ahead.
 func benchRing(b *testing.B, depth int, gap Time) {
 	e := NewWheel()
-	var fn func()
-	fn = func() { e.After(Time(depth)*gap, fn) }
+	var fn func(any)
+	fn = func(any) { e.AfterFunc(Time(depth)*gap, fn, nil) }
 	for i := 0; i < depth; i++ {
-		e.After(Time(i)*gap, fn)
+		e.AfterFunc(Time(i)*gap, fn, nil)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

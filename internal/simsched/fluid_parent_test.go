@@ -16,15 +16,17 @@ import (
 )
 
 // testdata/fluid_parent.json holds what contend.Pool and machine.Core
-// did at b964a2f, the commit before the two became wrappers over one
-// processor-sharing server (sim.Shared): for seeded random schedules of
-// Start/StartFunc/Cancel — fractional weights, joins mid-transfer,
-// callbacks that start new work, completions that coincide inside the
-// due-set tolerance, a Reset with work in flight and a rerun — the
-// completion order and the float64 bits of every completion instant,
-// every Remaining/ActiveWeight/BusyTime read and the lifetime counters.
-// It was captured the way kernel_parent.json was, this file copied to
-// that commit, then
+// did at 0e3357c for seeded random schedules of Start/StartFunc —
+// fractional weights, joins mid-transfer, callbacks that start new
+// work, completions that coincide inside the due-set tolerance, a Reset
+// with work in flight and a rerun: the completion order and the float64
+// bits of every completion instant, every ActiveWeight/BusyTime read
+// and the lifetime counters. The fluid arithmetic there is b964a2f's,
+// the commit before the two became wrappers over one processor-sharing
+// server (sim.Shared), which an earlier form of this script pinned; the
+// script lost its cancels and handle reads when the servers stopped
+// handing out job handles. It was captured the way kernel_parent.json
+// was, this file copied to 0e3357c, then
 //
 //	go test ./internal/simsched -run TestFluidMatchesParent -capture
 //
@@ -33,10 +35,9 @@ import (
 const fluidParentPath = "testdata/fluid_parent.json"
 
 const (
-	opStart     = iota // handle-returning start with a closure callback
-	opStartFunc        // handle-free start; the callback chains depth more
-	opCancel           // Cancel of an earlier handle (pool only)
-	opRead             // read an earlier handle and the server's gauges
+	opStart     = iota // start with a closure callback
+	opStartFunc        // pre-bound start; the callback chains depth more
+	opRead             // read the server's gauges
 )
 
 // fluidOp is one scripted call at a virtual instant. Scripts are drawn
@@ -48,7 +49,6 @@ type fluidOp struct {
 	unit   int     // core index (machine scripts)
 	amount float64 // bytes, or solo seconds
 	weight float64
-	target int // id of the handle a cancel or read refers to
 	depth  int
 }
 
@@ -58,9 +58,8 @@ type fluidOp struct {
 // 1e-12 until the last thousandth of the transfer, so it completes in
 // the same event) and one a few parts in 1e12 larger (outside it, so it
 // completes in an event of its own a hair later).
-func fluidScript(rng *rand.Rand, n int, meanGap sim.Time, lo, hi float64, units int, cancels bool) []fluidOp {
+func fluidScript(rng *rand.Rand, n int, meanGap sim.Time, lo, hi float64, units int) []fluidOp {
 	var ops []fluidOp
-	var started []int
 	at := sim.Time(0)
 	weight := func() float64 {
 		if rng.Intn(3) == 0 {
@@ -74,7 +73,6 @@ func fluidScript(rng *rand.Rand, n int, meanGap sim.Time, lo, hi float64, units 
 		switch r := rng.Intn(16); {
 		case r < 6:
 			op.kind = opStart
-			started = append(started, op.id)
 		case r < 10:
 			op.kind, op.depth = opStartFunc, rng.Intn(4)
 		case r < 12:
@@ -84,19 +82,12 @@ func fluidScript(rng *rand.Rand, n int, meanGap sim.Time, lo, hi float64, units 
 				b.kind = opStart
 				if j%2 == 1 {
 					b.kind = opStartFunc
-				} else {
-					started = append(started, b.id)
 				}
 				ops = append(ops, b)
 			}
 			continue
-		case r < 14 && cancels && len(started) > 0:
-			op.kind, op.target = opCancel, started[rng.Intn(len(started))]
-		case len(started) > 0:
-			op.kind, op.target = opRead, started[rng.Intn(len(started))]
 		default:
-			op.kind = opStart
-			started = append(started, op.id)
+			op.kind = opRead
 		}
 		ops = append(ops, op)
 	}
@@ -109,9 +100,9 @@ func (l *fluidLog) addf(format string, args ...any) { *l = append(*l, fmt.Sprint
 
 func bitsOf(x float64) string { return strconv.FormatUint(math.Float64bits(x), 16) }
 
-// fluidLink is the per-transfer state of a handle-free start: the
+// fluidLink is the per-transfer state of a pre-bound start: the
 // callback logs the completion and, depth permitting, starts the next
-// link — alternately through the handle-free and the closure entry
+// link — alternately through the pre-bound and the closure entry
 // point.
 type fluidLink struct {
 	id, unit, depth int
@@ -124,7 +115,6 @@ func (k *fluidLink) next() *fluidLink {
 
 // schedulePool queues a script against a pool.
 func schedulePool(l *fluidLog, eng *sim.Engine, p *contend.Pool, ops []fluidOp) {
-	handles := make(map[int]*contend.Actor)
 	var chain func(any)
 	chain = func(arg any) {
 		k := arg.(*fluidLink)
@@ -139,24 +129,19 @@ func schedulePool(l *fluidLog, eng *sim.Engine, p *contend.Pool, ops []fluidOp) 
 			p.Start(n.amount, n.weight, func() { chain(n) })
 		}
 	}
-	for _, op := range ops {
-		op := op
-		eng.At(op.at, func() {
-			switch op.kind {
-			case opStart:
-				handles[op.id] = p.Start(op.amount, op.weight, func() { l.addf("d %d %s", op.id, bitsOf(float64(eng.Now()))) })
-			case opStartFunc:
-				p.StartFunc(op.amount, op.weight, chain, &fluidLink{id: op.id, depth: op.depth, amount: op.amount, weight: op.weight})
-			case opCancel:
-				h := handles[op.target]
-				l.addf("c %d %t", op.target, h.Active())
-				p.Cancel(h)
-				p.Cancel(h) // a second cancel is a no-op
-			case opRead:
-				h := handles[op.target]
-				l.addf("r %d %s %t w %s n %d", op.target, bitsOf(h.Remaining()), h.Active(), bitsOf(p.ActiveWeight()), p.Count())
-			}
-		})
+	run := func(arg any) {
+		op := arg.(*fluidOp)
+		switch op.kind {
+		case opStart:
+			p.Start(op.amount, op.weight, func() { l.addf("d %d %s", op.id, bitsOf(float64(eng.Now()))) })
+		case opStartFunc:
+			p.StartFunc(op.amount, op.weight, chain, &fluidLink{id: op.id, depth: op.depth, amount: op.amount, weight: op.weight})
+		case opRead:
+			l.addf("r w %s n %d", bitsOf(p.ActiveWeight()), p.Count())
+		}
+	}
+	for i := range ops {
+		eng.AtFunc(ops[i].at, run, &ops[i])
 	}
 }
 
@@ -166,7 +151,6 @@ func poolGauges(l *fluidLog, what string, eng *sim.Engine, p *contend.Pool) {
 
 // scheduleMachine queues a script against a machine's cores.
 func scheduleMachine(l *fluidLog, eng *sim.Engine, m *machine.Machine, ops []fluidOp) {
-	handles := make(map[int]*machine.Exec)
 	var chain func(any)
 	chain = func(arg any) {
 		k := arg.(*fluidLink)
@@ -181,19 +165,20 @@ func scheduleMachine(l *fluidLog, eng *sim.Engine, m *machine.Machine, ops []flu
 			m.Core(n.unit).StartCompute(sim.Time(n.amount), func() { chain(n) })
 		}
 	}
-	for _, op := range ops {
-		op := op
+	run := func(arg any) {
+		op := arg.(*fluidOp)
 		c := m.Core(op.unit)
-		eng.At(op.at, func() {
-			switch op.kind {
-			case opStart:
-				handles[op.id] = c.StartCompute(sim.Time(op.amount), func() { l.addf("d %d %s", op.id, bitsOf(float64(eng.Now()))) })
-			case opStartFunc:
-				c.StartComputeFunc(sim.Time(op.amount), chain, &fluidLink{id: op.id, unit: op.unit, depth: op.depth, amount: op.amount})
-			case opRead:
-				l.addf("r %d %t core %d busy %s n %d", op.target, handles[op.target].Active(), op.unit, bitsOf(float64(c.BusyTime())), c.ActiveCompute())
-			}
-		})
+		switch op.kind {
+		case opStart:
+			c.StartCompute(sim.Time(op.amount), func() { l.addf("d %d %s", op.id, bitsOf(float64(eng.Now()))) })
+		case opStartFunc:
+			c.StartComputeFunc(sim.Time(op.amount), chain, &fluidLink{id: op.id, unit: op.unit, depth: op.depth, amount: op.amount})
+		case opRead:
+			l.addf("r core %d busy %s n %d", op.unit, bitsOf(float64(c.BusyTime())), c.ActiveCompute())
+		}
+	}
+	for i := range ops {
+		eng.AtFunc(ops[i].at, run, &ops[i])
 	}
 }
 
@@ -235,8 +220,8 @@ func fluidCases() map[string]fluidLog {
 		eng := sim.NewWheel()
 		p := contend.NewPool(eng, fast)
 		episode(eng,
-			fluidScript(rng, n, 900*sim.Microsecond, 64<<10, 1<<20, 1, true),
-			fluidScript(rng, n, 2500*sim.Microsecond, 64<<10, 1<<20, 1, true),
+			fluidScript(rng, n, 900*sim.Microsecond, 64<<10, 1<<20, 1),
+			fluidScript(rng, n, 2500*sim.Microsecond, 64<<10, 1<<20, 1),
 			func(ops []fluidOp) { schedulePool(&l, eng, p, ops) },
 			func(what string) { poolGauges(&l, what, eng, p) },
 			func(rerun bool) {
@@ -252,8 +237,8 @@ func fluidCases() map[string]fluidLog {
 		eng = sim.NewWheel()
 		m := machine.New(eng, machine.Config{Cores: 2, SMTWays: 4})
 		episode(eng,
-			fluidScript(rng, n, 120*sim.Microsecond, 10e-6, 400e-6, 2, false),
-			fluidScript(rng, n, 90*sim.Microsecond, 10e-6, 400e-6, 2, false),
+			fluidScript(rng, n, 120*sim.Microsecond, 10e-6, 400e-6, 2),
+			fluidScript(rng, n, 90*sim.Microsecond, 10e-6, 400e-6, 2),
 			func(ops []fluidOp) { scheduleMachine(&lm, eng, m, ops) },
 			func(what string) { machineGauges(&lm, what, eng, m) },
 			func(bool) { m.Reset() })
