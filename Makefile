@@ -23,11 +23,10 @@ HOT_BENCHES  = BenchmarkDRAMAccess|BenchmarkStreamPump|BenchmarkPoolStart|Benchm
 HOST_BENCHES = BenchmarkHostRuntimeThroughput|BenchmarkHostRuntimeThroughput8|BenchmarkHostRuntimeThroughput32|BenchmarkHostRuntimeThroughput64|BenchmarkHostRuntimeThroughput128|BenchmarkHostRuntimeThroughput256|BenchmarkHostRuntimeThroughput512|BenchmarkHostRuntimeDomains64x1|BenchmarkHostRuntimeDomains64x2|BenchmarkHostRuntimeDomains64x4|BenchmarkMpmcRingContended|$(SERVE_BENCHES)
 
 # Open-loop serving benchmarks: sustained Submit->Drain throughput at
-# 64/128/256 workers with batched admission (BenchmarkHostServe*) and
-# the per-job-admission baseline (BenchmarkHostServePerJob*, AdmitBatch
-# 1). Both families are pinned in BENCH_SIM.json so the batched pump's
-# amortisation win stays measured and neither path regresses.
-SERVE_BENCHES = BenchmarkHostServe64|BenchmarkHostServe128|BenchmarkHostServe256|BenchmarkHostServePerJob64|BenchmarkHostServePerJob128|BenchmarkHostServePerJob256|BenchmarkGateAdmitBatched|BenchmarkGateAdmitPerJob
+# 64/128/256 workers (BenchmarkHostServe*), and the gate's one-slot
+# claim and release on their own (BenchmarkGateAdmitPerJob). Pinned in
+# BENCH_SIM.json so the serving path does not regress.
+SERVE_BENCHES = BenchmarkHostServe64|BenchmarkHostServe128|BenchmarkHostServe256|BenchmarkGateAdmitPerJob
 
 # Event-queue benchmarks (EngineStep* in internal/sim), one per regime
 # of the merged queue: a single pending event, 256 events a tick apart
@@ -51,10 +50,10 @@ CONTEND_BENCHES = BenchmarkContendedCounterGlobal|BenchmarkContendedCounterShare
 # Benchmarks pinned allocation-free by `make bench-check`: the
 # zero-allocation hot paths from the PR 2 work must never regrow an
 # alloc, the warm Calibrator's adjacent re-measure joins them, and the
-# serving-path admission primitives, the policy-plugin window boundary,
+# gate's one-slot claim and release, the policy-plugin window boundary,
 # the event-queue step, in each regime, and the fluid pool's start/fire
 # cycle stay allocation-free too.
-ZERO_ALLOC   = BenchmarkEngineStepWheel,BenchmarkEngineStepWheelDeep256,BenchmarkEngineStepSparse,BenchmarkDRAMAccess,BenchmarkStreamPump,BenchmarkPoolStart,BenchmarkGateAdmitBatched,BenchmarkGateAdmitPerJob,BenchmarkPolicyObserve
+ZERO_ALLOC   = BenchmarkEngineStepWheel,BenchmarkEngineStepWheelDeep256,BenchmarkEngineStepSparse,BenchmarkDRAMAccess,BenchmarkStreamPump,BenchmarkPoolStart,BenchmarkGateAdmitPerJob,BenchmarkPolicyObserve
 
 .PHONY: check lint fmt vet layout build bench-build test race fuzz-smoke flake bench bench-host bench-baseline bench-check ab loc
 
@@ -97,7 +96,7 @@ test:
 # lazily spawned workers, the park/spin loop over the waiter lot, the
 # stage runner with retry, the controller feed, the stall watchdog)
 # under two queue disciplines — Run's per-domain gather and scatter
-# FIFOs (batch.go), Serve's MPMC rings and batched pump (serve.go) — so
+# FIFOs (batch.go), Serve's MPMC rings and admission pump (serve.go) — so
 # every suite races the same park, release and wake code: the chaos and
 # cancellation suites, TestStress* (hundreds of workers oversubscribing
 # the gate, lost-wakeup hunts across back-to-back 1-pair phases) and

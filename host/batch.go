@@ -352,7 +352,7 @@ func (ph *phase) takeMem(w *worker, d int) *pairRec {
 		return nil
 	}
 	r := ph.rt
-	if r.claimSlots(d, 1) == 0 {
+	if !r.claimSlot(d) {
 		return nil
 	}
 	lists := [...]*recList{&ds.gath, &ds.scat}
@@ -382,7 +382,7 @@ func (ph *phase) takeMem(w *worker, d int) *pairRec {
 	// Hand the speculative slot back. Raced away: nudge one sleeper only
 	// if there is still admissible work it could run (spawning a fresh
 	// worker if nobody is parked).
-	r.releaseSlots(d, 1)
+	r.releaseSlot(d)
 	if !capped && ds.readyMem.Load() > 0 && !ph.lot.unparkOne() {
 		ph.spawnWorker()
 	}

@@ -1,7 +1,6 @@
 package host
 
 import (
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -36,27 +35,18 @@ type gate struct {
 	_      [48]byte
 }
 
-// tryAcquireN claims up to max slots and reports how many it got (0
-// when the gate is full or max <= 0). The admission check and the
-// increment are a single CAS, so racing workers can never slip through
-// the last slot together. Run admits one task at a time (max 1);
-// batched admission on the serving path admits a whole run of queued
-// jobs per gate transition: one CAS where per-job admission would retry
-// max times under contention.
-func (g *gate) tryAcquireN(max int64) int64 {
-	if max <= 0 {
-		return 0
-	}
+// tryAcquire claims one slot, reporting false when the gate is full.
+// The admission check and the increment are a single CAS, so racing
+// workers can never slip through the last slot together.
+func (g *gate) tryAcquire() bool {
 	for {
 		a := g.active.Load()
-		free := g.limit.Load() - a
-		if free <= 0 {
-			return 0
+		if a >= g.limit.Load() {
+			return false
 		}
-		n := min(free, max)
-		if g.active.CompareAndSwap(a, a+n) {
-			raise(&g.peak, a+n)
-			return n
+		if g.active.CompareAndSwap(a, a+1) {
+			raise(&g.peak, a+1)
+			return true
 		}
 	}
 }
@@ -71,13 +61,10 @@ func raise(peak *atomic.Int64, v int64) {
 	}
 }
 
-// releaseN returns n slots. No wakeup rides on it: what a freed slot
+// release returns one slot. No wakeup rides on it: what a freed slot
 // is worth is the queue discipline's call (discipline.released).
-func (g *gate) releaseN(n int64) {
-	if n <= 0 {
-		return
-	}
-	if g.active.Add(-n) < 0 {
+func (g *gate) release() {
+	if g.active.Add(-1) < 0 {
 		panic("host: gate released below zero")
 	}
 }
@@ -219,40 +206,24 @@ func (l *lot) unparkOne() bool {
 	return true
 }
 
-// unparkN wakes up to n of the most recently parked workers under a
-// single lock acquisition and reports how many it woke. Batched
-// admission pairs this with gate.tryAcquireN: admitting a run of k jobs
-// costs one lock and k token sends instead of k lock round-trips.
-func (l *lot) unparkN(n int) int {
-	if n <= 0 {
-		return 0
-	}
+// unparkAll wakes every parked worker — reserved for the rare events
+// that can satisfy many at once (MTL raise, degradation to the
+// conventional schedule) or that end the phase (completion, abort). It
+// takes the whole list under one lock acquisition.
+func (l *lot) unparkAll() {
 	l.mu.Lock()
-	var woken []*parker
-	if n >= len(l.parked) {
-		// Everyone: hand the whole list over instead of copying it.
-		woken, l.parked = l.parked, nil
-	} else {
-		woken = make([]*parker, n)
-		copy(woken, l.parked[len(l.parked)-n:])
-		l.parked = l.parked[:len(l.parked)-n]
-	}
+	woken := l.parked
+	l.parked = nil
 	for _, p := range woken {
 		p.queued = false
 	}
 	l.mu.Unlock()
 	if len(woken) == 0 {
-		return 0
+		return
 	}
 	now := time.Now()
 	for _, p := range woken {
 		p.woken = now
 		p.token <- struct{}{}
 	}
-	return len(woken)
 }
-
-// unparkAll wakes every parked worker — reserved for the rare events
-// that can satisfy many at once (MTL raise, degradation to the
-// conventional schedule) or that end the phase (completion, abort).
-func (l *lot) unparkAll() { l.unparkN(math.MaxInt) }

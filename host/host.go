@@ -400,29 +400,30 @@ func (r *Runtime) MTL() int {
 	return int(r.gates[0].limit.Load())
 }
 
-// claimSlots acquires up to max memory-task slots in domain d in one
-// CAS and reports how many it got; claimSlots(d, 1) is the per-task
-// admission. The domain gate's CAS is the real admission; the global
-// counters only feed Stats.MaxConcurrentM, and with a single domain the
-// gate's own peak already is the global one, so the unsharded hot path
-// pays no extra atomics.
-func (r *Runtime) claimSlots(d int, max int64) int64 {
-	n := r.gates[d].tryAcquireN(max)
-	if n > 0 && len(r.gates) > 1 {
-		raise(&r.memPeak, r.memActive.Add(n))
+// claimSlot acquires one memory-task slot in domain d, reporting
+// false when the domain's gate is full. The domain gate's CAS is the
+// real admission; the global counters only feed Stats.MaxConcurrentM,
+// and with a single domain the gate's own peak already is the global
+// one, so the unsharded hot path pays no extra atomics.
+func (r *Runtime) claimSlot(d int) bool {
+	if !r.gates[d].tryAcquire() {
+		return false
 	}
-	return n
+	if len(r.gates) > 1 {
+		raise(&r.memPeak, r.memActive.Add(1))
+	}
+	return true
 }
 
-// releaseSlots returns n of domain d's slots. The cross-domain count
+// releaseSlot returns one of domain d's slots. The cross-domain count
 // drops before the gate reopens: the other order let a racing claim be
 // counted on top of slots already given back, so MaxConcurrentM could
 // read past MTL x Domains with the gates never over their limit.
-func (r *Runtime) releaseSlots(d int, n int64) {
+func (r *Runtime) releaseSlot(d int) {
 	if len(r.gates) > 1 {
-		r.memActive.Add(-n)
+		r.memActive.Add(-1)
 	}
-	r.gates[d].releaseN(n)
+	r.gates[d].release()
 }
 
 // mirrorLimit copies the controller's MTL into every domain gate and

@@ -4,24 +4,25 @@ import "testing"
 
 // FuzzLotProtocol runs an arbitrary single-threaded program of the
 // calls the one park/spin loop and its unparkers make — enqueue,
-// cancel, token receive, unparkOne, unparkN, unparkAll, beginSpin,
-// endSpin — against a sequential model of the waiter lot. One
-// goroutine plays every worker and every publisher, so nothing is
-// timing: each parker is idle, queued or woken in the model, and after
-// every call the lot must agree exactly. What that pins: every enqueued
-// parker is woken or cancelled exactly once, a token channel never
-// holds more than one token (a second send would block the unparker —
-// the fuzz run would hang), unparkOne/unparkN report exactly what they
-// woke, most recent first, and the spinner count returns to zero.
+// cancel, token receive, unparkOne, a run of unparkOne calls (one pump
+// pass admitting several jobs), unparkAll, beginSpin, endSpin — against
+// a sequential model of the waiter lot. One goroutine plays every
+// worker and every publisher, so nothing is timing: each parker is
+// idle, queued or woken in the model, and after every call the lot must
+// agree exactly. What that pins: every enqueued parker is woken or
+// cancelled exactly once, a token channel never holds more than one
+// token (a second send would block the unparker — the fuzz run would
+// hang), unparkOne reports exactly whom it woke, most recent first, and
+// the spinner count returns to zero.
 //
 // Op byte: low three bits select the call, the rest is its argument
 // (parker index, n, or the spinner cap).
 func FuzzLotProtocol(f *testing.F) {
-	f.Add([]byte{0, 8, 16, 3, 20, 18, 10, 2})       // three park, unparkOne, unparkN(2), three receive
+	f.Add([]byte{0, 8, 16, 3, 20, 18, 10, 2})       // three park, unparkOne, a run of two, three receive
 	f.Add([]byte{0, 1, 0, 5, 1, 0})                 // park, cancel, park, unparkAll, cancel eats the token, park
 	f.Add([]byte{0, 8, 5, 0, 8, 20, 2, 10})         // woken parkers re-enqueue over a stale token
 	f.Add([]byte{14, 14, 14, 7, 7, 7, 7, 6})        // spinner cap 1: second beginSpin refused
-	f.Add([]byte{0, 8, 16, 24, 32, 28, 12, 5, 5})   // unparkN(3) of five, unparkN(1), unparkAll twice
+	f.Add([]byte{0, 8, 16, 24, 32, 28, 12, 5, 5})   // unparkOne runs of three and one of five, unparkAll twice
 	f.Add([]byte{0, 22, 8, 1, 3, 3, 9, 7, 2, 0, 1}) // spin while enqueued, woken mid-spin, cancel after
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		const (
@@ -122,10 +123,15 @@ func FuzzLotProtocol(f *testing.F) {
 					t.Fatalf("op %d: unparkOne = %v, want %v", step, got, want)
 				}
 			case 4:
-				what = "unparkN"
-				n := arg % 5
-				if got, want := l.unparkN(n), wakeTail(n); got != want {
-					t.Fatalf("op %d: unparkN(%d) = %d, want %d", step, n, got, want)
+				what = "unparkOne run"
+				n, got := arg%5, 0
+				for k := 0; k < n; k++ {
+					if l.unparkOne() {
+						got++
+					}
+				}
+				if want := wakeTail(n); got != want {
+					t.Fatalf("op %d: %d unparkOne calls woke %d, want %d", step, n, got, want)
 				}
 			case 5:
 				what = "unparkAll"

@@ -145,64 +145,3 @@ func TestRingConcurrent(t *testing.T) {
 		}
 	}
 }
-
-// TestGateBatchOps pins the batched gate primitives the serving pump is
-// built on: one tryAcquireN CAS claims min(free, max) slots, releaseN
-// returns them, and the peak tracks the high-water mark.
-func TestGateBatchOps(t *testing.T) {
-	var g gate
-	g.limit.Store(8)
-	if n := g.tryAcquireN(32); n != 8 {
-		t.Fatalf("tryAcquireN(32) on an empty 8-limit gate = %d, want 8", n)
-	}
-	if n := g.tryAcquireN(1); n != 0 {
-		t.Fatalf("tryAcquireN on a full gate = %d, want 0", n)
-	}
-	g.releaseN(5)
-	if n := g.tryAcquireN(3); n != 3 {
-		t.Fatalf("tryAcquireN(3) with 5 free = %d, want 3", n)
-	}
-	if got := g.active.Load(); got != 6 {
-		t.Fatalf("active = %d, want 6", got)
-	}
-	if got := g.peak.Load(); got != 8 {
-		t.Fatalf("peak = %d, want 8", got)
-	}
-	if n := g.tryAcquireN(0); n != 0 {
-		t.Fatalf("tryAcquireN(0) = %d, want 0", n)
-	}
-	g.releaseN(6)
-	defer func() {
-		if recover() == nil {
-			t.Error("releaseN below zero did not panic")
-		}
-	}()
-	g.releaseN(1)
-}
-
-// TestLotUnparkN pins the batched wakeup: one call wakes up to n
-// parked workers under a single lock acquisition.
-func TestLotUnparkN(t *testing.T) {
-	var l lot
-	parkers := make([]*parker, 5)
-	for i := range parkers {
-		parkers[i] = &parker{token: make(chan struct{}, 1)}
-		l.enqueue(parkers[i])
-	}
-	if woken := l.unparkN(3); woken != 3 {
-		t.Fatalf("unparkN(3) woke %d, want 3", woken)
-	}
-	if woken := l.unparkN(10); woken != 2 {
-		t.Fatalf("unparkN(10) with 2 parked woke %d, want 2", woken)
-	}
-	if woken := l.unparkN(1); woken != 0 {
-		t.Fatalf("unparkN on an empty lot woke %d, want 0", woken)
-	}
-	for i, p := range parkers {
-		select {
-		case <-p.token:
-		default:
-			t.Fatalf("parker %d has no token after unparkN", i)
-		}
-	}
-}

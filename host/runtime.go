@@ -17,8 +17,9 @@ import (
 // home domain's list until a gate slot admits it; they differ only in
 // how the rest is queued and admitted — Run seeds per-domain FIFOs with
 // the phase's gathers and admits on take (batch.go), Serve moves
-// records through MPMC rings with a batched admission pump (serve.go) —
-// and each implements discipline. Everything around the queues lives
+// records through MPMC rings and admits them in a pump that submitters
+// and releasers run (serve.go); both claim one gate slot per admission
+// — and each implements discipline. Everything around the queues lives
 // here once: the per-pair record, the worker, the lazily grown pool,
 // the park/spin loop, the stage runner with retry and panic recovery,
 // the controller feed, and (watchdog.go) the stall scan. DESIGN.md §11
@@ -203,7 +204,7 @@ type latShard struct {
 
 // discipline is what a way of queueing runnable records gives the
 // shared runtime. Every scheduling decision — search order, which
-// events wake a sleeper, batch sizes — is behind these methods; nothing
+// events wake a sleeper — is behind these methods; nothing
 // in this file chooses between records.
 type discipline interface {
 	// equip gives a freshly spawned worker the discipline's per-worker
@@ -451,7 +452,7 @@ func (p *pool) runStage(w *worker, j *pairRec) *pairRec {
 	}
 	dur, end, attempts, err := p.retry(w, j)
 	if stage != stageComp {
-		r.releaseSlots(int(j.dom), 1)
+		r.releaseSlot(int(j.dom))
 		r.releaseClass(int(j.class))
 		p.q.released(j)
 	}

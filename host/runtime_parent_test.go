@@ -441,7 +441,7 @@ func runtimeCases() []struct {
 			cfg.Retry = pinRetry
 			cfg.Retry.MaxAttempts = 2
 			pairs, inj := pinFaulty(t, 40, 22, -1)
-			return pinServe(t, cfg, ServeConfig{Queue: 2, Shed: ShedBlock, AdmitBatch: 1}, pairs, inj, false, 1)
+			return pinServe(t, cfg, ServeConfig{Queue: 2, Shed: ShedBlock}, pairs, inj, false, 1)
 		}},
 		{"w1/serve/stall", func(t *testing.T) pinnedCase {
 			cfg, pairs := pinStall()
@@ -480,7 +480,7 @@ func runtimeCases() []struct {
 			return pinServe(t, pinW4(), ServeConfig{Queue: 4, Shed: ShedReject}, pinPairs(200), nil, false, 2)
 		}},
 		{"w4d2/serve/drop", func(t *testing.T) pinnedCase {
-			return pinServe(t, pinW4(), ServeConfig{Queue: 4, Shed: ShedDrop, AdmitBatch: 1}, pinPairs(200), nil, false, 2)
+			return pinServe(t, pinW4(), ServeConfig{Queue: 4, Shed: ShedDrop}, pinPairs(200), nil, false, 2)
 		}},
 		{"w4d2/serve/block-faults-recovered", func(t *testing.T) pinnedCase {
 			cfg := pinW4()

@@ -27,11 +27,9 @@ import (
 //
 // The serving hot path is allocation-free after Serve: records live in
 // a preallocated block pool and move between lock-free MPMC rings
-// (ring.go). Admission is *batched*: instead of one gate CAS and one
-// wakeup per job, the pump claims a run of slots in a single
-// tryAcquireN CAS and wakes the matching number of workers under a
-// single lot lock (unparkN), amortising the gate and wakeup traffic
-// that dominates per-job admission at high worker counts.
+// (ring.go). Admission is per job, as in Run: the pump claims one gate
+// slot with one CAS, moves one queued job into the admitted ring and
+// wakes one sleeper for it, and repeats while slots and jobs remain.
 //
 // Per-job latencies are recorded into per-worker histogram shards
 // (internal/stats.LatencyHist, zero-alloc) and merged deterministically
@@ -89,20 +87,12 @@ type ServeConfig struct {
 	Queue int
 	// Shed selects the overflow behaviour. Default: ShedReject.
 	Shed Shed
-	// AdmitBatch caps how many queued jobs one gate transition admits
-	// (one CAS, one batched wakeup). 1 degenerates to per-job
-	// admission — the configuration the BenchmarkHostServePerJob
-	// baselines pin. Default: 32.
-	AdmitBatch int
 }
 
 // withDefaults fills zero fields.
 func (c ServeConfig) withDefaults() ServeConfig {
 	if c.Queue == 0 {
 		c.Queue = 1024
-	}
-	if c.AdmitBatch == 0 {
-		c.AdmitBatch = 32
 	}
 	return c
 }
@@ -111,9 +101,6 @@ func (c ServeConfig) withDefaults() ServeConfig {
 func (c ServeConfig) validate() error {
 	if c.Queue < 1 {
 		return fmt.Errorf("host: ServeConfig.Queue = %d, want >= 1", c.Queue)
-	}
-	if c.AdmitBatch < 1 {
-		return fmt.Errorf("host: ServeConfig.AdmitBatch = %d, want >= 1", c.AdmitBatch)
 	}
 	switch c.Shed {
 	case ShedReject, ShedDrop, ShedBlock:
@@ -133,9 +120,9 @@ type ServeStats struct {
 	Retries   int64 // task re-executions performed
 	Recovered int64 // tasks that succeeded after at least one retry
 
-	// AdmitBatches counts gate transitions; AdmittedJobs the jobs they
-	// admitted. Their ratio is the realised admission batch size — the
-	// amortisation batched admission buys over per-job admission.
+	// AdmitBatches counts admission pump passes that admitted at least
+	// one job; AdmittedJobs the jobs admitted. Each job claims its own
+	// gate slot: the ratio is how many jobs one pass found room for.
 	AdmitBatches int64
 	AdmittedJobs int64
 
@@ -382,85 +369,82 @@ func (s *Server) undoInflight() {
 	}
 }
 
-// pump is batched admission for domain d: claim a run of gate slots in
-// one CAS, move that many queued jobs (scatter stage first — they
-// finish jobs and free blocks) into the admitted ring, and wake the
-// matching number of workers under one lot lock. Every slot-freeing
+// pump is admission for domain d: while jobs wait, claim one gate
+// slot, move the next admissible job (scatter stage first — it
+// finishes a job and frees a block — then held, then fresh ingress)
+// into the admitted ring and wake one worker for it. Every slot-freeing
 // event calls pump, so admission keeps pace without any dedicated
-// admission thread. Concurrent pumps are safe: slots are claimed
-// before jobs are taken, and unclaimable leftovers are handed back.
+// admission thread. Concurrent pumps are safe: a slot is claimed
+// before a job is taken, and an unused one is handed back.
 func (s *Server) pump(d int) {
 	sd := &s.doms[d]
-	batch := int64(s.sc.AdmitBatch)
-	for {
-		pending := sd.scat.n.Load() + sd.held.n.Load() + int64(sd.pend.length())
-		if pending == 0 {
-			return
+	var moved int64
+	var deferred []*pairRec
+	spare := false // a claimed slot no job took
+	for sd.waiting() > 0 && s.rt.claimSlot(d) {
+		j := sd.next()
+		for j != nil && !s.rt.admitClass(int(j.class)) {
+			// The job's class is at its per-class cap (a demoted class
+			// runs fully serialized): defer it and keep admitting other
+			// traffic. The slice allocates only in class-capped
+			// sessions — the cooperative serving path stays
+			// allocation-free.
+			deferred = append(deferred, j)
+			j = sd.next()
 		}
-		want := min(pending, batch)
-		n := s.rt.claimSlots(d, want)
-		if n == 0 {
-			return
+		if j == nil {
+			spare = true
+			break
 		}
-		var moved int64
-		var deferred []*pairRec
-		now := s.nowNs()
-		for moved < n {
-			j := sd.scat.take()
-			if j == nil {
-				j = sd.held.take()
-			}
-			if j == nil {
-				j = sd.pend.pop()
-			}
-			if j == nil {
-				break
-			}
-			if !s.rt.admitClass(int(j.class)) {
-				// The job's class is at its per-class cap (a demoted
-				// class runs fully serialized): defer it and keep
-				// admitting other traffic. The slice allocates only in
-				// class-capped sessions — the cooperative serving path
-				// stays allocation-free.
-				deferred = append(deferred, j)
-				continue
-			}
-			if j.admitNs == 0 {
-				j.admitNs = now
-			}
-			if !sd.admitted.push(j) {
-				// Sized past the gate limit, the admitted ring only
-				// reports full during a racing pop's handoff; recycle
-				// through the unbounded scatter list and retry later.
-				s.rt.releaseClass(int(j.class))
-				sd.scat.put(j)
-				break
-			}
-			// The issue signal is emitted by the worker that runs this
-			// admission (runStage), not here: pump runs on arbitrary
-			// submitter goroutines with no worker slot to attribute a
-			// shard write to.
-			moved++
+		if j.admitNs == 0 {
+			j.admitNs = s.nowNs()
 		}
-		for _, j := range deferred {
-			sd.held.put(j)
+		if !sd.admitted.push(j) {
+			// Sized past the gate limit, the admitted ring only reports
+			// full during a racing pop's handoff; recycle through the
+			// unbounded scatter list and retry later.
+			s.rt.releaseClass(int(j.class))
+			sd.scat.put(j)
+			spare = true
+			break
 		}
-		if moved < n {
-			s.rt.releaseSlots(d, n-moved)
-		}
-		if moved > 0 {
-			s.admitBatches.Add(1)
-			s.admittedJobs.Add(moved)
-			s.wakeSubmitters() // space opened in pend
-			woken := s.lot.unparkN(int(moved))
-			for i := woken; i < int(moved); i++ {
-				s.spawnWorker()
-			}
-		}
-		if moved < want {
-			return
+		// The issue signal is emitted by the worker that runs this
+		// admission (runStage), not here: pump runs on arbitrary
+		// submitter goroutines with no worker slot to attribute a shard
+		// write to.
+		moved++
+		if !s.lot.unparkOne() {
+			s.spawnWorker()
 		}
 	}
+	for _, j := range deferred {
+		sd.held.put(j)
+	}
+	if spare {
+		s.rt.releaseSlot(d)
+	}
+	if moved > 0 {
+		s.admitBatches.Add(1)
+		s.admittedJobs.Add(moved)
+		s.wakeSubmitters() // space opened in pend
+	}
+}
+
+// waiting counts the domain's jobs awaiting admission.
+func (sd *servDomain) waiting() int64 {
+	return sd.scat.n.Load() + sd.held.n.Load() + int64(sd.pend.length())
+}
+
+// next takes the domain's next job awaiting admission: a scatter, then
+// a class-capped job set aside by an earlier pump, then fresh ingress.
+func (sd *servDomain) next() *pairRec {
+	if j := sd.scat.take(); j != nil {
+		return j
+	}
+	if j := sd.held.take(); j != nil {
+		return j
+	}
+	return sd.pend.pop()
 }
 
 // limitRose pumps every domain: an MTL raise opens headroom on all of

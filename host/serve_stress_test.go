@@ -53,7 +53,7 @@ func TestStressServeSubmitDrainMTL(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rt.Close()
-	srv, err := rt.Serve(ServeConfig{Queue: 256, Shed: ShedDrop, AdmitBatch: 32})
+	srv, err := rt.Serve(ServeConfig{Queue: 256, Shed: ShedDrop})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -471,57 +471,42 @@ func TestServeTaskErrorWording(t *testing.T) {
 	}
 }
 
-// TestServeBatchedAdmission checks the admission accounting for both
-// modes: every submitted job is admitted exactly once, AdmitBatch=1
-// takes exactly one gate transition per job, and AdmitBatch>1 never
-// takes more than one per job. (Multi-job batches are a contention
-// phenomenon — bursty submits and bulk slot releases — exercised by
-// the stress test and measured by the benchmarks; a single-threaded
-// backlog drains one freed slot at a time, so the ratio here is ~1.)
+// TestServeBatchedAdmission checks the admission accounting over one
+// deep backlog: every submitted job is admitted exactly once, and a
+// pump pass that admits anything admits at least one job (passes that
+// find several slots free count once). A single-threaded backlog drains
+// one freed slot at a time, so the ratio here is ~1.
 func TestServeBatchedAdmission(t *testing.T) {
-	run := func(batch int) ServeStats {
-		release := make(chan struct{})
-		var started sync.WaitGroup
-		started.Add(1)
-		var once sync.Once
-		_, srv := newServer(t, Config{Workers: 4, Policy: Static, MTL: 4},
-			ServeConfig{Queue: 1024, AdmitBatch: batch})
-		// Wedge every admission slot behind one blocker so a deep
-		// backlog builds, then release.
-		if err := srv.Submit(Pair{
-			Memory:  func() { once.Do(started.Done); <-release },
-			Compute: func() {},
-		}); err != nil {
+	release := make(chan struct{})
+	var started sync.WaitGroup
+	started.Add(1)
+	var once sync.Once
+	_, srv := newServer(t, Config{Workers: 4, Policy: Static, MTL: 4}, ServeConfig{Queue: 1024})
+	// Wedge every admission slot behind one blocker so a deep backlog
+	// builds, then release.
+	if err := srv.Submit(Pair{
+		Memory:  func() { once.Do(started.Done); <-release },
+		Compute: func() {},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	started.Wait()
+	for i := 0; i < 800; i++ {
+		if err := srv.Submit(Pair{Memory: func() {}, Compute: func() {}}); err != nil {
 			t.Fatal(err)
 		}
-		started.Wait()
-		for i := 0; i < 800; i++ {
-			if err := srv.Submit(Pair{Memory: func() {}, Compute: func() {}}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		close(release)
-		st, err := srv.Drain(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st
 	}
-	batched := run(32)
-	if batched.AdmittedJobs != batched.Submitted {
-		t.Fatalf("admitted %d of %d submitted", batched.AdmittedJobs, batched.Submitted)
+	close(release)
+	st, err := srv.Drain(context.Background())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if batched.AdmitBatches > batched.AdmittedJobs {
-		t.Errorf("batched admission made %d transitions for %d jobs, want <=",
-			batched.AdmitBatches, batched.AdmittedJobs)
+	if st.AdmittedJobs != st.Submitted {
+		t.Fatalf("admitted %d of %d submitted", st.AdmittedJobs, st.Submitted)
 	}
-	perJob := run(1)
-	if perJob.AdmittedJobs != perJob.Submitted {
-		t.Fatalf("admitted %d of %d submitted", perJob.AdmittedJobs, perJob.Submitted)
-	}
-	if perJob.AdmitBatches != perJob.AdmittedJobs {
-		t.Errorf("AdmitBatch=1 made %d transitions for %d jobs, want equal",
-			perJob.AdmitBatches, perJob.AdmittedJobs)
+	if st.AdmitBatches < 1 || st.AdmitBatches > st.AdmittedJobs {
+		t.Errorf("%d admitting passes for %d jobs, want within [1, %d]",
+			st.AdmitBatches, st.AdmittedJobs, st.AdmittedJobs)
 	}
 }
 
@@ -580,7 +565,6 @@ func TestServeConfigValidation(t *testing.T) {
 	}
 	for name, sc := range map[string]ServeConfig{
 		"neg-queue": {Queue: -1},
-		"neg-batch": {AdmitBatch: -1},
 		"bad-shed":  {Shed: Shed(99)},
 	} {
 		if _, err := rt.Serve(sc); err == nil {

@@ -28,8 +28,8 @@ func TestPhaseReadyCountsOnlyAdmissibleWork(t *testing.T) {
 	if !ph.ready() {
 		t.Fatal("ready() = false with two gathers queued and the gate empty")
 	}
-	if got := r.claimSlots(0, 1); got != 1 {
-		t.Fatalf("claimSlots = %d, want 1", got)
+	if !r.claimSlot(0) {
+		t.Fatal("claimSlot refused on an empty gate")
 	}
 	if n := ph.doms[0].readyMem.Load(); n == 0 || ph.ready() {
 		t.Errorf("ready() = %v with readyMem = %d and the gate full, want false: take would find nothing", ph.ready(), n)
@@ -37,7 +37,7 @@ func TestPhaseReadyCountsOnlyAdmissibleWork(t *testing.T) {
 	if got := ph.admissible(); got != 0 {
 		t.Errorf("admissible() = %d with the gate full, want 0", got)
 	}
-	r.releaseSlots(0, 1)
+	r.releaseSlot(0)
 	if !ph.ready() {
 		t.Error("ready() = false after the slot came back")
 	}
@@ -80,7 +80,7 @@ func TestPhaseTakeKeepsScattersWithTheirWorkers(t *testing.T) {
 		if j := ph.take(c.w); j != c.want {
 			t.Fatalf("%s took record %p, want %p", c.name, j, c.want)
 		}
-		r.releaseSlots(0, 1)
+		r.releaseSlot(0)
 	}
 	if owner.scatQueued {
 		t.Error("scatQueued still set after its worker took a scatter")

@@ -144,36 +144,3 @@ func Map[T any](workers, n int, fn func(int) T) []T {
 	}
 	return out
 }
-
-// Batch collects heterogeneous jobs and runs them as one bounded
-// fan-out, returning results in submission order. It exists for call
-// sites that discover their jobs incrementally (grid sweeps, per-MTL
-// probes) rather than from a pre-sized slice.
-type Batch[T any] struct {
-	workers int
-	jobs    []func() T
-}
-
-// NewBatch returns an empty batch that will run on at most workers
-// goroutines (workers <= 0 resolves via Workers at Wait time).
-func NewBatch[T any](workers int) *Batch[T] {
-	return &Batch[T]{workers: workers}
-}
-
-// Submit enqueues one job and returns its result index.
-func (b *Batch[T]) Submit(fn func() T) int {
-	b.jobs = append(b.jobs, fn)
-	return len(b.jobs) - 1
-}
-
-// Len reports the number of submitted jobs.
-func (b *Batch[T]) Len() int { return len(b.jobs) }
-
-// Wait executes every submitted job and returns the results in
-// submission order. The batch is drained: a subsequent Submit/Wait
-// cycle starts a fresh batch.
-func (b *Batch[T]) Wait() []T {
-	jobs := b.jobs
-	b.jobs = nil
-	return Map(b.workers, len(jobs), func(i int) T { return jobs[i]() })
-}

@@ -135,31 +135,6 @@ func TestMapEmpty(t *testing.T) {
 	}
 }
 
-func TestBatchSubmissionOrder(t *testing.T) {
-	b := NewBatch[string](4)
-	if got := b.Submit(func() string { time.Sleep(2 * time.Millisecond); return "a" }); got != 0 {
-		t.Fatalf("first index = %d", got)
-	}
-	b.Submit(func() string { time.Sleep(time.Millisecond); return "b" })
-	b.Submit(func() string { return "c" })
-	if b.Len() != 3 {
-		t.Fatalf("Len = %d", b.Len())
-	}
-	got := b.Wait()
-	want := []string{"a", "b", "c"}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Wait() = %v, want %v", got, want)
-		}
-	}
-	if b.Len() != 0 {
-		t.Error("batch not drained by Wait")
-	}
-	if out := b.Wait(); len(out) != 0 {
-		t.Errorf("second Wait = %v, want empty", out)
-	}
-}
-
 func TestWorkersResolution(t *testing.T) {
 	if got := Workers(7); got != 7 {
 		t.Errorf("Workers(7) = %d", got)
