@@ -29,6 +29,7 @@ var capture = flag.Bool("capture", false, "rewrite testdata/kernel_parent.json f
 // kernelCase is one fixed (program, machine, policy, seed) point.
 type kernelCase struct {
 	name      string
+	cores     int // 0: the default machine's four
 	domains   int
 	smt       int
 	pairs     []int // pairs per phase
@@ -76,10 +77,15 @@ func kernelCases() []kernelCase {
 		kernelCase{domains: 4, smt: 1, pairs: []int{300}, footprint: 512 << 10, ratio: 2.5, scatter: true, policy: "fixed2", seed: 105},
 		kernelCase{domains: 1, smt: 1, pairs: []int{40}, footprint: 512 << 10, ratio: 0.7, policy: "fixed4", seed: 106, slowMem: true},
 		kernelCase{domains: 2, smt: 1, pairs: []int{40}, footprint: 512 << 10, ratio: 0.7, scatter: true, policy: "dynamic", seed: 107, slowMem: true},
+		kernelCase{cores: 8, domains: 2, smt: 4, pairs: []int{200, 33}, footprint: 512 << 10, ratio: 0.4, policy: "fixed4", seed: 108},
+		kernelCase{cores: 8, domains: 2, smt: 4, pairs: []int{200, 33}, footprint: 512 << 10, ratio: 0.4, scatter: true, policy: "dynamic", seed: 109},
 	)
 	for i := range cs {
 		c := &cs[i]
 		c.name = fmt.Sprintf("%02d-d%d-smt%d-p%v-r%.2f-sc%t-%s", i, c.domains, c.smt, c.pairs, c.ratio, c.scatter, c.policy)
+		if c.cores > 0 {
+			c.name += fmt.Sprintf("-c%d", c.cores)
+		}
 	}
 	return cs
 }
@@ -102,6 +108,9 @@ func (c kernelCase) program() *stream.Program {
 
 func (c kernelCase) config() Config {
 	cf := cfg()
+	if c.cores > 0 {
+		cf.Machine.Cores = c.cores
+	}
 	cf.Machine.SMTWays = c.smt
 	if c.slowMem {
 		cf.Mem.TqlPerByte *= 2

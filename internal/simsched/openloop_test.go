@@ -57,8 +57,8 @@ func TestRigRecycledAcrossDrivers(t *testing.T) {
 		}
 		runClosed(r, kcs[(i+1)%len(kcs)])
 	}
-	if shapes != 3 {
-		t.Errorf("%d machine shapes exercised, want 3 (1, 2 and 4 domains)", shapes)
+	if shapes != 4 {
+		t.Errorf("%d machine shapes exercised, want 4 (1, 2 and 4 domains, and 8 cores x 4-way SMT)", shapes)
 	}
 }
 
