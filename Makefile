@@ -55,9 +55,9 @@ CONTEND_BENCHES = BenchmarkContendedCounterGlobal|BenchmarkContendedCounterShare
 # cycle stay allocation-free too.
 ZERO_ALLOC   = BenchmarkEngineStepWheel,BenchmarkEngineStepWheelDeep256,BenchmarkEngineStepSparse,BenchmarkDRAMAccess,BenchmarkStreamPump,BenchmarkPoolStart,BenchmarkGateAdmitPerJob,BenchmarkPolicyObserve
 
-.PHONY: check lint fmt vet layout build bench-build test race fuzz-smoke flake bench bench-host bench-baseline bench-check ab loc
+.PHONY: check lint fmt vet layout build bench-build test race sweep-same fuzz-smoke flake bench bench-host bench-baseline bench-check ab loc
 
-check: lint build bench-build test race fuzz-smoke flake
+check: lint build bench-build test race sweep-same fuzz-smoke flake
 
 # lint is the static gate on its own: formatting, go vet, and the
 # cache-line layout assertions over the dispatch hot structs.
@@ -112,10 +112,30 @@ test:
 # whole: TestDriverConcurrentReaders holds the one controller driver to
 # its contract (mutators under the caller's lock, MTL/ClassLimit/
 # Blacklisted/OnSignal from any goroutine) without a runtime around it.
+# TestNoise* reads stats.Noise's process-wide factor streams from four
+# goroutines while they grow.
 race:
 	$(GO) test -race ./host/... ./internal/parallel/... ./internal/core
 	$(GO) test -race -run 'RobustnessR2' ./internal/experiments
 	$(GO) test -race -run 'TestWheel|TestRunConcurrentRecycling' ./internal/sim ./internal/simsched
+	$(GO) test -race -run TestNoise ./internal/stats
+
+# sweep-same is the determinism gate of the whole sweep: mtlbench -all
+# at one worker and at four must print the same tables, less the
+# run-varying lines (the calibration banner, elapsed_sec) and D1H, whose
+# counters are host wall-clock. Runs share process-wide state —
+# stats.Noise's per-(sigma, seed) factor streams, simsched's recycled
+# runners — so a run that leaks into another shows here (~7 s on 2 vCPUs).
+SWEEP_STRIP = awk '/^\{/ { buf = ""; d1h = 0 } /"id": "D1H"/ { d1h = 1 } \
+	!/elapsed_sec|calibrated platform/ { buf = buf $$0 "\n" } /^\}/ && !d1h { printf "%s", buf }'
+sweep-same:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) build -o "$$tmp/mtlbench" ./cmd/mtlbench && \
+	"$$tmp/mtlbench" -all -format json -j 1 > "$$tmp/j1.json" && \
+	"$$tmp/mtlbench" -all -format json -j 4 > "$$tmp/j4.json" && \
+	$(SWEEP_STRIP) "$$tmp/j1.json" > "$$tmp/j1" && $(SWEEP_STRIP) "$$tmp/j4.json" > "$$tmp/j4" && \
+	test -s "$$tmp/j1" && diff "$$tmp/j1" "$$tmp/j4" && \
+	echo "sweep-same: $$(grep -c '"id"' "$$tmp/j1") tables identical at -j 1 and -j 4"
 
 # fuzz-smoke gives the event queue's differential fuzzer (the engine
 # against a plain heap, see internal/sim/wheel_test.go) fifteen seconds

@@ -298,6 +298,8 @@ type Stats struct {
 	// inside the time Domains[].Idle sums), kept across runs. When a
 	// finished stage wakes a sleeper and how long an idle worker spins
 	// are stated in it. Measured, not set; zero until a worker blocked.
+	// The park that the run's end wakes often folds its sample after
+	// the run has read λ; it then counts from the next run on.
 	WakeLatency time.Duration
 
 	// Domains holds the per-domain dispatch counters, one entry per

@@ -133,8 +133,14 @@ func TestRunOverlapsGatherWithCompute(t *testing.T) {
 	if st.MaxConcurrentM != 1 {
 		t.Errorf("MaxConcurrentM = %d, want 1", st.MaxConcurrentM)
 	}
-	if st.WakeLatency <= 0 {
-		t.Errorf("WakeLatency = %v after a run whose second worker had to be woken", st.WakeLatency)
+	// A woken worker folds its wake into λ as it resumes. The park that
+	// ends a run is woken by the shutdown, often after Run has read λ,
+	// so only a run with a second blocking park woke a worker inside it.
+	// (Under a CPU hog, one run in ten parks once, both workers finding
+	// their next record ready until the end; half of those read λ = 0.
+	// Every run that parked twice read λ > 0.)
+	if parks := st.Domains[0].Parks; parks >= 2 && st.WakeLatency <= 0 {
+		t.Errorf("WakeLatency = %v after a run with %d blocking parks, one of them woken inside the run", st.WakeLatency, parks)
 	}
 	overlaps := 0
 	for j, g := range gathers {

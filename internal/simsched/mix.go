@@ -253,13 +253,29 @@ func (m *mixer) arrive(arg any) {
 	}
 }
 
-// dispatchAll offers work to every idle worker.
+// dispatchAll offers work to idle workers until one finds none, as the
+// closed-loop kernel's dispatchAll does and for the same reason: the
+// job dispatch admits does not depend on the worker.
 func (m *mixer) dispatchAll() {
 	for i := range m.workers {
 		if w := &m.workers[i]; w.idle {
 			m.dispatch(w)
+			if w.idle {
+				return
+			}
 		}
 	}
+}
+
+// tokenFree reports whether some domain runs fewer than mtl memory
+// tasks.
+func (m *mixer) tokenFree(mtl int) bool {
+	for _, a := range m.activeMem {
+		if a < mtl {
+			return true
+		}
+	}
+	return false
 }
 
 // classFull reports whether class c is at its class limit. A
@@ -278,10 +294,15 @@ func (m *mixer) classFull(c int) bool {
 // path admits against its per-domain gates — and its class's limit.
 // The worker carries the job end to end — gather under the admission
 // slot, then compute — so a busy worker maps one-to-one onto an
-// in-flight request.
+// in-flight request. While every domain's gate is full no job can
+// clear it, so the queue is scanned only when some domain holds a
+// token.
 func (m *mixer) dispatch(w *worker) {
 	mtl := m.th.MTL()
 	idx := m.head
+	if !m.tokenFree(mtl) {
+		idx = len(m.queue)
+	}
 	for ; idx < len(m.queue); idx++ {
 		if t := m.queue[idx]; m.activeMem[t.dom] < mtl && !m.classFull(t.class) {
 			break

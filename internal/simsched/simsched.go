@@ -382,11 +382,17 @@ func (r *runner) enterPhase(p int) {
 	r.dispatchAll()
 }
 
-// dispatchAll gives every idle worker a chance to pick up work.
+// dispatchAll gives idle workers work, lowest index first, until one
+// finds none. What dispatch picks does not depend on the worker, and a
+// dispatch that finds nothing changes nothing, so every idle worker
+// after it would find nothing too.
 func (r *runner) dispatchAll() {
 	for i := range r.workers {
 		if w := &r.workers[i]; w.idle {
 			r.dispatch(w)
+			if w.idle {
+				return
+			}
 		}
 	}
 }
