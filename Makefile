@@ -93,11 +93,12 @@ test:
 
 # The race pass re-runs the concurrency-heavy packages under the race
 # detector. In host that is one worker runtime (host/runtime.go: pool,
-# lazily spawned workers, the park/spin loop over the waiter lot, the
-# stage runner with retry, the controller feed, the stall watchdog)
-# under two queue disciplines — Run's per-domain gather and scatter
-# FIFOs (batch.go), Serve's MPMC rings and admission pump (serve.go) — so
-# every suite races the same park, release and wake code: the chaos and
+# lazily spawned workers, per-domain queues with admission on take, the
+# wake rule, the park/spin loop over the waiter lot, the stage runner
+# with retry, the controller feed, the stall watchdog) under two
+# disciplines — Run's seeded phases (batch.go), Serve's MPMC ingress
+# rings, shedding and Drain (serve.go) — so every suite races the same
+# take, park, release and wake code: the chaos and
 # cancellation suites, TestStress* (hundreds of workers oversubscribing
 # the gate, lost-wakeup hunts across back-to-back 1-pair phases) and
 # TestStressServe* (concurrent Submit against Drain and live MTL moves

@@ -62,7 +62,7 @@ func raise(peak *atomic.Int64, v int64) {
 }
 
 // release returns one slot. No wakeup rides on it: what a freed slot
-// is worth is the queue discipline's call (discipline.released).
+// is worth is the pool's call (pool.released).
 func (g *gate) release() {
 	if g.active.Add(-1) < 0 {
 		panic("host: gate released below zero")
@@ -112,7 +112,7 @@ type lot struct {
 
 	// wakeNs is λ, the wake latency: an EWMA of token sent → blocked
 	// worker running again, folded by each worker as it wakes. The wake
-	// rule (batch.go) and the spin budget (spin.go) are stated in it; 0
+	// rule (runtime.go) and the spin budget (spin.go) are stated in it; 0
 	// until the first blocking park ends.
 	wakeNs atomic.Int64
 	_      [48]byte

@@ -4,9 +4,10 @@ import "testing"
 
 // FuzzLotProtocol runs an arbitrary single-threaded program of the
 // calls the one park/spin loop and its unparkers make — enqueue,
-// cancel, token receive, unparkOne, a run of unparkOne calls (one pump
-// pass admitting several jobs), unparkAll, beginSpin, endSpin — against
-// a sequential model of the waiter lot. One goroutine plays every
+// cancel, token receive, unparkOne, a run of unparkOne calls (several
+// publishers waking in turn: Submits into a gate with room, finishes
+// under the wake rule, raced-away slots), unparkAll, beginSpin,
+// endSpin — against a sequential model of the waiter lot. One goroutine plays every
 // worker and every publisher, so nothing is timing: each parker is
 // idle, queued or woken in the model, and after every call the lot must
 // agree exactly. What that pins: every enqueued parker is woken or

@@ -10,14 +10,15 @@ import "sync/atomic"
 // bounded spinning (a CAS loss retries against fresh tickets; a slot
 // mid-handoff by a stalled peer reports full/empty instead of waiting).
 //
-// The serving path uses three of these: the per-domain pending queue
-// (producers: Submit callers; consumers: the admission pump), the
-// per-domain admitted queue (producer: the pump; consumers: workers)
-// and the free-block list (both ends contended). All three tolerate
-// spurious "full"/"empty" answers, which is exactly the ring's
-// contract: a push that loses its slot to a lagging consumer may
-// report full even though a later retry would fit; callers shed or
-// re-pump rather than spin.
+// The serving path uses two of these: the per-domain pending queue
+// (producers: Submit callers; consumers: workers, each popping under
+// the gate slot it just claimed, pool.takeMem) and the free-block list
+// (both ends contended). Both tolerate spurious "full"/"empty"
+// answers, which is exactly the ring's contract: a push that loses its
+// slot to a lagging consumer may report full even though a later retry
+// would fit, and a pop that meets a slot mid-publish reports empty;
+// Submit sheds, and a worker hands its claimed slot back with a nudge,
+// rather than spin.
 type mpmcRing struct {
 	mask  uint64
 	slots []ringSlot
@@ -99,15 +100,6 @@ func (r *mpmcRing) pop() *pairRec {
 			pos = r.head.Load()
 		}
 	}
-}
-
-// length reports the approximate occupancy (racy, monitoring only).
-func (r *mpmcRing) length() int {
-	t, h := r.tail.Load(), r.head.Load()
-	if t <= h {
-		return 0
-	}
-	return int(t - h)
 }
 
 // ceilPow2 rounds n up to the next power of two, with a floor of 2 —

@@ -7,6 +7,16 @@ import (
 	"testing"
 )
 
+// length reports the ring's approximate occupancy (racy: exact only
+// while no push or pop is in flight). The runtime never reads it.
+func (r *mpmcRing) length() int {
+	t, h := r.tail.Load(), r.head.Load()
+	if t <= h {
+		return 0
+	}
+	return int(t - h)
+}
+
 func TestCeilPow2(t *testing.T) {
 	cases := map[int]int{-3: 2, 0: 2, 1: 2, 2: 2, 3: 4, 4: 4, 5: 8, 1023: 1024, 1024: 1024, 1025: 2048}
 	for in, want := range cases {

@@ -12,18 +12,22 @@ import (
 	"memthrottle/internal/stats"
 )
 
-// This file is the worker runtime Run and Serve share. Both run a
-// gather's compute next on the gather's worker and hold a scatter in its
-// home domain's list until a gate slot admits it; they differ only in
-// how the rest is queued and admitted — Run seeds per-domain FIFOs with
-// the phase's gathers and admits on take (batch.go), Serve moves
-// records through MPMC rings and admits them in a pump that submitters
-// and releasers run (serve.go); both claim one gate slot per admission
-// — and each implements discipline. Everything around the queues lives
-// here once: the per-pair record, the worker, the lazily grown pool,
-// the park/spin loop, the stage runner with retry and panic recovery,
-// the controller feed, and (watchdog.go) the stall scan. DESIGN.md §11
-// says why both disciplines stay.
+// This file is the worker runtime Run and Serve share, admission
+// included. Both queue a domain's memory-class records in its
+// domainState — Run seeds the gath lists with the phase's gathers,
+// Serve pushes submissions into a bounded ingress ring (pend) — and in
+// both the worker about to run a memory-class task claims its gate slot
+// as it takes the record (takeMem). A gather's compute runs next on the
+// gather's worker; a scatter waits in its home domain's scat list until
+// a take admits it; one wake rule (offer) decides who else is woken.
+// What differs is ingress, termination, failure handling and Serve's
+// latency shards, which each side implements behind the discipline
+// interface (batch.go, serve.go). Everything else lives here once: the per-pair
+// record, the worker, the lazily grown pool, the per-domain queues and
+// their take order, admission, the wake rule, the park/spin loop, the
+// stage runner with retry and panic recovery, the controller feed, and
+// (watchdog.go) the stall scan. DESIGN.md §11 says why both disciplines
+// stay.
 
 // The three stages of a pair, in execution order. Memory and scatter
 // are memory-class: they run under a gate slot of the pair's home
@@ -55,7 +59,7 @@ type pairRec struct {
 
 	tmNs    int64 // measured memory-task duration
 	enqNs   int64 // Serve: Submit time, ns since the session started
-	admitNs int64 // Serve: first gate admission, same clock
+	admitNs int64 // Serve: when a worker took the gather, same clock
 }
 
 // has reports whether the record carries a task for stage.
@@ -119,12 +123,12 @@ func (r *Runtime) homeOf(index int64) (int, error) {
 }
 
 // recList is an unbounded mutex FIFO of records with an atomic count
-// that keeps the empty case — the steady state — off the lock. Run
-// seeds one list per domain with the phase's gathers in submission
-// order; Run and Serve both hold a domain's scatter-stage records in
-// another until a gate slot admits them, and Serve holds class-capped
-// records in a third. Every user gives each kind of record its own
-// list, so probing one never blocks another.
+// that keeps the empty case — the steady state — off the lock. Each
+// domain has two (domainState): gath, which Run seeds with the phase's
+// gathers in submission order and where Serve sets aside class-capped
+// gathers, and scat, where both hold scatter-stage records until a take
+// admits them. Each kind of record has its own list, so probing one
+// never blocks another.
 type recList struct {
 	n    atomic.Int64
 	mu   sync.Mutex
@@ -178,8 +182,8 @@ type worker struct {
 	park   parker
 	spinNs int64 // EWMA idle gap, drives the pre-park spin budget
 
-	// scatQueued (Run): this worker queued a scatter and has taken none
-	// since, so its next take tries the scatter lists first (takeMem).
+	// scatQueued: this worker queued a scatter and has taken none since,
+	// so its next take tries the scatter lists first (takeMem).
 	scatQueued bool
 
 	// Striped per-worker counters, merged into Stats after the phase
@@ -202,34 +206,49 @@ type latShard struct {
 	queue, service stats.LatencyHist
 }
 
-// discipline is what a way of queueing runnable records gives the
-// shared runtime. Every scheduling decision — search order, which
-// events wake a sleeper — is behind these methods; nothing
-// in this file chooses between records.
+// discipline is what Run and Serve each give the shared runtime: the
+// per-worker state, termination, and what happens to a record after a
+// stage. The search order, admission and the wake rule are the pool's
+// (takeMem, offer), the same under both.
 type discipline interface {
 	// equip gives a freshly spawned worker the discipline's per-worker
 	// state, before the worker is published.
 	equip(w *worker)
 	// take returns the next runnable record — a memory-class stage with
-	// its gate and class slots already held — or nil when the worker
-	// should park.
+	// its gate and class slots already held, found by pool.scan — or
+	// nil when the worker should park.
 	take(w *worker) *pairRec
-	// ready is the pre-park spin's poll: could take find something now?
-	// Work queued behind a full gate does not count.
-	ready() bool
 	// stopped reports that workers must drain and exit.
 	stopped() bool
-	// released runs right after the stage runner returned j's gate and
-	// class slots: the discipline's wake (or pump) for the freed slot.
-	released(j *pairRec)
-	// limitRose runs after the controller (or the watchdog) raised the
-	// MTL: admit and wake what the new headroom allows.
-	limitRose()
 	// finish takes j back after its stage ran (err is its terminal
 	// failure): publish the successor stage, retire the pair, or return
 	// a record — j itself, advanced — to run next on the same worker
 	// without a trip through the queues.
 	finish(w *worker, j *pairRec, dur time.Duration, end time.Time, err error) *pairRec
+}
+
+// domainState is one memory domain's queues of memory-class records,
+// taken under the domain's gate (takeMem), and the advisory ready count
+// over all of them. Parks and idle time are striped into the per-worker
+// shards and merged into DomainStats only at end of run. readyMem keeps
+// its own line: it is the one all-workers RMW word, and packing it
+// beside the lists' mutexes made every publish invalidate the take fast
+// path.
+type domainState struct {
+	// readyMem is an advisory upper bound on the records in scat, gath
+	// and pend: publishers increment *before* putting, so a zero read
+	// proves there is nothing to find and an idle worker skips the
+	// domain's admission attempt (and, crucially, the wake-another-worker
+	// path) with two loads. Consumers decrement after a successful take,
+	// so the count may transiently overshoot — costing a spurious scan,
+	// never a lost record.
+	readyMem atomic.Int64
+	_        [56]byte
+	scat     recList   // scatters of finished computes, each waiting for a gate slot
+	gath     recList   // Run: the phase's gathers, seeded in submission order; Serve: class-capped gathers set aside
+	pend     *mpmcRing // Serve's bounded ingress, Submit order; nil under Run
+	pairs    int       // Run: pairs homed here, set at seed time
+	_        [16]byte  // stride to a line multiple: no cross-domain sharing
 }
 
 // pool is the worker runtime under one Run phase or one Serve session.
@@ -238,6 +257,7 @@ type pool struct {
 	q    discipline
 	lot  *lot   // where idle workers park: the runtime's for Run, the session's for Serve
 	noun string // what a record is called in task errors: "pair" or "job"
+	doms []domainState
 
 	// stop ends retry backoffs early. Run passes its context's Done;
 	// Serve passes nil — a session has no cancellation, Drain waits
@@ -253,12 +273,16 @@ type pool struct {
 	wg      sync.WaitGroup           // Serve waits on it before merging histograms
 
 	// spawnMu orders every spawn's wg.Add before Drain's wg.Wait: a
-	// submitter's pump can still be spawning after its own job retired
-	// and the session drained.
+	// submitter can still be spawning after its own job retired and the
+	// session drained.
 	spawnMu sync.Mutex
 
 	retries   atomic.Int64
 	recovered atomic.Int64
+
+	// aborted marks a Run phase taken down by a terminal failure or its
+	// context; a Serve session never aborts, Drain waits for its tail.
+	aborted atomic.Bool
 
 	// done closes when the phase completes or aborts, or the session
 	// has drained; it also stops the watchdog.
@@ -286,6 +310,7 @@ func (p *pool) setup(r *Runtime, q discipline, l *lot, noun string, stop <-chan 
 	p.adaptive = !fixed
 	p.spinMax = spinnerCap()
 	p.workers = make([]atomic.Pointer[worker], r.cfg.Workers)
+	p.doms = make([]domainState, r.cfg.Domains)
 	p.done = make(chan struct{})
 	r.memPeak.Store(r.memActive.Load())
 	for d := range r.gates {
@@ -305,9 +330,9 @@ func (p *pool) shutdown() {
 // spawnWorker starts one more worker goroutine if the pool has not
 // reached Config.Workers yet. Workers spawn on demand, Go-scheduler
 // style: starting more than the admission limit can run would only park
-// them, so the pool grows when a publisher cannot drain its own backlog,
-// admitted work finds nobody parked, the MTL rises, or the watchdog
-// flags a wedged task. Safe from any goroutine; spawnMu serialises slot
+// them, so the pool grows when a wake finds nobody parked (the wake
+// rule, a Submit into a gate with room, a raced-away slot's nudge), the
+// MTL rises, or the watchdog flags a wedged task. Safe from any goroutine; spawnMu serialises slot
 // claims (a full pool returns before taking it) and no worker starts
 // once done has closed, while the atomic slot publication lets the
 // end-of-run merge read concurrently with spawning. Workers are homed
@@ -389,7 +414,7 @@ func (p *pool) parkTillWork(w *worker) *pairRec {
 					woken = true
 				default:
 				}
-				if woken || q.stopped() || q.ready() {
+				if woken || q.stopped() || p.ready() {
 					break
 				}
 				if i%spinYieldEvery == 0 {
@@ -454,7 +479,7 @@ func (p *pool) runStage(w *worker, j *pairRec) *pairRec {
 	if stage != stageComp {
 		r.releaseSlot(int(j.dom))
 		r.releaseClass(int(j.class))
-		p.q.released(j)
+		p.released()
 	}
 	if attempts > 1 {
 		p.retries.Add(int64(attempts - 1))
@@ -549,8 +574,8 @@ func (p *pool) invoke(j *pairRec) (err error) {
 
 // feedController delivers one completed memory/compute pair's
 // wall-clock timings under ctrlMu, mirrors the possibly-moved MTL into
-// every domain gate, and — only when the limit rose — lets the
-// discipline use the new headroom. Callers skip it for a Fixed
+// every domain gate, and — only when the limit rose — wakes workers
+// for the new headroom (limitRose). Callers skip it for a Fixed
 // throttler, which ignores samples and never moves.
 func (p *pool) feedController(j *pairRec, tc time.Duration, end time.Time) {
 	r := p.rt
@@ -564,6 +589,172 @@ func (p *pool) feedController(j *pairRec, tc time.Duration, end time.Time) {
 	rose := r.mirrorLimit()
 	r.ctrlMu.Unlock()
 	if rose {
-		p.q.limitRose()
+		p.limitRose()
 	}
+}
+
+// scan finds the next runnable record for w, or nil when it should
+// park: one admission attempt per domain, home first, and only where
+// the ready count is non-zero, so an idle probe is a handful of loads
+// with no CAS traffic and no wakes. Every queued record is
+// memory-class (a compute never queues) and is only returned with its
+// domain's gate slot already held: admission precedes the take, so a
+// slot is never claimed for work that does not exist.
+func (p *pool) scan(w *worker) *pairRec {
+	nd := len(p.doms)
+	for i := 0; i < nd; i++ {
+		if j := p.takeMem(w, (w.home+i)%nd); j != nil {
+			return j
+		}
+	}
+	return nil
+}
+
+// takeMem makes one admission attempt against domain d's gate and, with
+// the slot held, takes the domain's next record in w's order. A worker
+// with a scatter of its own queued (w.scatQueued) tries the scatters
+// first, then the gathers, then Serve's ingress; any other worker tries
+// the gathers, the ingress and the scatters last, so a scatter waits for
+// the worker whose cache holds its compute's data unless nothing else
+// can be admitted, and a class-capped gather set aside in gath goes
+// ahead of fresh ingress. A raced-away slot is handed back with a nudge
+// so a sleeper (or a fresh worker) retries while admissible work
+// remains.
+func (p *pool) takeMem(w *worker, d int) *pairRec {
+	ds := &p.doms[d]
+	if ds.readyMem.Load() == 0 {
+		return nil
+	}
+	r := p.rt
+	if !r.claimSlot(d) {
+		return nil
+	}
+	// nil stands for the ingress ring.
+	order := [...]*recList{&ds.gath, nil, &ds.scat}
+	if w.scatQueued {
+		order = [...]*recList{&ds.scat, &ds.gath, nil}
+	}
+	capped := false
+	for _, l := range order {
+		var j *pairRec
+		if l != nil {
+			j = l.take()
+		} else if ds.pend != nil {
+			j = ds.pend.pop()
+		}
+		if j == nil {
+			continue
+		}
+		if r.admitClass(int(j.class)) {
+			ds.readyMem.Add(-1)
+			if j.stage == stageScat {
+				w.scatQueued = false
+			}
+			return j
+		}
+		// Class-capped (limited or demoted): the record goes to the tail
+		// of its list — an ingress job to gath — and the next list gets
+		// its turn. The class slot's release wakes a sleeper (released),
+		// so a capped class drains serialized instead of deadlocking.
+		if l == nil {
+			l = &ds.gath
+		}
+		l.put(j)
+		capped = true
+	}
+	// Hand the speculative slot back. Raced away: nudge one sleeper only
+	// if there is still admissible work it could run (spawning a fresh
+	// worker if nobody is parked).
+	r.releaseSlot(d)
+	if !capped && ds.readyMem.Load() > 0 && !p.lot.unparkOne() {
+		p.spawnWorker()
+	}
+	return nil
+}
+
+// ready is the pre-park spin's poll: could take find something now?
+// Work queued behind a full gate does not count.
+func (p *pool) ready() bool { return p.admissible() > 0 }
+
+// admissible counts the records take could return now: each domain's
+// ready records up to the slots its gate has free. Advisory, like the
+// counts it sums.
+func (p *pool) admissible() int64 {
+	var n int64
+	for d := range p.doms {
+		if m := p.doms[d].readyMem.Load(); m > 0 {
+			if room := p.rt.gates[d].room(); room > 0 {
+				n += min(m, room)
+			}
+		}
+	}
+	return n
+}
+
+// offer is the wake rule, applied by a worker that has just finished a
+// stage and holds held records it runs next (1 when it continues into
+// the pair's compute, 0 after queuing a scatter): wake one sleeper (or
+// spawn, when none is parked and the pool is below Workers) iff take
+// could find a record beyond the publisher's next one and the
+// publisher's next task should outlast λ/wakeDiv, λ being the measured
+// wake latency (lot.wakeNs). Gast et al.: makespan is W/p plus a term
+// linear in λ, so ~1 µs bodies never wake and ~100 µs ones overlap
+// gather i+1 with compute i, as §IV-A assumes. The expectation is w's
+// running mean sum/n for the stage's class, the other class's before
+// its first sample; compared multiplied out, this runs per task.
+func (p *pool) offer(w *worker, stage int32, held int64) {
+	sum, n := w.sumTm.Load(), w.nTm.Load()
+	if sc, nc := w.sumTc.Load(), w.nTc.Load(); n == 0 || (stage == stageComp && nc > 0) {
+		sum, n = sc, nc
+	}
+	if wakeDiv*sum > p.lot.wakeNs.Load()*n && held+p.admissible() >= 2 && !p.lot.unparkOne() {
+		p.spawnWorker()
+	}
+}
+
+// queueScat advances j, whose compute w just ran, to its scatter: the
+// record waits in its home domain's scatter list for a take to admit it,
+// w's own next take tries that list first (w.scatQueued), and the wake
+// rule runs with nothing held. The ready count rises before the put so
+// no scanner can prove absence while the record is in flight.
+func (p *pool) queueScat(w *worker, j *pairRec) {
+	ds := &p.doms[j.dom]
+	j.stage = stageScat
+	ds.readyMem.Add(1)
+	ds.scat.put(j)
+	w.scatQueued = true
+	p.offer(w, stageScat, 0)
+}
+
+// wakeDiv: a woken worker arrives λ late for the record it was sent for
+// and is repaid by staying up (it spins 2λ between records, spin.go), so
+// the threshold sits under λ. Sized on 2 vCPUs: host_stream reads λ
+// 100-200 µs against Tc ~200 µs — at 1 every drift of λ past Tc cost a
+// serial run (a tenth of them), at 2 and 4 none; host_dispatch reads λ
+// 1.5-3 µs against ~0.5 µs bodies — blocking parks per Run 0.56-0.65 at
+// the parent, 0.66-0.74 at 2, 0.87-0.99 at 4.
+const wakeDiv = 2
+
+// released follows a returned memory slot. A gather's slot is offered
+// by the finish that continues into its compute, which follows at once
+// and counts it free (offer); any other slot is reclaimed by its
+// worker's next take, which follows the finish. Two cases cannot wait
+// for that, and each wakes one sleeper. In class-aware mode the freed
+// class slot may be just what a parked worker's capped record is
+// waiting for while this worker moves on to other work. And a task
+// outliving an aborted phase: its worker exits right after the
+// release, and the slot may be the one a *newer* phase's sleepers wait
+// for.
+func (p *pool) released() {
+	if p.rt.lim != nil || p.aborted.Load() {
+		p.lot.unparkOne()
+	}
+}
+
+// limitRose follows a raised MTL (the controller's or the watchdog's):
+// wake everyone (many sleepers may be gate-blocked) and grow the pool by
+// one; the wake rule grows it further if that is still not enough.
+func (p *pool) limitRose() {
+	p.lot.unparkAll()
+	p.spawnWorker()
 }

@@ -280,8 +280,10 @@ func (p *pinnedCase) runHolds(rt *Runtime, st Stats, err error, admissions int64
 }
 
 // pinServe opens a session, lets submit drive it and records the drain.
-// gated holds the first job's memory task until submit returns, so with
-// one worker the pending queue fills to exactly its capacity.
+// gated holds the first job's memory task until submit returns, and
+// submits the rest only once that task has started: a job counts
+// against Queue until a worker takes it, so with one worker the pending
+// queue then fills to exactly its capacity.
 func pinServe(t *testing.T, cfg Config, sc ServeConfig, pairs []Pair, inj *FaultInjector, gated bool, submitters int) pinnedCase {
 	t.Helper()
 	rt := pinRuntime(t, cfg)
@@ -289,10 +291,10 @@ func pinServe(t *testing.T, cfg Config, sc ServeConfig, pairs []Pair, inj *Fault
 	if err != nil {
 		t.Fatal(err)
 	}
-	release := make(chan struct{})
+	release, started := make(chan struct{}), make(chan struct{})
 	if gated {
 		body := pairs[0].Memory
-		pairs[0].Memory = func() { <-release; body() }
+		pairs[0].Memory = func() { close(started); <-release; body() }
 	}
 	var firstErr error
 	var mu sync.Mutex
@@ -304,6 +306,9 @@ func pinServe(t *testing.T, cfg Config, sc ServeConfig, pairs []Pair, inj *Fault
 			defer wg.Done()
 			for i := g; i < len(pairs); i += submitters {
 				err := srv.Submit(pairs[i])
+				if gated && i == 0 && err == nil {
+					<-started
+				}
 				mu.Lock()
 				offered++
 				if err != nil {

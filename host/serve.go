@@ -20,16 +20,18 @@ import (
 // Serve opens a streaming ingress, Submit enqueues one pair without
 // blocking the dispatch path, and Drain stops intake and waits for the
 // tail. The MTL admission gate doubles as the server's admission
-// controller — a job leaves the pending queue only when its home
-// domain's gate grants a memory slot — so the paper's invariant (never
-// more than MTL memory tasks in flight per domain) holds for streamed
-// work exactly as it does for batches.
+// controller — a job leaves the pending queue only when a worker takes
+// it under a slot of its home domain's gate — so the paper's invariant
+// (never more than MTL memory tasks in flight per domain) holds for
+// streamed work exactly as it does for batches.
 //
 // The serving hot path is allocation-free after Serve: records live in
-// a preallocated block pool and move between lock-free MPMC rings
-// (ring.go). Admission is per job, as in Run: the pump claims one gate
-// slot with one CAS, moves one queued job into the admitted ring and
-// wakes one sleeper for it, and repeats while slots and jobs remain.
+// a preallocated block pool (a lock-free MPMC ring, ring.go) and wait
+// in their domain's bounded ingress ring (domainState.pend). Admission
+// is Run's: the worker about to run a job claims one gate slot as it
+// takes it (pool.takeMem), and Submit wakes a sleeper only when the
+// job's gate has a free slot; behind a full gate the job waits for the
+// slot holder's next take.
 //
 // Per-job latencies are recorded into per-worker histogram shards
 // (internal/stats.LatencyHist, zero-alloc) and merged deterministically
@@ -83,7 +85,10 @@ var (
 // ServeConfig tunes one Serve session.
 type ServeConfig struct {
 	// Queue bounds each domain's pending queue (rounded up to a power
-	// of two). Default: 1024.
+	// of two): the jobs submitted to the domain that no worker has
+	// taken yet. A job leaves it when a worker takes its gather under a
+	// gate slot, so a job waiting behind a full gate counts against it.
+	// Default: 1024.
 	Queue int
 	// Shed selects the overflow behaviour. Default: ShedReject.
 	Shed Shed
@@ -120,9 +125,10 @@ type ServeStats struct {
 	Retries   int64 // task re-executions performed
 	Recovered int64 // tasks that succeeded after at least one retry
 
-	// AdmitBatches counts admission pump passes that admitted at least
-	// one job; AdmittedJobs the jobs admitted. Each job claims its own
-	// gate slot: the ratio is how many jobs one pass found room for.
+	// AdmittedJobs counts gate admissions: each memory-class task (a
+	// gather, or a scatter) a worker took under a slot of its gate.
+	// AdmitBatches always equals it — every take admits one record —
+	// and stays because bench/ reads the ratio of the two.
 	AdmitBatches int64
 	AdmittedJobs int64
 
@@ -146,28 +152,21 @@ type ServeStats struct {
 	FinalMTL       int
 	MaxConcurrentM int // peak concurrent memory tasks, all domains
 
-	// QueueLatency spans Submit to gate admission; ServiceLatency spans
-	// admission to completion. Both are merged from per-worker shards
-	// after the workers exit, so a drained server's percentiles are
-	// exact over all completed jobs.
+	// QueueLatency spans Submit to the worker's take of the gather —
+	// the wait for a gate slot and the wake of a worker included;
+	// ServiceLatency spans that take to completion. Both are merged
+	// from per-worker shards after the workers exit, so a drained
+	// server's percentiles are exact over all completed jobs.
 	QueueLatency   stats.LatencyHist
 	ServiceLatency stats.LatencyHist
-}
 
-// servDomain is one memory domain's share of the server.
-type servDomain struct {
-	// pend is the bounded ingress: Submit pushes, the admission pump
-	// pops. admitted carries gate-admitted jobs to workers; its
-	// occupancy is bounded by the domain's gate limit, so it is sized
-	// past Config.Workers and never legitimately fills. scat holds jobs
-	// between compute and scatter, awaiting re-admission (and is the
-	// unbounded fallback if admitted ever reports full mid-handoff).
-	// held parks jobs whose traffic class is at its per-class limit;
-	// they are retried ahead of fresh ingress on every later pump.
-	pend     *mpmcRing
-	admitted *mpmcRing
-	scat     recList
-	held     recList
+	// WakeLatency is the session's λ as it drained: the running mean
+	// of token sent → blocked worker running again over the session's
+	// waiter lot, the measured wake latency the wake rule and the
+	// pre-park spin are stated in. Measured, not set; zero until a
+	// worker blocked. Drain reads it after every worker exited, so
+	// every blocking park of the session has folded its sample.
+	WakeLatency time.Duration
 }
 
 // Server is a live Serve session.
@@ -175,7 +174,6 @@ type Server struct {
 	pool // the shared worker runtime; the rest is the serving discipline's
 	sc   ServeConfig
 
-	doms []servDomain
 	free *mpmcRing
 
 	// ownLot parks this session's idle workers (the runtime's own lot
@@ -187,8 +185,7 @@ type Server struct {
 	draining atomic.Bool
 
 	submitted, completed, failed atomic.Int64
-	dropped, rejected            atomic.Int64
-	admitBatches, admittedJobs   atomic.Int64
+	dropped, rejected, admitted  atomic.Int64
 	blacklisted                  atomic.Int64
 
 	// blockMu/blockCond park ShedBlock submitters; blockWaiters keeps
@@ -218,20 +215,18 @@ func (r *Runtime) Serve(sc ServeConfig) (*Server, error) {
 	if !r.serving.CompareAndSwap(false, true) {
 		return nil, errors.New("host: runtime already serving")
 	}
-	nd := r.cfg.Domains
 	queueCap := ceilPow2(sc.Queue)
-	admitCap := ceilPow2(2 * (r.cfg.Workers + 1))
-	s := &Server{sc: sc, doms: make([]servDomain, nd)}
+	s := &Server{sc: sc}
 	s.setup(r, s, &s.ownLot, "job", nil)
 	s.blockCond = sync.NewCond(&s.blockMu)
 	for d := range s.doms {
 		s.doms[d].pend = newMPMCRing(queueCap)
-		s.doms[d].admitted = newMPMCRing(admitCap)
 	}
-	// The block pool covers every place a job can rest: the pending
-	// rings, the admitted rings, the scatter lists plus the workers'
-	// hands (both bounded by gate occupancy and the worker count).
-	total := nd*queueCap + nd*admitCap + 2*(r.cfg.Workers+1)
+	// The block pool covers the pending rings plus two blocks a worker
+	// (and two spare) for the jobs out of them: in a worker's hands,
+	// set aside class-capped, or waiting for their scatter's slot.
+	// Running out reads as a full queue.
+	total := len(s.doms)*queueCap + 2*(r.cfg.Workers+1)
 	blocks := make([]pairRec, total)
 	s.free = newMPMCRing(ceilPow2(total))
 	for i := range blocks {
@@ -289,7 +284,7 @@ func (s *Server) Submit(p Pair) error {
 	rec.dom = int32(dom)
 	if s.enqueue(&rec) {
 		s.submitted.Add(1)
-		s.pump(dom)
+		s.wake(dom)
 		return nil
 	}
 	switch s.sc.Shed {
@@ -308,7 +303,9 @@ func (s *Server) Submit(p Pair) error {
 
 // enqueue copies one filled record into a pool block and moves it into
 // its domain's pending ring, reporting false when the queue (or the
-// block pool) is full.
+// block pool) is full. The ready count rises before the push, as every
+// publisher's does, so no worker's scan proves absence while the job
+// is in flight.
 func (s *Server) enqueue(rec *pairRec) bool {
 	j := s.free.pop()
 	if j == nil {
@@ -316,11 +313,24 @@ func (s *Server) enqueue(rec *pairRec) bool {
 	}
 	*j = *rec
 	j.enqNs = s.nowNs()
-	if s.doms[rec.dom].pend.push(j) {
+	ds := &s.doms[rec.dom]
+	ds.readyMem.Add(1)
+	if ds.pend.push(j) {
 		return true
 	}
+	ds.readyMem.Add(-1)
 	s.recycle(j)
 	return false
+}
+
+// wake follows an accepted Submit: one sleeper, or a fresh worker when
+// none is parked, iff domain d's gate has a free slot. Behind a full
+// gate nobody is woken: every slot holder takes again after its task
+// returns (pool.work), and the job is in the queue that take scans.
+func (s *Server) wake(d int) {
+	if s.rt.gates[d].room() > 0 && !s.lot.unparkOne() {
+		s.spawnWorker()
+	}
 }
 
 // recycle clears a block and returns it to the pool.
@@ -346,7 +356,7 @@ func (s *Server) submitBlocking(rec *pairRec) error {
 		if s.enqueue(rec) {
 			s.blockMu.Unlock()
 			s.submitted.Add(1)
-			s.pump(int(rec.dom))
+			s.wake(int(rec.dom))
 			return nil
 		}
 		s.blockCond.Wait()
@@ -369,95 +379,6 @@ func (s *Server) undoInflight() {
 	}
 }
 
-// pump is admission for domain d: while jobs wait, claim one gate
-// slot, move the next admissible job (scatter stage first — it
-// finishes a job and frees a block — then held, then fresh ingress)
-// into the admitted ring and wake one worker for it. Every slot-freeing
-// event calls pump, so admission keeps pace without any dedicated
-// admission thread. Concurrent pumps are safe: a slot is claimed
-// before a job is taken, and an unused one is handed back.
-func (s *Server) pump(d int) {
-	sd := &s.doms[d]
-	var moved int64
-	var deferred []*pairRec
-	spare := false // a claimed slot no job took
-	for sd.waiting() > 0 && s.rt.claimSlot(d) {
-		j := sd.next()
-		for j != nil && !s.rt.admitClass(int(j.class)) {
-			// The job's class is at its per-class cap (a demoted class
-			// runs fully serialized): defer it and keep admitting other
-			// traffic. The slice allocates only in class-capped
-			// sessions — the cooperative serving path stays
-			// allocation-free.
-			deferred = append(deferred, j)
-			j = sd.next()
-		}
-		if j == nil {
-			spare = true
-			break
-		}
-		if j.admitNs == 0 {
-			j.admitNs = s.nowNs()
-		}
-		if !sd.admitted.push(j) {
-			// Sized past the gate limit, the admitted ring only reports
-			// full during a racing pop's handoff; recycle through the
-			// unbounded scatter list and retry later.
-			s.rt.releaseClass(int(j.class))
-			sd.scat.put(j)
-			spare = true
-			break
-		}
-		// The issue signal is emitted by the worker that runs this
-		// admission (runStage), not here: pump runs on arbitrary
-		// submitter goroutines with no worker slot to attribute a shard
-		// write to.
-		moved++
-		if !s.lot.unparkOne() {
-			s.spawnWorker()
-		}
-	}
-	for _, j := range deferred {
-		sd.held.put(j)
-	}
-	if spare {
-		s.rt.releaseSlot(d)
-	}
-	if moved > 0 {
-		s.admitBatches.Add(1)
-		s.admittedJobs.Add(moved)
-		s.wakeSubmitters() // space opened in pend
-	}
-}
-
-// waiting counts the domain's jobs awaiting admission.
-func (sd *servDomain) waiting() int64 {
-	return sd.scat.n.Load() + sd.held.n.Load() + int64(sd.pend.length())
-}
-
-// next takes the domain's next job awaiting admission: a scatter, then
-// a class-capped job set aside by an earlier pump, then fresh ingress.
-func (sd *servDomain) next() *pairRec {
-	if j := sd.scat.take(); j != nil {
-		return j
-	}
-	if j := sd.held.take(); j != nil {
-		return j
-	}
-	return sd.pend.pop()
-}
-
-// limitRose pumps every domain: an MTL raise opens headroom on all of
-// them (a slot release affects only its own).
-func (s *Server) limitRose() {
-	for d := range s.doms {
-		s.pump(d)
-	}
-}
-
-// released re-pumps the domain whose slot just came back.
-func (s *Server) released(j *pairRec) { s.pump(int(j.dom)) }
-
 // equip gives a serving worker its latency shards.
 func (s *Server) equip(w *worker) { w.lat = new(latShard) }
 
@@ -466,47 +387,31 @@ func (s *Server) stopped() bool {
 	return s.draining.Load() && s.inflight.Load() == 0
 }
 
-// popAdmitted scans the admitted rings home-first.
-func (s *Server) popAdmitted(w *worker) *pairRec {
-	nd := len(s.doms)
-	for i := 0; i < nd; i++ {
-		if j := s.doms[(w.home+i)%nd].admitted.pop(); j != nil {
-			return j
-		}
-	}
-	return nil
-}
-
-// take scans the admitted rings, pumping every domain once on a miss
-// (the pump may admit work this very worker then takes). A gather's
-// queue latency is recorded here, before the task runs, so the
-// histogram update stays out of the memory-to-compute hand-off.
+// take is the shared scan (pool.scan), plus the serving accounting: one
+// admission per record taken, and for a gather its queue latency —
+// recorded here, before the task runs, so the histogram update stays
+// out of the memory-to-compute hand-off — and a wake for blocked
+// submitters, since the take opened space in the pending ring.
 func (s *Server) take(w *worker) *pairRec {
-	j := s.popAdmitted(w)
+	j := s.scan(w)
 	if j == nil {
-		s.limitRose()
-		j = s.popAdmitted(w)
+		return nil
 	}
-	if j != nil && j.stage == stageMem {
+	s.admitted.Add(1)
+	if j.stage == stageMem {
+		j.admitNs = s.nowNs()
 		w.lat.queue.Record(time.Duration(j.admitNs - j.enqNs))
+		s.wakeSubmitters()
 	}
 	return j
 }
 
-// ready reports whether any admitted ring holds a job.
-func (s *Server) ready() bool {
-	for d := range s.doms {
-		if s.doms[d].admitted.length() > 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // finish moves a job on after one of its stages ran. Gather: the compute
-// runs next on the same worker, off the queues. Compute: feed the
-// controller, then either stage the scatter for re-admission or retire
-// the job. Scatter, or a failure at any stage: retire it.
+// runs next on the same worker, off the queues, and the wake rule
+// (offer) decides whether a sleeper takes the freed slot. Compute: feed
+// the controller, then either queue the scatter in its home domain's
+// scatter list (and offer) or retire the job. Scatter, or a failure at
+// any stage: retire it.
 func (s *Server) finish(w *worker, j *pairRec, dur time.Duration, end time.Time, err error) *pairRec {
 	if err != nil {
 		s.retire(w, j, true)
@@ -515,16 +420,14 @@ func (s *Server) finish(w *worker, j *pairRec, dur time.Duration, end time.Time,
 	switch j.stage {
 	case stageMem:
 		j.stage = stageComp
+		s.offer(w, stageComp, 1)
 		return j
 	case stageComp:
 		if s.adaptive {
 			s.feedController(j, dur, end)
 		}
 		if j.has(stageScat) {
-			d := int(j.dom)
-			j.stage = stageScat
-			s.doms[d].scat.put(j)
-			s.pump(d)
+			s.queueScat(w, j)
 			return nil
 		}
 	}
@@ -599,10 +502,10 @@ func (s *Server) snapshotStats() ServeStats {
 		Rejected:       s.rejected.Load(),
 		Retries:        s.retries.Load(),
 		Recovered:      s.recovered.Load(),
-		AdmitBatches:   s.admitBatches.Load(),
-		AdmittedJobs:   s.admittedJobs.Load(),
+		AdmittedJobs:   s.admitted.Load(),
 		Blacklisted:    s.blacklisted.Load(),
 		Elapsed:        time.Since(s.start),
+		WakeLatency:    time.Duration(s.ownLot.wakeNs.Load()),
 		FinalMTL:       s.rt.MTL(),
 		MaxConcurrentM: s.rt.peakConcurrentM(),
 	}
@@ -612,6 +515,7 @@ func (s *Server) snapshotStats() ServeStats {
 	st.Degraded = s.degraded
 	st.Rearms = s.rearms
 	s.wdMu.Unlock()
+	st.AdmitBatches = st.AdmittedJobs
 	if sec := st.Elapsed.Seconds(); sec > 0 {
 		st.Goodput = float64(st.Completed) / sec
 	}

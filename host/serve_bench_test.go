@@ -11,9 +11,10 @@ import (
 // so the bounded queue applies backpressure instead of shedding) and
 // the drain is inside the timed region, so the jobs/sec metric covers
 // every submitted job end to end. Task bodies match benchThroughput
-// (2 KiB arrays, one compute pass): the serving machinery — ingress
-// ring, one gate CAS and one wakeup per admitted job — dominates, not
-// memory bandwidth.
+// (2 KiB arrays, one compute pass): the serving machinery — the
+// ingress ring, the gate CAS a worker makes as it takes each job, and a
+// wakeup only when a Submit finds the gate with room or the wake rule
+// pays — dominates, not memory bandwidth.
 func benchServe(b *testing.B, workers, domains int) {
 	rt, err := New(Config{Workers: workers, Policy: Static, MTL: 2, W: 8, Domains: domains})
 	if err != nil {

@@ -30,8 +30,8 @@ func servTrackedPair(live, peak *int64, work int) Pair {
 // TestStressServeSubmitDrainMTL is the serving-path torture test:
 // 160 workers across 4 domains, concurrent submitters hammering the
 // ingress rings, a limit-twiddler raising and degrading the MTL
-// mid-flight (re-pumping on every move, exactly as the adaptive
-// controller does), and a Drain racing all of it. Checks the hard
+// mid-flight (waking the pool on every move, exactly as the adaptive
+// controller does on a raise), and a Drain racing all of it. Checks the hard
 // invariants: no job lost or double-counted, observed memory
 // concurrency never above the largest limit ever set, histograms hold
 // exactly the completed jobs. Run with -race to check the ring, gate
@@ -89,7 +89,7 @@ func TestStressServeSubmitDrainMTL(t *testing.T) {
 	}
 
 	// The twiddler plays adaptive controller: move every gate's limit
-	// and re-pump, racing the workers' claims and releases. Static
+	// and wake the pool (limitRose), racing the workers' claims and releases. Static
 	// policy keeps feedController out of the way, so this goroutine is
 	// the only limit writer.
 	stop := make(chan struct{})

@@ -472,10 +472,9 @@ func TestServeTaskErrorWording(t *testing.T) {
 }
 
 // TestServeBatchedAdmission checks the admission accounting over one
-// deep backlog: every submitted job is admitted exactly once, and a
-// pump pass that admits anything admits at least one job (passes that
-// find several slots free count once). A single-threaded backlog drains
-// one freed slot at a time, so the ratio here is ~1.
+// deep backlog: every submitted job is admitted exactly once, by the
+// worker that takes it, so AdmitBatches — kept for bench/ — equals
+// AdmittedJobs, and both equal Submitted for pairs without a scatter.
 func TestServeBatchedAdmission(t *testing.T) {
 	release := make(chan struct{})
 	var started sync.WaitGroup
@@ -501,12 +500,76 @@ func TestServeBatchedAdmission(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.AdmittedJobs != st.Submitted {
-		t.Fatalf("admitted %d of %d submitted", st.AdmittedJobs, st.Submitted)
+	if st.AdmitBatches != st.AdmittedJobs || st.AdmittedJobs != st.Submitted {
+		t.Fatalf("AdmitBatches %d, AdmittedJobs %d, Submitted %d: want all equal",
+			st.AdmitBatches, st.AdmittedJobs, st.Submitted)
 	}
-	if st.AdmitBatches < 1 || st.AdmitBatches > st.AdmittedJobs {
-		t.Errorf("%d admitting passes for %d jobs, want within [1, %d]",
-			st.AdmitBatches, st.AdmittedJobs, st.AdmittedJobs)
+}
+
+// TestServeFullGateWaitsForItsSlotHolder pins admission on take: at
+// Workers 2, MTL 1, a Submit into a full gate starts nothing — no
+// wake, no spawn — and the job waits in the pending ring. Once the slot
+// holder's task returns, the job still completes: the worker that
+// released the slot takes again, and nothing else has to move the job.
+func TestServeFullGateWaitsForItsSlotHolder(t *testing.T) {
+	_, srv := newServer(t, Config{Workers: 2, Policy: Static, MTL: 1}, ServeConfig{Queue: 4})
+	started, release := make(chan struct{}), make(chan struct{})
+	if err := srv.Submit(Pair{
+		Memory:  func() { close(started); <-release },
+		Compute: func() {},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	if err := srv.Submit(Pair{Memory: func() {}, Compute: func() {}}); err != nil {
+		t.Fatal(err)
+	}
+	if n := srv.spawned.Load(); n != 1 {
+		t.Errorf("%d workers after a Submit into a full gate, want the slot holder alone", n)
+	}
+	if n := srv.doms[0].pend.length(); n != 1 {
+		t.Errorf("pending ring holds %d jobs behind the full gate, want 1", n)
+	}
+	close(release)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	st, err := srv.Drain(ctx)
+	if err != nil {
+		t.Fatalf("Drain: %v (completed %d of 2)", err, st.Completed)
+	}
+	if st.Completed != 2 || st.AdmittedJobs != 2 {
+		t.Errorf("Completed %d, AdmittedJobs %d, want 2 and 2", st.Completed, st.AdmittedJobs)
+	}
+}
+
+// TestServeReportsWakeLatency pins ServeStats.WakeLatency: a session
+// whose workers blocked at least twice has woken one inside the session,
+// and Drain reads λ only after every worker exited, so λ is positive.
+// Jobs arrive one at a time with idle gaps between them, so the worker
+// blocks in each gap (ServeStats does not publish parks; the test sums
+// the workers' shards).
+func TestServeReportsWakeLatency(t *testing.T) {
+	_, srv := newServer(t, Config{Workers: 2, Policy: Static, MTL: 1}, ServeConfig{})
+	for i := 0; i < 6; i++ {
+		done := make(chan struct{})
+		if err := srv.Submit(Pair{Memory: func() {}, Compute: func() { close(done) }}); err != nil {
+			t.Fatal(err)
+		}
+		<-done
+		time.Sleep(2 * time.Millisecond)
+	}
+	st, err := srv.Drain(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var parks int64
+	for i := range srv.workers {
+		if w := srv.workers[i].Load(); w != nil {
+			parks += w.parks.Load()
+		}
+	}
+	if parks >= 2 && st.WakeLatency <= 0 {
+		t.Errorf("WakeLatency = %v after a session with %d blocking parks", st.WakeLatency, parks)
 	}
 }
 

@@ -5,8 +5,9 @@ import "runtime"
 // Spin-then-park, stated in λ — the lot's measured wake latency
 // (lot.wakeNs): token sent → blocked worker running again. A worker
 // that finds nothing runnable enqueues in the lot and, before blocking
-// on its token, polls the token and the discipline's ready() for a
-// bounded budget. Blocking costs the next record about λ and both sides
+// on its token, polls the token and pool.ready() — is any queued record
+// admissible under its gate now? — for a bounded budget; Run's and
+// Serve's workers share the loop, the poll and the budget. Blocking costs the next record about λ and both sides
 // a futex call, so — the ski-rental argument — the worker spins for up
 // to about what the round trip would cost before paying it, and not at
 // all once its own idle gaps (an EWMA per worker) run to several λ.

@@ -1,6 +1,7 @@
 package host
 
 import (
+	"context"
 	"runtime"
 	"sort"
 	"sync"
@@ -8,87 +9,142 @@ import (
 	"time"
 )
 
-// TestPhaseReadyCountsOnlyAdmissibleWork pins discipline.ready for the
-// batch discipline: a domain whose gate is full offers nothing take
-// could return, however many gathers it has queued. Before the wake
-// rule ready() read readyMem alone, so a gate-blocked worker's pre-park
-// spin ended on its first poll and it paid a blocking park every time.
-func TestPhaseReadyCountsOnlyAdmissibleWork(t *testing.T) {
-	r, err := New(Config{Workers: 2, Policy: Static, MTL: 1})
+// admissionPools are the two disciplines' pools over one domain under
+// Workers 2, MTL 1, with nothing queued and no worker spawned: a Run
+// phase (stopped only once remain tasks have finished) and a live Serve
+// session, drained when the test ends.
+func admissionPools(t *testing.T, remain int64) []struct {
+	name string
+	p    *pool
+} {
+	t.Helper()
+	newRT := func() *Runtime {
+		r, err := New(Config{Workers: 2, Policy: Static, MTL: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	r := newRT()
+	ph := &phase{}
+	ph.setup(r, ph, &r.lot, "pair", nil)
+	ph.remain.Store(remain)
+	srv, err := newRT().Serve(ServeConfig{Queue: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs := make([]pairRec, 2)
-	ph := &phase{recs: recs, nd: 1, doms: make([]domainState, 1)}
-	ph.setup(r, ph, &r.lot, "pair", nil)
-	ph.remain.Store(4)
-	ph.doms[0].gath.seed([]*pairRec{&recs[0], &recs[1]})
-	ph.doms[0].readyMem.Store(2)
+	t.Cleanup(func() {
+		if _, err := srv.Drain(context.Background()); err != nil {
+			t.Error(err)
+		}
+	})
+	return []struct {
+		name string
+		p    *pool
+	}{{"run", &ph.pool}, {"serve", &srv.pool}}
+}
 
-	if !ph.ready() {
-		t.Fatal("ready() = false with two gathers queued and the gate empty")
-	}
-	if !r.claimSlot(0) {
-		t.Fatal("claimSlot refused on an empty gate")
-	}
-	if n := ph.doms[0].readyMem.Load(); n == 0 || ph.ready() {
-		t.Errorf("ready() = %v with readyMem = %d and the gate full, want false: take would find nothing", ph.ready(), n)
-	}
-	if got := ph.admissible(); got != 0 {
-		t.Errorf("admissible() = %d with the gate full, want 0", got)
-	}
-	r.releaseSlot(0)
-	if !ph.ready() {
-		t.Error("ready() = false after the slot came back")
-	}
-	if got := ph.admissible(); got != 1 {
-		t.Errorf("admissible() = %d with two gathers and one free slot, want 1", got)
+// queueGathers puts gathers where each discipline's ingress puts them:
+// Run's seeded gath list, Serve's pend ring.
+func queueGathers(p *pool, recs ...*pairRec) {
+	ds := &p.doms[0]
+	for _, j := range recs {
+		ds.readyMem.Add(1)
+		if ds.pend == nil {
+			ds.gath.put(j)
+		} else if !ds.pend.push(j) {
+			panic("pend full")
+		}
 	}
 }
 
-// TestPhaseTakeKeepsScattersWithTheirWorkers pins the batch take order:
-// a worker that queued a scatter tries the scatter list first, any other
-// worker tries the gathers first, and a scatter goes to whoever asks once
-// no gather is left. A scatter run by another worker reads its compute's
-// data from the other core's cache.
-func TestPhaseTakeKeepsScattersWithTheirWorkers(t *testing.T) {
-	r, err := New(Config{Workers: 2, Policy: Static, MTL: 1})
-	if err != nil {
-		t.Fatal(err)
+// TestPhaseReadyCountsOnlyAdmissibleWork pins pool.ready under both
+// disciplines: a domain whose gate is full offers nothing take could
+// return, however many gathers it has queued — Run's in gath, Serve's
+// in the pending ring. Before the wake rule ready() read readyMem
+// alone, so a gate-blocked worker's pre-park spin ended on its first
+// poll and it paid a blocking park every time.
+func TestPhaseReadyCountsOnlyAdmissibleWork(t *testing.T) {
+	for _, c := range admissionPools(t, 4) {
+		t.Run(c.name, func(t *testing.T) {
+			p, r := c.p, c.p.rt
+			queueGathers(p, &pairRec{}, &pairRec{})
+			if !p.ready() {
+				t.Fatal("ready() = false with two gathers queued and the gate empty")
+			}
+			if !r.claimSlot(0) {
+				t.Fatal("claimSlot refused on an empty gate")
+			}
+			if n := p.doms[0].readyMem.Load(); n == 0 || p.ready() {
+				t.Errorf("ready() = %v with readyMem = %d and the gate full, want false: take would find nothing", p.ready(), n)
+			}
+			if got := p.admissible(); got != 0 {
+				t.Errorf("admissible() = %d with the gate full, want 0", got)
+			}
+			if j := p.q.take(&worker{lat: new(latShard)}); j != nil {
+				t.Errorf("take returned a record behind a full gate")
+			}
+			r.releaseSlot(0)
+			if !p.ready() {
+				t.Error("ready() = false after the slot came back")
+			}
+			if got := p.admissible(); got != 1 {
+				t.Errorf("admissible() = %d with two gathers and one free slot, want 1", got)
+			}
+		})
 	}
-	recs := make([]pairRec, 3)
-	gather1, gather2, scatter := &recs[0], &recs[1], &recs[2]
-	scatter.stage = stageScat
-	ph := &phase{recs: recs, nd: 1, doms: make([]domainState, 1)}
-	ph.setup(r, ph, &r.lot, "pair", nil)
-	ph.remain.Store(6)
-	ds := &ph.doms[0]
-	ds.gath.seed([]*pairRec{gather1, gather2})
-	ds.scat.put(scatter)
-	ds.readyMem.Store(3)
+}
 
-	owner, other := &worker{scatQueued: true}, &worker{}
-	for _, c := range []struct {
-		name string
-		w    *worker
-		want *pairRec
-	}{
-		{"other worker", other, gather1},
-		{"scatter's worker", owner, scatter},
-		{"scatter's worker after its scatter", owner, gather2},
-	} {
-		if j := ph.take(c.w); j != c.want {
-			t.Fatalf("%s took record %p, want %p", c.name, j, c.want)
-		}
-		r.releaseSlot(0)
-	}
-	if owner.scatQueued {
-		t.Error("scatQueued still set after its worker took a scatter")
-	}
-	ds.readyMem.Add(1)
-	ds.scat.put(scatter)
-	if j := ph.take(other); j != scatter {
-		t.Fatalf("with no gather left another worker took %p, want the scatter %p", j, scatter)
+// TestPhaseTakeKeepsScattersWithTheirWorkers pins the one take order
+// under both disciplines: a worker that queued a scatter tries the
+// scatter list first, any other worker tries the gathers first — under
+// Serve a class-capped gather set aside in gath ahead of the pending
+// ring — and a scatter goes to whoever asks once no gather is left. A
+// scatter run by another worker reads its compute's data from the other
+// core's cache.
+func TestPhaseTakeKeepsScattersWithTheirWorkers(t *testing.T) {
+	for _, c := range admissionPools(t, 6) {
+		t.Run(c.name, func(t *testing.T) {
+			p, r := c.p, c.p.rt
+			ds := &p.doms[0]
+			first, second, scatter := &pairRec{}, &pairRec{}, &pairRec{stage: stageScat}
+			if ds.pend == nil {
+				queueGathers(p, first, second)
+			} else {
+				// first was set aside class-capped by an earlier take.
+				ds.readyMem.Add(1)
+				ds.gath.put(first)
+				queueGathers(p, second)
+			}
+			ds.readyMem.Add(1)
+			ds.scat.put(scatter)
+
+			owner := &worker{scatQueued: true, lat: new(latShard)}
+			other := &worker{lat: new(latShard)}
+			for _, s := range []struct {
+				name string
+				w    *worker
+				want *pairRec
+			}{
+				{"other worker", other, first},
+				{"scatter's worker", owner, scatter},
+				{"scatter's worker after its scatter", owner, second},
+			} {
+				if j := p.q.take(s.w); j != s.want {
+					t.Fatalf("%s took record %p, want %p", s.name, j, s.want)
+				}
+				r.releaseSlot(0)
+			}
+			if owner.scatQueued {
+				t.Error("scatQueued still set after its worker took a scatter")
+			}
+			ds.readyMem.Add(1)
+			ds.scat.put(scatter)
+			if j := p.q.take(other); j != scatter {
+				t.Fatalf("with no gather left another worker took %p, want the scatter %p", j, scatter)
+			}
+			r.releaseSlot(0)
+		})
 	}
 }
 

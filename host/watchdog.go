@@ -106,9 +106,8 @@ func (p *pool) watchdog(recoverAfter int) {
 				p.wdMu.Lock()
 				p.degraded = true
 				p.wdMu.Unlock()
-				// The limit widened to the worker count: admit and wake.
-				p.q.limitRose()
-				p.lot.unparkAll()
+				// The limit widened to the worker count: wake and grow.
+				p.limitRose()
 			}
 		}
 		if dirty {
@@ -122,7 +121,7 @@ func (p *pool) watchdog(recoverAfter int) {
 				p.wdMu.Lock()
 				p.rearms++
 				p.wdMu.Unlock()
-				p.q.limitRose()
+				p.limitRose()
 			}
 		}
 	}
