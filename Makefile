@@ -35,7 +35,7 @@ SERVE_BENCHES = BenchmarkHostServe64|BenchmarkHostServe128|BenchmarkHostServe256
 SIM_BENCHES  = BenchmarkEngineStepWheel|BenchmarkEngineStepWheelDeep256|BenchmarkEngineStepSparse
 
 # Policy-plugin benchmarks: the PolicyThrottler window boundary —
-# per-class aggregation, signal harvest, Observe, decision publish —
+# per-class aggregation, stall harvest, Observe, decision publish —
 # must stay allocation-free, or every W pairs the scheduler hot path
 # pays a GC tax the legacy controllers never did.
 CORE_BENCHES = BenchmarkPolicyObserve

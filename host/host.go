@@ -131,7 +131,7 @@ type Config struct {
 	// core.Throttler works; one that also implements core.ClassLimiter
 	// (e.g. core.PolicyThrottler wrapping a blacklist policy) gets
 	// per-class admission and ingress shedding, and one implementing
-	// core.Observer receives issue/stall/retry signals. Any adaptive
+	// core.Observer receives the stall watchdog's signals. Any adaptive
 	// controller plugged here (a core.Degrader: Dynamic, OnlineExhaustive,
 	// a PolicyThrottler around any policy) is covered by the stall
 	// fallback and reports through Health and Stats.Degraded exactly as
@@ -327,15 +327,6 @@ type Runtime struct {
 	// invalidated every other class's counter.
 	classActive [core.MaxClasses]stats.PaddedInt64
 
-	// sig holds the per-worker signal shards (issue/retry counts per
-	// class) when the controller supports batched harvesting
-	// (core.SignalBatching): workers bump only their own padded shard
-	// and the controller sums the shards once per monitor window via
-	// SignalTotals. nil when the controller wants per-event OnSignal
-	// calls (or consumes no signals at all). The shards span Run and
-	// Serve sessions — totals are cumulative, as SignalSource requires.
-	sig []sigShard
-
 	// gates admit memory-class tasks with a CAS against the mirrored
 	// MTL, one gate per memory domain; lot parks idle workers for
 	// targeted wakeups. Both span Run calls so tasks wedged past an
@@ -386,10 +377,6 @@ func New(cfg Config) (*Runtime, error) {
 	}
 	r.lim, _ = r.th.(core.ClassLimiter)
 	r.obs, _ = r.th.(core.Observer)
-	if sb, ok := r.th.(core.SignalBatching); ok && r.obs != nil {
-		r.sig = make([]sigShard, cfg.Workers)
-		sb.SetSignalSource(r)
-	}
 	r.gates = make([]gate, cfg.Domains)
 	r.mirrorLimit()
 	return r, nil

@@ -84,13 +84,6 @@ func TestLayoutFlightRec(t *testing.T) {
 	}
 }
 
-func TestLayoutSigShard(t *testing.T) {
-	var s sigShard
-	if got := unsafe.Sizeof(s); got != 2*lineSize {
-		t.Errorf("sizeof(sigShard) = %d, want %d (line-multiple stride keeps adjacent workers' shards on distinct lines)", got, 2*lineSize)
-	}
-}
-
 func TestLayoutDomainState(t *testing.T) {
 	var ds domainState
 	if got := unsafe.Sizeof(ds); got%lineSize != 0 {

@@ -407,3 +407,62 @@ func testServeWatchdogDegradeAndRecover(t *testing.T, cfg Config) {
 		t.Errorf("controller never re-armed: rearmed=%v Rearms=%d", rearmed, st.Rearms)
 	}
 }
+
+// stallWatch is a test policy that sums the stalls class 1 reports.
+type stallWatch struct{ class1 atomic.Int64 }
+
+func (s *stallWatch) Name() string { return "test-stall-watch" }
+func (s *stallWatch) Observe(w core.WindowStats) core.Decision {
+	if len(w.Classes) > 1 {
+		s.class1.Add(int64(w.Classes[1].Stalls))
+	}
+	return core.Decision{Monitoring: true}
+}
+
+// The watchdog's stall signal reaches a plugged policy end to end: a
+// class-1 memory task wedged on a channel never completes a pair, yet
+// its stall shows up in the windows that class-0 pairs close.
+func TestServeStallSignalReachesPolicy(t *testing.T) {
+	spy := &stallWatch{}
+	rt, err := New(Config{
+		Workers:      2,
+		Throttler:    core.NewPolicyThrottler(spy, 2, 2),
+		StallTimeout: 20 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+
+	srv, err := rt.Serve(ServeConfig{Queue: 64, Shed: ShedBlock})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wedge := make(chan struct{})
+	var once sync.Once
+	unwedge := func() { once.Do(func() { close(wedge) }) }
+	if err := srv.Submit(Pair{Class: 1, Memory: func() { <-wedge }, Compute: func() {}}); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.After(5 * time.Second)
+	for spy.class1.Load() < 1 {
+		if err := srv.Submit(Pair{Memory: func() {}, Compute: func() {}}); err != nil {
+			unwedge()
+			t.Fatal(err)
+		}
+		select {
+		case <-deadline:
+			unwedge()
+			t.Fatal("the policy never saw class 1's stall")
+		case <-time.After(5 * time.Millisecond):
+		}
+	}
+	unwedge()
+	st, err := srv.Drain(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Stalls < 1 {
+		t.Errorf("Stalls = %d, want >= 1", st.Stalls)
+	}
+}

@@ -465,16 +465,11 @@ func (p *pool) parkTillWork(w *worker) *pairRec {
 
 // runStage runs j's current stage and hands the outcome to the
 // discipline. For a memory-class stage the worker arrives holding the
-// home gate's slot and the class slot: the issue signal is emitted
-// here, once per admission and attributed to this worker's shard (an
-// admitted record is executed exactly once), and both slots go back as
-// soon as the task returns, failed or not.
+// home gate's slot and the class slot, and both go back as soon as the
+// task returns, failed or not.
 func (p *pool) runStage(w *worker, j *pairRec) *pairRec {
 	r := p.rt
 	stage := j.stage
-	if stage != stageComp {
-		r.noteIssue(w.slot, int(j.class))
-	}
 	dur, end, attempts, err := p.retry(w, j)
 	if stage != stageComp {
 		r.releaseSlot(int(j.dom))
@@ -536,7 +531,6 @@ func (p *pool) retry(w *worker, j *pairRec) (dur time.Duration, end time.Time, a
 			return 0, end, attempts, err
 		default:
 		}
-		p.rt.noteRetry(w.slot, int(j.class))
 		if rng == nil {
 			// Allocated only on the retry slow path — the success path
 			// stays allocation-free. Decorrelated per worker,

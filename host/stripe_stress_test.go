@@ -36,11 +36,11 @@ func (p *twiddlePolicy) Observe(core.WindowStats) core.Decision {
 	return core.Decision{Limit: limit, Monitoring: true}
 }
 
-// TestStressStripedCountersConserve drives a batch workload with
-// scatters and a class mix through a signal-batching controller and
-// checks the shard-merged totals against per-job ground truth counted
-// inside the tasks themselves.
-func TestStressStripedCountersConserve(t *testing.T) {
+// TestStressDomainCountersMerge drives a batch workload with scatters
+// and a class mix through a class-aware controller and checks the
+// per-domain pair counts and the timing means merged from the worker
+// shards.
+func TestStressDomainCountersMerge(t *testing.T) {
 	const (
 		workers = 64
 		domains = 4
@@ -56,24 +56,12 @@ func TestStressStripedCountersConserve(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rt.Close()
-	if rt.sig == nil {
-		t.Fatal("PolicyThrottler supports SignalBatching but the runtime allocated no signal shards")
-	}
 
-	// Ground truth: per-class memory-task executions (gathers plus
-	// scatters), counted by the tasks. With no failures every execution
-	// is exactly one gate admission, i.e. one noteIssue.
-	var memRuns [2]int64
 	var pairs []Pair
 	for i := 0; i < pairsN; i++ {
-		class := i % 2
-		p := Pair{
-			Class:   class,
-			Memory:  func() { atomic.AddInt64(&memRuns[class], 1) },
-			Compute: func() {},
-		}
+		p := Pair{Class: i % 2, Memory: func() {}, Compute: func() {}}
 		if i%3 == 0 {
-			p.Scatter = func() { atomic.AddInt64(&memRuns[class], 1) }
+			p.Scatter = func() {}
 		}
 		pairs = append(pairs, p)
 	}
@@ -85,17 +73,6 @@ func TestStressStripedCountersConserve(t *testing.T) {
 		t.Fatalf("completed %d of %d pairs", st.CompletedPairs, pairsN)
 	}
 
-	for class := 0; class < 2; class++ {
-		issues, retries := rt.SignalTotals(class)
-		if want := atomic.LoadInt64(&memRuns[class]); issues != want {
-			t.Errorf("class %d: shard-merged issues = %d, want %d (ground-truth memory-task runs)", class, issues, want)
-		}
-		if retries != 0 {
-			t.Errorf("class %d: shard-merged retries = %d, want 0 (no task ever failed)", class, retries)
-		}
-	}
-
-	// Domain-side conservation of the merged per-worker shards.
 	gotPairs := 0
 	for d, ds := range st.Domains {
 		gotPairs += ds.Pairs
@@ -114,12 +91,11 @@ func TestStressStripedCountersConserve(t *testing.T) {
 	}
 }
 
-// TestStressServeSignalConservation checks the serving path's shard
-// invariants under concurrent submitters, retries and drain: the
-// shard-merged issue total equals the admitted-job count (one issue
-// signal per gate admission, emitted by the executing worker), and the
-// shard-merged retry total equals the session's retry counter.
-func TestStressServeSignalConservation(t *testing.T) {
+// TestStressServeRetryConservation checks the serving path's retry
+// counters under concurrent submitters and drain: ServeStats.Retries
+// and Recovered each equal the transient failures the tasks counted
+// themselves (every failing task fails once, then succeeds).
+func TestStressServeRetryConservation(t *testing.T) {
 	const (
 		workers    = 32
 		domains    = 2
@@ -142,6 +118,7 @@ func TestStressServeSignalConservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var failures atomic.Int64
 	var wg sync.WaitGroup
 	for s := 0; s < submitters; s++ {
 		wg.Add(1)
@@ -150,11 +127,12 @@ func TestStressServeSignalConservation(t *testing.T) {
 			for i := 0; i < perSub; i++ {
 				p := Pair{Memory: func() {}, Compute: func() {}}
 				if i%5 == seed%5 {
-					// One transient failure: exercises the retry shard.
+					// One transient failure, then success.
 					var failed atomic.Bool
 					p.Memory = nil
 					p.MemoryErr = func() error {
 						if failed.CompareAndSwap(false, true) {
+							failures.Add(1)
 							return errors.New("transient")
 						}
 						return nil
@@ -179,14 +157,11 @@ func TestStressServeSignalConservation(t *testing.T) {
 		t.Fatalf("completed %d of %d jobs", st.Completed, want)
 	}
 
-	issues, retries := rt.SignalTotals(0)
-	if issues != st.AdmittedJobs {
-		t.Errorf("shard-merged issues = %d, want %d (one per gate admission)", issues, st.AdmittedJobs)
+	n := failures.Load()
+	if n == 0 {
+		t.Fatal("no task failed — the transient failures never exercised the retry path")
 	}
-	if retries != st.Retries {
-		t.Errorf("shard-merged retries = %d, want %d (ServeStats.Retries)", retries, st.Retries)
-	}
-	if st.Retries == 0 {
-		t.Error("no retries happened — the transient failures never exercised the retry shard")
+	if st.Retries != n || st.Recovered != n {
+		t.Errorf("Retries = %d, Recovered = %d, want %d each (failures the tasks counted)", st.Retries, st.Recovered, n)
 	}
 }

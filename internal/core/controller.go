@@ -62,9 +62,9 @@ func (f Fixed) Observe(WindowStats) Decision { return Decision{Limit: f.K} }
 
 // front is how Dynamic and OnlineExhaustive hold the window driver: by
 // value, behind the Throttler and Degrader methods and nothing else.
-// Embedding PolicyThrottler itself would promote ClassLimit, OnSignal
-// and SetSignalSource, and a runtime that finds those on its throttler
-// turns on the per-class admission CAS and the signal shards, which a
+// Embedding PolicyThrottler itself would promote ClassLimit and
+// OnSignal, and a runtime that finds those on its throttler turns on
+// the per-class admission CAS and the stall signals, which a
 // class-blind controller never reads.
 type front struct{ drv PolicyThrottler }
 

@@ -79,9 +79,9 @@ func TestPolicyThrottlerGuards(t *testing.T) {
 }
 
 // Dynamic and OnlineExhaustive hold the driver without becoming
-// class-aware: a runtime that found ClassLimiter, Observer or
-// SignalBatching on them would pay per-class admission CASes and signal
-// shards for controllers that ignore classes.
+// class-aware: a runtime that found ClassLimiter or Observer on them
+// would pay per-class admission CASes and stall signals for controllers
+// that ignore classes.
 func TestLegacyControllersStayClassBlind(t *testing.T) {
 	for _, th := range []Throttler{NewDynamic(NewModel(4), 4), NewOnlineExhaustive(NewModel(4), 4, 0)} {
 		if _, ok := th.(ClassLimiter); ok {
@@ -89,9 +89,6 @@ func TestLegacyControllersStayClassBlind(t *testing.T) {
 		}
 		if _, ok := th.(Observer); ok {
 			t.Errorf("%s is an Observer", th.Name())
-		}
-		if _, ok := th.(SignalBatching); ok {
-			t.Errorf("%s is a SignalBatching", th.Name())
 		}
 		if _, ok := th.(Degrader); !ok {
 			t.Errorf("%s is not a Degrader", th.Name())
@@ -217,7 +214,7 @@ func TestDriverSteadyStateAllocs(t *testing.T) {
 		for j := 0; j < 40; j++ {
 			i++
 			pnow += 8 * pus
-			th.OnSignal(i&1, SignalIssue)
+			th.OnSignal(i&1, SignalStall)
 			th.OnPair(PairSample{Tm: 2 * pus, Tc: 6 * pus, Now: pnow, Class: i & 1})
 		}
 	}); n != 0 {
@@ -253,7 +250,7 @@ func TestDriverConcurrentReaders(t *testing.T) {
 					return
 				}
 				th.Blacklisted(1)
-				th.OnSignal(r&1, SignalIssue)
+				th.OnSignal(r&1, SignalStall)
 				runtime.Gosched()
 			}
 		}(r)

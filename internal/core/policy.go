@@ -12,36 +12,32 @@ import (
 // hot path stays allocation-free.
 const MaxClasses = 8
 
-// Signal is an out-of-band runtime event fed to class-aware policies:
-// memory-task admissions (issue counts), watchdog stall flags, and
-// retry attempts from the fault-tolerant run path. Signals complement
-// the completion-driven PairSample stream — an attacker that wedges
-// tasks shows up in stalls and issues long before completions.
+// Signal is an out-of-band runtime event fed to class-aware policies.
+// The one a policy reads is the watchdog's stall flag: it complements
+// the completion-driven PairSample stream, since an attacker that
+// wedges its tasks shows up in stalls long before completions.
 type Signal int
 
 const (
-	// SignalIssue records one memory-task admission.
+	// SignalIssue is accepted and ignored. No policy reads admission
+	// counts; the value stays only because the benchmark module still
+	// emits it.
 	SignalIssue Signal = iota
 	// SignalStall records one watchdog-flagged stalled task.
 	SignalStall
-	// SignalRetry records one failed task attempt that was retried.
-	SignalRetry
 )
 
 // ClassStats aggregates one traffic class over one monitor window.
 type ClassStats struct {
-	Pairs   int  // completed pairs
-	Issues  int  // memory-task admissions
-	TmSum   Time // summed memory-task durations
-	TcSum   Time // summed compute-task durations
-	Stalls  int  // watchdog stall flags
-	Retries int  // retried task attempts
+	Pairs  int  // completed pairs
+	TmSum  Time // summed memory-task durations
+	TcSum  Time // summed compute-task durations
+	Stalls int  // watchdog stall flags
 }
 
 // WindowStats is what a Policy observes at each monitor-window
-// boundary: aggregate mean task durations plus per-class breakdowns
-// and the stall/retry guard-rail signals accumulated since the
-// previous window.
+// boundary: aggregate mean task durations plus per-class breakdowns,
+// each with the stall flags raised since the previous window.
 type WindowStats struct {
 	Start Time // wall-clock when the window opened
 	End   Time // completion instant of the pair that closed it
@@ -52,12 +48,10 @@ type WindowStats struct {
 	Tm Time
 	Tc Time
 
-	Stalls  int // window-total watchdog stall flags
-	Retries int // window-total retried attempts
-
-	// Classes holds the per-class breakdown, indexed by class id. It
-	// aliases the caller's scratch storage and is only valid for the
-	// duration of the Observe call.
+	// Classes holds the per-class breakdown, indexed by class id: every
+	// class that completed a pair or raised a stall so far. It aliases
+	// the caller's scratch storage and is only valid for the duration
+	// of the Observe call.
 	Classes []ClassStats
 }
 
@@ -113,34 +107,11 @@ type ClassLimiter interface {
 }
 
 // Observer is implemented by throttlers that consume out-of-band
-// runtime signals (issues, stalls, retries). OnSignal must be safe to
-// call concurrently with itself and with MTL readers: the host runtime
-// issues memory tasks from many workers at once.
+// runtime signals: the host runtime's stall watchdog calls OnSignal
+// once per flagged task. OnSignal must be safe to call concurrently
+// with itself and with MTL readers.
 type Observer interface {
 	OnSignal(class int, sig Signal)
-}
-
-// SignalSource is the batched alternative to per-event OnSignal calls:
-// a runtime that keeps its own per-worker signal shards exposes their
-// cumulative per-class totals, and the throttler polls them once per
-// window boundary instead of taking one contended atomic add per
-// admission. Totals must be monotone non-decreasing and safe to read
-// from any goroutine; the throttler diffs consecutive polls to recover
-// per-window counts.
-type SignalSource interface {
-	// SignalTotals reports the cumulative issue and retry counts
-	// recorded for class since the source was created.
-	SignalTotals(class int) (issues, retries int64)
-}
-
-// SignalBatching is implemented by throttlers that can aggregate a
-// SignalSource's shard snapshots at window boundaries. A runtime that
-// detects the interface registers its source once and then stops
-// emitting per-event SignalIssue/SignalRetry calls; stall signals keep
-// the OnSignal path (they originate on a single watchdog goroutine, so
-// batching buys nothing).
-type SignalBatching interface {
-	SetSignalSource(src SignalSource)
 }
 
 // window accumulates W pair samples.
@@ -178,7 +149,7 @@ func (a *window) reset() { *a = window{w: a.w} }
 // measurement guard (non-finite or non-positive timings are dropped,
 // outlying Tm spikes winsorized — cf. MISE's estimation guard rails);
 // W admitted pairs make a window; at each boundary the driver harvests
-// per-class aggregates and signal counters, calls Observe, and
+// per-class aggregates and stall counters, calls Observe, and
 // publishes the decision behind atomics so scheduler hot paths read
 // limits lock-free. Dynamic and OnlineExhaustive hold one by value
 // (see front). The zero-allocation boundary is pinned by
@@ -195,15 +166,10 @@ type PolicyThrottler struct {
 	scratch    [MaxClasses]ClassStats
 	maxClass   int
 
-	// Cumulative signal counters (concurrent writers) and the values
-	// harvested at the previous boundary. src, when registered, adds
-	// the runtime's striped per-worker issue/retry totals on top of the
-	// OnSignal-fed counters at each harvest.
-	issues  [MaxClasses]atomic.Int64
-	stalls  [MaxClasses]atomic.Int64
-	retries [MaxClasses]atomic.Int64
-	seen    [MaxClasses][3]int64
-	src     SignalSource
+	// Cumulative stall counters (concurrent writers) and the values
+	// harvested at the previous boundary.
+	stalls [MaxClasses]atomic.Int64
+	seen   [MaxClasses]int64
 
 	climit [MaxClasses]atomic.Int32
 	black  atomic.Uint64
@@ -303,26 +269,16 @@ func (t *PolicyThrottler) Blacklisted(class int) bool {
 	return t.black.Load()&(1<<uint(class)) != 0
 }
 
-// SetSignalSource implements SignalBatching: totals polled from src at
-// each window boundary are added on top of the OnSignal-fed counters.
-// Register at setup time, before the pair stream starts; the source is
-// read under the same external serialization as OnPair.
-func (t *PolicyThrottler) SetSignalSource(src SignalSource) { t.src = src }
-
-// OnSignal implements Observer: lock-free counter bumps, harvested at
-// the next window boundary.
+// OnSignal implements Observer: a stall is one lock-free counter bump,
+// harvested at the next window boundary; any other signal is ignored.
 func (t *PolicyThrottler) OnSignal(class int, sig Signal) {
+	if sig != SignalStall {
+		return
+	}
 	if class < 0 || class >= MaxClasses {
 		class = 0
 	}
-	switch sig {
-	case SignalIssue:
-		t.issues[class].Add(1)
-	case SignalStall:
-		t.stalls[class].Add(1)
-	case SignalRetry:
-		t.retries[class].Add(1)
-	}
+	t.stalls[class].Add(1)
 }
 
 // OnPair implements Throttler: guard the sample, accumulate it per
@@ -349,6 +305,13 @@ func (t *PolicyThrottler) OnPair(s PairSample) {
 	if !t.win.add(s) {
 		return
 	}
+	// A class that has stalled but never completed a pair still reaches
+	// the policy: a wedging attacker may never complete one.
+	for i := t.maxClass; i < MaxClasses; i++ {
+		if t.stalls[i].Load() != t.seen[i] {
+			t.maxClass = i + 1
+		}
+	}
 	m := t.win.measurement()
 	ws := WindowStats{
 		Start:   t.win.start,
@@ -361,20 +324,9 @@ func (t *PolicyThrottler) OnPair(s PairSample) {
 	t.win.reset()
 	for i := 0; i < t.maxClass; i++ {
 		cc := t.classes[i]
-		issues, retries := t.issues[i].Load(), t.retries[i].Load()
-		if t.src != nil {
-			si, sr := t.src.SignalTotals(i)
-			issues += si
-			retries += sr
-		}
-		cc.Issues = int(issues - t.seen[i][0])
-		cc.Stalls = int(t.stalls[i].Load() - t.seen[i][1])
-		cc.Retries = int(retries - t.seen[i][2])
-		t.seen[i][0] += int64(cc.Issues)
-		t.seen[i][1] += int64(cc.Stalls)
-		t.seen[i][2] += int64(cc.Retries)
-		ws.Stalls += cc.Stalls
-		ws.Retries += cc.Retries
+		n := t.stalls[i].Load()
+		cc.Stalls = int(n - t.seen[i])
+		t.seen[i] = n
 		t.scratch[i] = cc
 		t.classes[i] = ClassStats{}
 	}

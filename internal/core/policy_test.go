@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"memthrottle/internal/sim"
@@ -16,32 +17,43 @@ func feedPairs(th Throttler, count int, tm, tc Time, class int, now *Time) {
 	}
 }
 
-// The adapter windows W pairs, aggregates per class, harvests signal
-// counters, and publishes the policy's decision atomically.
+// The adapter windows W pairs, aggregates per class, harvests stall
+// counters, and publishes the policy's decision atomically. Issue
+// signals are accepted and change nothing.
 func TestPolicyThrottlerWindowing(t *testing.T) {
-	var got []WindowStats
-	p := policyFunc{
-		name: "spy",
-		fn: func(w WindowStats) Decision {
-			// Deep-copy Classes: it aliases the adapter's scratch.
-			cp := w
-			cp.Classes = append([]ClassStats(nil), w.Classes...)
-			got = append(got, cp)
-			return Decision{Limit: 3, Monitoring: true}
-		},
+	run := func(issues bool) (*PolicyThrottler, []WindowStats) {
+		var got []WindowStats
+		p := policyFunc{
+			name: "spy",
+			fn: func(w WindowStats) Decision {
+				// Deep-copy Classes: it aliases the adapter's scratch.
+				cp := w
+				cp.Classes = append([]ClassStats(nil), w.Classes...)
+				got = append(got, cp)
+				return Decision{Limit: 3, Monitoring: true}
+			},
+		}
+		th := NewPolicyThrottler(p, 4, 8)
+		if th.MTL() != 8 {
+			t.Fatalf("initial MTL = %d, want 8", th.MTL())
+		}
+		if issues {
+			th.OnSignal(1, SignalIssue)
+			th.OnSignal(1, SignalIssue)
+		}
+		th.OnSignal(0, SignalStall)
+		var now Time
+		feedPairs(th, 2, 2*pus, 6*pus, 0, &now)
+		feedPairs(th, 2, 10*pus, pus, 1, &now)
+		if issues {
+			th.OnSignal(0, SignalIssue)
+		}
+		feedPairs(th, 4, 2*pus, 6*pus, 0, &now)
+		return th, got
 	}
-	th := NewPolicyThrottler(p, 4, 8)
-	if th.MTL() != 8 {
-		t.Fatalf("initial MTL = %d, want 8", th.MTL())
-	}
-	th.OnSignal(1, SignalIssue)
-	th.OnSignal(1, SignalIssue)
-	th.OnSignal(0, SignalStall)
-	var now Time
-	feedPairs(th, 2, 2*pus, 6*pus, 0, &now)
-	feedPairs(th, 2, 10*pus, pus, 1, &now)
-	if len(got) != 1 {
-		t.Fatalf("observed %d windows, want 1", len(got))
+	th, got := run(false)
+	if len(got) != 2 {
+		t.Fatalf("observed %d windows, want 2", len(got))
 	}
 	w := got[0]
 	if w.Pairs != 4 || w.Tm != 6*pus {
@@ -56,19 +68,44 @@ func TestPolicyThrottlerWindowing(t *testing.T) {
 	if w.Classes[1].TmSum != 20*pus {
 		t.Errorf("class 1 TmSum = %v, want %v", w.Classes[1].TmSum, 20*pus)
 	}
-	if w.Classes[1].Issues != 2 || w.Classes[0].Stalls != 1 || w.Stalls != 1 {
-		t.Errorf("signals = %+v / %+v, want class1 Issues 2, class0 Stalls 1", w.Classes[0], w.Classes[1])
+	if w.Classes[0].Stalls != 1 || w.Classes[1].Stalls != 0 {
+		t.Errorf("stalls = %d/%d, want 1/0", w.Classes[0].Stalls, w.Classes[1].Stalls)
 	}
 	if th.MTL() != 3 {
 		t.Errorf("MTL after decision = %d, want 3", th.MTL())
 	}
-	// Signal counters harvest deltas, not totals.
-	feedPairs(th, 4, 2*pus, 6*pus, 0, &now)
-	if len(got) != 2 {
-		t.Fatalf("observed %d windows, want 2", len(got))
+	// Stall counters harvest deltas, not totals.
+	if got[1].Classes[0].Stalls != 0 {
+		t.Errorf("second window class 0 stalls = %d, want 0 (delta)", got[1].Classes[0].Stalls)
 	}
-	if got[1].Classes[1].Issues != 0 {
-		t.Errorf("second window class 1 issues = %d, want 0 (delta)", got[1].Classes[1].Issues)
+	if _, with := run(true); !reflect.DeepEqual(with, got) {
+		t.Errorf("issue signals changed the windows:\n%+v\nwant\n%+v", with, got)
+	}
+}
+
+// Stalls of a class that has not completed a pair reach the policy at
+// the next boundary: a wedging attacker may never complete one.
+func TestPolicyThrottlerStallOfUnseenClass(t *testing.T) {
+	var got []WindowStats
+	p := policyFunc{name: "spy", fn: func(w WindowStats) Decision {
+		cp := w
+		cp.Classes = append([]ClassStats(nil), w.Classes...)
+		got = append(got, cp)
+		return Decision{Monitoring: true}
+	}}
+	th := NewPolicyThrottler(p, 2, 8)
+	th.OnSignal(1, SignalStall)
+	th.OnSignal(1, SignalStall)
+	var now Time
+	feedPairs(th, 2, 2*pus, 6*pus, 0, &now)
+	if len(got) != 1 {
+		t.Fatalf("observed %d windows, want 1", len(got))
+	}
+	if len(got[0].Classes) != 2 {
+		t.Fatalf("classes = %d, want 2 (class 1 stalled)", len(got[0].Classes))
+	}
+	if c := got[0].Classes[1]; c.Stalls != 2 || c.Pairs != 0 {
+		t.Errorf("class 1 = %+v, want Stalls 2, Pairs 0", c)
 	}
 }
 

@@ -127,7 +127,6 @@ type mixer struct {
 	queueCap int
 	th       core.Throttler
 	lim      core.ClassLimiter // th's class-limit view, nil if class-blind
-	obs      core.Observer     // th's signal sink, nil if none
 
 	queue       []*mixTask // pending, arrival order (head at index head)
 	head        int
@@ -149,8 +148,8 @@ type mixer struct {
 // pairs) arrive on class-tagged streams, wait in one bounded queue, are
 // admitted under the throttler's MTL — the gate doubling as the
 // admission controller — and execute on the hardware threads. A
-// class-aware throttler is fed per-class samples and issue signals and
-// has its class limits and blacklist honoured at admission. Virtual
+// class-aware throttler is fed per-class samples and has its class
+// limits and blacklist honoured at admission. Virtual
 // time plus seeded arrivals and noise make every run bit-reproducible.
 // The throttler must be freshly constructed per run; independent runs
 // may execute concurrently. Panics on invalid configuration or spec.
@@ -174,7 +173,6 @@ func runMix(g *rig, cfg Config, spec MixSpec, th core.Throttler) MixResult {
 	m := &mixer{rig: g, queueCap: spec.Queue, th: th, activeMem: make([]int, len(g.pools))}
 	m.arriveFn, m.gatherDoneFn, m.computePartFn, m.freeFn = m.arrive, m.finishGather, m.computePart, m.free
 	m.lim, _ = th.(core.ClassLimiter)
-	m.obs, _ = th.(core.Observer)
 	maxClass := 0
 	for _, st := range spec.Streams {
 		maxClass = max(maxClass, st.Class)
@@ -331,9 +329,6 @@ func (m *mixer) dispatch(w *worker) {
 	m.activeAll++
 	if m.activeAll > m.res.PeakActiveMem {
 		m.res.PeakActiveMem = m.activeAll
-	}
-	if m.obs != nil {
-		m.obs.OnSignal(t.class, core.SignalIssue)
 	}
 	m.llc.Reserve(t.bytes)
 	m.pools[t.dom].StartFunc(t.bytes, 1, m.gatherDoneFn, t)

@@ -62,24 +62,25 @@ func TestRigRecycledAcrossDrivers(t *testing.T) {
 	}
 }
 
-// issueCounter is a class-aware policy: it caps class 0 at one memory
-// task under an aggregate limit of 4 and adds up the issues it is shown.
-type issueCounter struct{ issues, windows int }
+// pairCounter is a class-aware policy: it caps class 0 at one memory
+// task under an aggregate limit of 4 and adds up the class-0 pairs it
+// is shown.
+type pairCounter struct{ pairs, windows int }
 
-func (p *issueCounter) Name() string { return "issue-counter" }
-func (p *issueCounter) Observe(w core.WindowStats) core.Decision {
+func (p *pairCounter) Name() string { return "pair-counter" }
+func (p *pairCounter) Observe(w core.WindowStats) core.Decision {
 	p.windows++
-	p.issues += w.Classes[0].Issues
+	p.pairs += w.Classes[0].Pairs
 	return core.Decision{Limit: 4, ClassLimit: []int{1}}
 }
 
 // TestServeRunFeedsClassAwareThrottler pins what the fold gave the
-// single-class entry point: a class-aware throttler gets one issue
-// signal per admitted job and its class limit gates admission. (The
-// old ServeRun did neither: zero issues, PeakActiveMem 4.)
+// single-class entry point: a class-aware throttler sees every
+// completed job in its class's windows and its class limit gates
+// admission. (The old ServeRun did not gate: PeakActiveMem 4.)
 func TestServeRunFeedsClassAwareThrottler(t *testing.T) {
 	const w, jobs = 4, 400
-	pol := &issueCounter{}
+	pol := &pairCounter{}
 	th := core.NewPolicyThrottler(pol, w, 4)
 	// One priming window, so the class limit is in force from the first
 	// arrival on.
@@ -93,8 +94,8 @@ func TestServeRunFeedsClassAwareThrottler(t *testing.T) {
 	if pol.windows != 1+jobs/w {
 		t.Fatalf("policy observed %d windows, want %d", pol.windows, 1+jobs/w)
 	}
-	if pol.issues != jobs {
-		t.Errorf("policy saw %d issues, want one per admitted job (%d)", pol.issues, jobs)
+	if pol.pairs != w+jobs {
+		t.Errorf("policy saw %d class-0 pairs, want the priming window's %d plus one per job (%d)", pol.pairs, w, jobs)
 	}
 	if res.PeakActiveMem != 1 {
 		t.Errorf("PeakActiveMem = %d under a class limit of 1 (aggregate MTL %d)", res.PeakActiveMem, res.FinalMTL)
