@@ -1,37 +1,36 @@
 # Tier-1 gate for the memthrottle reproduction. `make check` is what CI
-# (and any pre-merge hand check) runs: formatting, vet, a full build,
-# and the test suite under the race detector — load-bearing now that
-# the experiment run engine (internal/parallel) is concurrent.
+# (and any pre-merge hand check) runs: formatting, vet and the cache-line
+# layout assertions (lint), a full build, a vet and build of the bench/
+# module (bench-build), the test suite, the race detector over the
+# concurrent packages (race), the sweep's -j determinism (sweep-same),
+# the two fuzzers for a few seconds each (fuzz-smoke) and the host
+# suite repeated at 1, 2 and 4 Ps (flake).
 
 GO ?= go
 
-# Benchmarks pinned against the committed BENCH_SIM.json baseline
-# (captured on the pre-optimization tree, so the reported speedup is
-# the zero-allocation hot path's win). -count repeats each benchmark;
-# benchdiff keeps the best run of each. BenchmarkPoolStart is the fluid
-# pool's closure entry point, the one the repository benchmark probes.
-BENCH_COUNT ?= 3
+# The micro-benchmarks `make bench-check` compares with BASE. The
+# simulator hot path: DRAM access, the stream pump, the fluid pool's
+# closure entry point (the one the repository benchmark probes),
+# calibration and a Fig13 sweep.
+BENCH_COUNT ?= 5
 HOT_BENCHES  = BenchmarkDRAMAccess|BenchmarkStreamPump|BenchmarkPoolStart|BenchmarkCalibrate|BenchmarkCalibrateWarm|BenchmarkCalibrateAdjacentCold|BenchmarkFig13Sweep
 
-# Host-runtime dispatch benchmarks, pinned against the pre-rewrite
-# mutex-and-broadcast runtime so the lock-free dispatch win stays
-# measured. The 8/32 variants guard the unsharded (Domains=1) dispatch
-# path; 64 runs 2 memory domains and 128/256 run 4, pinning the
-# sharded-gate scaling past the old single-gate plateau; the
-# Domains64x* trio holds workers at 64 and varies only the domain
-# count.
+# Host-runtime dispatch benchmarks. The 8/32 variants time the
+# unsharded (Domains=1) dispatch path; 64 runs 2 memory domains and
+# 128/256 run 4, the sharded-gate scaling past the old single-gate
+# plateau; the Domains64x* trio holds workers at 64 and varies only the
+# domain count.
 HOST_BENCHES = BenchmarkHostRuntimeThroughput|BenchmarkHostRuntimeThroughput8|BenchmarkHostRuntimeThroughput32|BenchmarkHostRuntimeThroughput64|BenchmarkHostRuntimeThroughput128|BenchmarkHostRuntimeThroughput256|BenchmarkHostRuntimeThroughput512|BenchmarkHostRuntimeDomains64x1|BenchmarkHostRuntimeDomains64x2|BenchmarkHostRuntimeDomains64x4|BenchmarkMpmcRingContended|$(SERVE_BENCHES)
 
 # Open-loop serving benchmarks: sustained Submit->Drain throughput at
 # 64/128/256 workers (BenchmarkHostServe*), and the gate's one-slot
-# claim and release on their own (BenchmarkGateAdmitPerJob). Pinned in
-# BENCH_SIM.json so the serving path does not regress.
+# claim and release on their own (BenchmarkGateAdmitPerJob).
 SERVE_BENCHES = BenchmarkHostServe64|BenchmarkHostServe128|BenchmarkHostServe256|BenchmarkGateAdmitPerJob
 
 # Event-queue benchmarks (EngineStep* in internal/sim), one per regime
 # of the merged queue: a single pending event, 256 events a tick apart
 # (a DRAM calibration: all wheel slots) and 8 events 50 us apart (a
-# simsched run: all far heap). Pinned in BENCH_SIM.json.
+# simsched run: all far heap).
 SIM_BENCHES  = BenchmarkEngineStepWheel|BenchmarkEngineStepWheelDeep256|BenchmarkEngineStepSparse
 
 # Policy-plugin benchmarks: the PolicyThrottler window boundary —
@@ -47,15 +46,18 @@ CORE_BENCHES = BenchmarkPolicyObserve
 # removed; on a single-CPU runner the three coincide.
 CONTEND_BENCHES = BenchmarkContendedCounterGlobal|BenchmarkContendedCounterSharedLines|BenchmarkContendedCounterStriped
 
-# Benchmarks pinned allocation-free by `make bench-check`: the
-# zero-allocation hot paths from the PR 2 work must never regrow an
-# alloc, the warm Calibrator's adjacent re-measure joins them, and the
-# gate's one-slot claim and release, the policy-plugin window boundary,
-# the event-queue step, in each regime, and the fluid pool's start/fire
-# cycle stay allocation-free too.
+# Benchmarks `make bench-check` holds allocation-free, whatever BASE
+# reads: the simulator's zero-allocation hot paths must never regrow
+# an alloc, and the gate's one-slot claim and release, the
+# policy-plugin window boundary, the event-queue step, in each regime,
+# and the fluid pool's start/fire cycle stay allocation-free too.
 ZERO_ALLOC   = BenchmarkEngineStepWheel,BenchmarkEngineStepWheelDeep256,BenchmarkEngineStepSparse,BenchmarkDRAMAccess,BenchmarkStreamPump,BenchmarkPoolStart,BenchmarkGateAdmitPerJob,BenchmarkPolicyObserve
 
-.PHONY: check lint fmt vet layout build bench-build test race sweep-same fuzz-smoke flake bench bench-host bench-baseline bench-check ab loc
+# BASE is the commit `make bench-check`, `make ab` and `make loc`
+# measure the working tree against.
+BASE ?= HEAD
+
+.PHONY: check lint fmt vet layout build bench-build test race sweep-same fuzz-smoke flake bench-check ab loc
 
 check: lint build bench-build test race sweep-same fuzz-smoke flake
 
@@ -154,42 +156,19 @@ flake:
 	$(GO) test -count=50 -cpu 1,2,4 ./host
 	$(GO) test -race -count=10 ./host
 
-# bench runs the simulator hot-path benchmarks and reports deltas
-# against the committed baseline. bench-baseline rewrites the baseline
-# from a fresh run (do this only when intentionally re-pinning).
-bench:
-	@{ $(GO) test -run '^$$' -bench '^($(SIM_BENCHES))$$' -benchmem -count $(BENCH_COUNT) ./internal/sim; \
-	   $(GO) test -run '^$$' -bench '^($(CORE_BENCHES))$$' -benchmem -count $(BENCH_COUNT) ./internal/core; \
-	   $(GO) test -run '^$$' -bench '^($(CONTEND_BENCHES))$$' -benchmem -count $(BENCH_COUNT) ./internal/stats; \
-	   $(GO) test -run '^$$' -bench '^($(HOT_BENCHES))$$' -benchmem -count $(BENCH_COUNT) .; \
-	   $(GO) test -run '^$$' -bench '^($(HOST_BENCHES))$$' -benchmem -count $(BENCH_COUNT) ./host; } \
-	| $(GO) run ./cmd/benchdiff -baseline BENCH_SIM.json
-
-# bench-host runs only the host-runtime dispatch benchmarks against the
-# committed baseline — the quick loop when iterating on the scheduler.
-bench-host:
-	@$(GO) test -run '^$$' -bench '^($(HOST_BENCHES))$$' -benchmem -count $(BENCH_COUNT) ./host \
-	| $(GO) run ./cmd/benchdiff -baseline BENCH_SIM.json
-
-bench-baseline:
-	@{ $(GO) test -run '^$$' -bench '^($(SIM_BENCHES))$$' -benchmem -count $(BENCH_COUNT) ./internal/sim; \
-	   $(GO) test -run '^$$' -bench '^($(CORE_BENCHES))$$' -benchmem -count $(BENCH_COUNT) ./internal/core; \
-	   $(GO) test -run '^$$' -bench '^($(CONTEND_BENCHES))$$' -benchmem -count $(BENCH_COUNT) ./internal/stats; \
-	   $(GO) test -run '^$$' -bench '^($(HOT_BENCHES))$$' -benchmem -count $(BENCH_COUNT) .; \
-	   $(GO) test -run '^$$' -bench '^($(HOST_BENCHES))$$' -benchmem -count $(BENCH_COUNT) ./host; } \
-	| $(GO) run ./cmd/benchdiff -baseline BENCH_SIM.json -write -note "$(NOTE)"
-
-# bench-check is the regression gate: same benchmarks as `bench`, but
-# benchdiff exits nonzero on a >15% ns/op regression against the
-# committed baseline or on any allocation in the pinned zero-alloc
-# benchmarks.
+# bench-check is the micro-benchmark gate (cmd/benchab -bench): BASE
+# and a copy of the working tree go into a temporary directory, each
+# builds the test binaries of the five benchmark packages, and both run
+# every benchmark above BENCH_COUNT times, -test.count 1 each,
+# alternating which side goes first. A benchmark fails when its
+# change/base median ns/op is over 1.15 and the medians differ by more
+# than the base's own quartile spread; a ZERO_ALLOC benchmark fails when
+# it allocates in every pair. Both sides run in one session on one machine, so the
+# verdict does not depend on the hour. Run nothing else meanwhile.
 bench-check:
-	@{ $(GO) test -run '^$$' -bench '^($(SIM_BENCHES))$$' -benchmem -count $(BENCH_COUNT) ./internal/sim; \
-	   $(GO) test -run '^$$' -bench '^($(CORE_BENCHES))$$' -benchmem -count $(BENCH_COUNT) ./internal/core; \
-	   $(GO) test -run '^$$' -bench '^($(CONTEND_BENCHES))$$' -benchmem -count $(BENCH_COUNT) ./internal/stats; \
-	   $(GO) test -run '^$$' -bench '^($(HOT_BENCHES))$$' -benchmem -count $(BENCH_COUNT) .; \
-	   $(GO) test -run '^$$' -bench '^($(HOST_BENCHES))$$' -benchmem -count $(BENCH_COUNT) ./host; } \
-	| $(GO) run ./cmd/benchdiff -baseline BENCH_SIM.json -check -max-regress 0.15 -zero-alloc '$(ZERO_ALLOC)'
+	$(GO) run ./cmd/benchab -base $(BASE) -pairs $(BENCH_COUNT) -zero-alloc '$(ZERO_ALLOC)' \
+		-bench '^($(HOT_BENCHES)|$(HOST_BENCHES)|$(SIM_BENCHES)|$(CORE_BENCHES)|$(CONTEND_BENCHES))$$' \
+		. ./internal/sim ./internal/core ./internal/stats ./host
 
 # bench-all is the original full benchmark sweep (every paper artifact).
 bench-all:
@@ -202,7 +181,6 @@ bench-all:
 # first; prints each side's median and quartiles per end-to-end metric,
 # the pairs the change won, and `bench/run.sh -compare` on the last
 # pair. ~3.5 min per pair for sim_sweep. See cmd/benchab.
-BASE     ?= HEAD
 WORKLOAD ?= sim_sweep
 PAIRS    ?= 10
 ab:

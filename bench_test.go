@@ -66,7 +66,7 @@ func runSpec(b *testing.B, id string) experiments.Table {
 // BenchmarkCalibrate is the end-to-end calibration run: 4 concurrent
 // stream levels measured on fresh engines and fitted to the contention
 // law. It is the headline wall-clock number for the simulator hot path
-// (see BENCH_SIM.json and `make bench`).
+// (compared with its base by `make bench-check`).
 func BenchmarkCalibrate(b *testing.B) {
 	var cal mem.Calibration
 	var err error

@@ -1,23 +1,29 @@
-// Command benchab measures a change against a base commit the way
-// bench/README.md asks before any performance claim: the repository
-// benchmark, run on both trees in interleaved pairs.
+// Command benchab measures a change against a base commit on one
+// machine in one session, in interleaved pairs of runs: the way
+// bench/README.md asks before any performance claim, and the way the
+// micro-benchmark gate holds a change to its base.
 //
 //	go run ./cmd/benchab -base HEAD~1 -workload sim_sweep -pairs 10
 //	make ab BASE=HEAD~1 WORKLOAD=sim_sweep PAIRS=10
 //
+//	go run ./cmd/benchab -base HEAD~1 -pairs 5 -bench '^(BenchmarkDRAMAccess)$' -zero-alloc BenchmarkDRAMAccess .
+//	make bench-check BASE=HEAD~1
+//
 // It puts both sides into a temporary directory — -base by git archive
 // (no worktree is registered, nothing is left in .git), the change as a
-// copy of the working tree's tracked and unignored files — then for
-// each pair runs `bash bench/run.sh -workload W -seed <pair> -out
-// <report>` once in each tree — base first in odd pairs, the change
+// copy of the working tree's tracked and unignored files — then runs
+// each pair once in each tree, base first in odd pairs and the change
 // first in even ones, so neither side always inherits a warm or a tired
-// host — and prints, per end-to-end metric, each side's median and
-// quartiles over the pairs, the pairs the change won, and whether the
-// medians differ by more than the distance between the base's own
-// quartiles. It ends with `bench/run.sh -compare` on the last pair.
-// After the first pair has built both harnesses it prints where each
-// side's linker put the host workloads' task bodies (address mod 64)
-// and warns when a body differs between the sides: this CPU runs
+// host. Per metric it prints each side's median and quartiles over the
+// pairs, the pairs the change won, and whether the medians differ by
+// more than the distance between the base's own quartiles.
+//
+// With -workload (make ab) a run is `bash bench/run.sh -workload W
+// -seed <pair> -out <report>` and the metrics are the workload's
+// end-to-end ones; it ends with `bench/run.sh -compare` on the last
+// pair. After the first pair has built both harnesses it prints where
+// each side's linker put the host workloads' task bodies (address mod
+// 64) and warns when a body differs between the sides: this CPU runs
 // bench/hostload.go's summing loops ~1.8x slower from 32 mod 64 than
 // from 0, so a host_* row between two such builds reads the placement,
 // not the change.
@@ -25,18 +31,31 @@
 // workload reports the layer budget and no end-to-end metric, so the
 // per-layer comparison is two such runs and `-compare`, by hand.
 //
+// With -bench (make bench-check) the arguments after the flags are
+// packages. Each side builds their test binaries once, and a run is
+// each binary with `-test.bench <regexp> -test.benchmem -test.count 1`
+// from its package directory; the metrics are ns/op. It exits 1 when a
+// benchmark's change/base median ratio is over maxRatio and the medians
+// differ by more than the base's own quartile spread, or when a
+// -zero-alloc benchmark is missing from the change or reports an
+// allocation there in every pair. A benchmark in one side only is
+// printed and never fails.
+//
 // Both sides are plain directories on purpose: run in place, the
 // working tree pays `go build` for stamping VCS state into the binary
 // (two git invocations, ~20 ms) and the exported base does not, which
 // read as a 17% worse setup_s that was the tool's. Each tree builds its
-// own harness, so a -base that predates bench/ cannot be measured. Run
-// it on an otherwise idle machine.
+// own harness, so a -base that predates bench/ cannot be measured with
+// -workload. Run it on an otherwise idle machine.
 package main
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"os/exec"
@@ -46,6 +65,11 @@ import (
 	"strconv"
 	"strings"
 )
+
+// maxRatio is the change/base median ns/op ratio a micro-benchmark may
+// reach before -bench fails it (when the gap is also wider than the
+// base's own spread).
+const maxRatio = 1.15
 
 // report is the part of a bench report (bench/main.go) read here.
 type report struct {
@@ -61,18 +85,27 @@ type metric struct {
 	Better string  `json:"better"`
 }
 
+// series is one metric's value in each pair, per side.
+type series struct {
+	unit, better string
+	base, change []float64
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("benchab: ")
 	var (
-		base     = flag.String("base", "", "commit to compare the working tree against (required)")
-		workload = flag.String("workload", "sim_sweep", "benchmark workload to run")
-		pairs    = flag.Int("pairs", 10, "interleaved pairs of runs")
-		keep     = flag.Bool("keep", false, "keep the temporary directory (base tree, reports, logs)")
+		base      = flag.String("base", "", "commit to compare the working tree against (required)")
+		workload  = flag.String("workload", "sim_sweep", "benchmark workload to run")
+		pairs     = flag.Int("pairs", 10, "interleaved pairs of runs")
+		keep      = flag.Bool("keep", false, "keep the temporary directory (base tree, reports, logs)")
+		bench     = flag.String("bench", "", "instead of -workload, run the `go test` benchmarks matching this regexp in the packages named after the flags")
+		zeroAlloc = flag.String("zero-alloc", "", "with -bench: comma-separated benchmarks that must report 0 allocs/op in the change")
 	)
 	flag.Parse()
-	if *base == "" || *pairs < 1 || *workload == "all" {
-		log.Fatal("need -base <commit>, -pairs >= 1 and one -workload (each workload is its own comparison)")
+	pkgs := flag.Args()
+	if *base == "" || *pairs < 1 || (*bench == "") != (len(pkgs) == 0) || (*bench == "" && *workload == "all") {
+		log.Fatal("need -base <commit>, -pairs >= 1 and either one -workload (each workload is its own comparison) or -bench <regexp> followed by packages")
 	}
 	top, err := exec.Command("git", "rev-parse", "--show-toplevel").Output()
 	if err != nil {
@@ -94,62 +127,140 @@ func main() {
 		log.Fatal(err)
 	}
 
+	// run measures one side once; the pair numbers from 1.
+	var run func(side, tree string, pair int) (map[string]metric, error)
+	last := map[string]string{}      // -workload: side -> last report
+	allocs := map[string][]float64{} // -bench: benchmark -> the change's allocs/op per pair
+	if *bench != "" {
+		for _, tree := range []string{baseTree, changeTree} {
+			if err := buildTests(tree, pkgs); err != nil {
+				log.Fatal(err)
+			}
+		}
+		run = func(side, tree string, _ int) (map[string]metric, error) {
+			res, err := runTests(tree, pkgs, *bench)
+			if err != nil {
+				return nil, err
+			}
+			return benchMetrics(side, res, allocs), nil
+		}
+	} else {
+		run = func(side, tree string, pair int) (map[string]metric, error) {
+			out := filepath.Join(tmp, fmt.Sprintf("%s-%02d.json", side, pair))
+			cmd := exec.Command("bash", "bench/run.sh", "-workload", *workload, "-seed", fmt.Sprint(pair), "-out", out)
+			cmd.Dir = tree
+			if logged, err := cmd.CombinedOutput(); err != nil {
+				return nil, fmt.Errorf("%v\n%s", err, logged)
+			}
+			last[side] = out
+			return readReport(out, *workload)
+		}
+	}
+
 	sides := []struct{ name, tree string }{{"base", baseTree}, {"change", changeTree}}
-	values := map[string]map[string][]float64{} // metric -> side -> value per pair
-	better := map[string]string{}
-	units := map[string]string{}
-	last := map[string]string{} // side -> last report
-	for p := 0; p < *pairs; p++ {
+	values := map[string]*series{}
+	for p := 1; p <= *pairs; p++ {
 		order := []int{0, 1}
-		if p%2 == 1 {
+		if p%2 == 0 {
 			order = []int{1, 0}
 		}
 		for _, s := range order {
 			side := sides[s]
-			out := filepath.Join(tmp, fmt.Sprintf("%s-%02d.json", side.name, p+1))
-			args := []string{"bench/run.sh", "-workload", *workload, "-seed", fmt.Sprint(p + 1), "-out", out}
-			cmd := exec.Command("bash", args...)
-			cmd.Dir = side.tree
-			if logged, err := cmd.CombinedOutput(); err != nil {
-				log.Fatalf("pair %d %s: %v\n%s", p+1, side.name, err, logged)
-			}
-			rep, err := readReport(out, *workload)
+			rep, err := run(side.name, side.tree, p)
 			if err != nil {
-				log.Fatalf("pair %d %s: %v", p+1, side.name, err)
+				log.Fatalf("pair %d %s: %v", p, side.name, err)
 			}
-			line := fmt.Sprintf("pair %2d %-6s", p+1, side.name)
+			line := fmt.Sprintf("pair %2d %-6s", p, side.name)
 			for _, name := range metricNames(rep) {
 				m := rep[name]
-				if values[name] == nil {
-					values[name] = map[string][]float64{}
-				}
-				values[name][side.name] = append(values[name][side.name], m.Value)
-				better[name], units[name] = m.Better, m.Unit
+				add(values, side.name, name, m)
 				line += fmt.Sprintf("  %s %.6g", name, m.Value)
 			}
 			fmt.Println(line)
-			last[side.name] = out
 		}
-		if p == 0 {
+		if p == 1 && *bench == "" {
 			reportBodyPlacement(baseTree, changeTree)
 		}
 	}
 
-	fmt.Printf("\n%s, %d pairs, base %s:\n", *workload, *pairs, *base)
+	what := *workload
+	if *bench != "" {
+		what = "micro-benchmarks"
+	}
+	fmt.Printf("\n%s, %d pairs, base %s:\n", what, *pairs, *base)
+	worse := summarize(os.Stdout, values)
+	if *bench == "" {
+		fmt.Printf("\nbench/run.sh -compare on the last pair:\n")
+		cmp := exec.Command("bash", "bench/run.sh", "-compare", last["base"], last["change"])
+		cmp.Dir, cmp.Stdout, cmp.Stderr = changeTree, os.Stdout, os.Stderr
+		if err := cmp.Run(); err != nil {
+			fmt.Println("compare:", err)
+		}
+	}
+	if !*keep {
+		os.RemoveAll(tmp)
+	}
+	if *bench == "" {
+		return
+	}
+	failures := gate(worse, allocs, strings.FieldsFunc(*zeroAlloc, func(r rune) bool { return r == ',' }))
+	for _, f := range failures {
+		fmt.Println("FAIL:", f)
+	}
+	if len(failures) > 0 {
+		os.Exit(1)
+	}
+	fmt.Printf("check passed: no benchmark over %.2fx its base by more than the base's own spread; zero-alloc benchmarks allocation-free\n", maxRatio)
+}
+
+// add records one run's value of metric name for side.
+func add(values map[string]*series, side, name string, m metric) {
+	s := values[name]
+	if s == nil {
+		s = &series{}
+		values[name] = s
+	}
+	s.unit, s.better = m.Unit, m.Better
+	if side == "base" {
+		s.base = append(s.base, m.Value)
+	} else {
+		s.change = append(s.change, m.Value)
+	}
+}
+
+// summarize prints each metric's medians, quartiles, pairs won and
+// verdict, and returns the change/base median ratio of every metric
+// that is worse by more than the base's own spread. A metric one side
+// lacks is printed as such and judged no further.
+func summarize(w io.Writer, values map[string]*series) (worse map[string]float64) {
+	worse = map[string]float64{}
 	names := make([]string, 0, len(values))
 	for n := range values {
 		names = append(names, n)
 	}
 	sort.Strings(names)
+	wid := 12
 	for _, n := range names {
-		b, c := values[n]["base"], values[n]["change"]
+		wid = max(wid, len(n))
+	}
+	for _, n := range names {
+		s := values[n]
+		b, c := s.base, s.change
+		switch {
+		case len(b) == 0:
+			fmt.Fprintf(w, "  %-*s only in the change\n", wid, n)
+			continue
+		case len(c) == 0:
+			fmt.Fprintf(w, "  %-*s only in the base\n", wid, n)
+			continue
+		}
 		bq1, bmed, bq3 := quartiles(b)
 		cq1, cmed, cq3 := quartiles(c)
 		won, lost := 0, 0
-		for i := range b {
+		for i := range min(len(b), len(c)) {
 			switch d := c[i] - b[i]; {
 			case d == 0:
-			case (d < 0) == (better[n] == "lower"):
+			case (d < 0) == (s.better == "lower"):
 				won++
 			default:
 				lost++
@@ -158,24 +269,145 @@ func main() {
 		verdict := "within the base's own spread"
 		if d := cmed - bmed; d != 0 && abs(d) > bq3-bq1 {
 			verdict = "worse by more than the base's own spread"
-			if (d < 0) == (better[n] == "lower") {
+			if (d < 0) == (s.better == "lower") {
 				verdict = "better by more than the base's own spread"
+			} else {
+				worse[n] = cmed / bmed
 			}
 		}
-		fmt.Printf("  %-12s %-3s base   median %.6g  quartiles %.6g %.6g\n", n, units[n], bmed, bq1, bq3)
-		fmt.Printf("  %-12s %-3s change median %.6g  quartiles %.6g %.6g\n", "", "", cmed, cq1, cq3)
-		fmt.Printf("  %-12s     change/base %.4f, change won %d of %d pairs (lost %d): %s\n", "", cmed/bmed, won, len(b), lost, verdict)
+		fmt.Fprintf(w, "  %-*s %-3s base   median %.6g  quartiles %.6g %.6g\n", wid, n, s.unit, bmed, bq1, bq3)
+		fmt.Fprintf(w, "  %-*s %-3s change median %.6g  quartiles %.6g %.6g\n", wid, "", "", cmed, cq1, cq3)
+		fmt.Fprintf(w, "  %-*s     change/base %.4f, change won %d of %d pairs (lost %d): %s\n", wid, "", cmed/bmed, won, len(b), lost, verdict)
 	}
+	return worse
+}
 
-	fmt.Printf("\nbench/run.sh -compare on the last pair:\n")
-	cmp := exec.Command("bash", "bench/run.sh", "-compare", last["base"], last["change"])
-	cmp.Dir, cmp.Stdout, cmp.Stderr = changeTree, os.Stdout, os.Stderr
-	if err := cmp.Run(); err != nil {
-		fmt.Println("compare:", err)
+// gate returns the micro-benchmark gate's failures: each benchmark
+// worse by more than the base's spread whose change/base ratio is over
+// maxRatio, and each zeroAlloc benchmark the change lacks or that
+// reported an allocation in every pair. An allocation count does not
+// depend on the hour, so that check is against zero, not the base; the
+// fewest allocs/op any pair read is the one judged, as a one-off
+// allocation amortised over a large b.N can read 1 in one pair only.
+func gate(worse map[string]float64, allocs map[string][]float64, zeroAlloc []string) []string {
+	var failures []string
+	names := make([]string, 0, len(worse))
+	for n := range worse {
+		names = append(names, n)
 	}
-	if !*keep {
-		os.RemoveAll(tmp)
+	sort.Strings(names)
+	for _, n := range names {
+		if r := worse[n]; r > maxRatio {
+			failures = append(failures, fmt.Sprintf("%s: change/base %.3f, over %.2f and worse by more than the base's own spread", n, r, maxRatio))
+		}
 	}
+	for _, n := range zeroAlloc {
+		a := allocs[n]
+		switch {
+		case len(a) == 0:
+			failures = append(failures, fmt.Sprintf("%s: zero-alloc benchmark missing from the change", n))
+		case slices.Min(a) > 0:
+			failures = append(failures, fmt.Sprintf("%s: zero-alloc benchmark reports %.0f allocs/op in the change", n, slices.Min(a)))
+		}
+	}
+	return failures
+}
+
+// benchResult is one benchmark line of `go test -bench -benchmem`.
+type benchResult struct{ ns, allocs float64 }
+
+// benchMetrics turns one side's run into ns/op metrics, appending the
+// change's allocs/op to allocs.
+func benchMetrics(side string, res map[string]benchResult, allocs map[string][]float64) map[string]metric {
+	m := make(map[string]metric, len(res))
+	for name, r := range res {
+		m[name] = metric{Value: r.ns, Unit: "ns", Better: "lower"}
+		if side == "change" {
+			allocs[name] = append(allocs[name], r.allocs)
+		}
+	}
+	return m
+}
+
+// parseBench reads `go test -bench -benchmem` output. The -GOMAXPROCS
+// suffix the test runner appends (BenchmarkFoo-8) is dropped: both
+// sides run on one machine at one GOMAXPROCS.
+func parseBench(r io.Reader) (map[string]benchResult, error) {
+	out := map[string]benchResult{}
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	for sc.Scan() {
+		fields := strings.Fields(sc.Text())
+		if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
+			continue
+		}
+		name := fields[0]
+		if i := strings.LastIndex(name, "-"); i > 0 {
+			if _, err := strconv.Atoi(name[i+1:]); err == nil {
+				name = name[:i]
+			}
+		}
+		var res benchResult
+		ok := false
+		// fields[1] is the iteration count; the rest come in
+		// (value, unit) pairs, including custom ReportMetric units.
+		for i := 2; i+1 < len(fields); i += 2 {
+			v, err := strconv.ParseFloat(fields[i], 64)
+			if err != nil {
+				return nil, fmt.Errorf("bad value %q on line %q", fields[i], sc.Text())
+			}
+			switch fields[i+1] {
+			case "ns/op":
+				res.ns, ok = v, true
+			case "allocs/op":
+				res.allocs = v
+			}
+		}
+		if ok {
+			out[name] = res
+		}
+	}
+	return out, sc.Err()
+}
+
+// testBinary is where buildTests puts package i's test binary of tree.
+func testBinary(tree string, i int) string {
+	return filepath.Join(tree, fmt.Sprintf("benchab-%d.test", i))
+}
+
+// buildTests compiles each package's test binary in tree.
+func buildTests(tree string, pkgs []string) error {
+	for i, pkg := range pkgs {
+		cmd := exec.Command("go", "test", "-c", "-o", testBinary(tree, i), pkg)
+		cmd.Dir = tree
+		if out, err := cmd.CombinedOutput(); err != nil {
+			return fmt.Errorf("go test -c %s in %s: %v\n%s", pkg, tree, err, out)
+		}
+	}
+	return nil
+}
+
+// runTests runs the benchmarks matching regexp once in each package of
+// tree, from the package's directory as `go test` would.
+func runTests(tree string, pkgs []string, regexp string) (map[string]benchResult, error) {
+	all := map[string]benchResult{}
+	for i, pkg := range pkgs {
+		cmd := exec.Command(testBinary(tree, i), "-test.run", "^$", "-test.bench", regexp,
+			"-test.benchmem", "-test.count", "1", "-test.timeout", "30m")
+		cmd.Dir = filepath.Join(tree, pkg)
+		out, err := cmd.CombinedOutput()
+		if err != nil {
+			return nil, fmt.Errorf("%s: %v\n%s", pkg, err, out)
+		}
+		res, err := parseBench(bytes.NewReader(out))
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", pkg, err)
+		}
+		for name, r := range res {
+			all[name] = r
+		}
+	}
+	return all, nil
 }
 
 // bodySymbols are the task bodies of bench/hostload.go that the host

@@ -6,9 +6,9 @@ import "testing"
 // runtime at the given worker and domain counts. The task bodies are
 // deliberately tiny (2 KiB arrays, one compute pass) so the dispatch
 // machinery — queue take, MTL admission, worker wakeup — dominates the
-// wall-clock, not memory bandwidth. These are the numbers the
-// scalable-dispatch work is pinned against in BENCH_SIM.json: the
-// worker count rises while the total work stays fixed, so any
+// wall-clock, not memory bandwidth. These are the numbers
+// `make bench-check` holds the scalable-dispatch work to against its
+// base: the worker count rises while the total work stays fixed, so any
 // serialization in the dispatch path shows up directly as lost
 // throughput. The per-domain MTL stays fixed at 2, so raising the
 // domain count both widens admission (2 x domains memory tasks in

@@ -186,8 +186,8 @@ type unwrapping struct{ Throttler }
 func (u unwrapping) Unwrap() Throttler { return u.Throttler }
 
 // The driver's steady state allocates nothing: bench/ times these two
-// streams and `make bench-check` pins the second, but neither runs in
-// tier 1.
+// streams and `make bench-check` holds the second to zero allocs/op,
+// but neither runs in tier 1.
 func TestDriverSteadyStateAllocs(t *testing.T) {
 	d := NewDynamic(NewModel(4), 16)
 	feedLaw(d, 400, 0.8*us, 0.1*us, 10*us)

@@ -277,8 +277,8 @@ func TestBlacklistDemotesHog(t *testing.T) {
 }
 
 // The adapter's window boundary is allocation-free in steady state:
-// scratch arrays, no per-window garbage. Pinned in BENCH_SIM.json and
-// enforced by make bench-check.
+// scratch arrays, no per-window garbage. make bench-check holds it to
+// zero allocs/op (ZERO_ALLOC) and compares its time with its base.
 func BenchmarkPolicyObserve(b *testing.B) {
 	bl := NewBlacklist(Fixed{K: 8}, BlacklistOptions{})
 	th := NewPolicyThrottler(bl, 16, 8)
