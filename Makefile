@@ -4,7 +4,8 @@
 # module (bench-build), the test suite, the race detector over the
 # concurrent packages (race), the sweep's -j determinism (sweep-same),
 # the two fuzzers for a few seconds each (fuzz-smoke) and the host
-# suite repeated at 1, 2 and 4 Ps (flake).
+# suite repeated at 1, 2 and 4 Ps (flake), and the host's stage timing
+# in fake time (fake-time).
 
 GO ?= go
 
@@ -19,8 +20,10 @@ HOT_BENCHES  = BenchmarkDRAMAccess|BenchmarkStreamPump|BenchmarkPoolStart|Benchm
 # unsharded (Domains=1) dispatch path; 64 runs 2 memory domains and
 # 128/256 run 4, the sharded-gate scaling past the old single-gate
 # plateau; the Domains64x* trio holds workers at 64 and varies only the
-# domain count.
-HOST_BENCHES = BenchmarkHostRuntimeThroughput|BenchmarkHostRuntimeThroughput8|BenchmarkHostRuntimeThroughput32|BenchmarkHostRuntimeThroughput64|BenchmarkHostRuntimeThroughput128|BenchmarkHostRuntimeThroughput256|BenchmarkHostRuntimeThroughput512|BenchmarkHostRuntimeDomains64x1|BenchmarkHostRuntimeDomains64x2|BenchmarkHostRuntimeDomains64x4|BenchmarkMpmcRingContended|$(SERVE_BENCHES)
+# domain count. BenchmarkHostRunEmptyBodies is the 8-worker Run with
+# empty task bodies: the stage path alone, which no placement of task
+# bodies in the binary can move.
+HOST_BENCHES = BenchmarkHostRunEmptyBodies|BenchmarkHostRuntimeThroughput|BenchmarkHostRuntimeThroughput8|BenchmarkHostRuntimeThroughput32|BenchmarkHostRuntimeThroughput64|BenchmarkHostRuntimeThroughput128|BenchmarkHostRuntimeThroughput256|BenchmarkHostRuntimeThroughput512|BenchmarkHostRuntimeDomains64x1|BenchmarkHostRuntimeDomains64x2|BenchmarkHostRuntimeDomains64x4|BenchmarkMpmcRingContended|$(SERVE_BENCHES)
 
 # Open-loop serving benchmarks: sustained Submit->Drain throughput at
 # 64/128/256 workers (BenchmarkHostServe*), and the gate's one-slot
@@ -57,9 +60,9 @@ ZERO_ALLOC   = BenchmarkEngineStepWheel,BenchmarkEngineStepWheelDeep256,Benchmar
 # measure the working tree against.
 BASE ?= HEAD
 
-.PHONY: check lint fmt vet layout build bench-build test race sweep-same fuzz-smoke flake bench-check ab loc
+.PHONY: check lint fmt vet layout build bench-build test race sweep-same fuzz-smoke flake fake-time bench-check ab loc
 
-check: lint build bench-build test race sweep-same fuzz-smoke flake
+check: lint build bench-build test race sweep-same fuzz-smoke flake fake-time
 
 # lint is the static gate on its own: formatting, go vet, and the
 # cache-line layout assertions over the dispatch hot structs.
@@ -156,10 +159,18 @@ flake:
 	$(GO) test -count=50 -cpu 1,2,4 ./host
 	$(GO) test -race -count=10 ./host
 
+# fake-time runs host/faketime_test.go: Run and Serve in a synctest
+# bubble, with task bodies that sleep, must report their stage times and
+# latencies exactly (the test file sets asynctimerchan=0, which the
+# bubble needs while go.mod says go 1.22).
+fake-time:
+	GOEXPERIMENT=synctest $(GO) test -run FakeTime ./host
+
 # bench-check is the micro-benchmark gate (cmd/benchab -bench): BASE
 # and a copy of the working tree go into a temporary directory, each
 # builds the test binaries of the five benchmark packages, and both run
-# every benchmark above BENCH_COUNT times, -test.count 1 each,
+# every benchmark above BENCH_COUNT times, -test.count 1 each, one
+# benchmark at a time with its base and change back to back,
 # alternating which side goes first. A benchmark fails when its
 # change/base median ns/op is over 1.15 and the medians differ by more
 # than the base's own quartile spread; a ZERO_ALLOC benchmark fails when

@@ -32,9 +32,14 @@
 // per-layer comparison is two such runs and `-compare`, by hand.
 //
 // With -bench (make bench-check) the arguments after the flags are
-// packages. Each side builds their test binaries once, and a run is
-// each binary with `-test.bench <regexp> -test.benchmem -test.count 1`
-// from its package directory; the metrics are ns/op. It exits 1 when a
+// packages. Each side builds their test binaries once, and a run is one
+// benchmark matching the regexp, `-test.bench ^Name$ -test.benchmem
+// -test.count 1` from its package directory; the metrics are ns/op. A
+// pair runs every benchmark in turn, its base and its change back to
+// back, so the two sides of a benchmark meet the same moment of the
+// machine rather than two moments a whole sweep apart: on a shared
+// 2-vCPU box the load comes in bursts, and benchmarks of 70-150 ms an
+// op (b.N of 7-15 in the default second) read the burst. It exits 1 when a
 // benchmark's change/base median ratio is over maxRatio and the medians
 // differ by more than the base's own quartile spread, or when a
 // -zero-alloc benchmark is missing from the change or reports an
@@ -60,6 +65,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"sort"
 	"strconv"
@@ -83,6 +89,13 @@ type metric struct {
 	Value  float64 `json:"value"`
 	Unit   string  `json:"unit"`
 	Better string  `json:"better"`
+}
+
+// unit is what one run measures: the workload, or with -bench one
+// benchmark of package pkgs[pkg].
+type unit struct {
+	pkg  int
+	name string
 }
 
 // series is one metric's value in each pair, per side.
@@ -127,25 +140,30 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// run measures one side once; the pair numbers from 1.
-	var run func(side, tree string, pair int) (map[string]metric, error)
+	// run measures one unit on one side once; the pair numbers from 1.
+	var run func(side, tree string, pair int, u unit) (map[string]metric, error)
+	units := []unit{{name: *workload}}
 	last := map[string]string{}      // -workload: side -> last report
 	allocs := map[string][]float64{} // -bench: benchmark -> the change's allocs/op per pair
 	if *bench != "" {
-		for _, tree := range []string{baseTree, changeTree} {
+		trees := []string{baseTree, changeTree}
+		for _, tree := range trees {
 			if err := buildTests(tree, pkgs); err != nil {
 				log.Fatal(err)
 			}
 		}
-		run = func(side, tree string, _ int) (map[string]metric, error) {
-			res, err := runTests(tree, pkgs, *bench)
+		if units, err = listBenchmarks(trees, pkgs, *bench); err != nil {
+			log.Fatal(err)
+		}
+		run = func(side, tree string, _ int, u unit) (map[string]metric, error) {
+			res, err := runBenchmark(tree, pkgs, u)
 			if err != nil {
 				return nil, err
 			}
 			return benchMetrics(side, res, allocs), nil
 		}
 	} else {
-		run = func(side, tree string, pair int) (map[string]metric, error) {
+		run = func(side, tree string, pair int, _ unit) (map[string]metric, error) {
 			out := filepath.Join(tmp, fmt.Sprintf("%s-%02d.json", side, pair))
 			cmd := exec.Command("bash", "bench/run.sh", "-workload", *workload, "-seed", fmt.Sprint(pair), "-out", out)
 			cmd.Dir = tree
@@ -164,19 +182,24 @@ func main() {
 		if p%2 == 0 {
 			order = []int{1, 0}
 		}
-		for _, s := range order {
-			side := sides[s]
-			rep, err := run(side.name, side.tree, p)
-			if err != nil {
-				log.Fatalf("pair %d %s: %v", p, side.name, err)
+		for _, u := range units {
+			for _, s := range order {
+				side := sides[s]
+				rep, err := run(side.name, side.tree, p, u)
+				if err != nil {
+					log.Fatalf("pair %d %s: %v", p, side.name, err)
+				}
+				if len(rep) == 0 {
+					continue // a benchmark this side lacks
+				}
+				line := fmt.Sprintf("pair %2d %-6s", p, side.name)
+				for _, name := range metricNames(rep) {
+					m := rep[name]
+					add(values, side.name, name, m)
+					line += fmt.Sprintf("  %s %.6g", name, m.Value)
+				}
+				fmt.Println(line)
 			}
-			line := fmt.Sprintf("pair %2d %-6s", p, side.name)
-			for _, name := range metricNames(rep) {
-				m := rep[name]
-				add(values, side.name, name, m)
-				line += fmt.Sprintf("  %s %.6g", name, m.Value)
-			}
-			fmt.Println(line)
 		}
 		if p == 1 && *bench == "" {
 			reportBodyPlacement(baseTree, changeTree)
@@ -387,27 +410,49 @@ func buildTests(tree string, pkgs []string) error {
 	return nil
 }
 
-// runTests runs the benchmarks matching regexp once in each package of
-// tree, from the package's directory as `go test` would.
-func runTests(tree string, pkgs []string, regexp string) (map[string]benchResult, error) {
-	all := map[string]benchResult{}
+// listBenchmarks returns the top-level benchmarks matching re in each
+// package's test binary of either tree, in package order and by name
+// within a package. A benchmark one tree lacks runs there to no result.
+func listBenchmarks(trees, pkgs []string, re string) ([]unit, error) {
+	var units []unit
 	for i, pkg := range pkgs {
-		cmd := exec.Command(testBinary(tree, i), "-test.run", "^$", "-test.bench", regexp,
-			"-test.benchmem", "-test.count", "1", "-test.timeout", "30m")
-		cmd.Dir = filepath.Join(tree, pkg)
-		out, err := cmd.CombinedOutput()
-		if err != nil {
-			return nil, fmt.Errorf("%s: %v\n%s", pkg, err, out)
+		var names []string
+		for _, tree := range trees {
+			cmd := exec.Command(testBinary(tree, i), "-test.list", re)
+			cmd.Dir = filepath.Join(tree, pkg)
+			out, err := cmd.Output()
+			if err != nil {
+				return nil, fmt.Errorf("%s: listing benchmarks: %v", pkg, err)
+			}
+			for _, name := range strings.Fields(string(out)) {
+				if strings.HasPrefix(name, "Benchmark") && !slices.Contains(names, name) {
+					names = append(names, name)
+				}
+			}
 		}
-		res, err := parseBench(bytes.NewReader(out))
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", pkg, err)
-		}
-		for name, r := range res {
-			all[name] = r
+		slices.Sort(names)
+		for _, name := range names {
+			units = append(units, unit{pkg: i, name: name})
 		}
 	}
-	return all, nil
+	return units, nil
+}
+
+// runBenchmark runs benchmark u once in tree, from its package's
+// directory as `go test` would.
+func runBenchmark(tree string, pkgs []string, u unit) (map[string]benchResult, error) {
+	cmd := exec.Command(testBinary(tree, u.pkg), "-test.run", "^$", "-test.bench", "^"+regexp.QuoteMeta(u.name)+"$",
+		"-test.benchmem", "-test.count", "1", "-test.timeout", "30m")
+	cmd.Dir = filepath.Join(tree, pkgs[u.pkg])
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		return nil, fmt.Errorf("%s %s: %v\n%s", pkgs[u.pkg], u.name, err, out)
+	}
+	res, err := parseBench(bytes.NewReader(out))
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", pkgs[u.pkg], err)
+	}
+	return res, nil
 }
 
 // bodySymbols are the task bodies of bench/hostload.go that the host

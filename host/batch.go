@@ -116,7 +116,7 @@ func (r *Runtime) RunContext(ctx context.Context, pairs []Pair) (Stats, error) {
 	<-ph.done
 
 	st := Stats{
-		Elapsed:        time.Since(ph.start),
+		Elapsed:        time.Duration(nowNs() - ph.startNs),
 		Pairs:          len(pairs),
 		CompletedPairs: int(ph.completed.Load()),
 		MaxConcurrentM: r.peakConcurrentM(),
@@ -247,11 +247,12 @@ func (ph *phase) cancelRun(err error) {
 	ph.abort()
 }
 
-// take finds the next runnable record (pool.scan), or nil when the
-// worker should park or the phase has stopped.
-func (ph *phase) take(w *worker) *pairRec {
+// take finds the next runnable record and its start reading
+// (pool.scan), or nil when the worker should park or the phase has
+// stopped.
+func (ph *phase) take(w *worker) (*pairRec, int64) {
 	if ph.stopped() {
-		return nil
+		return nil, 0
 	}
 	return ph.scan(w)
 }
@@ -262,7 +263,7 @@ func (ph *phase) take(w *worker) *pairRec {
 // domain's scatter list and feed the controller, and end the phase with
 // its last task. The result of a task that outlived an abort is dropped
 // (its gate slot is already back).
-func (ph *phase) finish(w *worker, j *pairRec, dur time.Duration, end time.Time, err error) *pairRec {
+func (ph *phase) finish(w *worker, j *pairRec, dur time.Duration, endNs int64, err error) *pairRec {
 	if err != nil {
 		ph.fail(err)
 		return nil
@@ -284,7 +285,7 @@ func (ph *phase) finish(w *worker, j *pairRec, dur time.Duration, end time.Time,
 		// The scatter may already be running elsewhere; what the
 		// controller reads of j (tmNs, class) no later stage writes.
 		if ph.adaptive {
-			ph.feedController(j, dur, end)
+			ph.feedController(j, dur, endNs)
 		}
 	}
 	if ph.remain.Add(-1) == 0 {

@@ -51,3 +51,27 @@ func BenchmarkHostRuntimeThroughput512(b *testing.B) { benchThroughput(b, 512, 4
 func BenchmarkHostRuntimeDomains64x1(b *testing.B) { benchThroughput(b, 64, 1) }
 func BenchmarkHostRuntimeDomains64x2(b *testing.B) { benchThroughput(b, 64, 2) }
 func BenchmarkHostRuntimeDomains64x4(b *testing.B) { benchThroughput(b, 64, 4) }
+
+// BenchmarkHostRunEmptyBodies times the stage path alone: Run of 128
+// pairs whose task bodies return at once, 8 workers under Static MTL 2
+// (the host_dispatch shape). With no body to run, what it reads is
+// take, admission, the clock reads, the wake rule and the finish, and
+// no placement of task bodies in the binary can move it.
+func BenchmarkHostRunEmptyBodies(b *testing.B) {
+	rt, err := New(Config{Workers: 8, Policy: Static, MTL: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer rt.Close()
+	empty := func() {}
+	pairs := make([]Pair, 128)
+	for i := range pairs {
+		pairs[i] = Pair{Memory: empty, Compute: empty}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := rt.Run(pairs); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -3,7 +3,6 @@ package host
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // gate is the atomic-counter MTL gate: admission of a memory-class
@@ -87,8 +86,8 @@ func (g *gate) resetPeak() {
 // the stamp before the owner's read.
 type parker struct {
 	token  chan struct{}
-	queued bool      // guarded by lot.mu
-	woken  time.Time // when the unparker that popped it sent the token
+	queued bool  // guarded by lot.mu
+	woken  int64 // nowNs when the unparker that popped it sent the token
 }
 
 // lot is the parked-waiter list: workers that found no runnable job
@@ -118,13 +117,14 @@ type lot struct {
 	_      [48]byte
 }
 
-// noteWake folds one blocked park's wake latency into λ. A sample
+// noteWake folds one blocked park's wake latency, from p's wake stamp
+// to now (the woken worker's first reading), into λ. A sample
 // counts for at most twice the estimate: a wakeup that waited out
 // somebody else's time slice (p99 0.4-2 ms against a p50 near 100 µs on
 // 2 vCPUs) is not the wake latency, and an inflated λ sustains itself
 // (no wakes, no samples). Racing folds may drop one.
-func (l *lot) noteWake(p *parker) {
-	lam, s := l.wakeNs.Load(), time.Since(p.woken).Nanoseconds()
+func (l *lot) noteWake(p *parker, now int64) {
+	lam, s := l.wakeNs.Load(), now-p.woken
 	if lam > 0 {
 		s = min(s, 2*lam)
 	}
@@ -201,7 +201,7 @@ func (l *lot) unparkOne() bool {
 	l.parked = l.parked[:n-1]
 	p.queued = false
 	l.mu.Unlock()
-	p.woken = time.Now()
+	p.woken = nowNs()
 	p.token <- struct{}{}
 	return true
 }
@@ -221,7 +221,7 @@ func (l *lot) unparkAll() {
 	if len(woken) == 0 {
 		return
 	}
-	now := time.Now()
+	now := nowNs()
 	for _, p := range woken {
 		p.woken = now
 		p.token <- struct{}{}

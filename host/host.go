@@ -279,8 +279,11 @@ type Stats struct {
 	FinalMTL       int
 	MTLDecisions   []int
 	MeanTm         time.Duration // mean memory-task duration
-	MeanTc         time.Duration // mean compute-task duration
-	MaxConcurrentM int           // observed peak concurrent memory tasks, all domains
+	// MeanTc is the mean compute-task duration. A compute starts at the
+	// reading that ended its gather, so it also covers the hand-off
+	// between the two: the gather's slot release and the wake rule.
+	MeanTc         time.Duration
+	MaxConcurrentM int // observed peak concurrent memory tasks, all domains
 
 	Retries   int   // task re-executions performed
 	Recovered int   // tasks that succeeded after at least one retry

@@ -70,7 +70,7 @@ func FuzzLotProtocol(f *testing.F) {
 				if got, want := len(p.token), b2i(state[i] == woken); int64(got) != want {
 					t.Fatalf("op %d (%s): parker %d holds %d tokens in state %d", step, what, i, got, state[i])
 				}
-				if state[i] == woken && p.woken.IsZero() {
+				if state[i] == woken && p.woken == 0 {
 					t.Fatalf("op %d (%s): parker %d was sent a token without a wake stamp", step, what, i)
 				}
 			}

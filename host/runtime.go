@@ -40,6 +40,19 @@ const (
 
 var stageNames = [3]string{"memory", "compute", "scatter"}
 
+// epoch anchors the runtime's one clock.
+var epoch = time.Now()
+
+// nowNs is the runtime's clock: monotonic nanoseconds since the package
+// was initialised. time.Since against the epoch reads the monotonic
+// clock alone, one vDSO call where a full timestamp takes two (wall and
+// monotonic), and no wall-clock step can move it. Every timestamp of
+// the task path, the lot's wake stamps, the park and spin timers and
+// the watchdog's flight records are readings of it, and a stage
+// boundary is read once: the reading that ends a stage also starts a
+// compute that follows on the same worker (pool.work).
+func nowNs() int64 { return int64(time.Since(epoch)) }
+
 // pairRec is one pair's lifecycle record: its task functions, where it
 // is homed, which stage runs next and what the earlier stages measured.
 // A record rests in exactly one queue at a time (or in a worker's
@@ -58,8 +71,8 @@ type pairRec struct {
 	stage int32 // the task that runs next
 
 	tmNs    int64 // measured memory-task duration
-	enqNs   int64 // Serve: Submit time, ns since the session started
-	admitNs int64 // Serve: when a worker took the gather, same clock
+	enqNs   int64 // Serve: Submit time (nowNs)
+	admitNs int64 // Serve: when a worker took the gather, the reading that starts it
 }
 
 // has reports whether the record carries a task for stage.
@@ -215,16 +228,17 @@ type discipline interface {
 	// state, before the worker is published.
 	equip(w *worker)
 	// take returns the next runnable record — a memory-class stage with
-	// its gate and class slots already held, found by pool.scan — or
-	// nil when the worker should park.
-	take(w *worker) *pairRec
+	// its gate and class slots already held, found by pool.scan — and
+	// the reading that starts its stage, or nil when the worker should
+	// park.
+	take(w *worker) (*pairRec, int64)
 	// stopped reports that workers must drain and exit.
 	stopped() bool
-	// finish takes j back after its stage ran (err is its terminal
-	// failure): publish the successor stage, retire the pair, or return
-	// a record — j itself, advanced — to run next on the same worker
-	// without a trip through the queues.
-	finish(w *worker, j *pairRec, dur time.Duration, end time.Time, err error) *pairRec
+	// finish takes j back after its stage ran for dur and ended at the
+	// reading endNs (err is its terminal failure): publish the successor
+	// stage, retire the pair, or return a record — j itself, advanced —
+	// to run next on the same worker without a trip through the queues.
+	finish(w *worker, j *pairRec, dur time.Duration, endNs int64, err error) *pairRec
 }
 
 // domainState is one memory domain's queues of memory-class records,
@@ -264,7 +278,7 @@ type pool struct {
 	// for the tail whatever it is doing.
 	stop <-chan struct{}
 
-	start    time.Time
+	startNs  int64 // nowNs at setup
 	adaptive bool  // controller consumes samples (non-Fixed throttler)
 	spinMax  int64 // concurrent pre-park spinner cap (0 disables)
 
@@ -305,7 +319,7 @@ type pool struct {
 // earlier phase's wedged tasks).
 func (p *pool) setup(r *Runtime, q discipline, l *lot, noun string, stop <-chan struct{}) {
 	p.rt, p.q, p.lot, p.noun, p.stop = r, q, l, noun, stop
-	p.start = time.Now()
+	p.startNs = nowNs()
 	_, fixed := r.th.(core.Fixed)
 	p.adaptive = !fixed
 	p.spinMax = spinnerCap()
@@ -368,18 +382,21 @@ func (p *pool) spawnWorker() {
 // work is the worker-goroutine loop: take, park when there is nothing,
 // run the stage, repeat until the discipline says stop. A stop is
 // observed between tasks: a worker always finishes (or exhausts retries
-// on) the task it is running, then drains.
+// on) the task it is running, then drains. A taken record's stage starts
+// at the reading take returns with it; a compute that follows its gather
+// on this worker starts at the gather's end reading, so its time covers
+// the hand-off between the two (the slot release and the wake rule).
 func (p *pool) work(w *worker) {
 	defer p.wg.Done()
 	for !p.q.stopped() {
-		j := p.q.take(w)
+		j, t := p.q.take(w)
 		if j == nil {
-			if j = p.parkTillWork(w); j == nil {
+			if j, t = p.parkTillWork(w); j == nil {
 				return
 			}
 		}
 		for j != nil {
-			j = p.runStage(w, j)
+			j, t = p.runStage(w, j, t)
 		}
 	}
 }
@@ -393,22 +410,22 @@ func (p *pool) work(w *worker) {
 // exactly a wakeup and loops back to acquisition. Only the blocking
 // park counts as a park, and its duration is accounted once per cycle
 // to the worker's shard (home-domain idle time).
-func (p *pool) parkTillWork(w *worker) *pairRec {
+func (p *pool) parkTillWork(w *worker) (*pairRec, int64) {
 	l, q := p.lot, p.q
 	for {
 		l.enqueue(&w.park)
 		if q.stopped() {
 			l.cancel(&w.park)
-			return nil
+			return nil, 0
 		}
-		if j := q.take(w); j != nil {
+		if j, t := q.take(w); j != nil {
 			l.cancel(&w.park)
-			return j
+			return j, t
 		}
 		if budget := spinBudgetNs(w.spinNs, l.wakeNs.Load()); budget > 0 && l.beginSpin(p.spinMax) {
-			t0 := time.Now()
+			t0 := nowNs()
 			woken := false
-			for i := 1; !woken && time.Since(t0).Nanoseconds() < budget; i++ {
+			for i := 1; !woken && nowNs()-t0 < budget; i++ {
 				select {
 				case <-w.park.token:
 					woken = true
@@ -422,16 +439,16 @@ func (p *pool) parkTillWork(w *worker) *pairRec {
 				}
 			}
 			l.endSpin()
-			gap := time.Since(t0).Nanoseconds()
+			gap := nowNs() - t0
 			if !woken {
 				if q.stopped() {
 					l.cancel(&w.park)
-					return nil
+					return nil, 0
 				}
-				if j := q.take(w); j != nil {
+				if j, t := q.take(w); j != nil {
 					l.cancel(&w.park)
 					w.spinNs = fold(w.spinNs, gap)
-					return j
+					return j, t
 				}
 				// Budget spent with nothing runnable: fall through to the
 				// blocking park (still enqueued, so no wakeup was lost).
@@ -439,38 +456,41 @@ func (p *pool) parkTillWork(w *worker) *pairRec {
 				// Token consumed mid-spin — this was the wakeup.
 				w.spinNs = fold(w.spinNs, gap)
 				if q.stopped() {
-					return nil
+					return nil, 0
 				}
-				if j := q.take(w); j != nil {
-					return j
+				if j, t := q.take(w); j != nil {
+					return j, t
 				}
 				continue
 			}
 		}
 		w.parks.Add(1)
-		t0 := time.Now()
+		t0 := nowNs()
 		<-w.park.token
-		l.noteWake(&w.park)
-		gap := time.Since(t0).Nanoseconds()
+		t1 := nowNs()
+		l.noteWake(&w.park, t1)
+		gap := t1 - t0
 		w.idleNs.Add(gap)
 		w.spinNs = fold(w.spinNs, gap)
 		if q.stopped() {
-			return nil
+			return nil, 0
 		}
-		if j := q.take(w); j != nil {
-			return j
+		if j, t := q.take(w); j != nil {
+			return j, t
 		}
 	}
 }
 
-// runStage runs j's current stage and hands the outcome to the
-// discipline. For a memory-class stage the worker arrives holding the
-// home gate's slot and the class slot, and both go back as soon as the
-// task returns, failed or not.
-func (p *pool) runStage(w *worker, j *pairRec) *pairRec {
+// runStage runs j's current stage, started at the reading t0, hands
+// the outcome to the discipline and returns the record to run next on
+// this worker, if any, with the reading that ended this stage. For a
+// memory-class stage the worker arrives holding the home gate's slot
+// and the class slot, and both go back as soon as the task returns,
+// failed or not.
+func (p *pool) runStage(w *worker, j *pairRec, t0 int64) (*pairRec, int64) {
 	r := p.rt
 	stage := j.stage
-	dur, end, attempts, err := p.retry(w, j)
+	dur, endNs, attempts, err := p.retry(w, j, t0)
 	if stage != stageComp {
 		r.releaseSlot(int(j.dom))
 		r.releaseClass(int(j.class))
@@ -495,14 +515,16 @@ func (p *pool) runStage(w *worker, j *pairRec) *pairRec {
 			w.nTc.Add(1)
 		}
 	}
-	return p.q.finish(w, j, dur, end, err)
+	return p.q.finish(w, j, dur, endNs, err), endNs
 }
 
-// retry executes j's current stage under the retry policy, returning
-// the successful attempt's duration and end time plus the number of
-// attempts made. Each attempt re-registers the task with the stall
-// watchdog; a backoff ends early, with the failure, when stop closes.
-func (p *pool) retry(w *worker, j *pairRec) (dur time.Duration, end time.Time, attempts int, err error) {
+// retry executes j's current stage under the retry policy, its first
+// attempt starting at the reading t0, and returns the successful
+// attempt's duration and end reading plus the number of attempts made.
+// Each attempt registers its start reading with the stall watchdog, and
+// a retried attempt reads a fresh one after its backoff; a backoff ends
+// early, with the failure, when stop closes.
+func (p *pool) retry(w *worker, j *pairRec, t0 int64) (dur time.Duration, endNs int64, attempts int, err error) {
 	pol := p.rt.cfg.Retry
 	if p.flight != nil {
 		f := &p.flight[w.slot]
@@ -511,24 +533,24 @@ func (p *pool) retry(w *worker, j *pairRec) (dur time.Duration, end time.Time, a
 	var rng *rand.Rand
 	for attempts = 1; ; attempts++ {
 		if p.flight != nil {
-			p.flight[w.slot].set(j.seq, int(j.class))
+			p.flight[w.slot].set(j.seq, int(j.class), t0)
 		}
-		t0 := time.Now()
 		err = p.invoke(j)
 		if err == nil {
-			// One monotonic clock read, not a second wall-clock one.
-			dur = time.Since(t0)
-			return dur, t0.Add(dur), attempts, nil
+			// The one reading that ends the stage: its duration, the
+			// controller's Now and, for Serve, the service stamp.
+			endNs = nowNs()
+			return time.Duration(endNs - t0), endNs, attempts, nil
 		}
 		if !pol.enabled() || attempts >= pol.MaxAttempts {
 			if attempts > 1 {
 				err = fmt.Errorf("%w (after %d attempts)", err, attempts)
 			}
-			return 0, end, attempts, err
+			return 0, 0, attempts, err
 		}
 		select {
 		case <-p.stop:
-			return 0, end, attempts, err
+			return 0, 0, attempts, err
 		default:
 		}
 		if rng == nil {
@@ -542,8 +564,9 @@ func (p *pool) retry(w *worker, j *pairRec) (dur time.Duration, end time.Time, a
 		case <-timer.C:
 		case <-p.stop:
 			timer.Stop()
-			return 0, end, attempts, err
+			return 0, 0, attempts, err
 		}
+		t0 = nowNs()
 	}
 }
 
@@ -567,17 +590,18 @@ func (p *pool) invoke(j *pairRec) (err error) {
 }
 
 // feedController delivers one completed memory/compute pair's
-// wall-clock timings under ctrlMu, mirrors the possibly-moved MTL into
-// every domain gate, and — only when the limit rose — wakes workers
-// for the new headroom (limitRose). Callers skip it for a Fixed
-// throttler, which ignores samples and never moves.
-func (p *pool) feedController(j *pairRec, tc time.Duration, end time.Time) {
+// wall-clock timings under ctrlMu, the compute's end reading endNs as
+// the sample's Now, mirrors the possibly-moved MTL into every domain
+// gate, and — only when the limit rose — wakes workers for the new
+// headroom (limitRose). Callers skip it for a Fixed throttler, which
+// ignores samples and never moves.
+func (p *pool) feedController(j *pairRec, tc time.Duration, endNs int64) {
 	r := p.rt
 	r.ctrlMu.Lock()
 	r.th.OnPair(core.PairSample{
 		Tm:    core.Time(time.Duration(j.tmNs).Seconds()),
 		Tc:    core.Time(tc.Seconds()),
-		Now:   core.Time(end.Sub(p.start).Seconds()),
+		Now:   core.Time(time.Duration(endNs - p.startNs).Seconds()),
 		Class: int(j.class),
 	})
 	rose := r.mirrorLimit()
@@ -587,21 +611,24 @@ func (p *pool) feedController(j *pairRec, tc time.Duration, end time.Time) {
 	}
 }
 
-// scan finds the next runnable record for w, or nil when it should
-// park: one admission attempt per domain, home first, and only where
-// the ready count is non-zero, so an idle probe is a handful of loads
-// with no CAS traffic and no wakes. Every queued record is
-// memory-class (a compute never queues) and is only returned with its
-// domain's gate slot already held: admission precedes the take, so a
-// slot is never claimed for work that does not exist.
-func (p *pool) scan(w *worker) *pairRec {
-	nd := len(p.doms)
-	for i := 0; i < nd; i++ {
-		if j := p.takeMem(w, (w.home+i)%nd); j != nil {
-			return j
+// scan finds the next runnable record for w and reads the clock that
+// starts its stage, or returns nil when w should park: one admission
+// attempt per domain, home first, and only where the ready count is
+// non-zero, so an idle probe is a handful of loads with no CAS traffic,
+// no wakes and no clock read. Every queued record is memory-class (a
+// compute never queues) and is only returned with its domain's gate
+// slot already held: admission precedes the take, so a slot is never
+// claimed for work that does not exist.
+func (p *pool) scan(w *worker) (*pairRec, int64) {
+	for i, d := 0, w.home; i < len(p.doms); i++ {
+		if j := p.takeMem(w, d); j != nil {
+			return j, nowNs()
+		}
+		if d++; d == len(p.doms) {
+			d = 0
 		}
 	}
-	return nil
+	return nil, 0
 }
 
 // takeMem makes one admission attempt against domain d's gate and, with

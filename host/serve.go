@@ -154,9 +154,11 @@ type ServeStats struct {
 
 	// QueueLatency spans Submit to the worker's take of the gather —
 	// the wait for a gate slot and the wake of a worker included;
-	// ServiceLatency spans that take to completion. Both are merged
-	// from per-worker shards after the workers exit, so a drained
-	// server's percentiles are exact over all completed jobs.
+	// ServiceLatency spans that take, the reading that starts the
+	// gather, to the reading that ends the job's last stage: every
+	// stage and the hand-offs between them. Both are merged from
+	// per-worker shards after the workers exit, so a drained server's
+	// percentiles are exact over all completed jobs.
 	QueueLatency   stats.LatencyHist
 	ServiceLatency stats.LatencyHist
 
@@ -236,9 +238,6 @@ func (r *Runtime) Serve(sc ServeConfig) (*Server, error) {
 	return s, nil
 }
 
-// nowNs is the session clock: nanoseconds since Serve.
-func (s *Server) nowNs() int64 { return time.Since(s.start).Nanoseconds() }
-
 // Submit enqueues one pair for execution. It never blocks on dispatch
 // work — the slow paths are the configured shedding mode (ShedBlock
 // waits for space) and validation. Safe for any number of concurrent
@@ -312,7 +311,7 @@ func (s *Server) enqueue(rec *pairRec) bool {
 		return false
 	}
 	*j = *rec
-	j.enqNs = s.nowNs()
+	j.enqNs = nowNs()
 	ds := &s.doms[rec.dom]
 	ds.readyMem.Add(1)
 	if ds.pend.push(j) {
@@ -388,22 +387,23 @@ func (s *Server) stopped() bool {
 }
 
 // take is the shared scan (pool.scan), plus the serving accounting: one
-// admission per record taken, and for a gather its queue latency —
-// recorded here, before the task runs, so the histogram update stays
-// out of the memory-to-compute hand-off — and a wake for blocked
-// submitters, since the take opened space in the pending ring.
-func (s *Server) take(w *worker) *pairRec {
-	j := s.scan(w)
+// admission per record taken, and for a gather its queue latency, which
+// ends at the reading that starts the gather — recorded here, before
+// the task runs, so the histogram update stays out of the
+// memory-to-compute hand-off — and a wake for blocked submitters, since
+// the take opened space in the pending ring.
+func (s *Server) take(w *worker) (*pairRec, int64) {
+	j, t := s.scan(w)
 	if j == nil {
-		return nil
+		return nil, 0
 	}
 	s.admitted.Add(1)
 	if j.stage == stageMem {
-		j.admitNs = s.nowNs()
-		w.lat.queue.Record(time.Duration(j.admitNs - j.enqNs))
+		j.admitNs = t
+		w.lat.queue.Record(time.Duration(t - j.enqNs))
 		s.wakeSubmitters()
 	}
-	return j
+	return j, t
 }
 
 // finish moves a job on after one of its stages ran. Gather: the compute
@@ -411,10 +411,12 @@ func (s *Server) take(w *worker) *pairRec {
 // (offer) decides whether a sleeper takes the freed slot. Compute: feed
 // the controller, then either queue the scatter in its home domain's
 // scatter list (and offer) or retire the job. Scatter, or a failure at
-// any stage: retire it.
-func (s *Server) finish(w *worker, j *pairRec, dur time.Duration, end time.Time, err error) *pairRec {
+// any stage: retire it. A completed job's service latency ends at
+// endNs, the reading that ended its last stage.
+func (s *Server) finish(w *worker, j *pairRec, dur time.Duration, endNs int64, err error) *pairRec {
 	if err != nil {
-		s.retire(w, j, true)
+		s.failed.Add(1)
+		s.retire(j)
 		return nil
 	}
 	switch j.stage {
@@ -424,27 +426,23 @@ func (s *Server) finish(w *worker, j *pairRec, dur time.Duration, end time.Time,
 		return j
 	case stageComp:
 		if s.adaptive {
-			s.feedController(j, dur, end)
+			s.feedController(j, dur, endNs)
 		}
 		if j.has(stageScat) {
 			s.queueScat(w, j)
 			return nil
 		}
 	}
-	s.retire(w, j, false)
+	s.completed.Add(1)
+	w.lat.service.Record(time.Duration(endNs - j.admitNs))
+	s.retire(j)
 	return nil
 }
 
-// retire ends one job: count it, record service latency, recycle the
-// block, release blocked submitters, and close the drain when this was
-// the last inflight job of a draining session.
-func (s *Server) retire(w *worker, j *pairRec, failed bool) {
-	if failed {
-		s.failed.Add(1)
-	} else {
-		s.completed.Add(1)
-		w.lat.service.Record(time.Duration(s.nowNs() - j.admitNs))
-	}
+// retire ends one counted job: recycle the block, release blocked
+// submitters, and close the drain when this was the last inflight job
+// of a draining session.
+func (s *Server) retire(j *pairRec) {
 	s.recycle(j)
 	s.wakeSubmitters()
 	if s.inflight.Add(-1) == 0 && s.draining.Load() {
@@ -504,7 +502,7 @@ func (s *Server) snapshotStats() ServeStats {
 		Recovered:      s.recovered.Load(),
 		AdmittedJobs:   s.admitted.Load(),
 		Blacklisted:    s.blacklisted.Load(),
-		Elapsed:        time.Since(s.start),
+		Elapsed:        time.Duration(nowNs() - s.startNs),
 		WakeLatency:    time.Duration(s.ownLot.wakeNs.Load()),
 		FinalMTL:       s.rt.MTL(),
 		MaxConcurrentM: s.rt.peakConcurrentM(),

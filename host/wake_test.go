@@ -81,7 +81,7 @@ func TestPhaseReadyCountsOnlyAdmissibleWork(t *testing.T) {
 			if got := p.admissible(); got != 0 {
 				t.Errorf("admissible() = %d with the gate full, want 0", got)
 			}
-			if j := p.q.take(&worker{lat: new(latShard)}); j != nil {
+			if j, _ := p.q.take(&worker{lat: new(latShard)}); j != nil {
 				t.Errorf("take returned a record behind a full gate")
 			}
 			r.releaseSlot(0)
@@ -130,7 +130,7 @@ func TestPhaseTakeKeepsScattersWithTheirWorkers(t *testing.T) {
 				{"scatter's worker", owner, scatter},
 				{"scatter's worker after its scatter", owner, second},
 			} {
-				if j := p.q.take(s.w); j != s.want {
+				if j, _ := p.q.take(s.w); j != s.want {
 					t.Fatalf("%s took record %p, want %p", s.name, j, s.want)
 				}
 				r.releaseSlot(0)
@@ -140,7 +140,7 @@ func TestPhaseTakeKeepsScattersWithTheirWorkers(t *testing.T) {
 			}
 			ds.readyMem.Add(1)
 			ds.scat.put(scatter)
-			if j := p.q.take(other); j != scatter {
+			if j, _ := p.q.take(other); j != scatter {
 				t.Fatalf("with no gather left another worker took %p, want the scatter %p", j, scatter)
 			}
 			r.releaseSlot(0)

@@ -17,18 +17,20 @@ import (
 type flightRec struct {
 	pair    atomic.Int64
 	class   atomic.Int64 // traffic class, for the stall signal
-	start   atomic.Int64 // attempt start, UnixNano; 0 = idle
+	start   atomic.Int64 // attempt start reading (nowNs, never 0); 0 = idle
 	stalled atomic.Bool  // already flagged; a task stalls at most once
 	_       [36]byte
 }
 
-// set registers the start of one task attempt. Order matters: the pair
-// is published before the start timestamp arms the watchdog.
-func (f *flightRec) set(pair int64, class int) {
+// set registers the start of one task attempt at the reading that
+// starts it, so an armed watchdog costs the task path no clock read of
+// its own. Order matters: the pair is published before the start
+// timestamp arms the watchdog.
+func (f *flightRec) set(pair int64, class int, startNs int64) {
 	f.pair.Store(pair)
 	f.class.Store(int64(class))
 	f.stalled.Store(false)
-	f.start.Store(time.Now().UnixNano())
+	f.start.Store(startNs)
 }
 
 // clear disarms the record after the task returns.
@@ -77,7 +79,7 @@ func (p *pool) watchdog(recoverAfter int) {
 			return
 		case <-t.C:
 		}
-		now := time.Now().UnixNano()
+		now := nowNs()
 		dirty := false
 		for i := range p.flight {
 			f := &p.flight[i]
