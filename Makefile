@@ -147,10 +147,15 @@ sweep-same:
 # against a plain heap, see internal/sim/wheel_test.go) fifteen seconds
 # and the waiter lot's protocol fuzzer (park/cancel/unpark/spin calls
 # against a sequential model, host/lot_fuzz_test.go) ten on every
-# check; `go test` alone only replays their seed corpora.
+# check; `go test` alone only replays their seed corpora. Each new
+# interesting input is minimised before fuzzing goes on, for up to 60 s
+# by default, longer than either budget: with both workers minimising,
+# the exec count stood still for the rest of the run. A hundred calls
+# per minimisation keeps the budget for fuzzing; a failing input is
+# still written to testdata/fuzz, less minimised.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz FuzzEventQueue -fuzztime 15s ./internal/sim
-	$(GO) test -run '^$$' -fuzz FuzzLotProtocol -fuzztime 10s ./host
+	$(GO) test -run '^$$' -fuzz FuzzEventQueue -fuzztime 15s -fuzzminimizetime 100x ./internal/sim
+	$(GO) test -run '^$$' -fuzz FuzzLotProtocol -fuzztime 10s -fuzzminimizetime 100x ./host
 
 # flake repeats the host suite where a lost wakeup or a timing
 # assumption would show: fifty times at one, two and four Ps, then ten
@@ -168,7 +173,9 @@ fake-time:
 
 # bench-check is the micro-benchmark gate (cmd/benchab -bench): BASE
 # and a copy of the working tree go into a temporary directory, each
-# builds the test binaries of the five benchmark packages, and both run
+# builds the test binaries of the five benchmark packages (-trimpath: a
+# package unchanged in both trees builds to the same bytes, and its
+# benchmarks are printed as "same binary" and not judged), and both run
 # every benchmark above BENCH_COUNT times, -test.count 1 each, one
 # benchmark at a time with its base and change back to back,
 # alternating which side goes first. A benchmark fails when its

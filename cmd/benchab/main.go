@@ -32,7 +32,9 @@
 // per-layer comparison is two such runs and `-compare`, by hand.
 //
 // With -bench (make bench-check) the arguments after the flags are
-// packages. Each side builds their test binaries once, and a run is one
+// packages. Each side builds their test binaries once, with -trimpath
+// so that a package whose code and dependencies are the same in both
+// trees builds to the same bytes, and a run is one
 // benchmark matching the regexp, `-test.bench ^Name$ -test.benchmem
 // -test.count 1` from its package directory; the metrics are ns/op. A
 // pair runs every benchmark in turn, its base and its change back to
@@ -44,7 +46,10 @@
 // differ by more than the base's own quartile spread, or when a
 // -zero-alloc benchmark is missing from the change or reports an
 // allocation there in every pair. A benchmark in one side only is
-// printed and never fails.
+// printed and never fails, and so is one whose package built to the
+// same binary in both trees ("same binary"): the two sides ran the same
+// code, so its ratio is the machine's noise. The zero-alloc check holds
+// for it all the same.
 //
 // Both sides are plain directories on purpose: run in place, the
 // working tree pays `go build` for stamping VCS state into the binary
@@ -89,6 +94,9 @@ type metric struct {
 	Value  float64 `json:"value"`
 	Unit   string  `json:"unit"`
 	Better string  `json:"better"`
+	// Same marks a benchmark whose test binary is byte-identical in
+	// both trees.
+	Same bool `json:"-"`
 }
 
 // unit is what one run measures: the workload, or with -bench one
@@ -101,6 +109,7 @@ type unit struct {
 // series is one metric's value in each pair, per side.
 type series struct {
 	unit, better string
+	same         bool
 	base, change []float64
 }
 
@@ -152,6 +161,15 @@ func main() {
 				log.Fatal(err)
 			}
 		}
+		same, err := sameBinaries(baseTree, changeTree, pkgs)
+		if err != nil {
+			log.Fatal(err)
+		}
+		for i, pkg := range pkgs {
+			if same[i] {
+				fmt.Printf("%s: same binary in both trees; its benchmarks are printed, not judged\n", pkg)
+			}
+		}
 		if units, err = listBenchmarks(trees, pkgs, *bench); err != nil {
 			log.Fatal(err)
 		}
@@ -160,7 +178,7 @@ func main() {
 			if err != nil {
 				return nil, err
 			}
-			return benchMetrics(side, res, allocs), nil
+			return benchMetrics(side, res, allocs, same[u.pkg]), nil
 		}
 	} else {
 		run = func(side, tree string, pair int, _ unit) (map[string]metric, error) {
@@ -243,7 +261,7 @@ func add(values map[string]*series, side, name string, m metric) {
 		s = &series{}
 		values[name] = s
 	}
-	s.unit, s.better = m.Unit, m.Better
+	s.unit, s.better, s.same = m.Unit, m.Better, m.Same
 	if side == "base" {
 		s.base = append(s.base, m.Value)
 	} else {
@@ -254,7 +272,8 @@ func add(values map[string]*series, side, name string, m metric) {
 // summarize prints each metric's medians, quartiles, pairs won and
 // verdict, and returns the change/base median ratio of every metric
 // that is worse by more than the base's own spread. A metric one side
-// lacks is printed as such and judged no further.
+// lacks is printed as such and judged no further, and a same-binary
+// one is printed and not judged.
 func summarize(w io.Writer, values map[string]*series) (worse map[string]float64) {
 	worse = map[string]float64{}
 	names := make([]string, 0, len(values))
@@ -290,7 +309,9 @@ func summarize(w io.Writer, values map[string]*series) (worse map[string]float64
 			}
 		}
 		verdict := "within the base's own spread"
-		if d := cmed - bmed; d != 0 && abs(d) > bq3-bq1 {
+		if d := cmed - bmed; s.same {
+			verdict = "same binary, not judged"
+		} else if d != 0 && abs(d) > bq3-bq1 {
 			verdict = "worse by more than the base's own spread"
 			if (d < 0) == (s.better == "lower") {
 				verdict = "better by more than the base's own spread"
@@ -339,12 +360,13 @@ func gate(worse map[string]float64, allocs map[string][]float64, zeroAlloc []str
 // benchResult is one benchmark line of `go test -bench -benchmem`.
 type benchResult struct{ ns, allocs float64 }
 
-// benchMetrics turns one side's run into ns/op metrics, appending the
-// change's allocs/op to allocs.
-func benchMetrics(side string, res map[string]benchResult, allocs map[string][]float64) map[string]metric {
+// benchMetrics turns one side's run into ns/op metrics, marked same
+// when the package built to the same binary in both trees, appending
+// the change's allocs/op to allocs.
+func benchMetrics(side string, res map[string]benchResult, allocs map[string][]float64, same bool) map[string]metric {
 	m := make(map[string]metric, len(res))
 	for name, r := range res {
-		m[name] = metric{Value: r.ns, Unit: "ns", Better: "lower"}
+		m[name] = metric{Value: r.ns, Unit: "ns", Better: "lower", Same: same}
 		if side == "change" {
 			allocs[name] = append(allocs[name], r.allocs)
 		}
@@ -401,13 +423,31 @@ func testBinary(tree string, i int) string {
 // buildTests compiles each package's test binary in tree.
 func buildTests(tree string, pkgs []string) error {
 	for i, pkg := range pkgs {
-		cmd := exec.Command("go", "test", "-c", "-o", testBinary(tree, i), pkg)
+		cmd := exec.Command("go", "test", "-c", "-trimpath", "-o", testBinary(tree, i), pkg)
 		cmd.Dir = tree
 		if out, err := cmd.CombinedOutput(); err != nil {
 			return fmt.Errorf("go test -c %s in %s: %v\n%s", pkg, tree, err, out)
 		}
 	}
 	return nil
+}
+
+// sameBinaries reports, per package, whether its test binaries in the
+// two trees are byte-identical.
+func sameBinaries(baseTree, changeTree string, pkgs []string) ([]bool, error) {
+	same := make([]bool, len(pkgs))
+	for i := range pkgs {
+		b, err := os.ReadFile(testBinary(baseTree, i))
+		if err != nil {
+			return nil, err
+		}
+		c, err := os.ReadFile(testBinary(changeTree, i))
+		if err != nil {
+			return nil, err
+		}
+		same[i] = bytes.Equal(b, c)
+	}
+	return same, nil
 }
 
 // listBenchmarks returns the top-level benchmarks matching re in each

@@ -46,6 +46,7 @@ func TestGate(t *testing.T) {
 		base        map[string][]float64 // output name -> ns/op per pair
 		change      map[string][]float64
 		allocs      float64 // the change's allocs/op on every benchmark
+		same        bool    // both sides ran the same test binary
 		zeroAlloc   []string
 		wantFail    []string // benchmarks named in failures
 		wantPrinted []string
@@ -82,6 +83,22 @@ func TestGate(t *testing.T) {
 			wantFail:  []string{"BenchmarkGone"},
 		},
 		{
+			name:        "20% outside the base's spread from the same binary is printed and passes",
+			base:        map[string][]float64{"BenchmarkTight-2": tight},
+			change:      map[string][]float64{"BenchmarkTight-2": scale(tight, 1.2)},
+			same:        true,
+			wantPrinted: []string{"same binary, not judged"},
+		},
+		{
+			name:      "a same-binary zero-alloc benchmark at 1 alloc/op fails",
+			base:      map[string][]float64{"BenchmarkTight-2": tight},
+			change:    map[string][]float64{"BenchmarkTight-2": tight},
+			allocs:    1,
+			same:      true,
+			zeroAlloc: []string{"BenchmarkTight"},
+			wantFail:  []string{"BenchmarkTight"},
+		},
+		{
 			name:        "a benchmark in one side only is printed and passes",
 			base:        map[string][]float64{"BenchmarkTight-2": tight, "BenchmarkOld-2": tight},
 			change:      map[string][]float64{"BenchmarkTight-2": tight, "BenchmarkNew-2": scale(tight, 3)},
@@ -108,7 +125,7 @@ func TestGate(t *testing.T) {
 					if len(res) != len(lines) {
 						t.Fatalf("parsed %d benchmarks from %d lines: %v", len(res), len(lines), res)
 					}
-					for n, m := range benchMetrics(side.name, res, allocs) {
+					for n, m := range benchMetrics(side.name, res, allocs, tc.same) {
 						add(values, side.name, n, m)
 					}
 				}

@@ -55,10 +55,7 @@ func (r *Runtime) RunContext(ctx context.Context, pairs []Pair) (Stats, error) {
 		case classRange:
 			return Stats{}, fmt.Errorf("host: pair %d class = %d, want within [0, %d)", i, p.Class, core.MaxClasses)
 		}
-		d, err := r.homeOf(int64(i))
-		if err != nil {
-			return Stats{}, err
-		}
+		d := r.homeOf(int64(i))
 		j.seq, j.dom = int64(i), int32(d)
 		seeds[d] = append(seeds[d], j)
 		total += 2
@@ -100,9 +97,7 @@ func (r *Runtime) RunContext(ctx context.Context, pairs []Pair) (Stats, error) {
 		case <-ph.done:
 		}
 	}()
-	// A phase ends at its barrier, so a degraded controller is never
-	// re-armed within one: recover-after 0.
-	ph.armWatchdog(0)
+	ph.armWatchdog()
 	// The pool starts at what the admission limit can run — with
 	// sharded domains, the per-domain limit times the domain count —
 	// and grows on demand (pool.spawnWorker).

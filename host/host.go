@@ -18,7 +18,7 @@
 // The machine can further be sharded into independent memory domains
 // (Config.Domains), the host analogue of the paper's 2-DIMM platform
 // (§V) where each DIMM's channel contends independently. Every pair
-// has a home domain (pair index modulo Domains, or Config.Domain),
+// has a home domain (pair index modulo Domains, the simulator's rule),
 // admission runs against the home domain's own MTL gate, the queues
 // are sharded per domain, and a worker tries its home domain first and
 // then the others. With Domains = 1 (the default) all of this
@@ -147,14 +147,10 @@ type Config struct {
 	W int
 	// Domains shards the runtime into independent memory domains:
 	// per-domain MTL gates and queues, each worker trying its home
-	// domain first. Default: 1 (the unsharded runtime).
+	// domain first. A pair's home is its index — its position in the
+	// slice given to Run, its Submit order within a Serve session —
+	// modulo Domains. Default: 1 (the unsharded runtime).
 	Domains int
-	// Domain maps a pair index — its position in the slice given to
-	// Run, its Submit order within a Serve session — to its home domain
-	// in [0, Domains). nil homes pair i at i % Domains. Use it to
-	// mirror the real placement of each pair's footprint (NUMA node,
-	// DIMM).
-	Domain func(pair int) int
 	// Retry re-executes tasks that return an error or panic. The zero
 	// value disables retry.
 	Retry RetryPolicy
@@ -165,17 +161,10 @@ type Config struct {
 	StallTimeout time.Duration
 	// StallFallbackAfter is the number of stalled tasks in one run
 	// that triggers graceful degradation of any adaptive controller,
-	// built in or plugged through Throttler. Default: 3 (when the
-	// watchdog is armed).
+	// built in or plugged through Throttler. The degradation lasts for
+	// the life of the controller. Default: 3 (when the watchdog is
+	// armed).
 	StallFallbackAfter int
-	// StallRecoverAfter, when positive, lets a serving session's
-	// watchdog re-arm a degraded Dynamic controller after that many
-	// consecutive clean scans (no in-flight task over StallTimeout):
-	// the attacker that wedged the runtime has stopped, so adaptive
-	// throttling resumes with a fresh MTL selection. 0 (the default)
-	// keeps the batch semantics — degradation lasts for the life of
-	// the controller.
-	StallRecoverAfter int
 }
 
 // withDefaults fills zero fields.
@@ -207,9 +196,6 @@ func (c Config) validate() error {
 	if c.Domains < 1 {
 		return fmt.Errorf("host: Domains = %d, want >= 1", c.Domains)
 	}
-	if c.Domain != nil && c.Domains < 2 {
-		return fmt.Errorf("host: Domain assignment set with %d domain(s)", c.Domains)
-	}
 	if c.Throttler != nil {
 		if c.MTL != 0 {
 			return fmt.Errorf("host: MTL set with a custom Throttler")
@@ -239,12 +225,6 @@ func (c Config) validate() error {
 	}
 	if c.StallFallbackAfter > 0 && c.StallTimeout == 0 {
 		return fmt.Errorf("host: StallFallbackAfter set without StallTimeout")
-	}
-	if c.StallRecoverAfter < 0 {
-		return fmt.Errorf("host: StallRecoverAfter = %d, want >= 0", c.StallRecoverAfter)
-	}
-	if c.StallRecoverAfter > 0 && c.StallTimeout == 0 {
-		return fmt.Errorf("host: StallRecoverAfter set without StallTimeout")
 	}
 	return nil
 }

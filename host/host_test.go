@@ -85,11 +85,7 @@ func TestConfigValidation(t *testing.T) {
 		{"unknown policy", Config{Policy: Policy(99), Workers: 4, W: 4}},
 		{"negative retry attempts", Config{Workers: 4, Retry: RetryPolicy{MaxAttempts: -1}}},
 		{"negative retry base delay", Config{Workers: 4, Retry: RetryPolicy{MaxAttempts: 3, BaseDelay: -time.Millisecond}}},
-		{"negative retry max delay", Config{Workers: 4, Retry: RetryPolicy{MaxAttempts: 3, MaxDelay: -time.Millisecond}}},
-		{"base delay above max delay", Config{Workers: 4, Retry: RetryPolicy{MaxAttempts: 3, BaseDelay: time.Second, MaxDelay: time.Millisecond}}},
-		{"retry multiplier below 1", Config{Workers: 4, Retry: RetryPolicy{MaxAttempts: 3, Multiplier: 0.5}}},
-		{"negative retry jitter", Config{Workers: 4, Retry: RetryPolicy{MaxAttempts: 3, Jitter: -0.1}}},
-		{"retry jitter >= 1", Config{Workers: 4, Retry: RetryPolicy{MaxAttempts: 3, Jitter: 1.0}}},
+		{"base delay above the cap", Config{Workers: 4, Retry: RetryPolicy{MaxAttempts: 3, BaseDelay: retryMaxDelay + 1}}},
 		{"negative stall timeout", Config{Workers: 4, StallTimeout: -time.Second}},
 		{"negative stall fallback", Config{Workers: 4, StallTimeout: time.Second, StallFallbackAfter: -1}},
 		{"stall fallback without watchdog", Config{Workers: 4, StallFallbackAfter: 2}},
@@ -102,6 +98,7 @@ func TestConfigValidation(t *testing.T) {
 	for _, c := range []Config{
 		{},
 		{Workers: 4, Retry: RetryPolicy{MaxAttempts: 3}},
+		{Workers: 4, Retry: RetryPolicy{MaxAttempts: 3, BaseDelay: retryMaxDelay}},
 		{Workers: 4, StallTimeout: time.Second},
 		{Workers: 4, StallTimeout: time.Second, StallFallbackAfter: 1},
 	} {

@@ -9,46 +9,36 @@ import (
 
 // RetryPolicy bounds per-task retry for pairs whose task returns an
 // error or panics: a failed task is re-executed up to MaxAttempts
-// total times, sleeping an exponentially growing, jittered backoff
-// between attempts. The zero value disables retry.
+// total times, sleeping a backoff between attempts that doubles from
+// BaseDelay up to a 50 ms cap and is jittered down by up to 20%, which
+// decorrelates retry storms. The zero value disables retry.
 type RetryPolicy struct {
 	// MaxAttempts is the total number of executions allowed per task
 	// (first run included). 0 and 1 both mean no retry.
 	MaxAttempts int
-	// BaseDelay is the backoff before the first retry.
-	// Default: 1ms when MaxAttempts > 1.
+	// BaseDelay is the backoff before the first retry, at most the
+	// 50 ms cap. Default: 1ms when MaxAttempts > 1.
 	BaseDelay time.Duration
-	// MaxDelay caps the grown backoff. Default: 50ms.
-	MaxDelay time.Duration
-	// Multiplier grows the backoff per attempt. Default: 2.
-	Multiplier float64
-	// Jitter randomises each delay uniformly within
-	// [(1-Jitter)*d, d], decorrelating retry storms. Must be in
-	// [0, 1). Default: 0.2.
-	Jitter float64
 	// Seed seeds the jitter RNG so failure runs replay identically.
 	Seed int64
 }
+
+// The backoff's shape: retry n waits BaseDelay·retryGrowth^(n-1),
+// capped at retryMaxDelay, times a factor drawn uniformly from
+// [1-retryJitter, 1].
+const (
+	retryMaxDelay = 50 * time.Millisecond
+	retryGrowth   = 2
+	retryJitter   = 0.2
+)
 
 // enabled reports whether the policy retries at all.
 func (p RetryPolicy) enabled() bool { return p.MaxAttempts > 1 }
 
 // withDefaults fills zero fields of an enabled policy.
 func (p RetryPolicy) withDefaults() RetryPolicy {
-	if !p.enabled() {
-		return p
-	}
-	if p.BaseDelay == 0 {
+	if p.enabled() && p.BaseDelay == 0 {
 		p.BaseDelay = time.Millisecond
-	}
-	if p.MaxDelay == 0 {
-		p.MaxDelay = 50 * time.Millisecond
-	}
-	if p.Multiplier == 0 {
-		p.Multiplier = 2
-	}
-	if p.Jitter == 0 {
-		p.Jitter = 0.2
 	}
 	return p
 }
@@ -61,17 +51,8 @@ func (p RetryPolicy) validate() error {
 	if p.BaseDelay < 0 {
 		return fmt.Errorf("host: Retry.BaseDelay = %v, want >= 0", p.BaseDelay)
 	}
-	if p.MaxDelay < 0 {
-		return fmt.Errorf("host: Retry.MaxDelay = %v, want >= 0", p.MaxDelay)
-	}
-	if p.MaxDelay > 0 && p.BaseDelay > p.MaxDelay {
-		return fmt.Errorf("host: Retry.BaseDelay %v exceeds MaxDelay %v", p.BaseDelay, p.MaxDelay)
-	}
-	if p.Multiplier != 0 && p.Multiplier < 1 {
-		return fmt.Errorf("host: Retry.Multiplier = %g, want >= 1", p.Multiplier)
-	}
-	if p.Jitter < 0 || p.Jitter >= 1 {
-		return fmt.Errorf("host: Retry.Jitter = %g, want in [0, 1)", p.Jitter)
+	if p.enabled() && p.BaseDelay > retryMaxDelay {
+		return fmt.Errorf("host: Retry.BaseDelay %v exceeds the %v cap", p.BaseDelay, retryMaxDelay)
 	}
 	return nil
 }
@@ -79,12 +60,7 @@ func (p RetryPolicy) validate() error {
 // delay computes the backoff before retry number retry (1-based),
 // assuming the policy has its defaults filled.
 func (p RetryPolicy) delay(retry int, rng *rand.Rand) time.Duration {
-	d := float64(p.BaseDelay) * math.Pow(p.Multiplier, float64(retry-1))
-	if cap := float64(p.MaxDelay); d > cap {
-		d = cap
-	}
-	if p.Jitter > 0 {
-		d *= 1 - p.Jitter*rng.Float64()
-	}
-	return time.Duration(d)
+	d := float64(p.BaseDelay) * math.Pow(retryGrowth, float64(retry-1))
+	d = min(d, float64(retryMaxDelay))
+	return time.Duration(d * (1 - retryJitter*rng.Float64()))
 }

@@ -121,18 +121,9 @@ func (j *pairRec) fill(p Pair) (fault pairFault, slot string) {
 }
 
 // homeOf reports the home domain of the pair with the given index (Run:
-// position in the slice; Serve: Submit order): Config.Domain's answer,
-// range-checked, or index modulo Domains.
-func (r *Runtime) homeOf(index int64) (int, error) {
-	nd := r.cfg.Domains
-	if r.cfg.Domain == nil {
-		return int(index % int64(nd)), nil
-	}
-	d := r.cfg.Domain(int(index))
-	if d < 0 || d >= nd {
-		return 0, fmt.Errorf("host: pair %d homed at domain %d, want within [0, %d)", index, d, nd)
-	}
-	return d, nil
+// position in the slice; Serve: Submit order): index modulo Domains.
+func (r *Runtime) homeOf(index int64) int {
+	return int(index % int64(r.cfg.Domains))
 }
 
 // recList is an unbounded mutex FIFO of records with an atomic count
@@ -311,7 +302,6 @@ type pool struct {
 	stalls   int64
 	stalled  []int64 // seq of each flagged record, in detection order
 	degraded bool
-	rearms   int64
 }
 
 // setup readies the pool in place and restarts the gates' high-water

@@ -154,7 +154,7 @@ func pinFaulty(t *testing.T, n int, seed int64, failures int) ([]Pair, *FaultInj
 	return inj.Wrap(pinPairs(n)), inj
 }
 
-var pinRetry = RetryPolicy{MaxAttempts: 3, BaseDelay: 20 * time.Microsecond, MaxDelay: 100 * time.Microsecond, Seed: 7}
+var pinRetry = RetryPolicy{MaxAttempts: 3, BaseDelay: 20 * time.Microsecond, Seed: 7}
 
 // pinW1 is the deterministic configuration: one worker takes the tasks
 // in one order.
@@ -453,11 +453,6 @@ func runtimeCases() []struct {
 			cfg.Retry.MaxAttempts = 2
 			pairs, inj := pinFaulty(t, 96, 32, -1)
 			return pinRun(t, cfg, pairs, inj)
-		}},
-		{"w4d2/run/all-homed-at-1", func(t *testing.T) pinnedCase {
-			cfg := pinW4()
-			cfg.Domain = func(int) int { return 1 }
-			return pinRun(t, cfg, pinPairs(48), nil)
 		}},
 		{"w4d2/run/dynamic", func(t *testing.T) pinnedCase {
 			return pinRun(t, Config{Workers: 4, Domains: 2, Policy: Dynamic, W: 4}, pinPairs(96), nil)

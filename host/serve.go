@@ -138,14 +138,11 @@ type ServeStats struct {
 
 	// Stalls counts tasks flagged by the stall watchdog; Stalled holds
 	// the seq of each flagged job in detection order. Degraded reports
-	// whether the Dynamic controller fell back to the conventional
-	// schedule during the session, and Rearms how many times the
-	// watchdog lifted the fallback after the stall storm passed
-	// (Config.StallRecoverAfter).
+	// whether the adaptive controller fell back to the conventional
+	// schedule during the session.
 	Stalls   int64
 	Stalled  []int64
 	Degraded bool
-	Rearms   int64
 
 	Elapsed        time.Duration
 	Goodput        float64 // completed jobs per second of Elapsed
@@ -234,7 +231,7 @@ func (r *Runtime) Serve(sc ServeConfig) (*Server, error) {
 	for i := range blocks {
 		s.free.push(&blocks[i])
 	}
-	s.armWatchdog(r.cfg.StallRecoverAfter)
+	s.armWatchdog()
 	return s, nil
 }
 
@@ -275,11 +272,7 @@ func (s *Server) Submit(p Pair) error {
 		return ErrDraining
 	}
 	rec.seq = s.seq.Add(1) - 1
-	dom, err := s.rt.homeOf(rec.seq)
-	if err != nil {
-		s.undoInflight()
-		return err
-	}
+	dom := s.rt.homeOf(rec.seq)
 	rec.dom = int32(dom)
 	if s.enqueue(&rec) {
 		s.submitted.Add(1)
@@ -511,7 +504,6 @@ func (s *Server) snapshotStats() ServeStats {
 	st.Stalls = s.stalls
 	st.Stalled = append([]int64(nil), s.stalled...)
 	st.Degraded = s.degraded
-	st.Rearms = s.rearms
 	s.wdMu.Unlock()
 	st.AdmitBatches = st.AdmittedJobs
 	if sec := st.Elapsed.Seconds(); sec > 0 {

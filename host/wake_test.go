@@ -207,7 +207,9 @@ func TestRunOverlapsGatherWithCompute(t *testing.T) {
 		}
 	}
 	if overlaps == 0 {
-		t.Errorf("no gather overlapped another pair's compute in %v: one worker ran every stage", st.Elapsed)
+		d := st.Domains[0]
+		t.Errorf("no gather overlapped another pair's compute in %v: one worker ran every stage (WakeLatency %v, %d blocking parks, Idle %v)",
+			st.Elapsed, st.WakeLatency, d.Parks, d.Idle)
 	}
 }
 

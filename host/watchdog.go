@@ -40,31 +40,23 @@ func (f *flightRec) clear() {
 
 // armWatchdog starts the stall watchdog when Config.StallTimeout asks
 // for one. Call before the first worker spawns.
-func (p *pool) armWatchdog(recoverAfter int) {
+func (p *pool) armWatchdog() {
 	if p.rt.cfg.StallTimeout <= 0 {
 		return
 	}
 	p.flight = make([]flightRec, len(p.workers))
-	go p.watchdog(recoverAfter)
+	go p.watchdog()
 }
 
 // watchdog periodically scans the flight registry for tasks that have
 // been running longer than Config.StallTimeout. A flagged task is
 // recorded in the pool's stall statistics; once the pool accumulates
 // Config.StallFallbackAfter stalls the runtime no longer trusts its
-// task timings and degrades gracefully: the Dynamic controller is
-// pinned to the conventional MTL (= workers) so a wedged memory task
-// can never starve the run through a tight throttle.
-//
-// recoverAfter > 0 adds the piece a barrier-free server needs —
-// recovery. A batch phase ends at its barrier, so degradation only ever
-// has to last to the end of the Run (Run passes 0); a server runs
-// indefinitely, and a controller pinned to the conventional schedule
-// forever after one stall storm would never throttle again. That many
-// consecutive clean scans (no task over the stall timeout — the
-// attacker stopped or was contained) re-arm the controller and restart
-// MTL selection. The watchdog exits when the pool shuts down.
-func (p *pool) watchdog(recoverAfter int) {
+// task timings and degrades gracefully: the adaptive controller is
+// pinned to the conventional MTL (= workers) for the rest of its life,
+// so a wedged memory task can never starve the work through a tight
+// throttle. The watchdog exits when the pool shuts down.
+func (p *pool) watchdog() {
 	r := p.rt
 	tick := r.cfg.StallTimeout / 4
 	if tick < 200*time.Microsecond {
@@ -72,7 +64,6 @@ func (p *pool) watchdog(recoverAfter int) {
 	}
 	t := time.NewTicker(tick)
 	defer t.Stop()
-	clean := 0
 	for {
 		select {
 		case <-p.done:
@@ -80,15 +71,10 @@ func (p *pool) watchdog(recoverAfter int) {
 		case <-t.C:
 		}
 		now := nowNs()
-		dirty := false
 		for i := range p.flight {
 			f := &p.flight[i]
 			start := f.start.Load()
-			if start == 0 || now-start <= int64(r.cfg.StallTimeout) {
-				continue
-			}
-			dirty = true
-			if f.stalled.Load() {
+			if start == 0 || now-start <= int64(r.cfg.StallTimeout) || f.stalled.Load() {
 				continue
 			}
 			f.stalled.Store(true)
@@ -104,7 +90,7 @@ func (p *pool) watchdog(recoverAfter int) {
 			// spawned workers it could even be the only one alive, so
 			// grow the pool by a replacement to keep the work moving.
 			p.spawnWorker()
-			if degrade && r.setDegraded(true) {
+			if degrade && r.degrade() {
 				p.wdMu.Lock()
 				p.degraded = true
 				p.wdMu.Unlock()
@@ -112,40 +98,21 @@ func (p *pool) watchdog(recoverAfter int) {
 				p.limitRose()
 			}
 		}
-		if dirty {
-			clean = 0
-			continue
-		}
-		clean++
-		if recoverAfter > 0 && clean >= recoverAfter {
-			clean = 0
-			if r.setDegraded(false) {
-				p.wdMu.Lock()
-				p.rearms++
-				p.wdMu.Unlock()
-				p.limitRose()
-			}
-		}
 	}
 }
 
-// setDegraded pins an adaptive controller (a core.Degrader) to the
-// conventional MTL (on), or lifts that fallback and restarts MTL
-// selection (off), and mirrors the resulting limit into every gate.
-// Reports false when the controller does not adapt or already is in the
-// asked-for state.
-func (r *Runtime) setDegraded(on bool) bool {
+// degrade pins an adaptive controller (a core.Degrader) to the
+// conventional MTL and mirrors the resulting limit into every gate.
+// Reports false when the controller does not adapt or already is
+// degraded.
+func (r *Runtime) degrade() bool {
 	r.ctrlMu.Lock()
 	defer r.ctrlMu.Unlock()
 	d, ok := r.th.(core.Degrader)
-	if !ok || d.Health().Degraded == on {
+	if !ok || d.Health().Degraded {
 		return false
 	}
-	if on {
-		d.ForceConventional()
-	} else {
-		d.Rearm()
-	}
+	d.ForceConventional()
 	r.mirrorLimit()
 	return true
 }

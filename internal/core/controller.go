@@ -76,10 +76,9 @@ func (f *front) MTL() int            { return f.drv.MTL() }
 func (f *front) Monitoring() bool    { return f.drv.Monitoring() }
 func (f *front) OnPair(s PairSample) { f.drv.OnPair(s) }
 
-// The Degrader methods; Rearm has the driver call Restart.
+// The Degrader methods.
 func (f *front) Health() Health     { return f.drv.Health() }
 func (f *front) ForceConventional() { f.drv.ForceConventional() }
-func (f *front) Rearm()             { f.drv.Rearm() }
 
 // Dynamic is the paper's run-time memory thread throttling mechanism
 // (§IV, Fig. 6): an initial MTL selection, then IdleBound-based phase
@@ -184,8 +183,7 @@ func (d *Dynamic) ForceConventional() {
 }
 
 // Restart begins an MTL selection from scratch and answers its first
-// probe: at construction, whenever Observe sees the phase change, and
-// from the driver when the conventional fallback is lifted.
+// probe: at construction and whenever Observe sees the phase change.
 func (d *Dynamic) Restart() Decision {
 	if d.opts.LinearSearch {
 		d.sel = NewLinearSelector(d.model)
@@ -313,9 +311,8 @@ func NewOnlineExhaustive(model Model, w int, threshold float64) *OnlineExhaustiv
 // Name implements Throttler.
 func (o *OnlineExhaustive) Name() string { return "online-exhaustive" }
 
-// Restart begins a fresh probe sweep from MTL=1: at construction, on a
-// trigger in Observe, and from the driver when the conventional
-// fallback is lifted.
+// Restart begins a fresh probe sweep from MTL=1: at construction and
+// on a trigger in Observe.
 func (o *OnlineExhaustive) Restart() Decision {
 	o.probing = true
 	o.probeK = 1

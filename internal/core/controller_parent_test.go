@@ -223,8 +223,8 @@ func controllerCases() []ctlCase {
 		}
 	}
 
-	// The fallback episode: a settled D-MTL is forced conventional, fed
-	// while degraded, re-armed and fed again on the same stream.
+	// The fallback episode: a settled D-MTL is forced conventional and
+	// fed while degraded on the same stream.
 	d := NewDynamic(NewModel(8), 16)
 	th, report := dyn(d)
 	src := memLaw()
@@ -249,12 +249,6 @@ func controllerCases() []ctlCase {
 			snap("forced-again")
 			feed(tr, d, src, 400, 100)
 			snap("fed-degraded")
-			d.Rearm()
-			snap("rearmed")
-			d.Rearm()
-			snap("rearmed-again")
-			feed(tr, d, src, 500, 400)
-			snap("fed-rearmed")
 		}})
 	return cs
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -97,9 +98,9 @@ func TestLegacyControllersStayClassBlind(t *testing.T) {
 }
 
 // The fallback reaches plugged controllers: the driver pins its own
-// fallback limit, ignores samples while degraded, and on Rearm restarts
-// the policy — through a wrapping Blacklist too, whose demotions stand.
-func TestDriverFallbackRestartsPolicy(t *testing.T) {
+// fallback limit and ignores samples from then on, and a wrapping
+// Blacklist's demotions stand.
+func TestDriverFallbackPinsLimit(t *testing.T) {
 	d := NewDynamic(NewModel(8), 4)
 	bl := NewBlacklist(d, BlacklistOptions{})
 	th := NewPolicyThrottler(bl, 4, 8)
@@ -122,39 +123,19 @@ func TestDriverFallbackRestartsPolicy(t *testing.T) {
 	if len(th.History) != changes+1 || th.History[changes] != 8 {
 		t.Errorf("History after fallback = %v, want the fallback limit appended", th.History)
 	}
+	if !th.Blacklisted(1) {
+		t.Error("the fallback lifted the blacklist")
+	}
+	th.ForceConventional()
+	if th.Health().Fallbacks != 1 {
+		t.Error("a second ForceConventional counted")
+	}
 	admitted := th.Health().Kept
 	for i := 0; i < 16; i++ {
 		th.OnPair(hogPair(i, &now))
 	}
 	if th.MTL() != 8 || th.Health().Kept != admitted || d.Selections != sels {
 		t.Error("degraded driver kept consuming samples")
-	}
-
-	th.Rearm()
-	if h := th.Health(); h.Degraded || h.Rearms != 1 || !th.Monitoring() {
-		t.Errorf("re-armed: health %+v, monitoring %v", h, th.Monitoring())
-	}
-	if d.Selections != sels+1 || d.Watching() {
-		t.Errorf("inner D-MTL not in a fresh selection: selections %d -> %d, watching %v", sels, d.Selections, d.Watching())
-	}
-	if !th.Blacklisted(1) {
-		t.Error("re-arming lifted the blacklist")
-	}
-	th.Rearm()
-	if th.Health().Rearms != 1 {
-		t.Error("Rearm of a healthy controller counted")
-	}
-
-	// A policy without Restart resumes at its next window.
-	sc := NewPolicyThrottler(NewStdevClamp(8, 2), 4, 6)
-	sc.ForceConventional()
-	sc.Rearm()
-	if sc.MTL() != 6 {
-		t.Errorf("stdev-clamp after re-arm: MTL %d, want the fallback 6 until a window closes", sc.MTL())
-	}
-	feedPairs(sc, 4, 2*pus, 6*pus, 0, &now)
-	if sc.MTL() != 8 {
-		t.Errorf("stdev-clamp one window later: MTL %d, want its own 8", sc.MTL())
 	}
 }
 
@@ -223,12 +204,14 @@ func TestDriverSteadyStateAllocs(t *testing.T) {
 }
 
 // The driver's concurrency contract under the race detector: mutators
-// (OnPair on one goroutine, ForceConventional and Rearm on another)
-// serialized by the caller's lock, as host's ctrlMu does, with every
-// published read and OnSignal free-running beside them.
+// (OnPair on one goroutine, ForceConventional on another) serialized by
+// the caller's lock, as host's ctrlMu does, with every published read
+// and OnSignal free-running beside them. The fallback lasts for the
+// life of a controller, so each of eight rounds degrades a fresh one
+// halfway through its stream.
 func TestDriverConcurrentReaders(t *testing.T) {
-	th := NewPolicyThrottler(NewBlacklist(NewDynamic(NewModel(8), 4), BlacklistOptions{}), 4, 8)
-	var mu sync.Mutex
+	var cur atomic.Pointer[PolicyThrottler]
+	cur.Store(NewPolicyThrottler(NewBlacklist(NewDynamic(NewModel(8), 4), BlacklistOptions{}), 4, 8))
 	stop := make(chan struct{})
 	var side sync.WaitGroup
 	for r := 0; r < 3; r++ {
@@ -241,6 +224,7 @@ func TestDriverConcurrentReaders(t *testing.T) {
 					return
 				default:
 				}
+				th := cur.Load()
 				if k := th.MTL(); k < 1 || k > 8 {
 					t.Errorf("MTL = %d escaped [1, 8]", k)
 					return
@@ -255,41 +239,37 @@ func TestDriverConcurrentReaders(t *testing.T) {
 			}
 		}(r)
 	}
-	side.Add(1)
-	go func() {
-		defer side.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
+	var now Time
+	for round := 0; round < 8; round++ {
+		th := NewPolicyThrottler(NewBlacklist(NewDynamic(NewModel(8), 4), BlacklistOptions{}), 4, 8)
+		cur.Store(th)
+		var mu sync.Mutex
+		half := make(chan struct{})
+		var degrader sync.WaitGroup
+		degrader.Add(1)
+		go func() {
+			defer degrader.Done()
+			<-half
 			mu.Lock()
 			th.ForceConventional()
 			mu.Unlock()
-			runtime.Gosched()
+		}()
+		for i := 0; i < 4000; i++ {
+			if i == 2000 {
+				close(half)
+			}
 			mu.Lock()
-			th.Rearm()
+			th.OnPair(hogPair(i, &now))
 			mu.Unlock()
-			runtime.Gosched()
+			if i%64 == 0 {
+				runtime.Gosched()
+			}
 		}
-	}()
-	var now Time
-	for i, done := 0, false; !done; i++ {
-		if i > 1<<26 {
-			t.Fatal("the degrading goroutine never got eight fallbacks in")
-		}
-		mu.Lock()
-		th.OnPair(hogPair(i, &now))
-		done = i >= 4000 && th.Health().Fallbacks >= 8
-		mu.Unlock()
-		if i%64 == 0 {
-			runtime.Gosched()
+		degrader.Wait()
+		if h := th.Health(); h.Fallbacks != 1 || !h.Degraded || th.MTL() != 8 {
+			t.Errorf("round %d: health %+v, MTL %d; want one fallback to the conventional 8", round, h, th.MTL())
 		}
 	}
 	close(stop)
 	side.Wait()
-	if h := th.Health(); h.Fallbacks == 0 || h.Rearms != h.Fallbacks || h.Degraded {
-		t.Errorf("health %+v, want every fallback re-armed", h)
-	}
 }

@@ -22,8 +22,6 @@ type Health struct {
 	DiscardedWindows int
 	// Fallbacks counts forced conventional fallbacks (ForceConventional).
 	Fallbacks int
-	// Rearms counts recoveries from the fallback (Rearm).
-	Rearms int
 	// Degraded reports whether the controller is currently pinned to
 	// the conventional MTL.
 	Degraded bool

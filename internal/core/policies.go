@@ -91,22 +91,19 @@ func (c *StdevClamp) Observe(w WindowStats) Decision {
 
 // Blacklist layers a rotating counting-window hog detector over an
 // inner aggregate-limit policy (AttackThrottler-style): per-class
-// memory-time scores accumulate into R rotating counters, the oldest
-// of which is cleared every Period windows, so the judged score always
-// spans roughly (R-1)·Period windows of history and stale behaviour
-// ages out. A class whose share of the active counter's total score
-// exceeds Ratio is demoted — fully serialized via the decision's
-// blacklist bit — and released once its share decays below half the
-// trigger, the hysteresis that keeps a hog from flapping in and out of
-// demotion at the boundary.
+// memory-time scores accumulate into 3 rotating counters, the oldest of
+// which is cleared every 4 windows, so the judged score always spans
+// roughly 8 windows of history and stale behaviour ages out. A class
+// whose share of the active counter's total score exceeds 0.60, and
+// whose mean per-pair memory time exceeds twice the rest of the
+// traffic's, is demoted — fully serialized via the decision's blacklist
+// bit — and released once its share decays below half the trigger, the
+// hysteresis that keeps a hog from flapping in and out of demotion at
+// the boundary.
 type Blacklist struct {
-	inner  Policy
-	rot    int
-	period int
-	ratio  float64
-	hog    float64
+	inner Policy
 
-	counters []blCounter
+	counters [blRot]blCounter
 	head     int // counter cleared most recently
 	windows  int
 	mask     uint64
@@ -119,6 +116,17 @@ type Blacklist struct {
 	demoted   [MaxClasses]bool
 }
 
+// The detector's constants: rotating counters, windows between
+// rotations, the demotion share trigger, and the per-pair dominance
+// factor that keeps legitimate majority traffic (high share, average
+// pairs) from being mistaken for a bandwidth hog.
+const (
+	blRot    = 3
+	blPeriod = 4
+	blRatio  = 0.60
+	blHog    = 2.0
+)
+
 // blCounter is one rotating counting window: per-class memory-time
 // score and completed-pair counts.
 type blCounter struct {
@@ -126,56 +134,15 @@ type blCounter struct {
 	pairs [MaxClasses]float64
 }
 
-// BlacklistOptions tunes the detector. Zero values select the
-// defaults: 3 counters, a 4-window rotation period, a 0.60 share
-// trigger, a 2x per-pair hog factor.
-type BlacklistOptions struct {
-	Rot    int     // rotating counters (>= 2)
-	Period int     // windows between rotations (>= 1)
-	Ratio  float64 // demotion share threshold in (0, 1)
-	// Hog is the per-pair dominance factor: a class is demoted only if
-	// its mean per-pair memory time also exceeds Hog times the rest of
-	// the traffic's mean, so legitimate majority traffic (high share,
-	// average pairs) is never mistaken for a bandwidth hog.
-	Hog float64
-}
+// BlacklistOptions has no fields: the detector runs at its constants.
+// The type stays for NewBlacklist's callers.
+type BlacklistOptions struct{}
 
 // NewBlacklist wraps inner with the hog detector. inner supplies the
 // aggregate limit each window (it may be nil, leaving the aggregate
 // limit untouched).
-func NewBlacklist(inner Policy, opts BlacklistOptions) *Blacklist {
-	if opts.Rot == 0 {
-		opts.Rot = 3
-	}
-	if opts.Period == 0 {
-		opts.Period = 4
-	}
-	if opts.Ratio == 0 {
-		opts.Ratio = 0.60
-	}
-	if opts.Hog == 0 {
-		opts.Hog = 2.0
-	}
-	if opts.Rot < 2 {
-		panic(fmt.Sprintf("core: Blacklist Rot = %d, want >= 2", opts.Rot))
-	}
-	if opts.Period < 1 {
-		panic(fmt.Sprintf("core: Blacklist Period = %d, want >= 1", opts.Period))
-	}
-	if opts.Ratio <= 0 || opts.Ratio >= 1 {
-		panic(fmt.Sprintf("core: Blacklist Ratio = %g, want in (0, 1)", opts.Ratio))
-	}
-	if opts.Hog < 1 {
-		panic(fmt.Sprintf("core: Blacklist Hog = %g, want >= 1", opts.Hog))
-	}
-	return &Blacklist{
-		inner:    inner,
-		rot:      opts.Rot,
-		period:   opts.Period,
-		ratio:    opts.Ratio,
-		hog:      opts.Hog,
-		counters: make([]blCounter, opts.Rot),
-	}
+func NewBlacklist(inner Policy, _ BlacklistOptions) *Blacklist {
+	return &Blacklist{inner: inner}
 }
 
 // Name implements Policy.
@@ -191,23 +158,11 @@ func (b *Blacklist) Blacklisted(class int) bool {
 	return class >= 0 && class < MaxClasses && b.mask&(1<<uint(class)) != 0
 }
 
-// Restart passes the driver's restart on to the inner policy; the
-// demotions stand.
-func (b *Blacklist) Restart() Decision {
-	var d Decision
-	if r, ok := b.inner.(restarter); ok {
-		d = r.Restart()
-	}
-	d.Blacklist = b.mask
-	d.Monitoring = true
-	return d
-}
-
 // Observe implements Policy.
 func (b *Blacklist) Observe(w WindowStats) Decision {
 	b.windows++
-	if b.windows%b.period == 0 {
-		b.head = (b.head + 1) % b.rot
+	if b.windows%blPeriod == 0 {
+		b.head = (b.head + 1) % blRot
 		b.counters[b.head] = blCounter{}
 	}
 	// Score this window's classes into every counter: memory time is
@@ -225,10 +180,10 @@ func (b *Blacklist) Observe(w WindowStats) Decision {
 	// accumulated history, cleared furthest in the past. Demotion
 	// requires all three hog signatures at once:
 	//
-	//   - share: the class carries more than Ratio of the counter's
+	//   - share: the class carries more than blRatio of the counter's
 	//     total memory-time score — it dominates the bandwidth;
 	//   - per-pair dominance: its mean memory time per pair exceeds
-	//     Hog times the rest of the traffic's mean — each of its jobs
+	//     blHog times the rest of the traffic's mean — each of its jobs
 	//     individually hogs, so legitimate majority traffic (high
 	//     share, average jobs) is never demoted; and
 	//   - a victim exists: some other class completed pairs in the
@@ -239,7 +194,7 @@ func (b *Blacklist) Observe(w WindowStats) Decision {
 	// a demoted class whose ingress is being shed ages out of the
 	// rotating counters and gets readmitted once the rest of the
 	// traffic has reclaimed the bandwidth.
-	active := &b.counters[(b.head+1)%b.rot]
+	active := &b.counters[(b.head+1)%blRot]
 	total, totalPairs := 0.0, 0.0
 	for c := 0; c < MaxClasses; c++ {
 		total += active.score[c]
@@ -251,10 +206,10 @@ func (b *Blacklist) Observe(w WindowStats) Decision {
 			bit := uint64(1) << uint(c)
 			if b.mask&bit == 0 {
 				restPairs := totalPairs - active.pairs[c]
-				if share > b.ratio && active.pairs[c] > 0 && restPairs > 0 {
+				if share > blRatio && active.pairs[c] > 0 && restPairs > 0 {
 					classMean := active.score[c] / active.pairs[c]
 					restMean := (total - active.score[c]) / restPairs
-					if classMean > b.hog*restMean {
+					if classMean > blHog*restMean {
 						b.mask |= bit
 						b.Demotions++
 						if !b.demoted[c] {
@@ -263,7 +218,7 @@ func (b *Blacklist) Observe(w WindowStats) Decision {
 						}
 					}
 				}
-			} else if share < b.ratio/2 {
+			} else if share < blRatio/2 {
 				b.mask &^= bit
 			}
 		}

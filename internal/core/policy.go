@@ -87,14 +87,6 @@ type Policy interface {
 	Observe(w WindowStats) Decision
 }
 
-// restarter is the optional Policy method the driver calls when the
-// conventional fallback is lifted: drop what was learned, start over,
-// and say what to enforce meanwhile. Dynamic begins a fresh selection;
-// a wrapping policy forwards to the one it wraps.
-type restarter interface {
-	Restart() Decision
-}
-
 // ClassLimiter is implemented by throttlers that enforce per-class
 // limits on top of the aggregate MTL. Both methods are atomic reads,
 // safe from any goroutine, mirroring the Throttler.MTL contract.
@@ -205,7 +197,7 @@ func (t *PolicyThrottler) Name() string { return t.p.Name() }
 
 // MTL implements Throttler. The read is a single atomic load: the host
 // runtime's workers and samplers call it concurrently with the
-// (externally serialized) OnPair, ForceConventional and Rearm.
+// (externally serialized) OnPair and ForceConventional.
 func (t *PolicyThrottler) MTL() int { return int(t.mtl.Load()) }
 
 // Monitoring implements Throttler: the last decision's flag; a
@@ -230,23 +222,6 @@ func (t *PolicyThrottler) ForceConventional() {
 	t.win.reset()
 	t.classes = [MaxClasses]ClassStats{}
 	t.publish(t.fallback)
-}
-
-// Rearm lifts the conventional fallback — the recovery path the host
-// watchdog takes once the stall storm that forced degradation has
-// passed and task timings can be trusted again. A policy with a
-// Restart method starts over from it; any other resumes at its next
-// window. A controller that was never degraded is untouched.
-func (t *PolicyThrottler) Rearm() {
-	if !t.guard.h.Degraded {
-		return
-	}
-	t.guard.h.Degraded = false
-	t.guard.h.Rearms++
-	t.monitoring = true
-	if r, ok := t.p.(restarter); ok {
-		t.apply(r.Restart())
-	}
 }
 
 // ClassLimit implements ClassLimiter. Blacklisted classes report a
@@ -403,11 +378,11 @@ func ReportOf(th Throttler) Report {
 
 // Degrader is implemented by every adaptive controller — Dynamic,
 // OnlineExhaustive, PolicyThrottler around any policy: the runtime's
-// stall watchdog pins it to the conventional limit and re-arms it
-// through these, and reads the state back from Health. Mutators, so
+// stall watchdog pins it to the conventional limit through
+// ForceConventional, which lasts for the life of the controller, and
+// reads the state back from Health. ForceConventional is a mutator, so
 // externally serialized like OnPair.
 type Degrader interface {
 	Health() Health
 	ForceConventional()
-	Rearm()
 }

@@ -59,12 +59,6 @@ func (c Config) WithSMT(ways int) Config {
 	return c
 }
 
-// WithMemDomains returns a copy sharded into n memory domains.
-func (c Config) WithMemDomains(n int) Config {
-	c.MemDomains = n
-	return c
-}
-
 // Machine is a set of cores bound to a simulation engine.
 type Machine struct {
 	cfg   Config
