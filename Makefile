@@ -14,7 +14,7 @@ GO ?= go
 # closure entry point (the one the repository benchmark probes),
 # calibration and a Fig13 sweep.
 BENCH_COUNT ?= 5
-HOT_BENCHES  = BenchmarkDRAMAccess|BenchmarkStreamPump|BenchmarkPoolStart|BenchmarkCalibrate|BenchmarkCalibrateWarm|BenchmarkCalibrateAdjacentCold|BenchmarkFig13Sweep
+HOT_BENCHES  = BenchmarkDRAMAccess|BenchmarkStreamPump|BenchmarkPoolStart|BenchmarkCalibrate|BenchmarkFig13Sweep
 
 # Host-runtime dispatch benchmarks. The 8/32 variants time the
 # unsharded (Domains=1) dispatch path; 64 runs 2 memory domains and
@@ -180,8 +180,9 @@ fake-time:
 # benchmark at a time with its base and change back to back,
 # alternating which side goes first. A benchmark fails when its
 # change/base median ns/op is over 1.15 and the medians differ by more
-# than the base's own quartile spread; a ZERO_ALLOC benchmark fails when
-# it allocates in every pair. Both sides run in one session on one machine, so the
+# than the base's own quartile spread, or when it lost every pair and
+# the median of its per-pair change/base ratios is over 1.15; a
+# ZERO_ALLOC benchmark fails when it allocates in every pair. Both sides run in one session on one machine, so the
 # verdict does not depend on the hour. Run nothing else meanwhile.
 bench-check:
 	$(GO) run ./cmd/benchab -base $(BASE) -pairs $(BENCH_COUNT) -zero-alloc '$(ZERO_ALLOC)' \

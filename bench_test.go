@@ -80,46 +80,6 @@ func BenchmarkCalibrate(b *testing.B) {
 	b.ReportMetric(cal.R2, "fit_R2")
 }
 
-// BenchmarkCalibrateAdjacentCold pins the cost of extending a
-// calibration by one MTL point through the one-shot API: a platform
-// measured for k = 1..4 needs Tm at k = 5, and Calibrate can only
-// deliver it by re-measuring every level from scratch. This is the
-// permanent cold-path contrast for BenchmarkCalibrateWarm.
-func BenchmarkCalibrateAdjacentCold(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := mem.Calibrate(mem.DDR3_1066(), 5, 6, workload.Footprint); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkCalibrateWarm measures one adjacent-MTL re-measure: the
-// sweep-context step of extending an existing k = 1..4 calibration to
-// k = 5 and refitting. Before the warm-start Calibrator this cost a
-// full re-calibration of every level (BenchmarkCalibrateAdjacentCold
-// keeps that contrast measurable); now it costs a single k = 5
-// measurement on reused engine state plus an O(maxK) refit. The
-// memoised k = 5 point is forgotten between iterations so each one
-// simulates.
-func BenchmarkCalibrateWarm(b *testing.B) {
-	c, err := mem.NewCalibrator(mem.DDR3_1066(), 6, workload.Footprint)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := c.Calibrate(4); err != nil { // the existing sweep
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.Measure(5); err != nil { // Measure never memo-hits
-			b.Fatal(err)
-		}
-		if _, err := c.Calibrate(5); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkFig13Sweep tracks the wall-clock of the quick Fig. 13 grid
 // on a fresh environment (fresh static-MTL memo, process calibration
 // cache warm): one figure's worth of simsched runs and nothing else.

@@ -43,7 +43,10 @@
 // 2-vCPU box the load comes in bursts, and benchmarks of 70-150 ms an
 // op (b.N of 7-15 in the default second) read the burst. It exits 1 when a
 // benchmark's change/base median ratio is over maxRatio and the medians
-// differ by more than the base's own quartile spread, or when a
+// differ by more than the base's own quartile spread, when the change
+// lost every pair and the median of its per-pair change/base ratios is
+// over maxRatio (a box that slows down mid-run widens the base's spread,
+// not a pair's ratio), or when a
 // -zero-alloc benchmark is missing from the change or reports an
 // allocation there in every pair. A benchmark in one side only is
 // printed and never fails, and so is one whose package built to the
@@ -77,9 +80,9 @@ import (
 	"strings"
 )
 
-// maxRatio is the change/base median ns/op ratio a micro-benchmark may
-// reach before -bench fails it (when the gap is also wider than the
-// base's own spread).
+// maxRatio is the change/base ns/op ratio a micro-benchmark may reach
+// before -bench fails it (when the gap of the medians is also wider than
+// the base's own spread, or the change lost every pair).
 const maxRatio = 1.15
 
 // report is the part of a bench report (bench/main.go) read here.
@@ -251,7 +254,7 @@ func main() {
 	if len(failures) > 0 {
 		os.Exit(1)
 	}
-	fmt.Printf("check passed: no benchmark over %.2fx its base by more than the base's own spread; zero-alloc benchmarks allocation-free\n", maxRatio)
+	fmt.Printf("check passed: no benchmark over %.2fx its base by more than the base's own spread or in every pair; zero-alloc benchmarks allocation-free\n", maxRatio)
 }
 
 // add records one run's value of metric name for side.
@@ -270,10 +273,12 @@ func add(values map[string]*series, side, name string, m metric) {
 }
 
 // summarize prints each metric's medians, quartiles, pairs won and
-// verdict, and returns the change/base median ratio of every metric
-// that is worse by more than the base's own spread. A metric one side
-// lacks is printed as such and judged no further, and a same-binary
-// one is printed and not judged.
+// verdict, and returns a ratio for every metric that is worse by more
+// than the base's own spread (its change/base median ratio) or, lower
+// being better, lost every pair (its median per-pair change/base
+// ratio); the larger where both hold. A metric one side lacks is
+// printed as such and judged no further, and a same-binary one is
+// printed and not judged.
 func summarize(w io.Writer, values map[string]*series) (worse map[string]float64) {
 	worse = map[string]float64{}
 	names := make([]string, 0, len(values))
@@ -299,7 +304,9 @@ func summarize(w io.Writer, values map[string]*series) (worse map[string]float64
 		bq1, bmed, bq3 := quartiles(b)
 		cq1, cmed, cq3 := quartiles(c)
 		won, lost := 0, 0
+		ratios := make([]float64, 0, len(b))
 		for i := range min(len(b), len(c)) {
+			ratios = append(ratios, c[i]/b[i])
 			switch d := c[i] - b[i]; {
 			case d == 0:
 			case (d < 0) == (s.better == "lower"):
@@ -319,6 +326,14 @@ func summarize(w io.Writer, values map[string]*series) (worse map[string]float64
 				worse[n] = cmed / bmed
 			}
 		}
+		// Each pair's two runs meet one moment of the machine; the two
+		// medians may be minutes apart, and a box that changes speed
+		// mid-run widens the base's spread past any real slowdown.
+		if !s.same && s.better == "lower" && lost == len(ratios) {
+			_, pairMed, _ := quartiles(ratios)
+			verdict += fmt.Sprintf("; lost every pair, median pair ratio %.4f", pairMed)
+			worse[n] = max(worse[n], pairMed)
+		}
 		fmt.Fprintf(w, "  %-*s %-3s base   median %.6g  quartiles %.6g %.6g\n", wid, n, s.unit, bmed, bq1, bq3)
 		fmt.Fprintf(w, "  %-*s %-3s change median %.6g  quartiles %.6g %.6g\n", wid, "", "", cmed, cq1, cq3)
 		fmt.Fprintf(w, "  %-*s     change/base %.4f, change won %d of %d pairs (lost %d): %s\n", wid, "", cmed/bmed, won, len(b), lost, verdict)
@@ -327,8 +342,8 @@ func summarize(w io.Writer, values map[string]*series) (worse map[string]float64
 }
 
 // gate returns the micro-benchmark gate's failures: each benchmark
-// worse by more than the base's spread whose change/base ratio is over
-// maxRatio, and each zeroAlloc benchmark the change lacks or that
+// summarize judged worse whose ratio is over maxRatio, and each
+// zeroAlloc benchmark the change lacks or that
 // reported an allocation in every pair. An allocation count does not
 // depend on the hour, so that check is against zero, not the base; the
 // fewest allocs/op any pair read is the one judged, as a one-off
@@ -342,7 +357,7 @@ func gate(worse map[string]float64, allocs map[string][]float64, zeroAlloc []str
 	sort.Strings(names)
 	for _, n := range names {
 		if r := worse[n]; r > maxRatio {
-			failures = append(failures, fmt.Sprintf("%s: change/base %.3f, over %.2f and worse by more than the base's own spread", n, r, maxRatio))
+			failures = append(failures, fmt.Sprintf("%s: change/base %.3f, over %.2f (worse by more than the base's own spread, or lost every pair)", n, r, maxRatio))
 		}
 	}
 	for _, n := range zeroAlloc {

@@ -58,9 +58,27 @@ func TestGate(t *testing.T) {
 			wantFail: []string{"BenchmarkTight"},
 		},
 		{
+			// The change's runs are the base's scaled by 1.2 in another
+			// order: it wins two pairs, ties one and loses two.
 			name:   "20% inside a wide base spread passes",
 			base:   map[string][]float64{"BenchmarkWide": wide},
-			change: map[string][]float64{"BenchmarkWide-8": scale(wide, 1.2)},
+			change: map[string][]float64{"BenchmarkWide-8": {72, 168, 96, 144, 120}},
+		},
+		{
+			name:     "20% in every pair inside a wide base spread fails",
+			base:     map[string][]float64{"BenchmarkWide": wide},
+			change:   map[string][]float64{"BenchmarkWide-8": scale(wide, 1.2)},
+			wantFail: []string{"BenchmarkWide"},
+		},
+		{
+			// A box that slowed ~2.7x from the third pair on: base
+			// quartiles 16.7 and 47.0 ns, per-pair ratios 1.15-1.46, the
+			// medians 1.23x apart but within the base's spread.
+			name:        "lost every pair with a median pair ratio over 1.15 fails",
+			base:        map[string][]float64{"BenchmarkEngineStepWheel-2": {16.6, 16.8, 45, 46, 48}},
+			change:      map[string][]float64{"BenchmarkEngineStepWheel-2": {16.6 * 1.15, 16.8 * 1.46, 45 * 1.23, 46 * 1.2, 48 * 1.3}},
+			wantFail:    []string{"BenchmarkEngineStepWheel"},
+			wantPrinted: []string{"quartiles 16.7 47", "within the base's own spread; lost every pair"},
 		},
 		{
 			name:   "10% outside the base's spread passes",

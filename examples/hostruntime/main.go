@@ -223,11 +223,10 @@ func runChaos(arrays *host.ArraySet, workers int) {
 	defer fi.Stop()
 
 	cfg := host.Config{
-		Workers:            workers,
-		Policy:             host.Conventional,
-		Retry:              host.RetryPolicy{MaxAttempts: 4, BaseDelay: 200 * time.Microsecond, Seed: 1},
-		StallTimeout:       2 * time.Second,
-		StallFallbackAfter: 3,
+		Workers:      workers,
+		Policy:       host.Conventional,
+		Retry:        host.RetryPolicy{MaxAttempts: 4, BaseDelay: 200 * time.Microsecond, Seed: 1},
+		StallTimeout: 2 * time.Second,
 	}
 	if workers >= 2 {
 		cfg.Policy = host.Dynamic

@@ -177,19 +177,6 @@ func (r *Runtime) RunContext(ctx context.Context, pairs []Pair) (Stats, error) {
 	return st, nil
 }
 
-// RunPhases executes phases back to back, returning per-phase stats.
-func (r *Runtime) RunPhases(phases [][]Pair) ([]Stats, error) {
-	var out []Stats
-	for i, ph := range phases {
-		st, err := r.Run(ph)
-		if err != nil {
-			return out, fmt.Errorf("host: phase %d: %w", i, err)
-		}
-		out = append(out, st)
-	}
-	return out, nil
-}
-
 // phase is one Run: the shared pool plus the phase's records, its task
 // count and its failure state.
 type phase struct {

@@ -185,16 +185,15 @@ func TestRetryExhaustionFailsRun(t *testing.T) {
 }
 
 // TestWatchdogFallbackVisible: every memory task exceeds StallTimeout;
-// after StallFallbackAfter flags the Dynamic controller must be pinned
+// after stallFallbackAfter flags the Dynamic controller must be pinned
 // to the conventional MTL and the degradation reported in Stats and
 // Health.
 func TestWatchdogFallbackVisible(t *testing.T) {
 	rt, err := New(Config{
-		Workers:            4,
-		Policy:             Dynamic,
-		W:                  4,
-		StallTimeout:       3 * time.Millisecond,
-		StallFallbackAfter: 2,
+		Workers:      4,
+		Policy:       Dynamic,
+		W:            4,
+		StallTimeout: 3 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -211,8 +210,8 @@ func TestWatchdogFallbackVisible(t *testing.T) {
 	if runErr != nil {
 		t.Fatal(runErr)
 	}
-	if st.Stalls < 2 {
-		t.Fatalf("watchdog flagged %d stalls, want >= 2", st.Stalls)
+	if st.Stalls < stallFallbackAfter {
+		t.Fatalf("watchdog flagged %d stalls, want >= %d", st.Stalls, stallFallbackAfter)
 	}
 	if len(st.Stalled) != st.Stalls {
 		t.Errorf("Stalled pairs %v inconsistent with Stalls = %d", st.Stalled, st.Stalls)

@@ -155,17 +155,16 @@ type Config struct {
 	// value disables retry.
 	Retry RetryPolicy
 	// StallTimeout, when positive, arms a watchdog that flags tasks
-	// running longer than this (Stats.Stalls) and, after
-	// StallFallbackAfter flags in one run, degrades the Dynamic
-	// controller to the conventional schedule. Default: off.
+	// running longer than this (Stats.Stalls) and, after three flags in
+	// one run, degrades any adaptive controller, built in or plugged
+	// through Throttler, to the conventional schedule for the life of
+	// the controller. Default: off.
 	StallTimeout time.Duration
-	// StallFallbackAfter is the number of stalled tasks in one run
-	// that triggers graceful degradation of any adaptive controller,
-	// built in or plugged through Throttler. The degradation lasts for
-	// the life of the controller. Default: 3 (when the watchdog is
-	// armed).
-	StallFallbackAfter int
 }
+
+// stallFallbackAfter is the number of stalled tasks in one run that
+// degrades an adaptive controller.
+const stallFallbackAfter = 3
 
 // withDefaults fills zero fields.
 func (c Config) withDefaults() Config {
@@ -177,9 +176,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Domains == 0 {
 		c.Domains = 1
-	}
-	if c.StallTimeout > 0 && c.StallFallbackAfter == 0 {
-		c.StallFallbackAfter = 3
 	}
 	c.Retry = c.Retry.withDefaults()
 	return c
@@ -219,12 +215,6 @@ func (c Config) validate() error {
 	}
 	if c.StallTimeout < 0 {
 		return fmt.Errorf("host: StallTimeout = %v, want >= 0", c.StallTimeout)
-	}
-	if c.StallFallbackAfter < 0 {
-		return fmt.Errorf("host: StallFallbackAfter = %d, want >= 0", c.StallFallbackAfter)
-	}
-	if c.StallFallbackAfter > 0 && c.StallTimeout == 0 {
-		return fmt.Errorf("host: StallFallbackAfter set without StallTimeout")
 	}
 	return nil
 }
@@ -293,6 +283,25 @@ type Stats struct {
 
 // Runtime schedules pairs under MTL throttling.
 type Runtime struct {
+	// The dispatch path's shared words come first, each group on lines
+	// of its own, so that no field added or removed ahead of them can
+	// move them (TestLayoutRuntime).
+	//
+	// gates admit memory-class tasks with a CAS against the mirrored
+	// MTL, one gate per memory domain; lot parks idle workers for
+	// targeted wakeups. Both span Run calls so tasks wedged past an
+	// abort keep their accounting.
+	gates []gate
+	_     [40]byte
+	lot   lot
+
+	// memActive/memPeak aggregate in-flight memory tasks across all
+	// domain gates for Stats.MaxConcurrentM (each gate also keeps its
+	// own per-domain peak).
+	memActive atomic.Int64
+	memPeak   atomic.Int64
+	_         [48]byte
+
 	cfg Config
 	th  core.Throttler
 
@@ -309,19 +318,6 @@ type Runtime struct {
 	// array used to fit one line, so every class's admission CAS
 	// invalidated every other class's counter.
 	classActive [core.MaxClasses]stats.PaddedInt64
-
-	// gates admit memory-class tasks with a CAS against the mirrored
-	// MTL, one gate per memory domain; lot parks idle workers for
-	// targeted wakeups. Both span Run calls so tasks wedged past an
-	// abort keep their accounting.
-	gates []gate
-	lot   lot
-
-	// memActive/memPeak aggregate in-flight memory tasks across all
-	// domain gates for Stats.MaxConcurrentM (each gate also keeps its
-	// own per-domain peak).
-	memActive atomic.Int64
-	memPeak   atomic.Int64
 
 	// ctrlMu serializes every controller interaction (OnPair, History,
 	// Health, degradation) plus the phase's timing aggregates. It is

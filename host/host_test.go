@@ -87,8 +87,6 @@ func TestConfigValidation(t *testing.T) {
 		{"negative retry base delay", Config{Workers: 4, Retry: RetryPolicy{MaxAttempts: 3, BaseDelay: -time.Millisecond}}},
 		{"base delay above the cap", Config{Workers: 4, Retry: RetryPolicy{MaxAttempts: 3, BaseDelay: retryMaxDelay + 1}}},
 		{"negative stall timeout", Config{Workers: 4, StallTimeout: -time.Second}},
-		{"negative stall fallback", Config{Workers: 4, StallTimeout: time.Second, StallFallbackAfter: -1}},
-		{"stall fallback without watchdog", Config{Workers: 4, StallFallbackAfter: 2}},
 	}
 	for _, c := range cases {
 		if _, err := New(c.cfg); err == nil {
@@ -100,7 +98,6 @@ func TestConfigValidation(t *testing.T) {
 		{Workers: 4, Retry: RetryPolicy{MaxAttempts: 3}},
 		{Workers: 4, Retry: RetryPolicy{MaxAttempts: 3, BaseDelay: retryMaxDelay}},
 		{Workers: 4, StallTimeout: time.Second},
-		{Workers: 4, StallTimeout: time.Second, StallFallbackAfter: 1},
 	} {
 		if _, err := New(c); err != nil {
 			t.Errorf("valid config %+v rejected: %v", c, err)
@@ -344,14 +341,15 @@ func TestRunPhases(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rt.Close()
-	p1, _, _, _, _, _ := makePairs(40, false)
-	p2, _, _, _, _, _ := makePairs(40, false)
-	stats, err := rt.RunPhases([][]Pair{p1, p2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(stats) != 2 {
-		t.Fatalf("phase stats = %d, want 2", len(stats))
+	for i := range 2 {
+		pairs, _, _, _, _, _ := makePairs(40, false)
+		st, err := rt.Run(pairs)
+		if err != nil {
+			t.Fatalf("phase %d: %v", i, err)
+		}
+		if st.CompletedPairs != 40 {
+			t.Errorf("phase %d completed %d pairs, want 40", i, st.CompletedPairs)
+		}
 	}
 }
 

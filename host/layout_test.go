@@ -95,3 +95,77 @@ func TestLayoutDomainState(t *testing.T) {
 		t.Errorf("domainState.readyMem (offset %d) and domainState.scat (offset %d) may share a cache line", ready, scat)
 	}
 }
+
+// Where a Server or a Runtime starts within a cache line is the
+// allocator's: both are over 512 bytes and hold pointers, so each sits
+// 8 bytes (the malloc header) into a slot of a size class that is a
+// multiple of 64. The two tests below read that start off a heap
+// allocation and check the lines each field actually lands on.
+var (
+	serverSink  *Server
+	runtimeSink *Runtime
+)
+
+// heapLines returns the line (from the slot's first) of a byte offset
+// in an object that starts at p.
+func heapLines(p unsafe.Pointer) func(off uintptr) uintptr {
+	base := uintptr(p) % lineSize
+	return func(off uintptr) uintptr { return (base + off) / lineSize }
+}
+
+// TestLayoutServer pins Server's counters to the front of the struct,
+// where no field added ahead of them can move them: seq through
+// rejected on line 1, admitted and blacklisted on line 2, nothing else
+// on either.
+func TestLayoutServer(t *testing.T) {
+	serverSink = new(Server)
+	s := serverSink
+	line := heapLines(unsafe.Pointer(s))
+	for _, f := range []struct {
+		name string
+		off  uintptr
+		want uintptr
+	}{
+		{"seq", unsafe.Offsetof(s.seq), 1},
+		{"rejected", unsafe.Offsetof(s.rejected), 1},
+		{"admitted", unsafe.Offsetof(s.admitted), 2},
+		{"blacklisted", unsafe.Offsetof(s.blacklisted), 2},
+		{"pool", unsafe.Offsetof(s.pool), 3},
+	} {
+		if got := line(f.off); got != f.want {
+			t.Errorf("Server.%s at offset %d lands on line %d, want %d (Server starts at %d mod %d)", f.name, f.off, got, f.want, uintptr(unsafe.Pointer(s))%lineSize, lineSize)
+		}
+	}
+	if off := unsafe.Offsetof(s.seq); off != 56 {
+		t.Errorf("Server.seq at offset %d, want 56: a field ahead of the counters moves them", off)
+	}
+}
+
+// TestLayoutRuntime pins Runtime's dispatch words to the front of the
+// struct, where no field added ahead of them (a Config field, say) can
+// move them: gates on line 0, the lot on lines 1-2 (TestLayoutLot pins
+// its inside), memActive and memPeak on line 3, nothing else on any.
+func TestLayoutRuntime(t *testing.T) {
+	runtimeSink = new(Runtime)
+	r := runtimeSink
+	line := heapLines(unsafe.Pointer(r))
+	for _, f := range []struct {
+		name string
+		off  uintptr
+		want uintptr
+	}{
+		{"gates", unsafe.Offsetof(r.gates), 0},
+		{"lot.mu", unsafe.Offsetof(r.lot) + unsafe.Offsetof(r.lot.mu), 1},
+		{"lot.wakeNs", unsafe.Offsetof(r.lot) + unsafe.Offsetof(r.lot.wakeNs), 2},
+		{"memActive", unsafe.Offsetof(r.memActive), 3},
+		{"memPeak", unsafe.Offsetof(r.memPeak), 3},
+		{"cfg", unsafe.Offsetof(r.cfg), 4},
+	} {
+		if got := line(f.off); got != f.want {
+			t.Errorf("Runtime.%s at offset %d lands on line %d, want %d (Runtime starts at %d mod %d)", f.name, f.off, got, f.want, uintptr(unsafe.Pointer(r))%lineSize, lineSize)
+		}
+	}
+	if off := unsafe.Offsetof(r.gates); off != 0 {
+		t.Errorf("Runtime.gates at offset %d, want 0: a field ahead of the dispatch words moves them", off)
+	}
+}

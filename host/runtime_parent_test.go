@@ -354,7 +354,17 @@ func runtimeCases() []struct {
 			}
 			progs = append(progs, pairs)
 		}
-		sts, err := rt.RunPhases(progs)
+		// Phases run back to back; the first failure ends the program.
+		var sts []Stats
+		var err error
+		for i, pairs := range progs {
+			st, runErr := rt.Run(pairs)
+			if runErr != nil {
+				err = fmt.Errorf("host: phase %d: %w", i, runErr)
+				break
+			}
+			sts = append(sts, st)
+		}
 		p := newPinned()
 		p.Counters["phases"] = int64(len(sts))
 		for i, st := range sts {
@@ -488,9 +498,9 @@ func runtimeCases() []struct {
 	}
 }
 
-// TestRuntimeMatchesParent pins Run, RunPhases and Serve to what the
-// two separate runtimes of the parent commit produced for the same
-// seeded programs.
+// TestRuntimeMatchesParent pins Run, back-to-back Runs and Serve to
+// what the two separate runtimes of the parent commit produced for the
+// same seeded programs.
 func TestRuntimeMatchesParent(t *testing.T) {
 	cases := runtimeCases()
 	if *captureRuntime {

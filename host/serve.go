@@ -170,6 +170,22 @@ type ServeStats struct {
 
 // Server is a live Serve session.
 type Server struct {
+	// The shared counters come first, so that no field added or
+	// removed ahead of them can move them (TestLayoutServer). A Server
+	// starts 8 bytes into a 64-byte line (the allocator's header), so
+	// the lead pad puts seq through rejected, the Submit and completion
+	// words, on one line, and admitted, which every take bumps, with
+	// the cold blacklisted on the next.
+	_        [56]byte
+	seq      atomic.Int64
+	inflight atomic.Int64
+	draining atomic.Bool
+
+	submitted, completed, failed atomic.Int64
+	dropped, rejected, admitted  atomic.Int64
+	blacklisted                  atomic.Int64
+	_                            [48]byte
+
 	pool // the shared worker runtime; the rest is the serving discipline's
 	sc   ServeConfig
 
@@ -178,14 +194,6 @@ type Server struct {
 	// ownLot parks this session's idle workers (the runtime's own lot
 	// is the batch phases'); pool.lot points at it.
 	ownLot lot
-
-	seq      atomic.Int64
-	inflight atomic.Int64
-	draining atomic.Bool
-
-	submitted, completed, failed atomic.Int64
-	dropped, rejected, admitted  atomic.Int64
-	blacklisted                  atomic.Int64
 
 	// blockMu/blockCond park ShedBlock submitters; blockWaiters keeps
 	// the signal off the completion hot path when nobody waits.

@@ -51,7 +51,7 @@ func (p *pool) armWatchdog() {
 // watchdog periodically scans the flight registry for tasks that have
 // been running longer than Config.StallTimeout. A flagged task is
 // recorded in the pool's stall statistics; once the pool accumulates
-// Config.StallFallbackAfter stalls the runtime no longer trusts its
+// stallFallbackAfter stalls the runtime no longer trusts its
 // task timings and degrades gracefully: the adaptive controller is
 // pinned to the conventional MTL (= workers) for the rest of its life,
 // so a wedged memory task can never starve the work through a tight
@@ -81,7 +81,7 @@ func (p *pool) watchdog() {
 			p.wdMu.Lock()
 			p.stalls++
 			p.stalled = append(p.stalled, f.pair.Load())
-			degrade := p.stalls >= int64(r.cfg.StallFallbackAfter)
+			degrade := p.stalls >= stallFallbackAfter
 			p.wdMu.Unlock()
 			if r.obs != nil {
 				r.obs.OnSignal(int(f.class.Load()), core.SignalStall)

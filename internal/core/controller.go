@@ -146,13 +146,6 @@ func NewDynamicOpts(model Model, w int, opts DynamicOptions) *Dynamic {
 	return d
 }
 
-// NewHysteresisDMTL builds the thrash-resistant D-MTL variant: the
-// paper's mechanism, but an IdleBound flip must persist for h+1
-// consecutive windows before it triggers re-selection.
-func NewHysteresisDMTL(model Model, w, h int) *Dynamic {
-	return NewDynamicOpts(model, w, DynamicOptions{Hysteresis: h})
-}
-
 // Name implements Throttler.
 func (d *Dynamic) Name() string {
 	switch {
@@ -269,14 +262,13 @@ func abs(x float64) float64 {
 
 // OnlineExhaustive is the naive baseline (§V): it watches the wall
 // time of W-pair groups, and when a group deviates from the previous
-// one by more than Threshold it re-probes every MTL from 1 to n,
+// one by more than onlineThreshold it re-probes every MTL from 1 to n,
 // choosing the one with the fastest group time. No analytical model is
 // involved, so it pays n probes per trigger and is vulnerable to
 // load-imbalance noise.
 type OnlineExhaustive struct {
 	front
-	model     Model
-	threshold float64
+	model Model
 
 	limit    int // the MTL being probed or held; the driver publishes it
 	probing  bool
@@ -293,14 +285,14 @@ type OnlineExhaustive struct {
 	History     []int
 }
 
-// NewOnlineExhaustive builds the baseline with the paper's
-// best-performing threshold of 10% unless overridden (threshold <= 0
-// selects 0.10). Panics on W < 1.
-func NewOnlineExhaustive(model Model, w int, threshold float64) *OnlineExhaustive {
-	if threshold <= 0 {
-		threshold = 0.10
-	}
-	o := &OnlineExhaustive{model: model, threshold: threshold}
+// onlineThreshold is the group-time deviation that re-triggers the
+// baseline's sweep: the paper's best-performing 10%.
+const onlineThreshold = 0.10
+
+// NewOnlineExhaustive builds the baseline at onlineThreshold; the third
+// parameter is ignored and stays for existing callers. Panics on W < 1.
+func NewOnlineExhaustive(model Model, w int, _ float64) *OnlineExhaustive {
+	o := &OnlineExhaustive{model: model}
 	o.drv.init(o, w, model.N)
 	// The naive method has no model to seed it: it starts with a full
 	// probe sweep from MTL=1.
@@ -351,7 +343,7 @@ func (o *OnlineExhaustive) Observe(w WindowStats) Decision {
 		if num < 0 {
 			num = -num
 		}
-		if float64(num) > o.threshold*float64(o.prevSpan) {
+		if float64(num) > onlineThreshold*float64(o.prevSpan) {
 			return o.Restart()
 		}
 	}

@@ -163,7 +163,7 @@ func TestDynamicHysteresis(t *testing.T) {
 
 	// Hysteresis 2: two flipped windows are tolerated, the third
 	// triggers.
-	hyst := NewHysteresisDMTL(model, w, 2)
+	hyst := NewDynamicOpts(model, w, DynamicOptions{Hysteresis: 2})
 	settle(hyst, compHeavy)
 	hyst.Observe(memHeavy)
 	hyst.Observe(memHeavy)
@@ -177,7 +177,7 @@ func TestDynamicHysteresis(t *testing.T) {
 
 	// A phase-flip attacker alternating every window never gets a
 	// persistent flip: the controller keeps watching.
-	hyst2 := NewHysteresisDMTL(model, w, 2)
+	hyst2 := NewDynamicOpts(model, w, DynamicOptions{Hysteresis: 2})
 	settle(hyst2, compHeavy)
 	sels := hyst2.Selections
 	for i := 0; i < 40; i++ {

@@ -78,7 +78,7 @@ func RobustnessR2(e Env) (Table, error) {
 	policies := []policy{
 		{"conventional", func() core.Throttler { return core.Fixed{K: n} }},
 		{"D-MTL", func() core.Throttler { return core.NewDynamic(model, e.W) }},
-		{"hyst D-MTL", func() core.Throttler { return core.NewHysteresisDMTL(model, e.W, 2) }},
+		{"hyst D-MTL", func() core.Throttler { return core.NewDynamicOpts(model, e.W, core.DynamicOptions{Hysteresis: 2}) }},
 		{"stdev-clamp", func() core.Throttler {
 			return core.NewPolicyThrottler(core.NewStdevClamp(n, 2), e.W, n)
 		}},

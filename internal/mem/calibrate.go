@@ -23,8 +23,7 @@ func MeasureTaskTime(cfg Config, k, tasksPerStream int, footprint int) (sim.Time
 	}
 	eng := sim.NewWheel()
 	sys := NewSystem(eng, cfg)
-	durations := measureStreams(eng, sys, k, tasksPerStream, footprint, nil)
-	return sim.Time(stats.Mean(durations)), nil
+	return sim.Time(stats.Mean(measureStreams(eng, sys, k, tasksPerStream, footprint))), nil
 }
 
 // validateMeasure checks one measurement request's arguments.
@@ -45,13 +44,14 @@ func validateMeasure(cfg Config, k, tasksPerStream, footprint int) error {
 }
 
 // measureStreams drives k closed-loop streams of tasksPerStream tasks
-// each through sys and appends the post-warm-up task durations to
-// durations, returning the grown slice. The engine must be at time
-// zero with an empty queue and sys freshly built or Reset: given that,
-// the event sequence — and therefore every measured duration — is a
-// pure function of (sys.cfg, k, tasksPerStream, footprint), identical
-// whether the underlying allocations are new or reused.
-func measureStreams(eng *sim.Engine, sys *System, k, tasksPerStream, footprint int, durations []float64) []float64 {
+// each through sys and returns the post-warm-up task durations. The
+// engine must be at time zero with an empty queue and sys freshly
+// built or Reset: given that, the event sequence — and therefore every
+// measured duration — is a pure function of (sys.cfg, k,
+// tasksPerStream, footprint), identical whether the underlying
+// allocations are new or reused.
+func measureStreams(eng *sim.Engine, sys *System, k, tasksPerStream, footprint int) []float64 {
+	var durations []float64
 	startStreams(eng, sys, k, tasksPerStream, footprint, &durations)
 	eng.Run()
 	return durations

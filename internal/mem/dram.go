@@ -332,8 +332,8 @@ func isPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
 // request rings, and the request free list. Any requests still queued
 // (there are none after a drained run) are released to the pool. A
 // reset system is bit-identical to a fresh NewSystem with the same
-// engine state, so warm-start calibration can re-measure on reused
-// allocations without changing any measured number.
+// engine state: a measurement on reused allocations reproduces a fresh
+// one bit for bit (TestMeasureMatchesParent pins both).
 func (s *System) Reset() {
 	for _, ch := range s.channels {
 		ch.busFreeAt = 0

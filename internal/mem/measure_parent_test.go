@@ -71,13 +71,13 @@ const (
 
 // TestMeasureMatchesParent pins every measurement to what the parent
 // commit produced — on a fresh engine and system, the way
-// MeasureTaskTime runs, and on a Calibrator's reused pair (Engine.Reset
-// + System.Reset) walked up through k and back down.
+// MeasureTaskTime runs, and on one reused pair (Engine.Reset +
+// System.Reset) walked up through k and back down.
 func TestMeasureMatchesParent(t *testing.T) {
 	fresh := func(cfg Config, k int) measured {
 		eng := sim.NewWheel()
 		sys := NewSystem(eng, cfg)
-		return measuredOf(measureStreams(eng, sys, k, measureTasks, measureFootprint, nil), sys)
+		return measuredOf(measureStreams(eng, sys, k, measureTasks, measureFootprint), sys)
 	}
 	if *capture {
 		got := make(map[string]measured)
@@ -104,15 +104,12 @@ func TestMeasureMatchesParent(t *testing.T) {
 		t.Fatalf("parent file holds %d measurements, the test makes %d: re-capture at the parent commit", len(want), len(cases)*measureMaxK)
 	}
 	for name, cfg := range cases {
-		c, err := NewCalibrator(cfg, measureTasks, measureFootprint)
-		if err != nil {
-			t.Fatal(err)
-		}
+		eng := sim.NewWheel()
+		sys := NewSystem(eng, cfg)
 		warm := func(k int) measured {
-			if _, err := c.Measure(k); err != nil {
-				t.Fatal(err)
-			}
-			return measuredOf(c.durations, c.sys)
+			eng.Reset()
+			sys.Reset()
+			return measuredOf(measureStreams(eng, sys, k, measureTasks, measureFootprint), sys)
 		}
 		check := func(how string, k int, got measured) {
 			if w := want[fmt.Sprintf("%s/k=%d", name, k)]; got != w {
@@ -121,10 +118,10 @@ func TestMeasureMatchesParent(t *testing.T) {
 		}
 		for k := 1; k <= measureMaxK; k++ {
 			check("fresh", k, fresh(cfg, k))
-			check("calibrator, rising", k, warm(k))
+			check("reset, rising", k, warm(k))
 		}
 		for k := measureMaxK; k >= 1; k-- {
-			check("calibrator, falling", k, warm(k))
+			check("reset, falling", k, warm(k))
 		}
 	}
 }

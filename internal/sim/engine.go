@@ -343,8 +343,8 @@ func (e *Engine) Stop() { e.stopped = true }
 // events are cancelled and recycled. A reset engine behaves
 // bit-identically to a fresh one (event ordering depends only on
 // (due, seq), both of which restart from zero), which is what lets
-// warm-start calibration reuse one engine across measurements without
-// perturbing a single result.
+// the simsched rig reuse one engine across runs without perturbing a
+// single result.
 func (e *Engine) Reset() {
 	e.now = 0
 	e.seq = 0
