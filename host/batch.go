@@ -74,7 +74,7 @@ func (r *Runtime) RunContext(ctx context.Context, pairs []Pair) (Stats, error) {
 	}
 
 	ph := &phase{recs: recs}
-	ph.setup(r, ph, &r.lot, "pair", ctx.Done())
+	ph.setup(r, ph, "pair", ctx.Done())
 	ph.remain.Store(int64(total))
 
 	// The initial memory stages seed each domain's shared FIFO in
@@ -87,16 +87,6 @@ func (r *Runtime) RunContext(ctx context.Context, pairs []Pair) (Stats, error) {
 		ds.readyMem.Store(int64(len(seeds[d])))
 	}
 
-	// The canceller propagates ctx into the phase: workers stop
-	// taking records and every parked worker is woken, then the run
-	// returns promptly with partial stats.
-	go func() {
-		select {
-		case <-ctx.Done():
-			ph.cancelRun(ctx.Err())
-		case <-ph.done:
-		}
-	}()
 	ph.armWatchdog()
 	// The pool starts at what the admission limit can run — with
 	// sharded domains, the per-domain limit times the domain count —
@@ -105,10 +95,16 @@ func (r *Runtime) RunContext(ctx context.Context, pairs []Pair) (Stats, error) {
 	for w := 0; w < max(n0, 1); w++ {
 		ph.spawnWorker()
 	}
+	// ctx's cancellation aborts the phase: workers stop taking records
+	// and every parked worker is woken, then the run returns promptly
+	// with partial stats. A context without a Done channel
+	// (context.Background) registers nothing.
+	stop := context.AfterFunc(ctx, func() { ph.cancelRun(ctx.Err()) })
 
 	// Completion or abort, whichever comes first; workers wedged in
 	// user code do not block the return.
 	<-ph.done
+	stop()
 
 	st := Stats{
 		Elapsed:        time.Duration(nowNs() - ph.startNs),
@@ -188,7 +184,7 @@ type phase struct {
 
 	stateMu   sync.Mutex
 	err       error // first terminal task failure
-	cancelErr error // ctx cancellation, set by the canceller
+	cancelErr error // ctx cancellation, set by RunContext's AfterFunc
 }
 
 // equip has nothing to give: a batch worker holds no queue of its own.

@@ -268,11 +268,12 @@ type Stats struct {
 	// WakeLatency is λ as the run ended: the runtime's running mean of
 	// the time from a wakeup sent to the blocked worker running again,
 	// one sample per blocking park (the events Domains[].Parks counts,
-	// inside the time Domains[].Idle sums), kept across runs. When a
-	// finished stage wakes a sleeper and how long an idle worker spins
-	// are stated in it. Measured, not set; zero until a worker blocked.
-	// The park that the run's end wakes often folds its sample after
-	// the run has read λ; it then counts from the next run on.
+	// inside the time Domains[].Idle sums), kept across runs and
+	// sessions. When a finished stage wakes a sleeper and how long an
+	// idle worker spins are stated in it. Measured, not set; zero until
+	// a worker blocked. The park that the run's end wakes often folds
+	// its sample after the run has read λ; it then counts from the next
+	// run on.
 	WakeLatency time.Duration
 
 	// Domains holds the per-domain dispatch counters, one entry per
@@ -288,9 +289,10 @@ type Runtime struct {
 	// move them (TestLayoutRuntime).
 	//
 	// gates admit memory-class tasks with a CAS against the mirrored
-	// MTL, one gate per memory domain; lot parks idle workers for
-	// targeted wakeups. Both span Run calls so tasks wedged past an
-	// abort keep their accounting.
+	// MTL, one gate per memory domain; lot parks every phase's and
+	// session's idle workers. Both span them, so a task wedged past an
+	// abort keeps its accounting and its release wakes the next
+	// phase's or session's sleepers.
 	gates []gate
 	_     [40]byte
 	lot   lot
@@ -454,7 +456,7 @@ func (r *Runtime) Health() core.Health {
 	return core.ReportOf(r.th).Health
 }
 
-// Close marks the runtime closed; subsequent Run calls fail.
+// Close marks the runtime closed; subsequent Run and Serve calls fail.
 func (r *Runtime) Close() {
 	r.closed.Store(true)
 }

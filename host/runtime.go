@@ -258,9 +258,8 @@ type domainState struct {
 
 // pool is the worker runtime under one Run phase or one Serve session.
 type pool struct {
-	rt   *Runtime
+	rt   *Runtime // its lot parks the idle workers of every phase and session
 	q    discipline
-	lot  *lot   // where idle workers park: the runtime's for Run, the session's for Serve
 	noun string // what a record is called in task errors: "pair" or "job"
 	doms []domainState
 
@@ -307,8 +306,8 @@ type pool struct {
 // setup readies the pool in place and restarts the gates' high-water
 // marks at their current occupancy (slots may still be held by an
 // earlier phase's wedged tasks).
-func (p *pool) setup(r *Runtime, q discipline, l *lot, noun string, stop <-chan struct{}) {
-	p.rt, p.q, p.lot, p.noun, p.stop = r, q, l, noun, stop
+func (p *pool) setup(r *Runtime, q discipline, noun string, stop <-chan struct{}) {
+	p.rt, p.q, p.noun, p.stop = r, q, noun, stop
 	p.startNs = nowNs()
 	_, fixed := r.th.(core.Fixed)
 	p.adaptive = !fixed
@@ -327,7 +326,7 @@ func (p *pool) setup(r *Runtime, q discipline, l *lot, noun string, stop <-chan 
 func (p *pool) shutdown() {
 	p.doneOnce.Do(func() {
 		close(p.done)
-		p.lot.unparkAll()
+		p.rt.lot.unparkAll()
 	})
 }
 
@@ -401,7 +400,7 @@ func (p *pool) work(w *worker) {
 // park counts as a park, and its duration is accounted once per cycle
 // to the worker's shard (home-domain idle time).
 func (p *pool) parkTillWork(w *worker) (*pairRec, int64) {
-	l, q := p.lot, p.q
+	l, q := &p.rt.lot, p.q
 	for {
 		l.enqueue(&w.park)
 		if q.stopped() {
@@ -677,7 +676,7 @@ func (p *pool) takeMem(w *worker, d int) *pairRec {
 	// if there is still admissible work it could run (spawning a fresh
 	// worker if nobody is parked).
 	r.releaseSlot(d)
-	if !capped && ds.readyMem.Load() > 0 && !p.lot.unparkOne() {
+	if !capped && ds.readyMem.Load() > 0 && !r.lot.unparkOne() {
 		p.spawnWorker()
 	}
 	return nil
@@ -718,7 +717,7 @@ func (p *pool) offer(w *worker, stage int32, held int64) {
 	if sc, nc := w.sumTc.Load(), w.nTc.Load(); n == 0 || (stage == stageComp && nc > 0) {
 		sum, n = sc, nc
 	}
-	if wakeDiv*sum > p.lot.wakeNs.Load()*n && held+p.admissible() >= 2 && !p.lot.unparkOne() {
+	if wakeDiv*sum > p.rt.lot.wakeNs.Load()*n && held+p.admissible() >= 2 && !p.rt.lot.unparkOne() {
 		p.spawnWorker()
 	}
 }
@@ -754,11 +753,11 @@ const wakeDiv = 2
 // class slot may be just what a parked worker's capped record is
 // waiting for while this worker moves on to other work. And a task
 // outliving an aborted phase: its worker exits right after the
-// release, and the slot may be the one a *newer* phase's sleepers wait
-// for.
+// release, and the slot may be what a *newer* phase's or session's
+// sleepers wait for.
 func (p *pool) released() {
 	if p.rt.lim != nil || p.aborted.Load() {
-		p.lot.unparkOne()
+		p.rt.lot.unparkOne()
 	}
 }
 
@@ -766,6 +765,6 @@ func (p *pool) released() {
 // wake everyone (many sleepers may be gate-blocked) and grow the pool by
 // one; the wake rule grows it further if that is still not enough.
 func (p *pool) limitRose() {
-	p.lot.unparkAll()
+	p.rt.lot.unparkAll()
 	p.spawnWorker()
 }

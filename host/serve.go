@@ -159,10 +159,10 @@ type ServeStats struct {
 	QueueLatency   stats.LatencyHist
 	ServiceLatency stats.LatencyHist
 
-	// WakeLatency is the session's λ as it drained: the running mean
-	// of token sent → blocked worker running again over the session's
-	// waiter lot, the measured wake latency the wake rule and the
-	// pre-park spin are stated in. Measured, not set; zero until a
+	// WakeLatency is λ as the session drained: the runtime's running
+	// mean of token sent → blocked worker running again, kept across
+	// runs and sessions, the measured wake latency the wake rule and
+	// the pre-park spin are stated in. Measured, not set; zero until a
 	// worker blocked. Drain reads it after every worker exited, so
 	// every blocking park of the session has folded its sample.
 	WakeLatency time.Duration
@@ -190,10 +190,6 @@ type Server struct {
 	sc   ServeConfig
 
 	free *mpmcRing
-
-	// ownLot parks this session's idle workers (the runtime's own lot
-	// is the batch phases'); pool.lot points at it.
-	ownLot lot
 
 	// blockMu/blockCond park ShedBlock submitters; blockWaiters keeps
 	// the signal off the completion hot path when nobody waits.
@@ -224,7 +220,7 @@ func (r *Runtime) Serve(sc ServeConfig) (*Server, error) {
 	}
 	queueCap := ceilPow2(sc.Queue)
 	s := &Server{sc: sc}
-	s.setup(r, s, &s.ownLot, "job", nil)
+	s.setup(r, s, "job", nil)
 	s.blockCond = sync.NewCond(&s.blockMu)
 	for d := range s.doms {
 		s.doms[d].pend = newMPMCRing(queueCap)
@@ -325,10 +321,12 @@ func (s *Server) enqueue(rec *pairRec) bool {
 
 // wake follows an accepted Submit: one sleeper, or a fresh worker when
 // none is parked, iff domain d's gate has a free slot. Behind a full
-// gate nobody is woken: every slot holder takes again after its task
-// returns (pool.work), and the job is in the queue that take scans.
+// gate nobody is woken — the slot holder takes again after its task
+// returns (pool.work), or wakes a sleeper if it outlived an aborted Run
+// (pool.released) — except a session's first worker, which a slot held
+// past a Run leaves nobody else to start.
 func (s *Server) wake(d int) {
-	if s.rt.gates[d].room() > 0 && !s.lot.unparkOne() {
+	if s.spawned.Load() == 0 || (s.rt.gates[d].room() > 0 && !s.rt.lot.unparkOne()) {
 		s.spawnWorker()
 	}
 }
@@ -504,7 +502,7 @@ func (s *Server) snapshotStats() ServeStats {
 		AdmittedJobs:   s.admitted.Load(),
 		Blacklisted:    s.blacklisted.Load(),
 		Elapsed:        time.Duration(nowNs() - s.startNs),
-		WakeLatency:    time.Duration(s.ownLot.wakeNs.Load()),
+		WakeLatency:    time.Duration(s.rt.lot.wakeNs.Load()),
 		FinalMTL:       s.rt.MTL(),
 		MaxConcurrentM: s.rt.peakConcurrentM(),
 	}

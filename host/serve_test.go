@@ -504,6 +504,62 @@ func TestServeFullGateWaitsForItsSlotHolder(t *testing.T) {
 	}
 }
 
+// TestServeAfterCancelledRunWithWedgedGather pins that a runtime stays
+// usable after a cancelled Run: at Workers 2, MTL 1, a RunContext is
+// cancelled while its only gather is wedged in user code holding the
+// gate's one slot, then a session opens and a job is submitted behind
+// that full gate. The session starts its first worker anyway, the test
+// lets it block where every phase parks, and only then releases the
+// wedged task, whose release must wake it for the job to complete.
+func TestServeAfterCancelledRunWithWedgedGather(t *testing.T) {
+	for _, domains := range []int{1, 2} {
+		t.Run(fmt.Sprintf("domains=%d", domains), func(t *testing.T) {
+			rt, err := New(Config{Workers: 2, Policy: Static, MTL: 1, Domains: domains})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			started, release := make(chan struct{}), make(chan struct{})
+			go func() {
+				<-started
+				cancel()
+			}()
+			_, err = rt.RunContext(ctx, []Pair{{
+				Memory:  func() { close(started); <-release },
+				Compute: func() {},
+			}})
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("RunContext: %v, want context.Canceled", err)
+			}
+			srv, err := rt.Serve(ServeConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := srv.Submit(Pair{Memory: func() {}, Compute: func() {}}); err != nil {
+				t.Fatal(err)
+			}
+			w := srv.workers[0].Load()
+			if w == nil {
+				t.Fatal("a session's first Submit behind a full gate started no worker")
+			}
+			for w.parks.Load() == 0 {
+				runtime.Gosched()
+			}
+			close(release)
+			dctx, dcancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer dcancel()
+			st, err := srv.Drain(dctx)
+			if err != nil {
+				t.Fatalf("Drain: %v (completed %d of 1)", err, st.Completed)
+			}
+			if st.Completed != 1 {
+				t.Errorf("Completed %d, want 1", st.Completed)
+			}
+		})
+	}
+}
+
 // TestServeReportsWakeLatency pins ServeStats.WakeLatency: a session
 // whose workers blocked at least twice has woken one inside the session,
 // and Drain reads λ only after every worker exited, so λ is positive.

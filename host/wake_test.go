@@ -27,7 +27,7 @@ func admissionPools(t *testing.T, remain int64) []struct {
 	}
 	r := newRT()
 	ph := &phase{}
-	ph.setup(r, ph, &r.lot, "pair", nil)
+	ph.setup(r, ph, "pair", nil)
 	ph.remain.Store(remain)
 	srv, err := newRT().Serve(ServeConfig{Queue: 4})
 	if err != nil {
